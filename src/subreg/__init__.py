@@ -32,7 +32,6 @@ from .problems import (
     Schedule,
     catalog_names,
     catalog_problem,
-    error_function_value,
     finite_graph_problem,
     graph_sample,
     piecewise_problem,

@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .extended import INF, ExtReal
 
@@ -211,6 +210,8 @@ class DualVectorSet:
             return dual_norm.value(v - self.vectors[0]) <= tol
         if self.kind == "ball":
             return dual_norm.value(v - self.center) <= self.radius + tol
+        from scipy.optimize import nnls  # slow to import, and needed only here
+
         mat = np.vstack([np.column_stack(self.vectors), np.ones(len(self.vectors))])
         rhs = np.concatenate([v, [1.0]])
         _, residual = nnls(mat, rhs)

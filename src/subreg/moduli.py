@@ -9,13 +9,15 @@ cross-family inequality checks into pass/fail rows.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .extended import INF, ExtReal, is_inf
-from .geometry import ProductPoint
+from .geometry import ProductPoint, duality_map
 from .problems import (
     EPS_MEM,
     ErrorFunction,
@@ -23,18 +25,20 @@ from .problems import (
     Schedule,
     graph_sample,
     halton_points,
+    halving_offsets,
     mix_seed,
     outer_pools,
     validate_P1_P2,
 )
 from .slopes_dual import (
+    DualStrictSlopes,
     limiting_coderivative_min_norm,
     lm_constants,
     strict_subdiff_q_slopes,
 )
 from .slopes_primal import (
-    CandidateCache,
     SlopeEstimate,
+    StrictSweepResult,
     as_two_variable,
     f_level_strict,
     gather_point_candidates,
@@ -107,20 +111,20 @@ def _ambient_x_samples(problem: MappingProblem, radius: float, count: int, seed:
     """Deterministic x-samples in the ball around xbar: axis stencil
     plus quasi-random fill."""
     dim = problem.dim_x
+    stop = max(1e-9 * radius, 1e-11)
     out = []
     for i in range(dim):
-        off = radius
-        while off >= max(1e-9 * radius, 1e-11) and len(out) < 4 * count:
+        # at most 4 * count stencil points over all axes
+        for off in halving_offsets(radius, stop, 2 * count - len(out) // 2):
             for sgn in (1.0, -1.0):
                 x = problem.xbar.copy()
                 x[i] += sgn * off
                 out.append(x)
-            off *= 0.5
     fill = max(0, count - len(out))
     if fill:
         u = halton_points(dim, fill, mix_seed(seed, "ambient"))
         out.extend(problem.xbar + (2.0 * u - 1.0) * radius)
-    return out[: max(count, len(out))]
+    return out
 
 
 def subregularity_modulus(
@@ -131,7 +135,7 @@ def subregularity_modulus(
     entry and the recorded witnesses reproduce their ratio exactly."""
     if not 0.0 < q <= 1.0:
         raise ModuliError("q must lie in (0, 1]")
-    pools = outer_pools(problem, schedule)
+    pools = outer_pools(problem, schedule, True)
     rhos = schedule.rho_values()
 
     def ratio_of(x) -> Optional[tuple]:
@@ -320,51 +324,105 @@ def check_subregularity_inequality(
 # constants and criteria
 # --------------------------------------------------------------------------
 
-CONSTANT_NAMES = (
-    "sr_q",
-    "error_bound_modulus",
-    "anchor_ratio_liminf",
-    "uniform_strict_q_slope",
-    "strict_q_slope",
-    "modified_strict_q_slope",
-    "subdiff_strict_q_slope_plain",
-    "subdiff_strict_q_slope_approx",
-    "subdiff_strict_q_slope_modified",
-    "subdiff_strict_q_slope_modified_approx",
-    "limiting_coderivative_min_norm",
-    "lm_alpha",
-    "lm_beta",
-)
+# report entry name -> how a run context obtains it
+_CONSTANT_SOURCES = {
+    "sr_q": lambda ctx: ctx.subregularity.as_estimate(),
+    "error_bound_modulus": lambda ctx: ctx.error_bound.as_estimate(),
+    "anchor_ratio_liminf": lambda ctx: ctx.sweep.anchor_ratio,
+    "uniform_strict_q_slope": lambda ctx: ctx.sweep.uniform,
+    "strict_q_slope": lambda ctx: ctx.sweep.plain,
+    "modified_strict_q_slope": lambda ctx: ctx.sweep.modified,
+    "subdiff_strict_q_slope_plain": lambda ctx: ctx.dual_slopes.plain,
+    "subdiff_strict_q_slope_approx": lambda ctx: ctx.dual_slopes.approx,
+    "subdiff_strict_q_slope_modified": lambda ctx: ctx.dual_slopes.modified,
+    "subdiff_strict_q_slope_modified_approx": lambda ctx: ctx.dual_slopes.modified_approx,
+    "limiting_coderivative_min_norm": lambda ctx: ctx.limiting,
+    "lm_alpha": lambda ctx: ctx.lm[0],
+    "lm_beta": lambda ctx: ctx.lm[1],
+}
+CONSTANT_NAMES = tuple(_CONSTANT_SOURCES)
+
+
+class RunContext(Mapping):
+    """Every quantity of one run, each computed on first access and kept.
+
+    As a read-only mapping it takes the names in ``CONSTANT_NAMES`` to
+    estimates, and reading an entry computes only what that entry
+    needs.  It also holds the strict sweeps under the max- and sum-type
+    product metrics, which share one candidate dict keyed by outer point
+    (candidates do not depend on the metric; the dict is emptied once
+    both sweeps are done), the two modulus reports and the theorem-7T1
+    result.
+    """
+
+    def __init__(self, problem: MappingProblem, q: float, schedule: Schedule):
+        self.problem = problem
+        self.q = q
+        self.schedule = schedule
+        self.candidates: dict = {}
+
+    def __getitem__(self, name: str) -> SlopeEstimate:
+        return _CONSTANT_SOURCES[name](self)
+
+    def __contains__(self, name) -> bool:
+        return name in _CONSTANT_SOURCES
+
+    def __iter__(self):
+        return iter(CONSTANT_NAMES)
+
+    def __len__(self) -> int:
+        return len(CONSTANT_NAMES)
+
+    @cached_property
+    def sweep(self) -> StrictSweepResult:
+        return self._strict_sweep("max")
+
+    @cached_property
+    def sum_sweep(self) -> StrictSweepResult:
+        return self._strict_sweep("sum")
+
+    def _strict_sweep(self, metric: str) -> StrictSweepResult:
+        out = strict_sweep(self.problem, self.q, self.schedule, self.candidates, metric=metric)
+        if "sweep" in self.__dict__ or "sum_sweep" in self.__dict__:
+            self.candidates.clear()  # both sweeps are done; nothing reads them again
+        return out
+
+    @cached_property
+    def dual_slopes(self) -> DualStrictSlopes:
+        return strict_subdiff_q_slopes(self.problem, self.q, self.schedule)
+
+    @cached_property
+    def limiting(self) -> SlopeEstimate:
+        return limiting_coderivative_min_norm(self.problem, self.q, self.schedule)
+
+    @cached_property
+    def lm(self) -> tuple:
+        """(lm_alpha, lm_beta)."""
+        return lm_constants(self.problem, self.q, self.schedule)
+
+    @cached_property
+    def subregularity(self) -> ModulusReport:
+        return subregularity_modulus(self.problem, self.q, self.schedule)
+
+    @cached_property
+    def error_bound(self) -> ModulusReport:
+        return error_bound_modulus(ErrorFunction(self.problem, self.q), self.schedule)
+
+    @cached_property
+    def theorem_7T1(self) -> Theorem7T1Result:
+        return theorem_7T1_check(self.problem, self.q, self.schedule, self)
 
 
 def compute_constants(
     problem: MappingProblem, q: float, schedule: Schedule
-) -> dict:
+) -> RunContext:
     """Every reported constant on shared outer pools, keyed by the
-    report entry names."""
-    cache = CandidateCache(problem, schedule)
-    sweep = strict_sweep(problem, q, schedule, cache)
-    duals = strict_subdiff_q_slopes(problem, q, schedule)
-    limiting = limiting_coderivative_min_norm(problem, q, schedule)
-    alpha, beta = lm_constants(problem, q, schedule)
-    sr = subregularity_modulus(problem, q, schedule)
-    er = error_bound_modulus(ErrorFunction(problem, q), schedule)
-    out = {
-        "sr_q": sr.as_estimate(),
-        "error_bound_modulus": er.as_estimate(),
-        "anchor_ratio_liminf": sweep.anchor_ratio,
-        "uniform_strict_q_slope": sweep.uniform,
-        "strict_q_slope": sweep.plain,
-        "modified_strict_q_slope": sweep.modified,
-        "subdiff_strict_q_slope_plain": duals.plain,
-        "subdiff_strict_q_slope_approx": duals.approx,
-        "subdiff_strict_q_slope_modified": duals.modified,
-        "subdiff_strict_q_slope_modified_approx": duals.modified_approx,
-        "limiting_coderivative_min_norm": limiting,
-        "lm_alpha": alpha,
-        "lm_beta": beta,
-    }
-    return out
+    report entry names and computed when first read."""
+    return RunContext(problem, q, schedule)
+
+
+def _context(problem, q, schedule, constants: Optional[RunContext]) -> RunContext:
+    return constants if constants is not None else RunContext(problem, q, schedule)
 
 
 @dataclass(frozen=True)
@@ -428,7 +486,7 @@ def criteria_report(
     q: float,
     gamma: float,
     schedule: Schedule,
-    constants: Optional[dict] = None,
+    constants: Optional[RunContext] = None,
 ) -> CriteriaReport:
     """Truth values of the lettered quantitative conditions at ``gamma``
     and of the qualitative (strict positivity) conditions, with every
@@ -441,13 +499,13 @@ def criteria_report(
     """
     if gamma <= 0:
         raise ModuliError("gamma must be positive")
-    constants = constants or compute_constants(problem, q, schedule)
+    ctx = _context(problem, q, schedule, constants)
     eps = SHARED_SLACK
 
     conditions = {}
     estimates = {}
     flags = []
-    sr = constants["sr_q"]
+    sr = ctx["sr_q"]
     conditions["a"] = (
         "inconclusive"
         if sr.inconclusive
@@ -455,7 +513,7 @@ def criteria_report(
     )
     estimates["a"] = sr.value
     for letter in "bcdefghij":
-        est = constants[_QUANT_SOURCES[letter]]
+        est = ctx[_QUANT_SOURCES[letter]]
         conditions[letter] = _status(est, gamma)
         estimates[letter] = est.value
         if not est.inconclusive and is_inf(est.value):
@@ -463,18 +521,18 @@ def criteria_report(
 
     qualitative = {}
     for letter, name in _QUAL_SOURCES.items():
-        qualitative[letter] = _status(constants[name], 1e-6)
+        qualitative[letter] = _status(ctx[name], 1e-6)
 
     violations = []
 
     def strict_holds(letter: str) -> bool:
-        est = constants[_QUANT_SOURCES[letter]]
+        est = ctx[_QUANT_SOURCES[letter]]
         if est.inconclusive:
             return False
         return is_inf(est.value) or est.value > gamma + eps
 
     def loose_fails(letter: str) -> bool:
-        est = constants[_QUANT_SOURCES[letter]]
+        est = ctx[_QUANT_SOURCES[letter]]
         if est.inconclusive:
             return False
         return (not is_inf(est.value)) and est.value <= gamma - eps
@@ -486,13 +544,13 @@ def criteria_report(
             )
 
     def q_strict(letter: str) -> bool:
-        est = constants[_QUAL_SOURCES[letter]]
+        est = ctx[_QUAL_SOURCES[letter]]
         if est.inconclusive:
             return False
         return is_inf(est.value) or est.value > 2e-6
 
     def q_loose_fails(letter: str) -> bool:
-        est = constants[_QUAL_SOURCES[letter]]
+        est = ctx[_QUAL_SOURCES[letter]]
         if est.inconclusive:
             return False
         return (not is_inf(est.value)) and est.value <= 0.0
@@ -541,7 +599,7 @@ def convexity_necessity_check(
     problem: MappingProblem,
     q: float,
     schedule: Schedule,
-    constants: Optional[dict] = None,
+    constants: Optional[RunContext] = None,
 ) -> ConvexityCheckResult:
     """For convex mappings the scaled modulus is dominated by the plain
     strict subdifferential q-slope.  A modulus estimate that is infinite
@@ -549,9 +607,9 @@ def convexity_necessity_check(
     instead of asserting against an equally divergent right-hand side."""
     if not problem.convex:
         return ConvexityCheckResult("skipped", 0.0, 0.0)
-    constants = constants or compute_constants(problem, q, schedule)
-    sr = constants["sr_q"]
-    dual_plain = constants["subdiff_strict_q_slope_plain"]
+    ctx = _context(problem, q, schedule, constants)
+    sr = ctx["sr_q"]
+    dual_plain = ctx["subdiff_strict_q_slope_plain"]
     lhs = INF if is_inf(sr.value) else q * sr.value
     rhs = dual_plain.value
     if is_inf(sr.value) or looks_divergent(sr.trace):
@@ -586,18 +644,17 @@ def theorem_7T1_check(
     problem: MappingProblem,
     q: float,
     schedule: Schedule,
-    constants: Optional[dict] = None,
+    constants: Optional[RunContext] = None,
 ) -> Theorem7T1Result:
     """The modulus never exceeds the uniform strict q-slope (always
     asserted, with combined slack); with a locally closed graph the two
     agree within ten percent, and the equality verdict is invariant
     under switching the admissible product metric from max-type to
     sum-type."""
-    constants = constants or compute_constants(problem, q, schedule)
-    sr = constants["sr_q"]
-    uniform = constants["uniform_strict_q_slope"]
-    cache = CandidateCache(problem, schedule)
-    uniform_sum = strict_sweep(problem, q, schedule, cache, metric="sum").uniform
+    ctx = _context(problem, q, schedule, constants)
+    sr = ctx["sr_q"]
+    uniform = ctx["uniform_strict_q_slope"]
+    uniform_sum = ctx.sum_sweep.uniform
 
     slack = SHARED_SLACK + (
         0.0 if is_inf(uniform.value) else SAMPLED_REL * abs(uniform.value)
@@ -664,12 +721,12 @@ def run_invariant_suite(
     q: float,
     schedule: Schedule,
     gamma: Optional[float] = None,
-    constants: Optional[dict] = None,
+    constants: Optional[RunContext] = None,
 ) -> list:
     """Every cross-family inequality and consistency check as pass/fail
     rows; shared pools and shared candidate supersets keep the
     comparisons sample-wise wherever the relations hold pointwise."""
-    constants = constants or compute_constants(problem, q, schedule)
+    ctx = _context(problem, q, schedule, constants)
     rows = []
 
     def row(name, passed, lhs, rhs, slack, note=""):
@@ -701,16 +758,16 @@ def run_invariant_suite(
     row("f_nonlocal_dominates_local_and_anchor", worst_fl >= -SHARED_SLACK, worst_fl, 0.0, SHARED_SLACK)
 
     # strict-slope chains
-    uni = constants["uniform_strict_q_slope"].value
-    plain = constants["strict_q_slope"].value
-    modified = constants["modified_strict_q_slope"].value
+    uni = ctx["uniform_strict_q_slope"].value
+    plain = ctx["strict_q_slope"].value
+    modified = ctx["modified_strict_q_slope"].value
     row("uniform_ge_modified", leq_ok(modified, uni, SHARED_SLACK), modified, uni, SHARED_SLACK)
     row("modified_ge_plain", leq_ok(plain, modified, SHARED_SLACK), plain, modified, SHARED_SLACK)
 
-    dp = constants["subdiff_strict_q_slope_plain"].value
-    da = constants["subdiff_strict_q_slope_approx"].value
-    dm = constants["subdiff_strict_q_slope_modified"].value
-    dma = constants["subdiff_strict_q_slope_modified_approx"].value
+    dp = ctx["subdiff_strict_q_slope_plain"].value
+    da = ctx["subdiff_strict_q_slope_approx"].value
+    dm = ctx["subdiff_strict_q_slope_modified"].value
+    dma = ctx["subdiff_strict_q_slope_modified_approx"].value
     row("dual_approx_le_plain", leq_ok(da, dp, SHARED_SLACK), da, dp, SHARED_SLACK)
     row("dual_plain_le_modified", leq_ok(dp, dm, SHARED_SLACK), dp, dm, SHARED_SLACK)
     row("dual_approx_le_modified_approx", leq_ok(da, dma, SHARED_SLACK), da, dma, SHARED_SLACK)
@@ -743,8 +800,8 @@ def run_invariant_suite(
             SAMPLED_REL,
         )
 
-    alpha = constants["lm_alpha"].value
-    beta = constants["lm_beta"].value
+    alpha = ctx["lm_alpha"].value
+    beta = ctx["lm_beta"].value
     # the plain/modified integrands carry a (1 - rho) perturbation shrink
     # that the normalized enlargement does not, a one-sided residue of
     # order rho at the finest level
@@ -756,7 +813,7 @@ def run_invariant_suite(
     row("dual_plain_le_beta", leq_ok(dp, beta, lm_slack), dp, beta, lm_slack)
     row("beta_le_dual_modified", leq_ok(beta, dm, lm_slack), beta, dm, lm_slack)
 
-    lim = constants["limiting_coderivative_min_norm"].value
+    lim = ctx["limiting_coderivative_min_norm"].value
     row(
         "limiting_agrees_with_dual_plain",
         rel_close(lim, dp, SAMPLED_REL),
@@ -774,7 +831,7 @@ def run_invariant_suite(
 
     # modulus cross-checks
     ef = ErrorFunction(problem, q)
-    er = error_bound_modulus(ef, schedule)
+    er = ctx.error_bound
     if er.forms_agree is not None:
         row(
             "modulus_forms_agreement",
@@ -809,11 +866,11 @@ def run_invariant_suite(
         SHARED_SLACK,
     )
 
-    thm = theorem_7T1_check(problem, q, schedule, constants)
+    thm = ctx.theorem_7T1
     row(
         "modulus_le_uniform_slope",
         thm.inequality_ok,
-        constants["sr_q"].value,
+        ctx["sr_q"].value,
         thm.uniform_max.value,
         SHARED_SLACK,
     )
@@ -835,8 +892,6 @@ def run_invariant_suite(
             d = problem.d_y(p.y, problem.ybar)
             if d <= 0:
                 continue
-            from .geometry import duality_map
-
             for j in duality_map(p.y - problem.ybar, problem.norm_y).members():
                 base = problem.coderivative(p.x, p.y, j)
                 scaled = problem.coderivative(p.x, p.y, 2.5 * j)
@@ -846,7 +901,7 @@ def run_invariant_suite(
                     worst_h = max(worst_h, float(np.max(np.abs(2.5 * u - v))))
         row("coderivative_homogeneity", worst_h <= 1e-9, worst_h, 0.0, 1e-9)
 
-    sr_rep = subregularity_modulus(problem, q, schedule)
+    sr_rep = ctx.subregularity
     wit_err = 0.0
     for w in sr_rep.witnesses:
         x = np.asarray(w["x"], dtype=float)
@@ -859,11 +914,11 @@ def run_invariant_suite(
     gammas = [gamma] if gamma is not None else [0.1, 0.5, 0.9, 1.1, 2.0]
     n_viol = 0
     for g in gammas:
-        rep = criteria_report(problem, q, g, schedule, constants)
+        rep = criteria_report(problem, q, g, schedule, ctx)
         n_viol += len(rep.implication_violations)
     row("criteria_implications", n_viol == 0, float(n_viol), 0.0, 0.0)
 
-    p1p2 = validate_P1_P2(ErrorFunction(problem, q), schedule)
+    p1p2 = validate_P1_P2(ef, schedule)
     row(
         "p1_p2",
         p1p2.p1_status == "pass" and p1p2.p2_status in ("pass", "inconclusive"),
@@ -873,7 +928,7 @@ def run_invariant_suite(
         note=f"P1={p1p2.p1_status}, P2={p1p2.p2_status}",
     )
 
-    conv = convexity_necessity_check(problem, q, schedule, constants)
+    conv = convexity_necessity_check(problem, q, schedule, ctx)
     row(
         "convexity_necessity",
         conv.status != "fail",

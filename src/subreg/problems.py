@@ -10,6 +10,8 @@ limit-type suprema see candidates arbitrarily close to their center.
 
 from __future__ import annotations
 
+import math
+import numbers
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,6 +41,20 @@ class ProblemError(ValueError):
 
 class UnknownProblemError(KeyError):
     """Requested catalog entry does not exist."""
+
+
+def is_finite_real(value) -> bool:
+    """A finite real number; a bool is not taken for one."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def is_integer(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def mix_seed(seed: int, *tags) -> int:
@@ -99,17 +115,26 @@ class Schedule:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("rho0", "factor"):
+            value = getattr(self, name)
+            if not is_finite_real(value):
+                raise ProblemError(f"{name} must be a finite number, got {value!r}")
+        for name in ("steps", "sample_budget", "seed"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ProblemError(f"{name} must be an integer, got {value!r}")
         if self.rho0 <= 0 or not 0.0 < self.factor < 1.0 or self.steps < 1:
             raise ProblemError("schedule requires rho0 > 0, factor in (0,1), steps >= 1")
         if self.sample_budget < 1:
             raise ProblemError("sample budget must be positive")
         radii = tuple(self.neighborhood_radii)
-        if not radii or any(r <= 0 for r in radii):
-            raise ProblemError("neighborhood radii must be positive")
+        if not radii or not all(is_finite_real(r) and r > 0 for r in radii):
+            raise ProblemError("neighborhood radii must be positive finite numbers")
         if any(b >= a for a, b in zip(radii, radii[1:])):
             raise ProblemError("neighborhood radii must be strictly decreasing")
-        if self.truncation_radius is not None and self.truncation_radius <= 0:
-            raise ProblemError("truncation radius must be positive")
+        trunc = self.truncation_radius
+        if trunc is not None and not (is_finite_real(trunc) and trunc > 0):
+            raise ProblemError("truncation radius must be a positive finite number")
 
     def rho_values(self) -> list:
         return [self.rho0 * self.factor**k for k in range(self.steps)]
@@ -203,14 +228,6 @@ class ErrorFunction:
             return INF
         return float(self.problem.d_y(y, self.problem.ybar) ** self.q)
 
-    def values_from_dv(self, dv: np.ndarray) -> np.ndarray:
-        """On-graph values from precomputed distances d(v, ybar)."""
-        return dv**self.q
-
-
-def error_function_value(ef: ErrorFunction, x, y) -> ExtReal:
-    return ef.value(x, y)
-
 
 @dataclass(frozen=True)
 class DistanceEstimate:
@@ -219,17 +236,12 @@ class DistanceEstimate:
     truncated: bool = False
 
 
-def _stencil_offsets(h: float, center_scale: float = 0.0) -> list:
-    """Geometric approach offsets h, h/2, ...
-
-    The descent stops at roughly eight relative digits of the center's
-    scale: closer candidates contribute only cancellation noise to the
-    descent ratios (and the floor stays above the exclusion band).
-    """
-    stop = max(1e-9 * h, 1e-8 * center_scale, 2e-12)
+def halving_offsets(start: float, stop: float, cap: int) -> list:
+    """Geometric approach offsets ``start, start/2, ...`` down to
+    ``stop``, at most ``cap`` of them."""
     offs = []
-    off = h
-    while off >= stop and len(offs) < 64:
+    off = start
+    while off >= stop and len(offs) < cap:
         offs.append(off)
         off *= 0.5
     return offs
@@ -309,6 +321,8 @@ def sample_graph_arrays(
 
         params = [t0]
         h_vec = np.maximum(hi - t0, t0 - lo)
+        # the 2-D circle grid ignores the seed, so one cache key serves every call
+        dir_seed = 0 if dim == 2 else mix_seed(seed, "sphere")
 
         def ring(n_dir: int, fracs: tuple):
             # direction-resolved rings at geometric radii: quasi-random
@@ -316,7 +330,7 @@ def sample_graph_arrays(
             # suprema, and graph maps with operator norm above one push
             # full-radius steps past the product-distance cutoff, so
             # smaller radii must be present too
-            dirs = _sphere_directions(dim, n_dir, mix_seed(seed, "sphere"))
+            dirs = _sphere_directions(dim, n_dir, dir_seed)
             block = t0 + np.asarray(fracs)[:, None, None] * dirs[None, :, :] * h_vec
             return np.clip(block.reshape(-1, dim), lo, hi)
 
@@ -332,7 +346,12 @@ def sample_graph_arrays(
             h = max(hi[i] - t0[i], t0[i] - lo[i])
             if h <= 0:
                 continue
-            for off in _stencil_offsets(h, center_scale):
+            # the descent stops at roughly eight relative digits of the
+            # center's scale: closer candidates contribute only
+            # cancellation noise to the descent ratios (and the floor
+            # stays above the exclusion band)
+            stop = max(1e-9 * h, 1e-8 * center_scale, 2e-12)
+            for off in halving_offsets(h, stop, 64):
                 for sgn in (1.0, -1.0):
                     t = t0.copy()
                     t[i] = min(max(t0[i] + sgn * off, lo[i]), hi[i])
@@ -401,11 +420,6 @@ def solution_set_distance(
     return DistanceEstimate(best, exact=False)
 
 
-def _solution_distance_for_filter(problem: MappingProblem, x, schedule: Schedule) -> ExtReal:
-    est = solution_set_distance(problem, x, schedule)
-    return est.value
-
-
 @dataclass(frozen=True, eq=False)
 class OuterPoint:
     """A sampled graph point outside F^{-1}(ybar) with cached distances."""
@@ -440,7 +454,7 @@ def sample_outer_points(
             continue
         sd = problem.solution_dist_exact(p.x)
         if sd is None:
-            sd_est = _solution_distance_for_filter(problem, p.x, schedule)
+            sd_est = solution_set_distance(problem, p.x, schedule).value
             sd = 1e30 if is_inf(sd_est) else float(sd_est)
         if outer_restriction and sd <= EPS_MEM:
             continue
@@ -453,6 +467,9 @@ def outer_pools(
     problem: MappingProblem, schedule: Schedule, outer_restriction: bool = True
 ) -> tuple:
     """Per-rho-level pools of outer points with nested-window reuse.
+
+    Pass all three arguments: the cache keys ``(p, s)`` and ``(p, s,
+    True)`` apart, so mixed call shapes would build the pools twice.
 
     Level ``k`` holds every sampled point falling inside window ``k``,
     including points drawn for finer levels, so per-level infima are
@@ -815,6 +832,7 @@ def piecewise_problem(
     parsed.sort(key=lambda t: t[0])
     lo_all = parsed[0][0]
     hi_all = max(b for _, b, _ in parsed)
+    derivs = [np.polyder(np.poly1d(c[::-1])) for _, _, c in parsed]
 
     def poly_at(u: float) -> Optional[float]:
         for a, b, c in parsed:
@@ -869,17 +887,13 @@ def piecewise_problem(
 
     def coderivative(x, y, ystar):
         u = float(x[0])
-        hits = [
-            (a, b, c)
-            for a, b, c in parsed
+        slopes = {
+            round(float(dc(u)), 12)
+            for (a, b, _), dc in zip(parsed, derivs)
             if a - MEMBERSHIP_TOL <= u <= b + MEMBERSHIP_TOL
-        ]
-        if not hits:
+        }
+        if not slopes:
             return DualVectorSet.empty()
-        slopes = set()
-        for a, b, c in hits:
-            dc = np.polyder(np.poly1d(c[::-1]))
-            slopes.add(round(float(dc(u)), 12))
         if len(slopes) > 1:
             return None  # kink: no analytic description here
         return DualVectorSet.singleton([slopes.pop() * float(ystar[0])])

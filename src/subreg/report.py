@@ -22,33 +22,36 @@ from .moduli import (
     CONSTANT_NAMES,
     CriteriaReport,
     InvariantRow,
-    compute_constants,
+    RunContext,
     criteria_report,
     run_invariant_suite,
-    theorem_7T1_check,
 )
 from .problems import (
     MappingProblem,
     Schedule,
     catalog_problem,
+    is_finite_real,
     piecewise_problem,
 )
 
 ALL_CHECKS = ("slopes", "moduli", "criteria", "invariants", "theorem-7T1", "lm-constants")
 DEFAULT_GAMMA = 0.5
 
-_SLOPE_ENTRIES = (
-    "uniform_strict_q_slope",
-    "strict_q_slope",
-    "modified_strict_q_slope",
-    "subdiff_strict_q_slope_plain",
-    "subdiff_strict_q_slope_approx",
-    "subdiff_strict_q_slope_modified",
-    "subdiff_strict_q_slope_modified_approx",
-    "limiting_coderivative_min_norm",
-)
-_MODULI_ENTRIES = ("sr_q", "error_bound_modulus", "anchor_ratio_liminf")
-_LM_ENTRIES = ("lm_alpha", "lm_beta")
+# check -> the constants its report shows
+_CHECK_ENTRIES = {
+    "slopes": (
+        "uniform_strict_q_slope",
+        "strict_q_slope",
+        "modified_strict_q_slope",
+        "subdiff_strict_q_slope_plain",
+        "subdiff_strict_q_slope_approx",
+        "subdiff_strict_q_slope_modified",
+        "subdiff_strict_q_slope_modified_approx",
+        "limiting_coderivative_min_norm",
+    ),
+    "moduli": ("sr_q", "error_bound_modulus", "anchor_ratio_liminf"),
+    "lm-constants": ("lm_alpha", "lm_beta"),
+}
 
 
 class ConfigError(ValueError):
@@ -92,6 +95,8 @@ class RunConfig:
 
 
 def _require_keys(data: dict, allowed: set, where: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a mapping")
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -99,8 +104,6 @@ def _require_keys(data: dict, allowed: set, where: str):
 
 def parse_config(data: dict) -> RunConfig:
     """Validate a raw configuration mapping; unknown keys are rejected."""
-    if not isinstance(data, dict):
-        raise ConfigError("configuration must be a mapping")
     _require_keys(
         data, {"problem", "q", "gamma", "schedule", "checks", "output"}, "config"
     )
@@ -108,15 +111,13 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("configuration requires 'problem' and 'q'")
 
     q = data["q"]
-    if not isinstance(q, (int, float)) or not 0.0 < float(q) <= 1.0:
+    if not is_finite_real(q) or not 0.0 < float(q) <= 1.0:
         raise ConfigError(f"q must lie in (0, 1], got {q!r}")
     gamma = data.get("gamma")
-    if gamma is not None and (not isinstance(gamma, (int, float)) or gamma <= 0):
-        raise ConfigError(f"gamma must be positive, got {gamma!r}")
+    if gamma is not None and (not is_finite_real(gamma) or gamma <= 0):
+        raise ConfigError(f"gamma must be a positive finite number, got {gamma!r}")
 
     sched_data = data.get("schedule", {})
-    if not isinstance(sched_data, dict):
-        raise ConfigError("schedule must be a mapping")
     _require_keys(
         sched_data,
         {
@@ -131,9 +132,9 @@ def parse_config(data: dict) -> RunConfig:
         "schedule",
     )
     kwargs = dict(sched_data)
-    if "neighborhood_radii" in kwargs:
-        kwargs["neighborhood_radii"] = tuple(kwargs["neighborhood_radii"])
     try:
+        if "neighborhood_radii" in kwargs:
+            kwargs["neighborhood_radii"] = tuple(kwargs["neighborhood_radii"])
         schedule = Schedule(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid schedule: {exc}") from exc
@@ -221,37 +222,25 @@ def run_config(cfg: RunConfig) -> RunReport:
     problem = build_problem(cfg)
     gamma = cfg.gamma if cfg.gamma is not None else DEFAULT_GAMMA
 
-    needs_constants = bool(
-        set(cfg.checks)
-        & {"slopes", "moduli", "criteria", "invariants", "theorem-7T1", "lm-constants"}
-    )
-    constants = compute_constants(problem, cfg.q, cfg.schedule) if needs_constants else {}
-
-    entries = {}
-    if "slopes" in cfg.checks:
-        for name in _SLOPE_ENTRIES:
-            entries[name] = constants[name]
-    if "moduli" in cfg.checks:
-        for name in _MODULI_ENTRIES:
-            entries[name] = constants[name]
-    if "lm-constants" in cfg.checks:
-        for name in _LM_ENTRIES:
-            entries[name] = constants[name]
+    # computes each constant once, and only those the checks read
+    ctx = RunContext(problem, cfg.q, cfg.schedule)
+    shown = {name for c in cfg.checks for name in _CHECK_ENTRIES.get(c, ())}
+    constants = {name: ctx[name] for name in CONSTANT_NAMES if name in shown}
 
     criteria = None
     if "criteria" in cfg.checks:
-        criteria = criteria_report(problem, cfg.q, gamma, cfg.schedule, constants)
+        criteria = criteria_report(problem, cfg.q, gamma, cfg.schedule, ctx)
 
     rows = []
     if "invariants" in cfg.checks:
-        rows.extend(run_invariant_suite(problem, cfg.q, cfg.schedule, cfg.gamma, constants))
+        rows.extend(run_invariant_suite(problem, cfg.q, cfg.schedule, cfg.gamma, ctx))
     if "theorem-7T1" in cfg.checks:
-        thm = theorem_7T1_check(problem, cfg.q, cfg.schedule, constants)
+        thm = ctx.theorem_7T1
         rows.append(
             InvariantRow(
                 "modulus_le_uniform_slope_check",
                 thm.inequality_ok,
-                constants["sr_q"].value,
+                thm.sr.value,
                 thm.uniform_max.value,
                 1e-6,
             )
@@ -261,7 +250,7 @@ def run_config(cfg: RunConfig) -> RunReport:
                 InvariantRow(
                     "modulus_equals_uniform_slope",
                     bool(thm.equality_ok),
-                    constants["sr_q"].value,
+                    thm.sr.value,
                     thm.uniform_max.value,
                     0.10,
                 )
@@ -276,13 +265,12 @@ def run_config(cfg: RunConfig) -> RunReport:
             )
         )
 
-    ordered = {name: entries[name] for name in CONSTANT_NAMES if name in entries}
     return RunReport(
         problem_name=problem.name,
         q=cfg.q,
         gamma=cfg.gamma,
         checks=cfg.checks,
-        constants=ordered,
+        constants=constants,
         criteria=criteria,
         invariant_results=tuple(rows),
         provenance={"config_sha256": cfg.config_hash(), "seed": cfg.schedule.seed},

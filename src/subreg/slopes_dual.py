@@ -225,14 +225,6 @@ class DualStrictSlopes:
     modified: SlopeEstimate
     modified_approx: SlopeEstimate
 
-    def as_dict(self) -> dict:
-        return {
-            "plain": self.plain,
-            "approx": self.approx,
-            "modified": self.modified,
-            "modified_approx": self.modified_approx,
-        }
-
 
 def _inconclusive(kind: str, rhos: Sequence[float]) -> SlopeEstimate:
     trace = tuple((rho, INF) for rho in rhos)
@@ -256,7 +248,7 @@ def strict_subdiff_q_slopes(
                ("plain", "approx", "modified", "modified_approx")]
         return DualStrictSlopes(*est)
 
-    pools = outer_pools(problem, schedule)
+    pools = outer_pools(problem, schedule, True)
     v_frac = schedule.neighborhood_radii[-1] / 10.0
     tr = {k: [] for k in ("plain", "approx", "modified", "modified_approx")}
     used = 0
@@ -311,7 +303,7 @@ def limiting_coderivative_min_norm(
     rhos = schedule.rho_values()
     if problem.coderivative is None:
         return _inconclusive("limiting_coderivative_min_norm", rhos)
-    pools = outer_pools(problem, schedule)
+    pools = outer_pools(problem, schedule, True)
     dual = problem.norm_y.dual()
     trace = []
     capped = False
@@ -383,7 +375,7 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
     rhos = schedule.rho_values()
     if problem.coderivative is None:
         return (_inconclusive("lm_alpha", rhos), _inconclusive("lm_beta", rhos))
-    pools = outer_pools(problem, schedule)
+    pools = outer_pools(problem, schedule, True)
     edge_fracs = (0.0, 0.5, 0.99, 1.0 - 1e-9)
     tr_a, tr_b = [], []
     used = 0

@@ -23,9 +23,10 @@ from .geometry import NormSpec, ProductPoint, euclidean
 from .problems import (
     ErrorFunction,
     MappingProblem,
-    OuterPoint,
     Schedule,
     graph_sample,
+    halton_points,
+    halving_offsets,
     mix_seed,
     outer_pools,
     radius_pad,
@@ -209,23 +210,6 @@ def gather_point_candidates(
     )
 
 
-class CandidateCache:
-    """Per-run cache of candidate gatherings keyed by point identity."""
-
-    def __init__(self, problem: MappingProblem, schedule: Schedule):
-        self.problem = problem
-        self.schedule = schedule
-        self._store: dict = {}
-
-    def for_point(self, pt: OuterPoint) -> PointCandidates:
-        key = id(pt)
-        if key not in self._store:
-            self._store[key] = gather_point_candidates(
-                self.problem, ProductPoint(pt.x, pt.y), self.schedule
-            )
-        return self._store[key]
-
-
 def _require_on_graph(problem: MappingProblem, at: ProductPoint):
     if not problem.graph_membership(at.x, at.y):
         raise SlopeError("evaluation point is not on the graph")
@@ -380,18 +364,21 @@ def strict_sweep(
     problem: MappingProblem,
     q: float,
     schedule: Schedule,
-    cache: Optional[CandidateCache] = None,
+    candidates: Optional[dict] = None,
     metric: str = "max",
     outer_restriction: bool = True,
 ) -> StrictSweepResult:
     """Shared-pool evaluation of the uniform strict q-slope, the plain
     and modified strict q-slopes and the anchor-distance ratio liminf.
 
+    ``candidates`` maps outer points to their gathered candidates; pass
+    one dict to several sweeps of a run to gather each point once.
     Empty pools contribute ``INF`` levels (infimum of the empty set).
     """
     if not 0.0 < q <= 1.0:
         raise SlopeError("q must lie in (0, 1]")
-    cache = cache or CandidateCache(problem, schedule)
+    if candidates is None:
+        candidates = {}
     pools = outer_pools(problem, schedule, outer_restriction)
     rhos = schedule.rho_values()
 
@@ -405,7 +392,11 @@ def strict_sweep(
         best_m: ExtReal = INF
         best_r: ExtReal = INF
         for pt in pool:
-            cands = cache.for_point(pt)
+            cands = candidates.get(pt)
+            if cands is None:
+                cands = candidates[pt] = gather_point_candidates(
+                    problem, ProductPoint(pt.x, pt.y), schedule
+                )
             used += cands.size
             nl, trunc_flag = cands.nonlocal_value(q, rho, metric)
             truncated_any = truncated_any or trunc_flag
@@ -530,12 +521,10 @@ def single_variable_embedding(
             return []
         c = float(center.x[0])
         params = [c]
-        for off in _embedding_offsets(radius):
+        for off in halving_offsets(radius, max(1e-9 * radius, 1e-11), 64):
             params.extend([c + off, c - off])
         fill = max(0, budget - len(params))
         if fill:
-            from .problems import halton_points
-
             u = halton_points(1, fill, mix_seed(seed, "embed"))[:, 0]
             params.extend(c - radius + 2.0 * radius * u)
         out = []
@@ -556,16 +545,6 @@ def single_variable_embedding(
         solution_distance=solution_distance,
         name=name,
     )
-
-
-def _embedding_offsets(radius: float) -> list:
-    stop = max(1e-9 * radius, 1e-11)
-    offs = []
-    off = radius
-    while off >= stop and len(offs) < 64:
-        offs.append(off)
-        off *= 0.5
-    return offs
 
 
 @dataclass(eq=False)
@@ -624,16 +603,9 @@ def _from_points(
     return _FCandidates(float(f_at) if not is_inf(f_at) else 0.0, fvals, dx, dy)
 
 
-def _gather_f_candidates(
-    func: TwoVariableFunction,
-    at: ProductPoint,
-    radius: float,
-    budget: int,
-    seed: int,
-    include_anchor: bool = True,
-) -> _FCandidates:
-    pts = list(func.sampler(at, radius, budget, seed))
-    return _from_points(func, at, pts, include_anchor)
+def _f_scale(func: TwoVariableFunction, at: ProductPoint) -> float:
+    """Plain product distance from ``at`` to the anchor."""
+    return max(func.norm_x.value(at.x - func.xbar), func.norm_y.value(at.y - func.ybar))
 
 
 def f_level_slopes(
@@ -659,44 +631,34 @@ def f_level_slopes(
             for v in point_variants:
                 out[v] = SlopeEstimate(INF, ((rho, INF),), False, 0, f"f_{v}")
         else:
-            trunc = schedule.truncation_radius or 10.0 * max(
-                1.0,
-                max(
-                    func.norm_x.value(at.x - func.xbar),
-                    func.norm_y.value(at.y - func.ybar),
-                ),
-            )
+            scale = _f_scale(func, at)
+            trunc = schedule.truncation_radius or 10.0 * max(1.0, scale)
             if "nonlocal" in point_variants:
-                cands = _gather_f_candidates(
-                    func,
+                pts = func.sampler(
                     at,
                     trunc,
                     max(64, schedule.sample_budget // 4),
                     mix_seed(schedule.seed, "fnl", at.x.tobytes(), at.y.tobytes()),
                 )
+                cands = _from_points(func, at, pts, True)
                 val = cands.reduce("plus", rho)
                 out["nonlocal"] = SlopeEstimate(
                     val, ((rho, val),), False, cands.fvals.shape[0], "f_nonlocal"
                 )
             if "local" in point_variants:
-                scale = max(
-                    func.norm_x.value(at.x - func.xbar),
-                    func.norm_y.value(at.y - func.ybar),
-                )
                 trace = []
                 used = 0
                 for j, nr in enumerate(schedule.neighborhood_radii):
                     r = max(nr * scale, LOCAL_RADIUS_FLOOR)
-                    cands = _gather_f_candidates(
-                        func,
+                    pts = func.sampler(
                         at,
                         r,
                         max(64, schedule.sample_budget // 16),
                         mix_seed(
                             schedule.seed, "floc", j, at.x.tobytes(), at.y.tobytes()
                         ),
-                        include_anchor=False,
                     )
+                    cands = _from_points(func, at, pts, False)
                     used += cands.fvals.shape[0]
                     trace.append((r, cands.reduce("raw", rho)))
                 out["local"] = SlopeEstimate(
@@ -743,7 +705,7 @@ def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
 
     tr_u, tr_p, tr_m = [], [], []
     used = 0
-    cache: dict = {}
+    candidates: dict = {}  # sampled point -> its candidates
     for rho in rhos:
         best_u: ExtReal = INF
         best_p: ExtReal = INF
@@ -751,12 +713,9 @@ def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
         for fv, dxa, p in sampled:
             if not (fv < rho and dxa < rho):
                 continue
-            key = id(p)
-            if key not in cache:
-                scale = max(
-                    func.norm_x.value(p.x - func.xbar),
-                    func.norm_y.value(p.y - func.ybar),
-                )
+            cands = candidates.get(p)
+            if cands is None:
+                scale = _f_scale(func, p)
                 r_loc = max(
                     schedule.neighborhood_radii[-1] * scale, LOCAL_RADIUS_FLOOR
                 )
@@ -775,13 +734,10 @@ def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
                 # one shared superset with a local mask, so the nonlocal
                 # supremum dominates the local one sample-wise
                 cands = _from_points(func, p, list(far) + list(near), True)
-                from .problems import radius_pad
-
                 cands.local_mask = (
                     np.maximum(cands.dx, cands.dy) <= r_loc + radius_pad(p)
                 )
-                cache[key] = cands
-            cands = cache[key]
+                candidates[p] = cands
             used += cands.fvals.shape[0]
             u = cands.reduce("plus", rho)
             l = cands.reduce("raw", rho, local=True)

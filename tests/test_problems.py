@@ -9,7 +9,6 @@ from subreg import (
     TwoVariableFunction,
     catalog_names,
     catalog_problem,
-    error_function_value,
     finite_graph_problem,
     graph_sample,
     is_inf,
@@ -52,9 +51,9 @@ def test_half_square_flags_and_anchor():
 def test_error_function_values():
     ef = ErrorFunction(catalog_problem("half-square"), 0.5)
     # on the graph: (0.04)^{1/2} = 0.2
-    assert error_function_value(ef, [0.2], [0.04]) == pytest.approx(0.2, abs=1e-12)
-    assert error_function_value(ef, [0.0], [0.0]) == 0.0
-    assert is_inf(error_function_value(ef, [0.2], [0.05]))
+    assert ef.value([0.2], [0.04]) == pytest.approx(0.2, abs=1e-12)
+    assert ef.value([0.0], [0.0]) == 0.0
+    assert is_inf(ef.value([0.2], [0.05]))
 
 
 def test_solution_distances():

@@ -1,11 +1,15 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from subreg import Schedule, emit_report, parse_config, run_config
-from subreg.report import ConfigError, build_problem, report_payload
+import subreg.moduli as moduli
+import subreg.slopes_primal as slopes_primal
+from subreg import Schedule, catalog_problem, emit_report, parse_config, run_config
+from subreg.problems import outer_pools
+from subreg.report import ALL_CHECKS, ConfigError, build_problem, report_payload
 
 FULL_HS_CONFIG = {
     "problem": "half-square",
@@ -153,6 +157,94 @@ def test_empty_checks_report_has_provenance_only():
     assert "config_sha256" in payload["provenance"]
 
 
+REDUCED_SCHEDULE = {"sample_budget": 256, "steps": 5}
+
+
+def _reduced_config(checks, problem="half-square", q=0.5):
+    return parse_config(
+        {"problem": problem, "q": q, "schedule": dict(REDUCED_SCHEDULE), "checks": list(checks)}
+    )
+
+
+class TestRunContext:
+    def test_moduli_only_run_skips_the_dual_constants(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a moduli-only run must not compute this")
+
+        for name in ("lm_constants", "strict_subdiff_q_slopes", "limiting_coderivative_min_norm"):
+            monkeypatch.setattr(moduli, name, refuse)
+        report = run_config(_reduced_config(["moduli"]))
+        assert list(report.constants) == ["sr_q", "error_bound_modulus", "anchor_ratio_liminf"]
+
+    def test_all_checks_compute_each_quantity_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(moduli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(moduli, name, wrapper)
+
+        for name in (
+            "theorem_7T1_check",
+            "subregularity_modulus",
+            "error_bound_modulus",
+            "strict_sweep",
+        ):
+            counted(name)
+        outer_pools.cache_clear()
+        run_config(_reduced_config(ALL_CHECKS))
+        assert calls == {
+            "theorem_7T1_check": 1,
+            "subregularity_modulus": 1,
+            "error_bound_modulus": 1,
+            "strict_sweep": 2,  # max- and sum-type product metric
+        }
+        assert outer_pools.cache_info().misses == 1
+
+    def test_sweeps_share_candidates_then_drop_them(self, monkeypatch):
+        gathers = Counter()
+        original = slopes_primal.gather_point_candidates
+
+        def counted(*args, **kwargs):
+            gathers["calls"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(slopes_primal, "gather_point_candidates", counted)
+        ctx = moduli.RunContext(
+            catalog_problem("half-square"), 0.5, Schedule(**REDUCED_SCHEDULE)
+        )
+        ctx.sweep
+        gathered = gathers["calls"]
+        assert len(ctx.candidates) == gathered > 0
+        ctx.sum_sweep
+        assert gathers["calls"] == gathered  # the sum sweep gathers nothing new
+        assert ctx.candidates == {}  # and once both are done the candidates go
+
+    @pytest.mark.parametrize("problem,q", [("half-square", 0.5), ("halfline-convex", 1.0)])
+    def test_moduli_only_entries_equal_all_checks_entries(self, problem, q):
+        only = json.loads(emit_report(run_config(_reduced_config(["moduli"], problem, q))))
+        full = json.loads(emit_report(run_config(_reduced_config(ALL_CHECKS, problem, q))))
+        assert only["constants"]
+        for name, entry in only["constants"].items():
+            # 17 significant digits round-trip, so equal dumps are equal bits
+            assert json.dumps(entry) == json.dumps(full["constants"][name]), name
+
+
+def test_import_does_not_load_scipy(cli_env):
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, subreg; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=cli_env,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 class TestCLI:
     def _run(self, args, tmp_path, env):
         return subprocess.run(
@@ -169,6 +261,31 @@ class TestCLI:
         res = self._run(["--config", str(cfg)], tmp_path, cli_env)
         assert res.returncode == 2, res.stderr
         assert "invalid configuration" in res.stderr
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("q", True, "q must lie in (0, 1], got True"),
+            ("gamma", float("inf"), "gamma must be a positive finite number, got inf"),
+            ("neighborhood_radii", [float("nan")], "neighborhood radii must be positive finite"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("steps", 1.5, "steps must be an integer, got 1.5"),
+            ("sample_budget", 100.5, "sample_budget must be an integer, got 100.5"),
+            ("output", 5, "output must be a mapping"),
+        ],
+    )
+    def test_bad_value_exits_2(self, tmp_path, cli_env, key, value, message):
+        raw = {"problem": "identity", "q": 1.0, "schedule": dict(REDUCED_SCHEDULE)}
+        if key in ("q", "gamma", "output"):
+            raw[key] = value
+        else:
+            raw["schedule"][key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))  # inf and nan as the JSON literals Infinity / NaN
+        res = self._run(["--config", str(cfg)], tmp_path, cli_env)
+        assert res.returncode == 2, res.stderr
+        assert "invalid configuration" in res.stderr
+        assert message in res.stderr
 
     def test_missing_config_exits_2(self, tmp_path, cli_env):
         res = self._run(
