@@ -897,6 +897,15 @@ def run_invariant_suite(
                 scaled = problem.coderivative(p.x, p.y, 2.5 * j)
                 if base is None or scaled is None or base.is_empty() or scaled.is_empty():
                     continue
+                if "ball" in (base.kind, scaled.kind):
+                    # a ball has no member list: scale its centre and radius
+                    if base.kind != scaled.kind:
+                        worst_h = INF
+                        continue
+                    gap_c = float(np.max(np.abs(2.5 * base.center - scaled.center)))
+                    gap_r = abs(2.5 * base.radius - scaled.radius)
+                    worst_h = max(worst_h, gap_c, gap_r)
+                    continue
                 for u, v in zip(base.members(), scaled.members()):
                     worst_h = max(worst_h, float(np.max(np.abs(2.5 * u - v))))
         row("coderivative_homogeneity", worst_h <= 1e-9, worst_h, 0.0, 1e-9)

@@ -63,6 +63,31 @@ def mix_seed(seed: int, *tags) -> int:
     return zlib.crc32(text) & 0x7FFFFFFF
 
 
+# Radical-inverse columns, one per prime base.  Entry k is the radical
+# inverse of k + 1 and depends on k alone, so a prefix of a longer column
+# is bitwise the shorter column: the table is a pure function of (base,
+# index) that only ever grows.
+_RADICAL_INVERSE = {}
+
+
+def _radical_inverse(base: int, count: int) -> np.ndarray:
+    """Read-only radical inverses of ``1..count`` in ``base``."""
+    col = _RADICAL_INVERSE.get(base)
+    have = 0 if col is None else col.shape[0]
+    if have < count:
+        rem = np.arange(have + 1, count + 1, dtype=np.int64)
+        ext = np.zeros(count - have)
+        denom = 1.0
+        while np.any(rem > 0):
+            denom *= base
+            ext += (rem % base) / denom
+            rem //= base
+        col = ext if col is None else np.concatenate([col, ext])
+        col.flags.writeable = False
+        _RADICAL_INVERSE[base] = col
+    return col[:count]
+
+
 def halton_points(dim: int, count: int, seed: int) -> np.ndarray:
     """Seeded-shift Halton sequence in [0,1)^dim; deterministic forever."""
     if count <= 0:
@@ -72,17 +97,8 @@ def halton_points(dim: int, count: int, seed: int) -> np.ndarray:
     shift = np.random.default_rng(seed).random(dim)
     out = np.empty((count, dim))
     for j in range(dim):
-        base = _HALTON_PRIMES[j]
-        col = np.zeros(count)
-        denom = 1.0
-        idx = np.arange(1, count + 1)
-        rem = idx.astype(np.int64)
-        while np.any(rem > 0):
-            denom *= base
-            col += (rem % base) / denom
-            rem //= base
-        out[:, j] = (col + shift[j]) % 1.0
-    return out
+        out[:, j] = _radical_inverse(_HALTON_PRIMES[j], count)
+    return (out + shift) % 1.0
 
 
 @dataclass(frozen=True)
@@ -148,12 +164,15 @@ class MappingProblem:
     """A set-valued mapping given by graph oracles around an anchor point.
 
     ``param_to_graph`` maps a parameter vector onto a graph point and is
-    the ground truth the membership predicate re-checks; all catalog
-    entries carry analytic ``solution_distance`` (distance to
-    F^{-1}(ybar)), ``fiber_distance`` (distance from ybar to F(x)) and,
-    where available, a ``coderivative`` oracle mapping (x, y, y*) to a
-    finite description of D*F(x,y)(y*) (``None`` when unknown at that
-    point).
+    the ground truth the membership predicate re-checks.  Samplers call
+    ``param_to_graph_batch`` (one parameter per row, returning the x and
+    y rows) whenever it is set; the scalar map is the fallback for
+    problems without one and the reference the batch map is tested
+    against, bitwise.  All catalog entries carry analytic
+    ``solution_distance`` (distance to F^{-1}(ybar)), ``fiber_distance``
+    (distance from ybar to F(x)) and, where available, a ``coderivative``
+    oracle mapping (x, y, y*) to a finite description of D*F(x,y)(y*)
+    (``None`` when unknown at that point).
     """
 
     name: str
@@ -319,7 +338,7 @@ def sample_graph_arrays(
         hi = np.asarray(hi, dtype=float)
         dim = t0.shape[0]
 
-        params = [t0]
+        blocks = [t0[None, :]]
         h_vec = np.maximum(hi - t0, t0 - lo)
         # the 2-D circle grid ignores the seed, so one cache key serves every call
         dir_seed = 0 if dim == 2 else mix_seed(seed, "sphere")
@@ -335,12 +354,11 @@ def sample_graph_arrays(
             return np.clip(block.reshape(-1, dim), lo, hi)
 
         if dim >= 2:
-            params.extend(ring(32, (1.0, 0.25, 0.0625, 0.015625)))
+            blocks.append(ring(32, (1.0, 0.25, 0.0625, 0.015625)))
         # corners of the window (cheap for the low parameter dimensions here)
         if dim <= 3:
-            for mask in range(1 << dim):
-                c = np.where([(mask >> i) & 1 for i in range(dim)], hi, lo)
-                params.append(c.astype(float))
+            bits = np.arange(1 << dim)[:, None] >> np.arange(dim)
+            blocks.append(np.where(bits & 1, hi, lo))
         center_scale = float(np.max(np.abs(t0))) if dim else 0.0
         for i in range(dim):
             h = max(hi[i] - t0[i], t0[i] - lo[i])
@@ -351,19 +369,21 @@ def sample_graph_arrays(
             # cancellation noise to the descent ratios (and the floor
             # stays above the exclusion band)
             stop = max(1e-9 * h, 1e-8 * center_scale, 2e-12)
-            for off in halving_offsets(h, stop, 64):
-                for sgn in (1.0, -1.0):
-                    t = t0.copy()
-                    t[i] = min(max(t0[i] + sgn * off, lo[i]), hi[i])
-                    params.append(t)
+            offs = np.array(halving_offsets(h, stop, 64))
+            steps = np.empty(2 * offs.size)
+            steps[0::2] = t0[i] + offs
+            steps[1::2] = t0[i] - offs
+            block = np.repeat(t0[None, :], steps.size, axis=0)
+            block[:, i] = np.clip(steps, lo[i], hi[i])
+            blocks.append(block)
         if dim >= 2:
-            params.extend(ring(256, tuple(0.5**k for k in range(8))))
+            blocks.append(ring(256, tuple(0.5**k for k in range(8))))
 
-        fill = max(0, budget - len(params))
+        fill = max(0, budget - sum(b.shape[0] for b in blocks))
         if fill:
             u = halton_points(dim, fill, mix_seed(seed, "halton"))
-            params.extend(lo + u * (hi - lo))
-        ux, vy = _batch_to_graph(problem, np.array(params))
+            blocks.append(lo + u * (hi - lo))
+        ux, vy = _batch_to_graph(problem, np.concatenate(blocks))
 
     dx = problem.norm_x.value_rows(ux - np.asarray(center.x))
     dy = problem.norm_y.value_rows(vy - np.asarray(center.y))
@@ -581,7 +601,10 @@ def _interval_window(t0, radius, lo_clip=None):
 def _half_square() -> MappingProblem:
     def to_graph(t):
         u = float(t[0])
-        return np.array([u]), np.array([max(u, 0.0) ** 2])
+        m = max(u, 0.0)
+        # m * m, as the batch map's array ** 2 computes it; Python's m ** 2
+        # calls pow() and can land one ulp away
+        return np.array([u]), np.array([m * m])
 
     def membership(x, y):
         return abs(float(y[0]) - max(float(x[0]), 0.0) ** 2) <= MEMBERSHIP_TOL
@@ -648,7 +671,7 @@ def _square() -> MappingProblem:
         ybar=[0.0],
         graph_membership=lambda x, y: abs(float(y[0]) - float(x[0]) ** 2)
         <= MEMBERSHIP_TOL,
-        param_to_graph=lambda t: (np.array([float(t[0])]), np.array([float(t[0]) ** 2])),
+        param_to_graph=lambda t: (np.array([float(t[0])]), np.array([float(t[0]) * float(t[0])])),
         param_to_graph_batch=lambda t: (t[:, :1], t[:, :1] ** 2),
         param_of=lambda x, y: np.array([float(x[0])]),
         param_window=lambda t0, r: _interval_window(t0, r),
@@ -803,6 +826,15 @@ def catalog_problem(name: str, matrix=None) -> MappingProblem:
 # --------------------------------------------------------------------------
 
 
+def _horner(coeffs: tuple, u: float) -> float:
+    """``np.polyval(coeffs, u)`` on Python floats: the same multiply and
+    add, in the same order, without numpy's per-call overhead."""
+    y = 0.0
+    for c in coeffs:
+        y = y * u + c
+    return y
+
+
 def piecewise_problem(
     pieces: Sequence[dict],
     xbar: float,
@@ -832,12 +864,16 @@ def piecewise_problem(
     parsed.sort(key=lambda t: t[0])
     lo_all = parsed[0][0]
     hi_all = max(b for _, b, _ in parsed)
-    derivs = [np.polyder(np.poly1d(c[::-1])) for _, _, c in parsed]
+    # highest-degree-first coefficient tuples, the ones np.polyval and
+    # poly1d.__call__ would run through, as Python floats for _horner
+    values = [(a, b, tuple(c[::-1].tolist())) for a, b, c in parsed]
+    derivs = [tuple(np.polyder(np.poly1d(c[::-1])).coeffs.tolist()) for _, _, c in parsed]
+    edges = [edge for a, b, _ in parsed for edge in (a, b)]
 
     def poly_at(u: float) -> Optional[float]:
-        for a, b, c in parsed:
+        for a, b, c in values:
             if a - MEMBERSHIP_TOL <= u <= b + MEMBERSHIP_TOL:
-                return float(np.polyval(c[::-1], u))
+                return _horner(c, u)
         return None
 
     def membership(x, y):
@@ -850,14 +886,43 @@ def piecewise_problem(
         if v is None:
             # snap into the nearest domain
             best, best_d = None, None
-            for a, b, _ in parsed:
-                for edge in (a, b):
-                    d = abs(u - edge)
-                    if best_d is None or d < best_d:
-                        best, best_d = edge, d
+            for edge in edges:
+                d = abs(u - edge)
+                if best_d is None or d < best_d:
+                    best, best_d = edge, d
             u = best
             v = poly_at(u)
         return np.array([u]), np.array([v])
+
+    def piece_index(u: np.ndarray) -> np.ndarray:
+        # the first piece in sorted order holding u, -1 in a gap
+        idx = np.full(u.shape, -1)
+        for k, (a, b, _) in enumerate(values):
+            hit = (idx < 0) & (a - MEMBERSHIP_TOL <= u) & (u <= b + MEMBERSHIP_TOL)
+            idx[hit] = k
+        return idx
+
+    def to_graph_batch(t):
+        # to_graph row by row, bitwise: same clip, piece and snap rules
+        u = np.clip(np.asarray(t, dtype=float)[:, 0], lo_all, hi_all)
+        idx = piece_index(u)
+        gap = np.flatnonzero(idx < 0)
+        if gap.size:
+            ug = u[gap]
+            best = np.full(ug.shape, edges[0])
+            best_d = np.abs(ug - edges[0])
+            for edge in edges[1:]:
+                d = np.abs(ug - edge)
+                closer = d < best_d
+                best[closer] = edge
+                best_d[closer] = d[closer]
+            u[gap] = best
+            idx[gap] = piece_index(best)
+        v = np.empty_like(u)
+        for k, (_, _, c) in enumerate(values):
+            rows = idx == k
+            v[rows] = np.polyval(c, u[rows])
+        return u[:, None], v[:, None]
 
     def solution_distance(x):
         u = float(x[0])
@@ -888,7 +953,7 @@ def piecewise_problem(
     def coderivative(x, y, ystar):
         u = float(x[0])
         slopes = {
-            round(float(dc(u)), 12)
+            round(_horner(dc, u), 12)
             for (a, b, _), dc in zip(parsed, derivs)
             if a - MEMBERSHIP_TOL <= u <= b + MEMBERSHIP_TOL
         }
@@ -908,6 +973,7 @@ def piecewise_problem(
         ybar=[float(ybar)],
         graph_membership=membership,
         param_to_graph=to_graph,
+        param_to_graph_batch=to_graph_batch,
         param_of=lambda x, y: np.array([float(x[0])]),
         param_window=lambda t0, r: (
             np.maximum(t0 - r, lo_all),

@@ -139,7 +139,10 @@ def parse_config(data: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid schedule: {exc}") from exc
 
-    checks = tuple(data.get("checks", ALL_CHECKS))
+    checks = data.get("checks", ALL_CHECKS)
+    if not isinstance(checks, (list, tuple)):
+        raise ConfigError("checks must be a list of check names")
+    checks = tuple(checks)
     bad = [c for c in checks if c not in ALL_CHECKS]
     if bad:
         raise ConfigError(f"unknown checks: {bad}")

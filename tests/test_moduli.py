@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from subreg import (
+    DualVectorSet,
     ErrorFunction,
     Schedule,
     catalog_problem,
@@ -192,3 +195,23 @@ def test_invariant_suite_all_pass_on_half_square(schedule, hs_constants):
     )
     failed = [r for r in rows if not r.passed]
     assert not failed, [(r.name, r.lhs, r.rhs) for r in failed]
+
+
+@pytest.mark.parametrize(
+    "radius_of,homogeneous",
+    [(lambda ys: 0.1 * abs(ys), True), (lambda ys: 0.1, False)],
+    ids=["scaled-radius", "fixed-radius"],
+)
+def test_coderivative_homogeneity_row_on_ball_images(radius_of, homogeneous):
+    # half-square whose coderivative returns a dual ball, which has no
+    # member list: the row compares the scaled centre and radius
+    def coderivative(x, y, ystar):
+        ys = float(ystar[0])
+        return DualVectorSet.ball([2.0 * max(float(x[0]), 0.0) * ys], radius_of(ys))
+
+    problem = dataclasses.replace(catalog_problem("half-square"), coderivative=coderivative)
+    rows = run_invariant_suite(problem, 0.5, Schedule(sample_budget=256, steps=5), gamma=0.5)
+    (row,) = [r for r in rows if r.name == "coderivative_homogeneity"]
+    assert row.passed is homogeneous
+    # a fixed radius r comes back as r where 2.5 r is due
+    assert row.lhs == pytest.approx(0.0 if homogeneous else 1.5 * 0.1, abs=1e-12)

@@ -16,7 +16,17 @@ from subreg import (
     solution_set_distance,
     validate_P1_P2,
 )
-from subreg.problems import UnknownProblemError, outer_pools, sample_outer_points
+from subreg.problems import (
+    UnknownProblemError,
+    _sphere_directions,
+    halton_points,
+    halving_offsets,
+    mix_seed,
+    outer_pools,
+    radius_pad,
+    sample_graph_arrays,
+    sample_outer_points,
+)
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +236,182 @@ def test_schedule_validation():
         Schedule(neighborhood_radii=(0.1, 0.2))
     rhos = Schedule(rho0=0.5, factor=0.5, steps=3).rho_values()
     assert rhos == [0.5, 0.25, 0.125]
+
+
+# --------------------------------------------------------------------------
+# vectorized sampler against the row-by-row reference
+# --------------------------------------------------------------------------
+
+_SPLIT_PIECES = [
+    # unsorted on purpose; a shared boundary at 0 and a gap (1, 1.5)
+    {"domain": [1.5, 2.0], "coeffs": [1.0, -2.0, 0.5, 0.25]},
+    {"domain": [-1.0, 0.0], "coeffs": [0.0]},
+    {"domain": [0.0, 1.0], "coeffs": [0.0, 0.0, 1.0]},
+]
+_HALF_SQUARE_PIECES = [
+    {"domain": [-1.0, 0.0], "coeffs": [0.0]},
+    {"domain": [0.0, 2.0], "coeffs": [0.0, 0.0, 1.0]},
+]
+
+
+def _scalar_graph_rows(problem, params):
+    xs, ys = [], []
+    for t in params:
+        x, y = problem.param_to_graph(t)
+        xs.append(np.asarray(x, dtype=float).reshape(-1))
+        ys.append(np.asarray(y, dtype=float).reshape(-1))
+    return np.array(xs), np.array(ys)
+
+
+def _parity_params(problem):
+    rng = np.random.default_rng(5)
+    rows = [rng.uniform(-3.0, 3.0, (400, problem.param_dim))]
+    # 0.1888926931268876 ** 2 is one ulp below 0.1888926931268876 * 0.1888926931268876
+    specials = (0.0, -0.0, 1e-300, -1e-300, 0.1888926931268876, 1.25, 1.0 + 5e-10, 1.5 - 2e-9)
+    for v in specials + (np.inf, -np.inf, np.nan):
+        rows.append(np.full((1, problem.param_dim), v))
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [catalog_problem(n) for n in catalog_names()]
+    + [
+        piecewise_problem(_SPLIT_PIECES, xbar=0.0, ybar=0.0, name="inline-split"),
+        piecewise_problem(_HALF_SQUARE_PIECES, xbar=0.0, ybar=0.0, name="inline-half-square"),
+    ],
+    ids=lambda p: p.name,
+)
+def test_batch_graph_map_matches_scalar(problem):
+    params = _parity_params(problem)
+    if problem.name.startswith("inline"):
+        # gaps snap to the nearest edge, the first one on a tie (1.25)
+        params = np.concatenate([params, np.linspace(-2.0, 3.0, 501)[:, None]])
+    with np.errstate(invalid="ignore"):  # inf * 0 in linear-A's matrix product
+        bx, by = problem.param_to_graph_batch(params)
+        sx, sy = _scalar_graph_rows(problem, params)
+    # NaN parameters give NaN rows in the catalog maps; the inline map snaps them
+    assert np.array_equal(np.asarray(bx, dtype=float), sx, equal_nan=True)
+    assert np.array_equal(np.asarray(by, dtype=float), sy, equal_nan=True)
+
+
+def test_clip_keeps_scalar_ties():
+    # the batch maps clip with np.clip where the scalar maps take
+    # min(max(v, lo), hi); np.maximum alone would turn max(-0.0, 0.0) into 0.0
+    vals = [-0.0, 0.0, np.nan, -1.0, 2.0, 0.5]
+    for lo, hi in ((0.0, 1.0), (-0.0, 0.0), (-1.0, -0.0), (0.5, 0.5)):
+        got = np.clip(np.array(vals), lo, hi)
+        want = np.array([min(max(v, lo), hi) for v in vals])
+        assert got.tobytes() == want.tobytes()  # signed zeros and NaN included
+
+
+def test_inline_gap_snaps_to_first_nearest_edge():
+    p = piecewise_problem(_SPLIT_PIECES, xbar=0.0, ybar=0.0)
+    x, y = p.param_to_graph_batch(np.array([[1.25], [1.3], [5.0], [-5.0]]))
+    assert x[:, 0].tolist() == [1.0, 1.5, 2.0, -1.0]
+    assert y[:, 0].tolist() == [1.0, 1.0 - 3.0 + 0.5 * 2.25 + 0.25 * 3.375, 1.0 - 4.0 + 2.0 + 2.0, 0.0]
+
+
+def _reference_halton(dim, count, seed):
+    # the per-call digit loop the cached radical-inverse table replaced
+    if count <= 0:
+        return np.zeros((0, dim))
+    shift = np.random.default_rng(seed).random(dim)
+    out = np.empty((count, dim))
+    for j in range(dim):
+        base = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)[j]
+        col = np.zeros(count)
+        denom = 1.0
+        rem = np.arange(1, count + 1).astype(np.int64)
+        while np.any(rem > 0):
+            denom *= base
+            col += (rem % base) / denom
+            rem //= base
+        out[:, j] = (col + shift[j]) % 1.0
+    return out
+
+
+def _reference_sample(problem, center, radius, budget, seed):
+    # the list-based parameter builder the block builder replaced, mapped
+    # row by row through the scalar graph map
+    t0 = np.asarray(problem.param_of(center.x, center.y), dtype=float).reshape(-1)
+    lo, hi = problem.param_window(t0, radius)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    dim = t0.shape[0]
+    params = [t0]
+    h_vec = np.maximum(hi - t0, t0 - lo)
+    dir_seed = 0 if dim == 2 else mix_seed(seed, "sphere")
+
+    def ring(n_dir, fracs):
+        dirs = _sphere_directions(dim, n_dir, dir_seed)
+        block = t0 + np.asarray(fracs)[:, None, None] * dirs[None, :, :] * h_vec
+        return np.clip(block.reshape(-1, dim), lo, hi)
+
+    if dim >= 2:
+        params.extend(ring(32, (1.0, 0.25, 0.0625, 0.015625)))
+    if dim <= 3:
+        for mask in range(1 << dim):
+            c = np.where([(mask >> i) & 1 for i in range(dim)], hi, lo)
+            params.append(c.astype(float))
+    center_scale = float(np.max(np.abs(t0))) if dim else 0.0
+    for i in range(dim):
+        h = max(hi[i] - t0[i], t0[i] - lo[i])
+        if h <= 0:
+            continue
+        stop = max(1e-9 * h, 1e-8 * center_scale, 2e-12)
+        for off in halving_offsets(h, stop, 64):
+            for sgn in (1.0, -1.0):
+                t = t0.copy()
+                t[i] = min(max(t0[i] + sgn * off, lo[i]), hi[i])
+                params.append(t)
+    if dim >= 2:
+        params.extend(ring(256, tuple(0.5**k for k in range(8))))
+    fill = max(0, budget - len(params))
+    if fill:
+        u = _reference_halton(dim, fill, mix_seed(seed, "halton"))
+        params.extend(lo + u * (hi - lo))
+    ux, vy = _scalar_graph_rows(problem, np.array(params))
+    dx = problem.norm_x.value_rows(ux - np.asarray(center.x))
+    dy = problem.norm_y.value_rows(vy - np.asarray(center.y))
+    cutoff = radius * (1.0 + 1e-12) + radius_pad(center)
+    keep = np.flatnonzero(np.maximum(dx, dy) <= cutoff)[:budget]
+    return ux[keep], vy[keep]
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        catalog_problem("half-square"),
+        catalog_problem("halfline-convex"),
+        catalog_problem("linear-A"),
+        piecewise_problem(_SPLIT_PIECES, xbar=0.0, ybar=0.0, name="inline-split"),
+    ],
+    ids=lambda p: p.name,
+)
+def test_sampler_matches_list_based_reference(problem):
+    centers = [problem.anchor]
+    t = np.full((1, problem.param_dim), 0.3)
+    if problem.name == "inline-split":
+        t = np.array([[1.0]])  # on the shared-boundary side of the gap
+    cx, cy = problem.param_to_graph_batch(t)
+    centers.append(ProductPoint(cx[0], cy[0]))
+    for center in centers:
+        for radius in (0.7, 1e-3, 3e-8):
+            for budget in (8, 300, 1024):  # 8 is below every stencil: no fill
+                for seed in (0, 11):
+                    got = sample_graph_arrays(problem, center, radius, budget, seed)
+                    want = _reference_sample(problem, center, radius, budget, seed)
+                    for g, w in zip(got, want):
+                        assert g.shape == w.shape
+                        assert np.array_equal(g, w)
+
+
+def test_halton_matches_reference_and_prefixes():
+    for dim in (1, 2, 3, 10):
+        # shrinking and growing counts: answers never depend on call order
+        for count in (5, 3000, 17, 4500, 1, 0):
+            got = halton_points(dim, count, 9)
+            assert np.array_equal(got, _reference_halton(dim, count, 9))
+        long = halton_points(dim, 2000, 4)
+        assert np.array_equal(halton_points(dim, 777, 4), long[:777])

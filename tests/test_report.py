@@ -272,11 +272,12 @@ class TestCLI:
             ("steps", 1.5, "steps must be an integer, got 1.5"),
             ("sample_budget", 100.5, "sample_budget must be an integer, got 100.5"),
             ("output", 5, "output must be a mapping"),
+            ("checks", "moduli", "checks must be a list of check names"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, cli_env, key, value, message):
         raw = {"problem": "identity", "q": 1.0, "schedule": dict(REDUCED_SCHEDULE)}
-        if key in ("q", "gamma", "output"):
+        if key in ("q", "gamma", "output", "checks"):
             raw[key] = value
         else:
             raw["schedule"][key] = value
