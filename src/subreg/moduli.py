@@ -39,6 +39,7 @@ from .slopes_dual import (
 from .slopes_primal import (
     SlopeEstimate,
     StrictSweepResult,
+    SweepTable,
     as_two_variable,
     f_level_strict,
     gather_point_candidates,
@@ -349,17 +350,17 @@ class RunContext(Mapping):
     As a read-only mapping it takes the names in ``CONSTANT_NAMES`` to
     estimates, and reading an entry computes only what that entry
     needs.  It also holds the strict sweeps under the max- and sum-type
-    product metrics, which share one candidate dict keyed by outer point
-    (candidates do not depend on the metric; the dict is emptied once
-    both sweeps are done), the two modulus reports and the theorem-7T1
-    result.
+    product metrics, which read one :class:`SweepTable` (candidates do
+    not depend on the metric, so the outer pools are gathered once and
+    only per-point, per-level values are kept), the two modulus reports
+    and the theorem-7T1 result.
     """
 
     def __init__(self, problem: MappingProblem, q: float, schedule: Schedule):
         self.problem = problem
         self.q = q
         self.schedule = schedule
-        self.candidates: dict = {}
+        self.table: Optional[SweepTable] = None  # built by the first sweep
 
     def __getitem__(self, name: str) -> SlopeEstimate:
         return _CONSTANT_SOURCES[name](self)
@@ -382,9 +383,8 @@ class RunContext(Mapping):
         return self._strict_sweep("sum")
 
     def _strict_sweep(self, metric: str) -> StrictSweepResult:
-        out = strict_sweep(self.problem, self.q, self.schedule, self.candidates, metric=metric)
-        if "sweep" in self.__dict__ or "sum_sweep" in self.__dict__:
-            self.candidates.clear()  # both sweeps are done; nothing reads them again
+        out = strict_sweep(self.problem, self.q, self.schedule, self.table, metric=metric)
+        self.table = out.table
         return out
 
     @cached_property

@@ -88,17 +88,21 @@ def _radical_inverse(base: int, count: int) -> np.ndarray:
     return col[:count]
 
 
+def _halton_table(dim: int, count: int) -> np.ndarray:
+    """Unshifted Halton points ``1..count`` in [0,1)^dim, one per row."""
+    if dim > len(_HALTON_PRIMES):
+        raise ProblemError("parameter dimension too large for the sampler")
+    out = np.empty((count, dim))
+    for j in range(dim):
+        out[:, j] = _radical_inverse(_HALTON_PRIMES[j], count)
+    return out
+
+
 def halton_points(dim: int, count: int, seed: int) -> np.ndarray:
     """Seeded-shift Halton sequence in [0,1)^dim; deterministic forever."""
     if count <= 0:
         return np.zeros((0, dim))
-    if dim > len(_HALTON_PRIMES):
-        raise ProblemError("parameter dimension too large for the sampler")
-    shift = np.random.default_rng(seed).random(dim)
-    out = np.empty((count, dim))
-    for j in range(dim):
-        out[:, j] = _radical_inverse(_HALTON_PRIMES[j], count)
-    return (out + shift) % 1.0
+    return (_halton_table(dim, count) + np.random.default_rng(seed).random(dim)) % 1.0
 
 
 @dataclass(frozen=True)
@@ -255,15 +259,21 @@ class DistanceEstimate:
     truncated: bool = False
 
 
+def halving_ladder(start, stop, cap: int) -> tuple:
+    """Geometric approach offsets ``start * 2**-j`` for ``j < cap`` (a
+    row of them per entry when ``start`` is an array) and the mask of
+    those at or above ``stop``, a prefix of each row.  The offsets equal
+    repeated halving bitwise wherever they stay normal numbers, so every
+    offset kept is exact for any ``stop`` above 2.3e-308."""
+    offs = np.ldexp(np.asarray(start, dtype=float)[..., None], -np.arange(cap))
+    return offs, offs >= np.asarray(stop, dtype=float)[..., None]
+
+
 def halving_offsets(start: float, stop: float, cap: int) -> list:
     """Geometric approach offsets ``start, start/2, ...`` down to
     ``stop``, at most ``cap`` of them."""
-    offs = []
-    off = start
-    while off >= stop and len(offs) < cap:
-        offs.append(off)
-        off *= 0.5
-    return offs
+    offs, keep = halving_ladder(start, stop, cap)
+    return offs[keep].tolist()
 
 
 @lru_cache(maxsize=32)
@@ -293,12 +303,19 @@ def _sphere_directions(dim: int, count: int, seed: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def radius_pad(center: ProductPoint) -> float:
-    """Additive slack for radius filters: candidates are built by
-    perturbing the center's parameter, so distances carry rounding of
-    the order of the center's ulp even for radii far below it."""
-    scale = 1.0 + float(np.max(np.abs(center.x))) + float(np.max(np.abs(center.y)))
+def radius_pads(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Additive slack for radius filters around the centres ``(xs[i],
+    ys[i])``: candidates are built by perturbing a center's parameter, so
+    distances carry rounding of the order of the center's ulp even for
+    radii far below it."""
+    scale = 1.0 + np.max(np.abs(xs), axis=1) + np.max(np.abs(ys), axis=1)
     return 64.0 * np.finfo(float).eps * scale
+
+
+def radius_pad(center: ProductPoint) -> float:
+    """:func:`radius_pads` of one center."""
+    x = np.asarray(center.x, dtype=float).reshape(1, -1)
+    return float(radius_pads(x, np.asarray(center.y, dtype=float).reshape(1, -1))[0])
 
 
 def _batch_to_graph(problem: MappingProblem, params: np.ndarray) -> tuple:
@@ -313,6 +330,153 @@ def _batch_to_graph(problem: MappingProblem, params: np.ndarray) -> tuple:
     return np.array(xs), np.array(ys)
 
 
+def _call_dirs(dim: int, count: int, seeds: Sequence[int]) -> np.ndarray:
+    """Stencil directions of each call, ``(calls or 1, count, dim)``."""
+    if dim == 2:  # the circle grid ignores the seed: one cache key serves every call
+        return _sphere_directions(2, count, 0)[None]
+    return np.stack([_sphere_directions(dim, count, mix_seed(s, "sphere")) for s in seeds])
+
+
+def _rings(t0, lo, hi, dirs, fracs: tuple) -> np.ndarray:
+    # direction-resolved rings at geometric radii: quasi-random fills
+    # leave angular gaps that starve direction-sensitive suprema, and
+    # graph maps with operator norm above one push full-radius steps past
+    # the product-distance cutoff, so smaller radii must be present too
+    h_vec = np.maximum(hi - t0, t0 - lo)
+    fr = np.asarray(fracs)[None, :, None, None]
+    block = t0[:, None, None, :] + fr * dirs[:, None, :, :] * h_vec[:, None, None, :]
+    return np.clip(block.reshape(t0.shape[0], -1, t0.shape[1]), lo[:, None, :], hi[:, None, :])
+
+
+def _head_params(t0, lo, hi, seeds) -> tuple:
+    """The first parameter rows of each call, ``(calls, rows, dim)``, and
+    which of them exist: the centre, the coarse rings, the window corners
+    and one halving stencil per axis."""
+    n, dim = t0.shape
+    blocks = [t0[:, None, :]]
+    if dim >= 2:
+        blocks.append(_rings(t0, lo, hi, _call_dirs(dim, 32, seeds), (1.0, 0.25, 0.0625, 0.015625)))
+    # corners of the window (cheap for the low parameter dimensions here)
+    if dim <= 3:
+        bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
+        blocks.append(np.where(bits[None], hi[:, None, :], lo[:, None, :]))
+    valid = [np.ones((n, sum(b.shape[1] for b in blocks)), dtype=bool)]
+    center_scale = np.max(np.abs(t0), axis=1)
+    for i in range(dim):
+        h = np.maximum(hi[:, i] - t0[:, i], t0[:, i] - lo[:, i])
+        # the descent stops at roughly eight relative digits of the
+        # center's scale: closer candidates contribute only
+        # cancellation noise to the descent ratios (and the floor
+        # stays above the exclusion band)
+        stop = np.maximum(np.maximum(1e-9 * h, 1e-8 * center_scale), 2e-12)
+        offs, keep = halving_ladder(h, stop, 64)
+        steps = np.stack([t0[:, i, None] + offs, t0[:, i, None] - offs], axis=2).reshape(n, -1)
+        block = np.repeat(t0[:, None, :], steps.shape[1], axis=1)
+        block[:, :, i] = np.clip(steps, lo[:, i, None], hi[:, i, None])
+        blocks.append(block)
+        valid.append(np.repeat(keep & (h > 0)[:, None], 2, axis=1))
+    return np.concatenate(blocks, axis=1), np.concatenate(valid, axis=1)
+
+
+def _tail_params(t0, lo, hi, seeds, fill: np.ndarray) -> tuple:
+    """The last parameter rows of each call, as :func:`_head_params`
+    gives the first: the fine ring and ``fill[i]`` Halton points."""
+    n, dim = t0.shape
+    blocks, valid = [], []
+    if dim >= 2:
+        fracs = tuple(0.5**k for k in range(8))
+        blocks.append(_rings(t0, lo, hi, _call_dirs(dim, 256, seeds), fracs))
+        valid.append(np.ones(blocks[0].shape[:2], dtype=bool))
+    width = int(fill.max())
+    if width:
+        table = _halton_table(dim, width)
+        # each call keeps its own seeded shift
+        shift = np.zeros((n, dim))
+        for j in np.flatnonzero(fill):
+            shift[j] = np.random.default_rng(mix_seed(seeds[j], "halton")).random(dim)
+        u = (table[None] + shift[:, None, :]) % 1.0
+        blocks.append(lo[:, None, :] + u * (hi - lo)[:, None, :])
+        valid.append(np.arange(width)[None, :] < fill[:, None])
+    return np.concatenate(blocks, axis=1), np.concatenate(valid, axis=1)
+
+
+def sample_graph_batch(problem: MappingProblem, calls: Sequence[tuple]) -> tuple:
+    """:func:`sample_graph_arrays` for many ``(center, radius, budget,
+    seed)`` calls at once, bitwise.
+
+    Returns ``(ux, vy, counts)``: the rows every call keeps, concatenated
+    in call order, and how many each call kept.  The parameter rows of
+    all calls are built as arrays, and one graph map, norm pass and
+    cutoff filter serve them.  A call whose first rows (centre, coarse
+    rings, corners, stencils) can fill its budget maps its fine ring and
+    Halton fill in a second pass, and only if they did not.
+    """
+    n = len(calls)
+    if any(radius <= 0 for _, radius, _, _ in calls):
+        raise ProblemError("radius must be positive")
+    budgets = np.array([budget for _, _, budget, _ in calls], dtype=np.int64)
+    live = np.flatnonzero(budgets > 0)
+    if not live.size:
+        empty = np.zeros((0, problem.dim_x)), np.zeros((0, problem.dim_y))
+        return empty + (np.zeros(n, dtype=np.int64),)
+    cx = np.array([np.asarray(c.x, dtype=float).reshape(-1) for c, _, _, _ in calls])
+    cy = np.array([np.asarray(c.y, dtype=float).reshape(-1) for c, _, _, _ in calls])
+    cutoff = np.array([radius * (1.0 + 1e-12) for _, radius, _, _ in calls]) + radius_pads(cx, cy)
+
+    def stage(owner, ux, vy):
+        dx = problem.norm_x.value_rows(ux - cx[owner])
+        dy = problem.norm_y.value_rows(vy - cy[owner])
+        return ux, vy, owner, np.maximum(dx, dy) <= cutoff[owner]
+
+    if problem.graph_points is not None:
+        gx = np.array([p.x for p in problem.graph_points], dtype=float)
+        gy = np.array([p.y for p in problem.graph_points], dtype=float)
+        owner = np.repeat(live, gx.shape[0])
+        stages = [stage(owner, np.tile(gx, (live.size, 1)), np.tile(gy, (live.size, 1)))]
+    else:
+        t0, lo, hi = [], [], []
+        for i in live:
+            center, radius = calls[i][0], calls[i][1]
+            t = np.asarray(problem.param_of(center.x, center.y), dtype=float).reshape(-1)
+            window = problem.param_window(t, radius)
+            t0.append(t)
+            lo.append(np.asarray(window[0], dtype=float))
+            hi.append(np.asarray(window[1], dtype=float))
+        t0, lo, hi = np.array(t0), np.array(lo), np.array(hi)
+        seeds = [calls[i][3] for i in live]
+        head, head_ok = _head_params(t0, lo, hi, seeds)
+        head_rows = head_ok.sum(axis=1)
+        ring_rows = 8 * 256 if t0.shape[1] >= 2 else 0
+        fill = np.maximum(0, budgets[live] - head_rows - ring_rows)
+        has_tail = (fill > 0) | (ring_rows > 0)
+        # a head shorter than the budget cannot fill it: map the tail with it
+        eager = np.flatnonzero(has_tail & (head_rows < budgets[live]))
+
+        def tails(sel):
+            tail, ok = _tail_params(t0[sel], lo[sel], hi[sel], [seeds[j] for j in sel], fill[sel])
+            return live[sel][np.nonzero(ok)[0]], tail[ok]
+
+        parts = [(live[np.nonzero(head_ok)[0]], head[head_ok])]
+        if eager.size:
+            parts.append(tails(eager))
+        owner = np.concatenate([o for o, _ in parts])
+        stages = [stage(owner, *_batch_to_graph(problem, np.concatenate([t for _, t in parts])))]
+        held = np.bincount(owner[stages[0][3]], minlength=n)[live]
+        later = np.flatnonzero(has_tail & (head_rows >= budgets[live]) & (held < budgets[live]))
+        if later.size:
+            owner, params = tails(later)
+            stages.append(stage(owner, *_batch_to_graph(problem, params)))
+
+    ux, vy, owner, within = (np.concatenate(column) for column in zip(*stages))
+    kept = np.flatnonzero(within)
+    # stable: a call's tail rows follow its head rows
+    kept = kept[np.argsort(owner[kept], kind="stable")]
+    counts = np.bincount(owner[kept], minlength=n)
+    rank = np.arange(kept.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    kept = kept[rank < budgets[owner[kept]]]
+    return ux[kept], vy[kept], np.bincount(owner[kept], minlength=n)
+
+
 def sample_graph_arrays(
     problem: MappingProblem,
     center: ProductPoint,
@@ -322,74 +486,10 @@ def sample_graph_arrays(
 ) -> tuple:
     """Arrays (one graph point per row) within ``radius`` of ``center``
     in the plain max product metric; the object-level front end is
-    :func:`graph_sample`."""
-    if radius <= 0:
-        raise ProblemError("radius must be positive")
-    if budget <= 0:
-        return np.zeros((0, problem.dim_x)), np.zeros((0, problem.dim_y))
-
-    if problem.graph_points is not None:
-        ux = np.array([p.x for p in problem.graph_points])
-        vy = np.array([p.y for p in problem.graph_points])
-    else:
-        t0 = np.asarray(problem.param_of(center.x, center.y), dtype=float).reshape(-1)
-        lo, hi = problem.param_window(t0, radius)
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        dim = t0.shape[0]
-
-        blocks = [t0[None, :]]
-        h_vec = np.maximum(hi - t0, t0 - lo)
-        # the 2-D circle grid ignores the seed, so one cache key serves every call
-        dir_seed = 0 if dim == 2 else mix_seed(seed, "sphere")
-
-        def ring(n_dir: int, fracs: tuple):
-            # direction-resolved rings at geometric radii: quasi-random
-            # fills leave angular gaps that starve direction-sensitive
-            # suprema, and graph maps with operator norm above one push
-            # full-radius steps past the product-distance cutoff, so
-            # smaller radii must be present too
-            dirs = _sphere_directions(dim, n_dir, dir_seed)
-            block = t0 + np.asarray(fracs)[:, None, None] * dirs[None, :, :] * h_vec
-            return np.clip(block.reshape(-1, dim), lo, hi)
-
-        if dim >= 2:
-            blocks.append(ring(32, (1.0, 0.25, 0.0625, 0.015625)))
-        # corners of the window (cheap for the low parameter dimensions here)
-        if dim <= 3:
-            bits = np.arange(1 << dim)[:, None] >> np.arange(dim)
-            blocks.append(np.where(bits & 1, hi, lo))
-        center_scale = float(np.max(np.abs(t0))) if dim else 0.0
-        for i in range(dim):
-            h = max(hi[i] - t0[i], t0[i] - lo[i])
-            if h <= 0:
-                continue
-            # the descent stops at roughly eight relative digits of the
-            # center's scale: closer candidates contribute only
-            # cancellation noise to the descent ratios (and the floor
-            # stays above the exclusion band)
-            stop = max(1e-9 * h, 1e-8 * center_scale, 2e-12)
-            offs = np.array(halving_offsets(h, stop, 64))
-            steps = np.empty(2 * offs.size)
-            steps[0::2] = t0[i] + offs
-            steps[1::2] = t0[i] - offs
-            block = np.repeat(t0[None, :], steps.size, axis=0)
-            block[:, i] = np.clip(steps, lo[i], hi[i])
-            blocks.append(block)
-        if dim >= 2:
-            blocks.append(ring(256, tuple(0.5**k for k in range(8))))
-
-        fill = max(0, budget - sum(b.shape[0] for b in blocks))
-        if fill:
-            u = halton_points(dim, fill, mix_seed(seed, "halton"))
-            blocks.append(lo + u * (hi - lo))
-        ux, vy = _batch_to_graph(problem, np.concatenate(blocks))
-
-    dx = problem.norm_x.value_rows(ux - np.asarray(center.x))
-    dy = problem.norm_y.value_rows(vy - np.asarray(center.y))
-    cutoff = radius * (1.0 + 1e-12) + radius_pad(center)
-    keep = np.flatnonzero(np.maximum(dx, dy) <= cutoff)[:budget]
-    return ux[keep], vy[keep]
+    :func:`graph_sample`, and :func:`sample_graph_batch` serves many calls
+    at once."""
+    ux, vy, _ = sample_graph_batch(problem, [(center, radius, budget, seed)])
+    return ux, vy
 
 
 def graph_sample(
@@ -411,17 +511,9 @@ def graph_sample(
     return [ProductPoint(x, y) for x, y in zip(ux, vy)]
 
 
-def solution_set_distance(
-    problem: MappingProblem, x, schedule: Schedule
-) -> DistanceEstimate:
-    """Distance from ``x`` to F^{-1}(ybar): exact through the oracle,
-    otherwise a lower-biased estimate against sampled graph points whose
-    y-component sits on ybar within the membership tolerance."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    exact = problem.solution_dist_exact(x)
-    if exact is not None:
-        return DistanceEstimate(exact, exact=True)
-    radius = schedule.truncation_radius or 10.0 * max(1.0, problem.d_x(x, problem.xbar))
+def _anchor_zeros(problem: MappingProblem, radius: float, schedule: Schedule) -> list:
+    """x of the anchor sample within ``radius`` whose y sits on ybar
+    within the membership tolerance."""
     pts = graph_sample(
         problem,
         problem.anchor,
@@ -429,12 +521,33 @@ def solution_set_distance(
         schedule.sample_budget,
         mix_seed(schedule.seed, "soldist"),
     )
+    return [p.x for p in pts if problem.d_y(p.y, problem.ybar) <= MEMBERSHIP_TOL]
+
+
+def solution_set_distance(
+    problem: MappingProblem, x, schedule: Schedule, anchor_zeros: Optional[dict] = None
+) -> DistanceEstimate:
+    """Distance from ``x`` to F^{-1}(ybar): exact through the oracle,
+    otherwise a lower-biased estimate against sampled graph points whose
+    y-component sits on ybar within the membership tolerance.
+
+    The sample depends on ``x`` only through its radius; pass one dict as
+    ``anchor_zeros`` to several calls to draw it once per radius.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    exact = problem.solution_dist_exact(x)
+    if exact is not None:
+        return DistanceEstimate(exact, exact=True)
+    radius = schedule.truncation_radius or 10.0 * max(1.0, problem.d_x(x, problem.xbar))
+    if anchor_zeros is None:
+        anchor_zeros = {}
+    if radius not in anchor_zeros:
+        anchor_zeros[radius] = _anchor_zeros(problem, radius, schedule)
     best = None
-    for p in pts:
-        if problem.d_y(p.y, problem.ybar) <= MEMBERSHIP_TOL:
-            d = problem.d_x(x, p.x)
-            if best is None or d < best:
-                best = d
+    for z in anchor_zeros[radius]:
+        d = problem.d_x(x, z)
+        if best is None or d < best:
+            best = d
     if best is None:
         return DistanceEstimate(INF, exact=False, truncated=True)
     return DistanceEstimate(best, exact=False)
@@ -460,11 +573,14 @@ def sample_outer_points(
     schedule: Schedule,
     level: int = 0,
     outer_restriction: bool = True,
+    anchor_zeros: Optional[dict] = None,
 ) -> list:
     """Graph points in the open shell ``d(x,xbar) < radius``,
     ``0 < d(y,ybar) < radius`` with ``x`` outside F^{-1}(ybar)
     (solution distance above ``EPS_MEM``; drop with
-    ``outer_restriction=False``)."""
+    ``outer_restriction=False``).  Without a solution-distance oracle the
+    distances come from :func:`solution_set_distance`, sharing
+    ``anchor_zeros``."""
     pts = graph_sample(problem, problem.anchor, radius, budget, seed)
     out = []
     for p in pts:
@@ -474,7 +590,7 @@ def sample_outer_points(
             continue
         sd = problem.solution_dist_exact(p.x)
         if sd is None:
-            sd_est = solution_set_distance(problem, p.x, schedule).value
+            sd_est = solution_set_distance(problem, p.x, schedule, anchor_zeros).value
             sd = 1e30 if is_inf(sd_est) else float(sd_est)
         if outer_restriction and sd <= EPS_MEM:
             continue
@@ -500,6 +616,7 @@ def outer_pools(
     if problem.param_dim >= 2:
         n *= 2  # direction coverage needs more shell points
     fresh = []
+    anchor_zeros: dict = {}  # one anchor sample per radius for the whole build
     for k, rho in enumerate(rhos):
         fresh.extend(
             sample_outer_points(
@@ -510,6 +627,7 @@ def outer_pools(
                 schedule,
                 level=k,
                 outer_restriction=outer_restriction,
+                anchor_zeros=anchor_zeros,
             )
         )
     pools = []
@@ -924,24 +1042,30 @@ def piecewise_problem(
             v[rows] = np.polyval(c, u[rows])
         return u[:, None], v[:, None]
 
+    # per piece: does F - ybar vanish on it, and else its real roots in
+    # the (slightly widened) domain; neither depends on x
+    zero_sets = []
+    for a, b, c in parsed:
+        shifted = c.copy()
+        shifted[0] -= ybar
+        if np.allclose(shifted, 0.0, atol=1e-15):
+            zero_sets.append((a, b, None))
+            continue
+        roots = np.roots(shifted[::-1]) if len(shifted) > 1 else np.array([])
+        real = [float(r.real) for r in roots if not abs(r.imag) > 1e-9]
+        zero_sets.append((a, b, [r for r in real if a - 1e-9 <= r <= b + 1e-9]))
+
     def solution_distance(x):
         u = float(x[0])
         best = None
-        for a, b, c in parsed:
-            shifted = c.copy()
-            shifted[0] -= ybar
-            if np.allclose(shifted, 0.0, atol=1e-15):
+        for a, b, roots in zero_sets:
+            if roots is None:
                 d = 0.0 if a <= u <= b else min(abs(u - a), abs(u - b))
                 best = d if best is None else min(best, d)
                 continue
-            roots = np.roots(shifted[::-1]) if len(shifted) > 1 else np.array([])
-            for r in roots:
-                if abs(r.imag) > 1e-9:
-                    continue
-                rr = float(r.real)
-                if a - 1e-9 <= rr <= b + 1e-9:
-                    d = abs(u - rr)
-                    best = d if best is None else min(best, d)
+            for rr in roots:
+                d = abs(u - rr)
+                best = d if best is None else min(best, d)
         return best if best is not None else 1e30
 
     def fiber_distance(x):

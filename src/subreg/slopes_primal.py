@@ -13,7 +13,7 @@ sampling bias cannot explain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +30,9 @@ from .problems import (
     mix_seed,
     outer_pools,
     radius_pad,
+    radius_pads,
     sample_graph_arrays,
+    sample_graph_batch,
 )
 
 # Candidates closer than this (plain product metric, so the mask does
@@ -147,6 +149,91 @@ class PointCandidates:
         return value
 
 
+@dataclass(eq=False)
+class _Gathered:
+    """Candidate rows of several points, point after point: per-point
+    scalars as lists, per-row distances as arrays."""
+
+    counts: np.ndarray
+    d_at: list
+    trunc: list
+    min_dist: list
+    dx: np.ndarray
+    dy: np.ndarray
+    dv: np.ndarray
+    dist: np.ndarray
+    local_mask: np.ndarray
+
+
+def _gather(
+    problem: MappingProblem,
+    points: Sequence,
+    schedule: Schedule,
+    trunc_radius: Optional[float] = None,
+) -> _Gathered:
+    """The candidate supersets of :func:`gather_point_candidates` for
+    several points, from one batched sampler pass and one norm pass."""
+    anchor = problem.anchor
+    finite = _finite(problem)
+    n = max(32, schedule.sample_budget // 4)
+    calls, per_point = [], []
+    d_at, trunc, r_loc, min_dist = [], [], [], []
+    for at in points:
+        d_anchor = problem.product_dist(at, anchor)
+        tr = trunc_radius or schedule.truncation_radius or 10.0 * max(1.0, d_anchor)
+        scale = max(d_anchor, 0.0)
+        d_at.append(problem.d_y(at.y, problem.ybar))
+        trunc.append(tr)
+        r_loc.append(_local_radius(schedule, scale))
+        min_dist.append(
+            EXCLUSION_BAND if finite else max(EXCLUSION_BAND, NOISE_FLOOR_REL * scale)
+        )
+        if finite:
+            continue
+        calls.append((at, tr, n // 2, _point_seed(schedule, "far", at)))
+        if d_anchor > 0:
+            mid = min(tr, 2.0 * d_anchor)
+            calls.append((at, mid, n // 4, _point_seed(schedule, "mid", at)))
+        calls.append(
+            (at, r_loc[-1], _local_budget(problem, schedule), _point_seed(schedule, "loc", at))
+        )
+        per_point.append(3 if d_anchor > 0 else 2)
+    px = np.array([at.x for at in points], dtype=float)
+    py = np.array([at.y for at in points], dtype=float)
+
+    if finite:
+        gx = np.array([p.x for p in problem.graph_points], dtype=float)
+        gy = np.array([p.y for p in problem.graph_points], dtype=float)
+        counts = np.full(len(points), gx.shape[0])
+        ux, vy = np.tile(gx, (len(points), 1)), np.tile(gy, (len(points), 1))
+    else:
+        # far, mid and local rows, then the anchor itself, point by point
+        sx, sy, per_call = sample_graph_batch(problem, calls)
+        first_call = np.cumsum(per_point) - per_point
+        counts = np.add.reduceat(per_call, first_call) + 1
+        is_anchor = np.zeros(int(counts.sum()), dtype=bool)
+        is_anchor[np.cumsum(counts) - 1] = True
+        ux = np.empty((is_anchor.size, problem.dim_x))
+        vy = np.empty((is_anchor.size, problem.dim_y))
+        ux[~is_anchor], vy[~is_anchor] = sx, sy
+        ux[is_anchor], vy[is_anchor] = anchor.x, anchor.y
+    dx = problem.norm_x.value_rows(ux - np.repeat(px, counts, axis=0))
+    dy = problem.norm_y.value_rows(vy - np.repeat(py, counts, axis=0))
+    dv = problem.norm_y.value_rows(vy - problem.ybar)
+    dist = np.maximum(dx, dy)
+    return _Gathered(
+        counts=counts,
+        d_at=d_at,
+        trunc=trunc,
+        min_dist=min_dist,
+        dx=dx,
+        dy=dy,
+        dv=dv,
+        dist=dist,
+        local_mask=dist <= np.repeat(np.array(r_loc) + radius_pads(px, py), counts),
+    )
+
+
 def gather_point_candidates(
     problem: MappingProblem,
     at: ProductPoint,
@@ -155,58 +242,18 @@ def gather_point_candidates(
 ) -> PointCandidates:
     """Multi-scale candidate superset around ``at``: a truncation-radius
     sweep, a near-anchor scale, the tight local shell and the anchor
-    itself."""
-    anchor = problem.anchor
-    d_anchor = problem.product_dist(at, anchor)
-    trunc = trunc_radius or schedule.truncation_radius or 10.0 * max(1.0, d_anchor)
-    scale = max(d_anchor, 0.0)
-    r_loc = _local_radius(schedule, scale)
-
-    if _finite(problem):
-        ux = np.array([p.x for p in problem.graph_points], dtype=float)
-        vy = np.array([p.y for p in problem.graph_points], dtype=float)
-    else:
-        n = max(32, schedule.sample_budget // 4)
-        blocks = [
-            sample_graph_arrays(
-                problem, at, trunc, n // 2, _point_seed(schedule, "far", at)
-            )
-        ]
-        if d_anchor > 0:
-            mid = min(trunc, 2.0 * d_anchor)
-            blocks.append(
-                sample_graph_arrays(
-                    problem, at, mid, n // 4, _point_seed(schedule, "mid", at)
-                )
-            )
-        blocks.append(
-            sample_graph_arrays(
-                problem,
-                at,
-                r_loc,
-                _local_budget(problem, schedule),
-                _point_seed(schedule, "loc", at),
-            )
-        )
-        blocks.append((anchor.x.reshape(1, -1), anchor.y.reshape(1, -1)))
-        ux = np.vstack([b[0] for b in blocks])
-        vy = np.vstack([b[1] for b in blocks])
-    dx = problem.norm_x.value_rows(ux - at.x)
-    dy = problem.norm_y.value_rows(vy - at.y)
-    dv = problem.norm_y.value_rows(vy - problem.ybar)
-    dist = np.maximum(dx, dy)
-    min_dist = EXCLUSION_BAND
-    if not _finite(problem):
-        min_dist = max(min_dist, NOISE_FLOOR_REL * scale)
+    itself.  This is the one-point case of the batched gather that
+    :func:`sweep_table` runs over whole outer pools."""
+    g = _gather(problem, [at], schedule, trunc_radius)
     return PointCandidates(
-        d_at=problem.d_y(at.y, problem.ybar),
-        dx=dx,
-        dy=dy,
-        dv=dv,
-        dist=dist,
-        local_mask=dist <= r_loc + radius_pad(at),
-        trunc_radius=trunc,
-        min_dist=min_dist,
+        d_at=g.d_at[0],
+        dx=g.dx,
+        dy=g.dy,
+        dv=g.dv,
+        dist=g.dist,
+        local_mask=g.local_mask,
+        trunc_radius=g.trunc[0],
+        min_dist=g.min_dist[0],
     )
 
 
@@ -343,12 +390,14 @@ def local_rho_slope(
 @dataclass(frozen=True)
 class StrictSweepResult:
     """Per-level infima of every primal strict-slope family computed on
-    shared outer pools, so the family orderings hold sample-wise."""
+    shared outer pools, so the family orderings hold sample-wise, and
+    the table they were read from."""
 
     uniform: SlopeEstimate
     plain: SlopeEstimate
     modified: SlopeEstimate
     anchor_ratio: SlopeEstimate
+    table: "SweepTable" = field(default=None, compare=False, repr=False)
 
 
 def _finish(kind: str, trace: list, truncated: bool, used: int) -> SlopeEstimate:
@@ -360,69 +409,196 @@ def _finish(kind: str, trace: list, truncated: bool, used: int) -> SlopeEstimate
     return SlopeEstimate(trace[-1][1], tuple(trace), truncated, used, kind, flags)
 
 
+# Candidate rows one batched gather of the strict sweep holds at most
+# (a point's whole superset when it alone exceeds this).  Each chunk
+# costs a fixed number of numpy calls; at this size a chunk's transient
+# arrays stay near 1 MB, and a two-parameter problem still gathers a few
+# points per chunk.
+SWEEP_CHUNK_ROWS = 8192
+SWEEP_METRICS = ("max", "sum")
+
+
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """Per-point, per-level scalars of the strict sweep on one set of
+    outer pools, for both product metrics.
+
+    ``points`` is the coarsest pool ordered by depth (the finest level
+    holding each point); the pools are nested, so level ``k``'s pool is
+    ``points[starts[k]:]``.  Entry ``[i, k]`` of ``nonlocal_values``,
+    ``truncated`` and ``local_values`` is the nonlocal (q, rho_k)-slope,
+    its truncation flag and the local rho_k-slope at ``points[i]``, and
+    is read only for ``i >= starts[k]``.  ``sizes`` counts each point's
+    candidates.
+    """
+
+    points: tuple
+    starts: tuple
+    sizes: np.ndarray
+    nonlocal_values: dict
+    truncated: dict
+    local_values: dict
+
+
+def _first_max_is_edge(vals, top, starts, counts, edge) -> np.ndarray:
+    """Per row of ``vals`` and per segment: is the first occurrence of the
+    segment's maximum ``top`` (the ``np.argmax`` of the segment) an
+    ``edge`` row?  Edge rows are few, so only the segments whose maximum
+    some edge row attains are scanned."""
+    out = np.zeros(top.shape, dtype=bool)
+    rows = np.flatnonzero(edge)
+    if rows.size:
+        seg = np.searchsorted(starts, rows, side="right") - 1
+        ks, js = np.nonzero(vals[:, rows] == top[:, seg])
+        for k, j in set(zip(ks.tolist(), seg[js].tolist())):
+            first = starts[j] + int(np.argmax(vals[k, starts[j] : starts[j] + counts[j]]))
+            out[k, j] = edge[first]
+    return out
+
+
+def sweep_table(
+    problem: MappingProblem,
+    q: float,
+    schedule: Schedule,
+    outer_restriction: bool = True,
+) -> SweepTable:
+    """Gather the outer pools chunk by chunk and reduce every rho level
+    of every point under both product metrics: the values of
+    :meth:`PointCandidates.nonlocal_value` and
+    :meth:`PointCandidates.local_value`, bitwise, with each point's
+    candidates gathered once and dropped with its chunk."""
+    pools = outer_pools(problem, schedule, outer_restriction)
+    rhos = schedule.rho_values()
+    depth = {p: k for k, pool in enumerate(pools) for p in pool}
+    points = tuple(sorted(pools[0], key=depth.__getitem__))
+    depths = np.array([depth[p] for p in points], dtype=np.int64)
+    shape = (len(points), len(rhos))
+    nl = {m: np.full(shape, np.nan) for m in SWEEP_METRICS}
+    trunc = {m: np.zeros(shape, dtype=bool) for m in SWEEP_METRICS}
+    loc = {m: np.full(shape, np.nan) for m in SWEEP_METRICS}
+    sizes = np.zeros(len(points), dtype=np.int64)
+
+    if _finite(problem):
+        rows_per_point = len(problem.graph_points)
+    else:
+        n = max(32, schedule.sample_budget // 4)
+        rows_per_point = n // 2 + n // 4 + _local_budget(problem, schedule) + 1
+    step = max(1, SWEEP_CHUNK_ROWS // rows_per_point)
+    for c0 in range(0, len(points), step):
+        chunk = points[c0 : c0 + step]
+        g = _gather(problem, chunk, schedule)  # outer points carry x and y like graph points
+        sizes[c0 : c0 + len(chunk)] = g.counts
+        # one row per level down to the chunk's deepest; points sorted by
+        # depth keep a chunk's depths close, so few rows go unread
+        levels = int(depths[c0 : c0 + len(chunk)].max()) + 1
+        rho = np.array(rhos[:levels])[:, None]
+        owner = np.repeat(np.arange(len(chunk)), g.counts)
+        dv_q = g.dv**q
+        # rows in a point's exclusion band (and, for the local slope, off
+        # its local shell) never score: the reductions skip them, and a
+        # point left without rows scores 0
+        ok = g.dist > np.repeat(g.min_dist, g.counts)
+        edge = g.dist >= np.repeat([0.99 * t for t in g.trunc], g.counts)
+        for local in (False, True):
+            rows = np.flatnonzero(ok & g.local_mask if local else ok)
+            who = owner[rows]
+            counts = np.bincount(who, minlength=len(chunk))
+            has = c0 + np.flatnonzero(counts)
+            counts = counts[counts > 0]
+            starts = np.cumsum(counts) - counts
+            if local:
+                num = np.maximum(np.array(g.d_at)[who] - g.dv[rows], 0.0)
+            else:
+                num = np.maximum(np.array([d**q for d in g.d_at])[who] - dv_q[rows], 0.0)
+            dx, dy = g.dx[rows], g.dy[rows]
+            for metric in SWEEP_METRICS:
+                out = (loc if local else nl)[metric]
+                out[c0 : c0 + len(chunk), :levels] = 0.0
+                if not rows.size:
+                    continue
+                vals = rho * dy
+                (np.maximum if metric == "max" else np.add)(dx, vals, out=vals)
+                np.divide(num, vals, out=vals)
+                top = np.maximum.reduceat(vals, starts, axis=1)
+                out[has, :levels] = top.T
+                if local:
+                    continue
+                hit = _first_max_is_edge(vals, top, starts, counts, edge[rows])
+                trunc[metric][has, :levels] = hit.T
+
+    outside = depths[:, None] < np.arange(len(rhos))  # levels past a point's depth
+    for metric in SWEEP_METRICS:
+        nl[metric][outside] = loc[metric][outside] = np.nan
+        trunc[metric][outside] = False
+    return SweepTable(
+        points=points,
+        starts=tuple(len(points) - len(pool) for pool in pools),
+        sizes=sizes,
+        nonlocal_values=nl,
+        truncated=trunc,
+        local_values=loc,
+    )
+
+
+def _infimum(values: np.ndarray) -> ExtReal:
+    """A level's infimum as a scan with ``<`` takes it: NaN never wins and
+    an empty level is ``INF``."""
+    values = values[~np.isnan(values)]
+    return float(values.min()) if values.size else INF
+
+
 def strict_sweep(
     problem: MappingProblem,
     q: float,
     schedule: Schedule,
-    candidates: Optional[dict] = None,
+    table: Optional[SweepTable] = None,
     metric: str = "max",
     outer_restriction: bool = True,
 ) -> StrictSweepResult:
     """Shared-pool evaluation of the uniform strict q-slope, the plain
     and modified strict q-slopes and the anchor-distance ratio liminf.
 
-    ``candidates`` maps outer points to their gathered candidates; pass
-    one dict to several sweeps of a run to gather each point once.
-    Empty pools contribute ``INF`` levels (infimum of the empty set).
+    Reads the per-point, per-level values from ``table``, a
+    :func:`sweep_table` of the same problem, order, schedule and
+    restriction, built here when not given and returned with the
+    result: pass it to the sweep under the other product metric to
+    gather once.  Empty pools contribute ``INF`` levels (infimum of the
+    empty set).
     """
     if not 0.0 < q <= 1.0:
         raise SlopeError("q must lie in (0, 1]")
-    if candidates is None:
-        candidates = {}
-    pools = outer_pools(problem, schedule, outer_restriction)
-    rhos = schedule.rho_values()
+    if table is None:
+        table = sweep_table(problem, q, schedule, outer_restriction)
+    pts = table.points
+    weight = np.array([q * p.d_y_anchor ** (q - 1.0) for p in pts], dtype=float)
+    has_ratio = np.array([p.d_x_anchor > 0 for p in pts], dtype=bool)
+    ratio = np.array(
+        [p.d_y_anchor**q / p.d_x_anchor if p.d_x_anchor > 0 else np.inf for p in pts],
+        dtype=float,
+    )
 
     tr_uniform, tr_plain, tr_modified, tr_ratio = [], [], [], []
     used = 0
     truncated_any = False
-    for k, rho in enumerate(rhos):
-        pool = pools[k]
-        best_u: ExtReal = INF
-        best_p: ExtReal = INF
-        best_m: ExtReal = INF
-        best_r: ExtReal = INF
-        for pt in pool:
-            cands = candidates.get(pt)
-            if cands is None:
-                cands = candidates[pt] = gather_point_candidates(
-                    problem, ProductPoint(pt.x, pt.y), schedule
-                )
-            used += cands.size
-            nl, trunc_flag = cands.nonlocal_value(q, rho, metric)
-            truncated_any = truncated_any or trunc_flag
-            loc = cands.local_value(rho, metric)
-            weight = q * pt.d_y_anchor ** (q - 1.0)
-            plain = weight * loc
-            ratio = pt.d_y_anchor**q / pt.d_x_anchor if pt.d_x_anchor > 0 else INF
-            if nl < best_u:
-                best_u = nl
-            if plain < best_p:
-                best_p = plain
-            m = max(plain, ratio) if not is_inf(ratio) else INF
-            if m < best_m:
-                best_m = m
-            if ratio < best_r:
-                best_r = ratio
-        tr_uniform.append((rho, best_u))
-        tr_plain.append((rho, best_p))
-        tr_modified.append((rho, best_m))
-        tr_ratio.append((rho, best_r))
+    for k, rho in enumerate(schedule.rho_values()):
+        s = table.starts[k]
+        used += int(table.sizes[s:].sum())
+        truncated_any = truncated_any or bool(table.truncated[metric][s:, k].any())
+        plain = weight[s:] * table.local_values[metric][s:, k]
+        with_ratio = has_ratio[s:]
+        r = ratio[s:]
+        modified = np.where(r > plain, r, plain)
+        tr_uniform.append((rho, _infimum(table.nonlocal_values[metric][s:, k])))
+        tr_plain.append((rho, _infimum(plain)))
+        tr_modified.append((rho, _infimum(modified[with_ratio])))
+        tr_ratio.append((rho, _infimum(r[with_ratio])))
 
     return StrictSweepResult(
         uniform=_finish("uniform_strict_q", tr_uniform, truncated_any, used),
         plain=_finish("strict_q", tr_plain, False, used),
         modified=_finish("modified_strict_q", tr_modified, False, used),
         anchor_ratio=_finish("anchor_ratio_liminf", tr_ratio, False, used),
+        table=table,
     )
 
 

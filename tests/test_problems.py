@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from subreg.problems import (
     outer_pools,
     radius_pad,
     sample_graph_arrays,
+    sample_graph_batch,
     sample_outer_points,
 )
 
@@ -415,3 +418,182 @@ def test_halton_matches_reference_and_prefixes():
             assert np.array_equal(got, _reference_halton(dim, count, 9))
         long = halton_points(dim, 2000, 4)
         assert np.array_equal(halton_points(dim, 777, 4), long[:777])
+
+
+# --------------------------------------------------------------------------
+# many-call sampler against one call at a time
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        catalog_problem("half-square"),
+        catalog_problem("halfline-convex"),
+        catalog_problem("linear-A"),
+        piecewise_problem(_SPLIT_PIECES, xbar=0.0, ybar=0.0, name="inline-split"),
+    ],
+    ids=lambda p: p.name,
+)
+def test_batched_sampler_matches_one_call_at_a_time(problem):
+    t = np.array([[0.3] * problem.param_dim, [-0.2] * problem.param_dim])
+    gx, gy = problem.param_to_graph_batch(t)
+    centers = [problem.anchor] + [ProductPoint(x, y) for x, y in zip(gx, gy)]
+    calls = []
+    for center in centers:
+        # a budget the first rows fill, one that needs Halton fill, tiny
+        # local radii and an empty budget
+        for radius, budget in ((10.0, 64), (0.7, 4096), (1e-3, 200), (3e-8, 96), (0.5, 0)):
+            calls.append((center, radius, budget, 100 + len(calls)))
+    ux, vy, counts = sample_graph_batch(problem, calls)
+    assert counts.sum() == ux.shape[0] == vy.shape[0]
+    at = 0
+    for call, n in zip(calls, counts):
+        wx, wy = sample_graph_arrays(problem, *call)
+        assert n == wx.shape[0]
+        assert np.array_equal(ux[at : at + n], wx)
+        assert np.array_equal(vy[at : at + n], wy)
+        at += n
+
+
+def test_batched_sampler_maps_the_tail_only_when_the_head_falls_short():
+    base = catalog_problem("halfline-convex")
+    mapped = []
+
+    def counting(t):
+        mapped.append(t.shape[0])
+        return base.param_to_graph_batch(t)
+
+    problem = dataclasses.replace(base, param_to_graph_batch=counting)
+    center = ProductPoint([0.3], [0.5])
+    # (radius, budget) -> rows per graph-map pass: the first rows already
+    # keep 64, the fill makes one pass of exactly the budget, and at a
+    # tiny radius too few of the first rows pass the cutoff for 200
+    for (radius, budget), passes in (
+        ((10.0, 64), [253]),
+        ((10.0, 4096), [4096]),
+        ((1e-3, 200), [211, 2048]),
+    ):
+        mapped.clear()
+        got = sample_graph_batch(problem, [(center, radius, budget, 5)])
+        assert mapped == passes
+        want = sample_graph_arrays(base, center, radius, budget, 5)
+        assert got[2].tolist() == [budget if budget < 4096 else want[0].shape[0]]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_batched_sampler_on_a_finite_graph():
+    p = finite_graph_problem([([x], [abs(x)]) for x in (-1.0, -0.5, 0.0, 0.25, 2.0)], [0.0], [0.0])
+    calls = [(p.anchor, 0.6, 3, 0), (p.anchor, 5.0, 10, 1), (p.anchor, 1.0, 0, 2)]
+    ux, _, counts = sample_graph_batch(p, calls)
+    assert counts.tolist() == [3, 5, 0]
+    assert ux[:, 0].tolist() == [-0.5, 0.0, 0.25, -1.0, -0.5, 0.0, 0.25, 2.0]
+
+
+# --------------------------------------------------------------------------
+# solution distances without re-deriving them per call
+# --------------------------------------------------------------------------
+
+
+def _reference_piecewise_solution_distance(pieces, ybar):
+    # the per-call computation the per-piece zero sets replaced
+    parsed = sorted(
+        ((float(p["domain"][0]), float(p["domain"][1]), np.array(p["coeffs"], float)) for p in pieces),
+        key=lambda t: t[0],
+    )
+
+    def solution_distance(x):
+        u = float(x[0])
+        best = None
+        for a, b, c in parsed:
+            shifted = c.copy()
+            shifted[0] -= ybar
+            if np.allclose(shifted, 0.0, atol=1e-15):
+                d = 0.0 if a <= u <= b else min(abs(u - a), abs(u - b))
+                best = d if best is None else min(best, d)
+                continue
+            roots = np.roots(shifted[::-1]) if len(shifted) > 1 else np.array([])
+            for r in roots:
+                if abs(r.imag) > 1e-9:
+                    continue
+                rr = float(r.real)
+                if a - 1e-9 <= rr <= b + 1e-9:
+                    d = abs(u - rr)
+                    best = d if best is None else min(best, d)
+        return best if best is not None else 1e30
+
+    return solution_distance
+
+
+@pytest.mark.parametrize(
+    "pieces,xbar,ybar",
+    [
+        (_SPLIT_PIECES, 0.0, 0.0),  # a gap, a zero piece and a cubic with a root
+        (_SPLIT_PIECES, 0.5, 0.25),  # no zero piece
+        (_HALF_SQUARE_PIECES, 0.0, 0.0),
+        # complex roots, and a real root outside its piece
+        (
+            [
+                {"domain": [0.0, 1.0], "coeffs": [0.0, 1.0]},
+                {"domain": [2.0, 3.0], "coeffs": [1.0, 0.0, 1.0]},
+                {"domain": [4.0, 5.0], "coeffs": [-1.0, 1.0]},
+            ],
+            0.0,
+            0.0,
+        ),
+        ([{"domain": [-1.0, 1.0], "coeffs": [1e-10, 0.0, 1.0]}], 0.0, 0.0),  # no root at all: 1e30
+        ([{"domain": [-1.0, 1.0], "coeffs": [0.5]}], 0.0, 0.5),  # constant zero piece
+        (
+            [{"domain": [-1.0, 1.0], "coeffs": [0.25, -1.0]}, {"domain": [2.0, 3.0], "coeffs": [2.0]}],
+            0.25,
+            0.0,
+        ),
+    ],
+)
+def test_piecewise_solution_distance_matches_per_call_roots(pieces, xbar, ybar):
+    got = piecewise_problem(pieces, xbar=xbar, ybar=ybar).solution_distance
+    want = _reference_piecewise_solution_distance(pieces, ybar)
+    assert (got([0.7]) == 1e30) == (pieces[0]["coeffs"][0] == 1e-10)
+    for u in np.linspace(-3.0, 4.0, 141).tolist() + [1.25, 0.0, -0.0, 1e-12]:
+        assert got(np.array([u])) == want([u])
+
+
+def _count_anchor_samples(monkeypatch, schedule):
+    import subreg.problems as problems
+
+    seed = mix_seed(schedule.seed, "soldist")
+    radii = []
+    original = problems.graph_sample
+
+    def counted(problem, center, radius, budget, s):
+        if s == seed:
+            radii.append(radius)
+        return original(problem, center, radius, budget, s)
+
+    monkeypatch.setattr(problems, "graph_sample", counted)
+    return radii
+
+
+@pytest.mark.parametrize("truncation_radius", [None, 3.0])
+def test_outer_pools_share_the_anchor_sample(monkeypatch, truncation_radius):
+    p = dataclasses.replace(catalog_problem("half-square"), solution_distance=None)
+    s = Schedule(sample_budget=256, steps=4, truncation_radius=truncation_radius)
+    radii = _count_anchor_samples(monkeypatch, s)
+    # the per-point path: every outer point draws the anchor sample itself
+    per_point = [
+        sample_outer_points(p, rho, 24, mix_seed(s.seed, "outer", k), s, level=k)
+        for k, rho in enumerate(s.rho_values())
+    ]
+    drawn = len(radii)
+    assert drawn > 1
+    radii.clear()
+    pools = outer_pools(p, s, True)
+    assert len(radii) == len(set(radii)) == 1  # one draw per distinct radius
+    fresh = [pt for level in per_point for pt in level]
+    assert len(fresh) == drawn
+    assert len(pools[0]) == len(fresh)
+    for a, b in zip(pools[0], fresh):
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        assert (a.d_x_anchor, a.d_y_anchor, a.sol_dist, a.level) == (
+            b.d_x_anchor, b.d_y_anchor, b.sol_dist, b.level,
+        )

@@ -1,8 +1,11 @@
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import subreg.moduli as moduli
@@ -207,22 +210,40 @@ class TestRunContext:
 
     def test_sweeps_share_candidates_then_drop_them(self, monkeypatch):
         gathers = Counter()
-        original = slopes_primal.gather_point_candidates
+        original = slopes_primal.sample_graph_batch
 
-        def counted(*args, **kwargs):
-            gathers["calls"] += 1
-            return original(*args, **kwargs)
+        def counted(problem, calls):
+            gathers["calls"] += len(calls)
+            return original(problem, calls)
 
-        monkeypatch.setattr(slopes_primal, "gather_point_candidates", counted)
+        monkeypatch.setattr(slopes_primal, "sample_graph_batch", counted)
         ctx = moduli.RunContext(
             catalog_problem("half-square"), 0.5, Schedule(**REDUCED_SCHEDULE)
         )
         ctx.sweep
         gathered = gathers["calls"]
-        assert len(ctx.candidates) == gathered > 0
+        assert gathered > 0
         ctx.sum_sweep
         assert gathers["calls"] == gathered  # the sum sweep gathers nothing new
-        assert ctx.candidates == {}  # and once both are done the candidates go
+        # and once both are done no per-candidate array is left: the
+        # context keeps one row of scalars per pool point
+        table = ctx.table
+        assert ctx.sweep.table is ctx.sum_sweep.table is table
+        assert int(table.sizes.sum()) > 2 * len(table.points) > 0
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, dict):
+                for v in obj.values():
+                    yield from arrays(v)
+            elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+                for field in dataclasses.fields(obj):
+                    yield from arrays(getattr(obj, field.name))
+
+        kept = list(arrays({k: v for k, v in vars(ctx).items() if k != "problem"}))
+        assert kept
+        assert all(a.shape[0] == len(table.points) for a in kept)
 
     @pytest.mark.parametrize("problem,q", [("half-square", 0.5), ("halfline-convex", 1.0)])
     def test_moduli_only_entries_equal_all_checks_entries(self, problem, q):
@@ -232,6 +253,50 @@ class TestRunContext:
         for name, entry in only["constants"].items():
             # 17 significant digits round-trip, so equal dumps are equal bits
             assert json.dumps(entry) == json.dumps(full["constants"][name]), name
+
+
+# Three benchmark configurations at seed 0 and the sha256 of their report
+# bytes, as listed in perfbench/README.md: the vectorized layers must
+# leave every report byte unchanged.
+_SCAN_SCHEDULE = {"sample_budget": 1024, "steps": 8, "seed": 0}
+_REPORT_HASHES = [
+    (
+        {"problem": "half-square", "q": 0.5, "schedule": _SCAN_SCHEDULE, "checks": ["moduli"]},
+        "b9e5842ae62a891612fa2b656616c00a3e5a016de2486444f40c81bbebcae4c4",
+    ),
+    (
+        {"problem": "halfline-convex", "q": 1.0, "schedule": _SCAN_SCHEDULE, "checks": ["moduli"]},
+        "44de48b248150c6974a5e69c74773a5401d7c3f49f3d504b2b2afb74e7c2d068",
+    ),
+    (
+        {
+            "problem": {
+                "pieces": [
+                    {"domain": [-1.0, 0.0], "coeffs": [0.0]},
+                    {"domain": [0.0, 2.0], "coeffs": [0.0, 3.0]},
+                ],
+                "xbar": 0.0,
+                "ybar": 0.0,
+                "flags": {"convex": False, "smooth": False},
+            },
+            "q": 1.0,
+            "schedule": {"sample_budget": 256, "steps": 5, "seed": 0},
+            "checks": ["slopes", "moduli", "criteria", "invariants", "theorem-7T1", "lm-constants"],
+        },
+        "9ec0a4d7746eae1714a47473f619bd68381e3f24e38245e4380a4eba826324f7",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config,digest",
+    _REPORT_HASHES,
+    ids=["half-square-scan", "halfline-convex-scan", "3max1-inline"],
+)
+def test_report_bytes_unchanged(config, digest):
+    cfg = parse_config(json.loads(json.dumps(config)))
+    text = emit_report(run_config(cfg), cfg.output_format)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_import_does_not_load_scipy(cli_env):

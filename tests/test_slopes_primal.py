@@ -15,12 +15,16 @@ from subreg import (
     strict_q_slopes,
     uniform_strict_q_slope,
 )
+import subreg.slopes_primal as slopes_primal
+from subreg import piecewise_problem
+from subreg.problems import mix_seed, outer_pools, radius_pad, sample_graph_arrays
 from subreg.slopes_primal import (
     SlopeError,
     f_level_strict,
     gather_point_candidates,
     rho_slope_profiles,
     strict_sweep,
+    sweep_table,
 )
 
 
@@ -306,3 +310,117 @@ def test_strict_sweep_shares_pools_across_families(half_square, light_schedule):
         assert r1 == r2 == r3
         if not (is_inf(u) or is_inf(m) or is_inf(p)):
             assert u >= m - 1e-6 >= p - 2e-6
+
+
+# --------------------------------------------------------------------------
+# batched gather and the sweep's level table against per-point references
+# --------------------------------------------------------------------------
+
+_INLINE_3MAX1 = [
+    {"domain": [-1.0, 0.0], "coeffs": [0.0]},
+    {"domain": [0.0, 2.0], "coeffs": [0.0, 3.0]},
+]
+
+
+def _finite_half_square():
+    xs = np.linspace(-0.5, 0.5, 41)
+    return finite_graph_problem([([x], [max(x, 0.0) ** 2]) for x in xs], [0.0], [0.0])
+
+
+_PARITY_PROBLEMS = {
+    "half-square": (lambda: catalog_problem("half-square"), 0.5),
+    "halfline-convex": (lambda: catalog_problem("halfline-convex"), 1.0),
+    "linear-A": (lambda: catalog_problem("linear-A"), 1.0),
+    "inline-3max1": (lambda: piecewise_problem(_INLINE_3MAX1, xbar=0.0, ybar=0.0), 1.0),
+    "finite": (_finite_half_square, 0.5),
+    "constant": (lambda: catalog_problem("constant"), 1.0),  # empty pools
+}
+
+
+def _reference_gather(problem, at, schedule):
+    # the per-point gather the batched one replaced: one sampler call per
+    # block, stacked with the anchor row
+    anchor = problem.anchor
+    d_anchor = problem.product_dist(at, anchor)
+    trunc = schedule.truncation_radius or 10.0 * max(1.0, d_anchor)
+    r_loc = max(schedule.neighborhood_radii[-1] * d_anchor, 2.5e-12)
+    if problem.graph_points is not None:
+        ux = np.array([p.x for p in problem.graph_points], dtype=float)
+        vy = np.array([p.y for p in problem.graph_points], dtype=float)
+    else:
+        n = max(32, schedule.sample_budget // 4)
+
+        def seed(tag):
+            return mix_seed(schedule.seed, tag, at.x.tobytes(), at.y.tobytes())
+
+        budget = schedule.sample_budget
+        local = min(96, budget) if problem.param_dim <= 1 else min(2560, 4 * budget)
+        blocks = [sample_graph_arrays(problem, at, trunc, n // 2, seed("far"))]
+        if d_anchor > 0:
+            mid = min(trunc, 2.0 * d_anchor)
+            blocks.append(sample_graph_arrays(problem, at, mid, n // 4, seed("mid")))
+        blocks.append(sample_graph_arrays(problem, at, r_loc, local, seed("loc")))
+        blocks.append((anchor.x.reshape(1, -1), anchor.y.reshape(1, -1)))
+        ux = np.vstack([b[0] for b in blocks])
+        vy = np.vstack([b[1] for b in blocks])
+    dx = problem.norm_x.value_rows(ux - at.x)
+    dy = problem.norm_y.value_rows(vy - at.y)
+    dv = problem.norm_y.value_rows(vy - problem.ybar)
+    dist = np.maximum(dx, dy)
+    return dx, dy, dv, dist, dist <= r_loc + radius_pad(at), trunc
+
+
+@pytest.mark.parametrize("name", [n for n in _PARITY_PROBLEMS if n != "constant"])
+def test_gather_matches_per_point_reference(name):
+    make, _ = _PARITY_PROBLEMS[name]
+    problem = make()
+    s = Schedule(sample_budget=256, steps=5)
+    points = [problem.anchor]  # no mid block at the anchor
+    points += [ProductPoint(p.x, p.y) for p in outer_pools(problem, s, True)[0][:6]]
+    for at in points:
+        got = gather_point_candidates(problem, at, s)
+        want = _reference_gather(problem, at, s)
+        for g, w in zip((got.dx, got.dy, got.dv, got.dist, got.local_mask), want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+        assert got.trunc_radius == want[-1]
+        assert got.d_at == problem.d_y(at.y, problem.ybar)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 600])  # one chunk, and a few points per chunk
+@pytest.mark.parametrize("truncation_radius", [None, 0.05])  # 0.05 raises truncation flags
+@pytest.mark.parametrize("name", [n for n in _PARITY_PROBLEMS if n != "linear-A"])  # gathered above
+def test_sweep_table_matches_per_point_reductions(monkeypatch, name, truncation_radius, chunk_rows):
+    if chunk_rows is not None:
+        monkeypatch.setattr(slopes_primal, "SWEEP_CHUNK_ROWS", chunk_rows)
+    make, q = _PARITY_PROBLEMS[name]
+    problem = make()
+    s = Schedule(sample_budget=256, steps=5, truncation_radius=truncation_radius)
+    table = sweep_table(problem, q, s)
+    pools = outer_pools(problem, s, True)
+    assert len(table.points) == len(pools[0])
+    assert bool(table.points) == (name != "constant")
+    for k, pool in enumerate(pools):
+        assert set(table.points[table.starts[k] :]) == set(pool)
+    for i, pt in enumerate(table.points):
+        cands = gather_point_candidates(problem, ProductPoint(pt.x, pt.y), s)
+        assert table.sizes[i] == cands.size
+        for k, rho in enumerate(s.rho_values()):
+            for metric in ("max", "sum"):
+                nl = table.nonlocal_values[metric][i, k]
+                loc = table.local_values[metric][i, k]
+                trunc = table.truncated[metric][i, k]
+                if i < table.starts[k]:  # not in level k's pool
+                    assert np.isnan(nl) and np.isnan(loc) and not trunc
+                    continue
+                assert (nl, trunc) == cands.nonlocal_value(q, rho, metric)
+                assert loc == cands.local_value(rho, metric)
+    if truncation_radius is not None and name in ("half-square", "halfline-convex"):
+        assert table.truncated["max"].any()
+
+
+def test_constant_sweep_is_inconclusive_from_its_empty_table():
+    p = catalog_problem("constant")
+    sweep = strict_sweep(p, 1.0, Schedule(sample_budget=256, steps=5))
+    for est in (sweep.uniform, sweep.plain, sweep.modified, sweep.anchor_ratio):
+        assert is_inf(est.value) and est.budget_used == 0
+        assert "inconclusive" in est.flags
