@@ -43,7 +43,6 @@ from .slopes_primal import (
     as_two_variable,
     f_level_strict,
     gather_point_candidates,
-    rho_slope_profiles,
     strict_sweep,
 )
 
@@ -735,9 +734,16 @@ def run_invariant_suite(
     # pointwise domination of the nonlocal slope over the local slope and
     # the anchor-distance ratio, on shared candidate supersets
     probes = _probe_points(problem, schedule, 24)
-    worst_f = worst_fl = 0.0
-    for p in probes:
+    rhos = schedule.rho_values()
+    worst_f = worst_fl = worst_rho = 0.0
+    for i, p in enumerate(probes):
         cands = gather_point_candidates(problem, p, schedule)
+        if i < 10:
+            # rho-monotonicity along the decreasing ladder, shared
+            # candidates; its row comes further down
+            for series in cands.rho_profiles(q, rhos).values():
+                for a, b in zip(series, series[1:]):
+                    worst_rho = min(worst_rho, b - a)
         d = problem.d_y(p.y, problem.ybar)
         dxa = problem.d_x(p.x, problem.xbar)
         dya = problem.d_y(p.y, problem.ybar)
@@ -750,10 +756,10 @@ def run_invariant_suite(
                 (d**q / anchor_den) if anchor_den > 0 else 0.0,
             )
             worst_f = min(worst_f, nl - bound)
-            fn = cands.f_nonlocal_value(q, rho)
+            # on the graph f = d(y, ybar)**q, so f's nonlocal slope is nl
             fl = cands.f_local_value(q, rho)
             fbound = max(fl, (d**q / anchor_den) if anchor_den > 0 else 0.0)
-            worst_fl = min(worst_fl, fn - fbound)
+            worst_fl = min(worst_fl, nl - fbound)
     row("nonlocal_dominates_local_and_anchor", worst_f >= -SHARED_SLACK, worst_f, 0.0, SHARED_SLACK)
     row("f_nonlocal_dominates_local_and_anchor", worst_fl >= -SHARED_SLACK, worst_fl, 0.0, SHARED_SLACK)
 
@@ -876,15 +882,7 @@ def run_invariant_suite(
     )
     row("metric_invariance", thm.metric_invariant, 0.0, 0.0, 0.0)
 
-    # rho-monotonicity along the decreasing ladder, shared candidates
-    rhos = schedule.rho_values()
-    worst = 0.0
-    for p in probes[:10]:
-        profiles = rho_slope_profiles(problem, p, q, rhos, schedule)
-        for series in profiles.values():
-            for a, b in zip(series, series[1:]):
-                worst = min(worst, b - a)
-    row("rho_monotonicity", worst >= -1e-12, worst, 0.0, 1e-12)
+    row("rho_monotonicity", worst_rho >= -1e-12, worst_rho, 0.0, 1e-12)
 
     if problem.coderivative is not None:
         worst_h = 0.0

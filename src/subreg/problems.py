@@ -638,6 +638,13 @@ def outer_pools(
     return tuple(pools)
 
 
+def pool_depths(pools: tuple) -> dict:
+    """The finest level holding each point of nested outer pools;
+    ``pools[0]`` holds every point and level ``k``'s pool is the points
+    of depth ``k`` or more, in ``pools[0]``'s order."""
+    return {p: k for k, pool in enumerate(pools) for p in pool}
+
+
 @dataclass(frozen=True)
 class P1P2Report:
     p1_status: str

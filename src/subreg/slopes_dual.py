@@ -7,12 +7,17 @@ dimension, sampled dual directions otherwise), the strict q-slopes take
 per-level infima over the shared outer pools, and the limiting
 coderivative minimum norm realizes the sequential outer limit along the
 shrinking shells.
+
+Every constant walks the coarsest outer pool once, point by point in
+pool order, and covers all the levels holding a point before moving on.
+At each point, the image norm of each distinct multiplier is computed
+once (:func:`_image_norms`) and shared by that point's levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .problems import (
     Schedule,
     mix_seed,
     outer_pools,
+    pool_depths,
 )
 from .slopes_primal import SlopeEstimate, _finish
 
@@ -64,11 +70,28 @@ def coderivative_query(problem: MappingProblem, at: ProductPoint, ystar) -> Code
     return CoderivativeQuery(at, ystar, problem.coderivative(at.x, at.y, ystar))
 
 
-def _image_min_norm(problem: MappingProblem, x, y, ystar) -> ExtReal:
-    res = problem.coderivative(x, y, np.asarray(ystar, dtype=float).reshape(-1))
-    if res is None:
-        return INF
-    return res.min_norm(problem.norm_x.dual())
+def _image_norms(problem: MappingProblem, at) -> Callable:
+    """``multipliers -> inf |x*|`` over x* in D*F(x,y)(multipliers) at the
+    point ``at``, calling the oracle once per distinct y*, which the
+    levels of the point and its plain and approximate values share.  The
+    scan keeps the first of tied values, and an empty or all-``INF`` scan
+    returns ``INF``."""
+    dual_x = problem.norm_x.dual()
+    memo = {}
+
+    def image_norms(multipliers) -> ExtReal:
+        best: ExtReal = INF
+        for ys in multipliers:
+            ys = np.asarray(ys, dtype=float).reshape(-1)
+            key = ys.tobytes()
+            if key not in memo:
+                res = problem.coderivative(at.x, at.y, ys)
+                memo[key] = INF if res is None else res.min_norm(dual_x)
+            if memo[key] < best:
+                best = memo[key]
+        return best
+
+    return image_norms
 
 
 def _pert_multipliers(problem: MappingProblem, j: np.ndarray, pert: float, seed: int) -> list:
@@ -92,62 +115,40 @@ def _pert_multipliers(problem: MappingProblem, j: np.ndarray, pert: float, seed:
     return cands
 
 
+def _approx_directions(
+    problem: MappingProblem, diff: np.ndarray, v_radius: float, seed: int
+) -> list:
+    """``diff`` followed by the directions near it over which the
+    approximate variant's inner liminf ranges; the centre is always
+    included, so the approximate value never exceeds the plain one."""
+    if v_radius <= 0.0:
+        return [diff]
+    if problem.dim_y == 1:
+        return [diff, diff + np.array([v_radius]), diff - np.array([v_radius])]
+    dirs = _dual_ball_directions(problem.dim_y, problem.norm_y, 4, seed)
+    return [diff] + [diff + v_radius * d for d in dirs]
+
+
 def _subdiff_value(
     problem: MappingProblem,
-    x: np.ndarray,
-    y: np.ndarray,
+    image_norms: Callable,
+    directions: list,
     pert: float,
     seed: int,
 ) -> ExtReal:
-    """inf |x*| over x* in D*F(x,y)(J(y - ybar) + pert * B*)."""
-    diff = y - problem.ybar
+    """inf |x*| over x* in D*F(x,y)(J(v) + pert * B*) and over the nonzero
+    directions v: ``[y - ybar]`` for the plain value."""
     dual = problem.norm_y.dual()
-    js = duality_map(diff, problem.norm_y).members()
+    js = [
+        j
+        for v in directions
+        if problem.norm_y.value(v) > 0.0
+        for j in duality_map(v, problem.norm_y).members()
+    ]
     if pert >= min(dual.value(j) for j in js):
         # 0 lies in the perturbed multiplier set and D*F(x,y)(0) owns 0
         return 0.0
-    best: ExtReal = INF
-    for j in js:
-        for ys in _pert_multipliers(problem, j, pert, seed):
-            v = _image_min_norm(problem, x, y, ys)
-            if v < best:
-                best = v
-    return best
-
-
-def _approx_subdiff_value(
-    problem: MappingProblem,
-    x: np.ndarray,
-    y: np.ndarray,
-    pert: float,
-    v_radius: float,
-    seed: int,
-) -> ExtReal:
-    """liminf proxy over directions v near y - ybar of the plain value;
-    the center v = y - ybar is always included, so the approximate value
-    never exceeds the plain one on shared candidates."""
-    diff = y - problem.ybar
-    dual = problem.norm_y.dual()
-    vs = [diff]
-    if v_radius > 0.0:
-        if problem.dim_y == 1:
-            vs += [diff + np.array([v_radius]), diff - np.array([v_radius])]
-        else:
-            for d in _dual_ball_directions(problem.dim_y, problem.norm_y, 4, seed):
-                vs.append(diff + v_radius * d)
-    best: ExtReal = INF
-    for v in vs:
-        if problem.norm_y.value(v) <= 0.0:
-            continue
-        js = duality_map(v, problem.norm_y).members()
-        if pert >= min(dual.value(j) for j in js):
-            return 0.0
-        for j in js:
-            for ys in _pert_multipliers(problem, j, pert, seed):
-                val = _image_min_norm(problem, x, y, ys)
-                if val < best:
-                    best = val
-    return best
+    return image_norms(ys for j in js for ys in _pert_multipliers(problem, j, pert, seed))
 
 
 def subdiff_rho_slope(
@@ -178,14 +179,16 @@ def subdiff_rho_slope(
     if d <= 0.0:
         raise DualSlopeError("subdifferential slope undefined at y == ybar")
     seed = mix_seed(schedule.seed, "dirs")
+    diff = at.y - problem.ybar
+    image_norms = _image_norms(problem, at)
     if variant == "plain":
-        value = _subdiff_value(problem, at.x, at.y, rho, seed)
+        value = _subdiff_value(problem, image_norms, [diff], rho, seed)
         return SlopeEstimate(value, ((rho, value),), False, 1, "subdiff_rho_plain")
     trace = []
     for nr in schedule.neighborhood_radii:
         v_radius = (nr / 10.0) * d
-        val = _approx_subdiff_value(problem, at.x, at.y, rho, v_radius, seed)
-        trace.append((v_radius, val))
+        near = _approx_directions(problem, diff, v_radius, seed)
+        trace.append((v_radius, _subdiff_value(problem, image_norms, near, rho, seed)))
     return SlopeEstimate(
         trace[-1][1], tuple(trace), False, len(trace), "subdiff_rho_approx"
     )
@@ -205,8 +208,8 @@ def f_level_subdiff_rho_slope(
     xi = xi_q(at.y, problem.ybar, q, problem.norm_y)
     inner = _subdiff_value(
         problem,
-        at.x,
-        at.y,
+        _image_norms(problem, at),
+        [at.y - problem.ybar],
         xi * rho,
         mix_seed(schedule.seed, "dirs"),
     )
@@ -243,28 +246,28 @@ def strict_subdiff_q_slopes(
     if not 0.0 < q <= 1.0:
         raise DualSlopeError("q must lie in (0, 1]")
     rhos = schedule.rho_values()
+    keys = ("plain", "approx", "modified", "modified_approx")
     if problem.coderivative is None:
-        est = [_inconclusive(f"subdiff_strict_q_{t}", rhos) for t in
-               ("plain", "approx", "modified", "modified_approx")]
-        return DualStrictSlopes(*est)
+        return DualStrictSlopes(*(_inconclusive(f"subdiff_strict_q_{t}", rhos) for t in keys))
 
     pools = outer_pools(problem, schedule, True)
+    depths = pool_depths(pools)
+    seed = mix_seed(schedule.seed, "dirs")
     v_frac = schedule.neighborhood_radii[-1] / 10.0
-    tr = {k: [] for k in ("plain", "approx", "modified", "modified_approx")}
+    best = {key: [INF] * len(rhos) for key in keys}
     used = 0
-    for k, rho in enumerate(rhos):
-        best = {key: INF for key in tr}
-        for pt in pools[k]:
-            d = pt.d_y_anchor
-            weight = q * d ** (q - 1.0)
-            pert = (d ** (1.0 - q) / q) * rho
-            seed = mix_seed(schedule.seed, "dirs")
+    for pt in pools[0]:  # in pool order, so a tie keeps the first point
+        d = pt.d_y_anchor
+        weight = q * d ** (q - 1.0)
+        ratio = d**q / pt.d_x_anchor if pt.d_x_anchor > 0 else INF
+        diff = pt.y - problem.ybar
+        near = _approx_directions(problem, diff, v_frac * d, seed)
+        image_norms = _image_norms(problem, pt)
+        for k in range(depths[pt] + 1):
             used += 1
-            plain_val = _subdiff_value(problem, pt.x, pt.y, pert, seed)
-            approx_val = _approx_subdiff_value(
-                problem, pt.x, pt.y, pert, v_frac * d, seed
-            )
-            ratio = pt.d_y_anchor**q / pt.d_x_anchor if pt.d_x_anchor > 0 else INF
+            pert = (d ** (1.0 - q) / q) * rhos[k]
+            plain_val = _subdiff_value(problem, image_norms, [diff], pert, seed)
+            approx_val = _subdiff_value(problem, image_norms, near, pert, seed)
             vals = {
                 "plain": weight * plain_val if not is_inf(plain_val) else INF,
                 "approx": weight * approx_val if not is_inf(approx_val) else INF,
@@ -272,18 +275,11 @@ def strict_subdiff_q_slopes(
             vals["modified"] = max(vals["plain"], ratio)
             vals["modified_approx"] = max(vals["approx"], ratio)
             for key, v in vals.items():
-                if v < best[key]:
-                    best[key] = v
-        for key in tr:
-            tr[key].append((rho, best[key]))
+                if v < best[key][k]:
+                    best[key][k] = v
 
     return DualStrictSlopes(
-        plain=_finish("subdiff_strict_q_plain", tr["plain"], False, used),
-        approx=_finish("subdiff_strict_q_approx", tr["approx"], False, used),
-        modified=_finish("subdiff_strict_q_modified", tr["modified"], False, used),
-        modified_approx=_finish(
-            "subdiff_strict_q_modified_approx", tr["modified_approx"], False, used
-        ),
+        *(_finish(f"subdiff_strict_q_{t}", list(zip(rhos, best[t])), False, used) for t in keys)
     )
 
 
@@ -304,29 +300,25 @@ def limiting_coderivative_min_norm(
     if problem.coderivative is None:
         return _inconclusive("limiting_coderivative_min_norm", rhos)
     pools = outer_pools(problem, schedule, True)
+    depths = pool_depths(pools)
     dual = problem.norm_y.dual()
-    trace = []
+    seed = mix_seed(schedule.seed, "dirs")
+    best = [INF] * len(rhos)
     capped = False
     used = 0
-    for k, rho in enumerate(rhos):
-        delta = rho
-        best: ExtReal = INF
-        for pt in pools[k]:
-            d = pt.d_y_anchor
-            scale = q * d ** (q - 1.0)
-            diff = pt.y - problem.ybar
-            for j in duality_map(diff, problem.norm_y).members():
-                center = scale * j
-                if dual.value(center) > MULTIPLIER_CAP:
-                    capped = True
-                    continue
-                seed = mix_seed(schedule.seed, "dirs")
-                for ys in _pert_multipliers(problem, center, delta, seed):
-                    used += 1
-                    v = _image_min_norm(problem, pt.x, pt.y, ys)
-                    if v < best:
-                        best = v
-        trace.append((rho, best))
+    for pt in pools[0]:  # in pool order, so a tie keeps the first point
+        scale = q * pt.d_y_anchor ** (q - 1.0)
+        js = duality_map(pt.y - problem.ybar, problem.norm_y).members()
+        centers = [c for c in (scale * j for j in js) if dual.value(c) <= MULTIPLIER_CAP]
+        capped = capped or len(centers) < len(js)
+        image_norms = _image_norms(problem, pt)
+        for k in range(depths[pt] + 1):
+            ystars = [ys for c in centers for ys in _pert_multipliers(problem, c, rhos[k], seed)]
+            used += len(ystars)
+            v = image_norms(ystars)
+            if v < best[k]:
+                best[k] = v
+    trace = list(zip(rhos, best))
     est = _finish("limiting_coderivative_min_norm", trace, False, used)
     if capped:
         est = SlopeEstimate(
@@ -345,21 +337,6 @@ def limiting_coderivative_min_norm(
 # --------------------------------------------------------------------------
 
 
-def _enlargement_min(
-    problem: MappingProblem, x, y, v, q: float, eps: float, seed: int
-) -> ExtReal:
-    """min |x*| over D*F(x,y)(J^q_eps(v))."""
-    enl = q_duality_enlargement(v, q, eps, 4, seed, problem.norm_y)
-    if enl.is_empty():
-        return INF
-    best: ExtReal = INF
-    for w in enl.members():
-        val = _image_min_norm(problem, x, y, w)
-        if val < best:
-            best = val
-    return best
-
-
 def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple:
     """The two enlargement-based constants (alpha, beta).
 
@@ -376,45 +353,42 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
     if problem.coderivative is None:
         return (_inconclusive("lm_alpha", rhos), _inconclusive("lm_beta", rhos))
     pools = outer_pools(problem, schedule, True)
-    edge_fracs = (0.0, 0.5, 0.99, 1.0 - 1e-9)
-    tr_a, tr_b = [], []
+    depths = pool_depths(pools)
+    seed = mix_seed(schedule.seed, "dirs")
+    dirs = (
+        [np.array([1.0]), np.array([-1.0])]
+        if problem.dim_y == 1
+        else _dual_ball_directions(problem.dim_y, problem.norm_y, 4, seed)
+    )
+    best_a = [INF] * len(rhos)
+    best_b = [INF] * len(rhos)
     used = 0
-    for k, eps in enumerate(rhos):
-        best_a: ExtReal = INF
-        best_b: ExtReal = INF
-        for pt in pools[k]:
+    for pt in pools[0]:  # in pool order, so a tie keeps the first point
+        diff = pt.y - problem.ybar
+        y_window = pt.d_x_anchor ** (1.0 / q)
+        targets = [diff]
+        for frac in (0.5, 0.99, 1.0 - 1e-9):
+            for dvec in dirs:
+                targets.append(diff + frac * y_window * dvec)
+        # diff comes first, and its norm is d(y, ybar) > 0: beta's target
+        targets = [(t, dy) for t in targets if (dy := problem.norm_y.value(t)) > 0.0]
+        image_norms = _image_norms(problem, pt)
+        for k in range(depths[pt] + 1):
+            eps = rhos[k]
             if not (pt.d_x_anchor < eps and pt.d_y_anchor < min(eps, pt.d_x_anchor**0.5)):
                 continue
-            seed = mix_seed(schedule.seed, "dirs")
-            diff = pt.y - problem.ybar
             used += 1
-            inner = _enlargement_min(problem, pt.x, pt.y, diff, q, eps, seed)
-            if not is_inf(inner):
-                b_val = q * inner * pt.d_y_anchor ** (q - 1.0)
-                if b_val < best_b:
-                    best_b = b_val
-            y_window = pt.d_x_anchor ** (1.0 / q)
-            targets = [diff]
-            dirs = (
-                [np.array([1.0]), np.array([-1.0])]
-                if problem.dim_y == 1
-                else _dual_ball_directions(problem.dim_y, problem.norm_y, 4, seed)
-            )
-            for frac in edge_fracs[1:]:
-                for dvec in dirs:
-                    targets.append(diff + frac * y_window * dvec)
-            for target in targets:
-                dy = problem.norm_y.value(target)
-                if dy <= 0.0:
-                    continue
-                inner = _enlargement_min(problem, pt.x, pt.y, target, q, eps, seed)
+            for i, (target, dy) in enumerate(targets):
+                # min |x*| over D*F(x,y)(J^q_eps(target))
+                enl = q_duality_enlargement(target, q, eps, 4, seed, problem.norm_y)
+                inner = image_norms(() if enl.is_empty() else enl.members())
                 if is_inf(inner):
                     continue
-                a_val = q * inner * dy ** (q - 1.0)
-                if a_val < best_a:
-                    best_a = a_val
-        tr_a.append((eps, best_a))
-        tr_b.append((eps, best_b))
+                val = q * inner * dy ** (q - 1.0)
+                if i == 0 and val < best_b[k]:
+                    best_b[k] = val
+                if val < best_a[k]:
+                    best_a[k] = val
 
     def _sup(kind: str, trace: list) -> SlopeEstimate:
         finite = [v for _, v in trace if not is_inf(v)]
@@ -424,4 +398,4 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
             flags += ("empty-levels",)
         return SlopeEstimate(value, tuple(trace), False, used, kind, flags)
 
-    return _sup("lm_alpha", tr_a), _sup("lm_beta", tr_b)
+    return _sup("lm_alpha", list(zip(rhos, best_a))), _sup("lm_beta", list(zip(rhos, best_b)))

@@ -29,6 +29,7 @@ from .problems import (
     halving_offsets,
     mix_seed,
     outer_pools,
+    pool_depths,
     radius_pad,
     radius_pads,
     sample_graph_arrays,
@@ -137,16 +138,21 @@ class PointCandidates:
         value, _ = self._reduce(num, rho, metric, mask=self.local_mask)
         return value
 
-    def f_nonlocal_value(self, q: float, rho: float, metric: str = "max") -> float:
-        # induced error function: f = d(v, ybar)**q on the graph
-        num = self.d_at**q - np.maximum(self.dv**q, 0.0)
-        value, _ = self._reduce(num, rho, metric)
-        return value
-
     def f_local_value(self, q: float, rho: float, metric: str = "max") -> float:
+        # induced error function f = d(v, ybar)**q on the graph; its
+        # nonlocal slope is nonlocal_value's
         num = self.d_at**q - self.dv**q
         value, _ = self._reduce(num, rho, metric, mask=self.local_mask)
         return value
+
+    def rho_profiles(self, q: float, rhos: Sequence[float]) -> dict:
+        """The nonlocal, local and f-level local slopes across a rho list."""
+        out = {"nonlocal": [], "local": [], "f_local": []}
+        for rho in rhos:
+            out["nonlocal"].append(self.nonlocal_value(q, rho)[0])
+            out["local"].append(self.local_value(rho))
+            out["f_local"].append(self.f_local_value(q, rho))
+        return out
 
 
 @dataclass(eq=False)
@@ -469,7 +475,7 @@ def sweep_table(
     candidates gathered once and dropped with its chunk."""
     pools = outer_pools(problem, schedule, outer_restriction)
     rhos = schedule.rho_values()
-    depth = {p: k for k, pool in enumerate(pools) for p in pool}
+    depth = pool_depths(pools)
     points = tuple(sorted(pools[0], key=depth.__getitem__))
     depths = np.array([depth[p] for p in points], dtype=np.int64)
     shape = (len(points), len(rhos))
@@ -945,12 +951,4 @@ def rho_slope_profiles(
     """Slope values across a rho list on one fixed candidate set per
     family; used to check monotonicity along the decreasing-rho ladder."""
     _require_on_graph(problem, at)
-    cands = gather_point_candidates(problem, at, schedule)
-    out = {"nonlocal": [], "local": [], "f_nonlocal": [], "f_local": []}
-    for rho in rhos:
-        nl, _ = cands.nonlocal_value(q, rho)
-        out["nonlocal"].append(nl)
-        out["local"].append(cands.local_value(rho))
-        out["f_nonlocal"].append(cands.f_nonlocal_value(q, rho))
-        out["f_local"].append(cands.f_local_value(q, rho))
-    return out
+    return gather_point_candidates(problem, at, schedule).rho_profiles(q, rhos)

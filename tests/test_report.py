@@ -255,10 +255,12 @@ class TestRunContext:
             assert json.dumps(entry) == json.dumps(full["constants"][name]), name
 
 
-# Three benchmark configurations at seed 0 and the sha256 of their report
+# Five benchmark configurations at seed 0 and the sha256 of their report
 # bytes, as listed in perfbench/README.md: the vectorized layers must
-# leave every report byte unchanged.
+# leave every report byte unchanged.  The two catalog rows pin the 2-D
+# dual path (linear-A) and empty coderivative images (halfline-convex).
 _SCAN_SCHEDULE = {"sample_budget": 1024, "steps": 8, "seed": 0}
+_CATALOG_SCHEDULE = {"sample_budget": 256, "steps": 5, "seed": 0}
 _REPORT_HASHES = [
     (
         {"problem": "half-square", "q": 0.5, "schedule": _SCAN_SCHEDULE, "checks": ["moduli"]},
@@ -285,13 +287,39 @@ _REPORT_HASHES = [
         },
         "9ec0a4d7746eae1714a47473f619bd68381e3f24e38245e4380a4eba826324f7",
     ),
+    (
+        {
+            "problem": "linear-A",
+            "q": 1.0,
+            "gamma": 0.5,
+            "schedule": _CATALOG_SCHEDULE,
+            "checks": ALL_CHECKS,
+        },
+        "bdbb5efb0c5e0d1165995afbdf346c38f9333acd6aec278377176acc04930152",
+    ),
+    (
+        {
+            "problem": "halfline-convex",
+            "q": 1.0,
+            "gamma": 0.5,
+            "schedule": _CATALOG_SCHEDULE,
+            "checks": ALL_CHECKS,
+        },
+        "abcc7a96f64e7704ee5e224e8d8a51495b9ec4754e8ecda9953686e247294441",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "config,digest",
     _REPORT_HASHES,
-    ids=["half-square-scan", "halfline-convex-scan", "3max1-inline"],
+    ids=[
+        "half-square-scan",
+        "halfline-convex-scan",
+        "3max1-inline",
+        "linear-A-catalog",
+        "halfline-convex-catalog",
+    ],
 )
 def test_report_bytes_unchanged(config, digest):
     cfg = parse_config(json.loads(json.dumps(config)))

@@ -1,22 +1,40 @@
+import dataclasses
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from subreg import (
+    INF,
+    DualVectorSet,
     ErrorFunction,
     ProductPoint,
     Schedule,
     catalog_problem,
     coderivative_query,
     f_level_subdiff_rho_slope,
+    graph_sample,
     is_inf,
     limiting_coderivative_min_norm,
     lm_constants,
+    piecewise_problem,
     strict_q_slopes,
     strict_subdiff_q_slopes,
     subdiff_rho_slope,
     xi_q,
 )
-from subreg.slopes_dual import DualSlopeError, MissingOracleError
+from subreg.geometry import _dual_ball_directions, duality_map, q_duality_enlargement
+from subreg.problems import mix_seed, outer_pools
+from subreg.slopes_dual import (
+    MULTIPLIER_CAP,
+    DualSlopeError,
+    DualStrictSlopes,
+    MissingOracleError,
+    _inconclusive,
+    _pert_multipliers,
+)
+from subreg.slopes_primal import SlopeEstimate, _finish
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +205,348 @@ class TestQOneFastPath:
         at = ProductPoint([x], [x * x])
         got = f_level_subdiff_rho_slope(ef, rho, at, schedule)
         assert got == pytest.approx(1.0 - 2 * x * rho, abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# The level-major dual layer, kept as the reference the per-point engine
+# must match bitwise: every level scans its pool, and every multiplier
+# calls the oracle.
+# --------------------------------------------------------------------------
+
+
+def _image_min_norm(problem, x, y, ystar):
+    res = problem.coderivative(x, y, np.asarray(ystar, dtype=float).reshape(-1))
+    if res is None:
+        return INF
+    return res.min_norm(problem.norm_x.dual())
+
+
+def _subdiff_value(problem, x, y, pert, seed):
+    diff = y - problem.ybar
+    dual = problem.norm_y.dual()
+    js = duality_map(diff, problem.norm_y).members()
+    if pert >= min(dual.value(j) for j in js):
+        return 0.0
+    best = INF
+    for j in js:
+        for ys in _pert_multipliers(problem, j, pert, seed):
+            v = _image_min_norm(problem, x, y, ys)
+            if v < best:
+                best = v
+    return best
+
+
+def _approx_subdiff_value(problem, x, y, pert, v_radius, seed):
+    diff = y - problem.ybar
+    dual = problem.norm_y.dual()
+    vs = [diff]
+    if v_radius > 0.0:
+        if problem.dim_y == 1:
+            vs += [diff + np.array([v_radius]), diff - np.array([v_radius])]
+        else:
+            for d in _dual_ball_directions(problem.dim_y, problem.norm_y, 4, seed):
+                vs.append(diff + v_radius * d)
+    best = INF
+    for v in vs:
+        if problem.norm_y.value(v) <= 0.0:
+            continue
+        js = duality_map(v, problem.norm_y).members()
+        if pert >= min(dual.value(j) for j in js):
+            return 0.0
+        for j in js:
+            for ys in _pert_multipliers(problem, j, pert, seed):
+                val = _image_min_norm(problem, x, y, ys)
+                if val < best:
+                    best = val
+    return best
+
+
+def _enlargement_min(problem, x, y, v, q, eps, seed):
+    enl = q_duality_enlargement(v, q, eps, 4, seed, problem.norm_y)
+    if enl.is_empty():
+        return INF
+    best = INF
+    for w in enl.members():
+        val = _image_min_norm(problem, x, y, w)
+        if val < best:
+            best = val
+    return best
+
+
+def _subdiff_rho_slope_ref(problem, rho, at, variant, schedule):
+    d = problem.d_y(at.y, problem.ybar)
+    seed = mix_seed(schedule.seed, "dirs")
+    if variant == "plain":
+        value = _subdiff_value(problem, at.x, at.y, rho, seed)
+        return SlopeEstimate(value, ((rho, value),), False, 1, "subdiff_rho_plain")
+    trace = []
+    for nr in schedule.neighborhood_radii:
+        v_radius = (nr / 10.0) * d
+        trace.append((v_radius, _approx_subdiff_value(problem, at.x, at.y, rho, v_radius, seed)))
+    return SlopeEstimate(trace[-1][1], tuple(trace), False, len(trace), "subdiff_rho_approx")
+
+
+def _f_level_subdiff_ref(ef, rho, at, schedule):
+    problem, q = ef.problem, ef.q
+    d = problem.d_y(at.y, problem.ybar)
+    xi = xi_q(at.y, problem.ybar, q, problem.norm_y)
+    inner = _subdiff_value(problem, at.x, at.y, xi * rho, mix_seed(schedule.seed, "dirs"))
+    return q * d ** (q - 1.0) * inner
+
+
+def _strict_ref(problem, q, schedule):
+    rhos = schedule.rho_values()
+    keys = ("plain", "approx", "modified", "modified_approx")
+    if problem.coderivative is None:
+        return DualStrictSlopes(*(_inconclusive(f"subdiff_strict_q_{t}", rhos) for t in keys))
+    pools = outer_pools(problem, schedule, True)
+    v_frac = schedule.neighborhood_radii[-1] / 10.0
+    tr = {k: [] for k in keys}
+    used = 0
+    for k, rho in enumerate(rhos):
+        best = {key: INF for key in tr}
+        for pt in pools[k]:
+            d = pt.d_y_anchor
+            weight = q * d ** (q - 1.0)
+            pert = (d ** (1.0 - q) / q) * rho
+            seed = mix_seed(schedule.seed, "dirs")
+            used += 1
+            plain_val = _subdiff_value(problem, pt.x, pt.y, pert, seed)
+            approx_val = _approx_subdiff_value(problem, pt.x, pt.y, pert, v_frac * d, seed)
+            ratio = pt.d_y_anchor**q / pt.d_x_anchor if pt.d_x_anchor > 0 else INF
+            vals = {
+                "plain": weight * plain_val if not is_inf(plain_val) else INF,
+                "approx": weight * approx_val if not is_inf(approx_val) else INF,
+            }
+            vals["modified"] = max(vals["plain"], ratio)
+            vals["modified_approx"] = max(vals["approx"], ratio)
+            for key, v in vals.items():
+                if v < best[key]:
+                    best[key] = v
+        for key in tr:
+            tr[key].append((rho, best[key]))
+    return DualStrictSlopes(*(_finish(f"subdiff_strict_q_{t}", tr[t], False, used) for t in keys))
+
+
+def _limiting_ref(problem, q, schedule):
+    rhos = schedule.rho_values()
+    if problem.coderivative is None:
+        return _inconclusive("limiting_coderivative_min_norm", rhos)
+    pools = outer_pools(problem, schedule, True)
+    dual = problem.norm_y.dual()
+    trace = []
+    capped = False
+    used = 0
+    for k, rho in enumerate(rhos):
+        best = INF
+        for pt in pools[k]:
+            scale = q * pt.d_y_anchor ** (q - 1.0)
+            for j in duality_map(pt.y - problem.ybar, problem.norm_y).members():
+                center = scale * j
+                if dual.value(center) > MULTIPLIER_CAP:
+                    capped = True
+                    continue
+                seed = mix_seed(schedule.seed, "dirs")
+                for ys in _pert_multipliers(problem, center, rho, seed):
+                    used += 1
+                    v = _image_min_norm(problem, pt.x, pt.y, ys)
+                    if v < best:
+                        best = v
+        trace.append((rho, best))
+    est = _finish("limiting_coderivative_min_norm", trace, False, used)
+    if capped:
+        est = dataclasses.replace(est, flags=est.flags + ("multiplier-cap",))
+    return est
+
+
+def _lm_ref(problem, q, schedule):
+    rhos = schedule.rho_values()
+    if problem.coderivative is None:
+        return (_inconclusive("lm_alpha", rhos), _inconclusive("lm_beta", rhos))
+    pools = outer_pools(problem, schedule, True)
+    tr_a, tr_b = [], []
+    used = 0
+    for k, eps in enumerate(rhos):
+        best_a = best_b = INF
+        for pt in pools[k]:
+            if not (pt.d_x_anchor < eps and pt.d_y_anchor < min(eps, pt.d_x_anchor**0.5)):
+                continue
+            seed = mix_seed(schedule.seed, "dirs")
+            diff = pt.y - problem.ybar
+            used += 1
+            inner = _enlargement_min(problem, pt.x, pt.y, diff, q, eps, seed)
+            if not is_inf(inner):
+                b_val = q * inner * pt.d_y_anchor ** (q - 1.0)
+                if b_val < best_b:
+                    best_b = b_val
+            y_window = pt.d_x_anchor ** (1.0 / q)
+            targets = [diff]
+            dirs = (
+                [np.array([1.0]), np.array([-1.0])]
+                if problem.dim_y == 1
+                else _dual_ball_directions(problem.dim_y, problem.norm_y, 4, seed)
+            )
+            for frac in (0.5, 0.99, 1.0 - 1e-9):
+                for dvec in dirs:
+                    targets.append(diff + frac * y_window * dvec)
+            for target in targets:
+                dy = problem.norm_y.value(target)
+                if dy <= 0.0:
+                    continue
+                inner = _enlargement_min(problem, pt.x, pt.y, target, q, eps, seed)
+                if is_inf(inner):
+                    continue
+                a_val = q * inner * dy ** (q - 1.0)
+                if a_val < best_a:
+                    best_a = a_val
+        tr_a.append((eps, best_a))
+        tr_b.append((eps, best_b))
+
+    def _sup(kind, trace):
+        finite = [v for _, v in trace if not is_inf(v)]
+        flags = ("inconclusive",) if not finite else ()
+        if any(is_inf(v) for _, v in trace):
+            flags += ("empty-levels",)
+        return SlopeEstimate(max(finite) if finite else INF, tuple(trace), False, used, kind, flags)
+
+    return _sup("lm_alpha", tr_a), _sup("lm_beta", tr_b)
+
+
+def _bits(v):
+    """A value's exact identity: the ``INF`` object itself, or the type
+    and the hex form of a float (which tells -0.0 from 0.0)."""
+    return "INF" if v is INF else (type(v).__name__, float(v).hex())
+
+
+def _assert_same(new: SlopeEstimate, ref: SlopeEstimate):
+    assert new.kind == ref.kind
+    assert _bits(new.value) == _bits(ref.value), new.kind
+    assert [(_bits(r), _bits(v)) for r, v in new.trace] == [
+        (_bits(r), _bits(v)) for r, v in ref.trace
+    ], new.kind
+    assert new.budget_used == ref.budget_used, new.kind
+    assert new.truncated == ref.truncated
+    assert new.flags == ref.flags, new.kind
+
+
+PARITY_SCHEDULE = Schedule(sample_budget=256, steps=5)
+
+# y = x on [0, 1/8] and 2x - 1/8 above: some outer points sit on the
+# kink, where the inline oracle has no description (returns None)
+_KINK_PIECES = [
+    {"domain": [-1.0, 0.0], "coeffs": [0.0]},
+    {"domain": [0.0, 0.125], "coeffs": [0.0, 1.0]},
+    {"domain": [0.125, 2.0], "coeffs": [-0.125, 2.0]},
+]
+
+
+def _kink():
+    return piecewise_problem(_KINK_PIECES, xbar=0.0, ybar=0.0, name="inline-kink")
+
+
+def _ball_half_square():
+    # a dual ball, which has no member list: the min norm is |c| - r
+    def coderivative(x, y, ystar):
+        ys = float(ystar[0])
+        return DualVectorSet.ball([2.0 * max(float(x[0]), 0.0) * ys], 0.1 * abs(ys))
+
+    return dataclasses.replace(catalog_problem("half-square"), coderivative=coderivative)
+
+
+class _SignedZeroImage:
+    """An image whose least norm is a signed zero: every multiplier ties,
+    and only the scan order decides which zero a level keeps."""
+
+    def __init__(self, zero):
+        self.zero = zero
+
+    def min_norm(self, dual_norm):
+        return self.zero
+
+
+def _signed_zero():
+    def coderivative(x, y, ystar):
+        sign = math.sin(1e4 * float(x[0]) + 1e3 * float(ystar[0]))
+        return _SignedZeroImage(math.copysign(0.0, sign))
+
+    return dataclasses.replace(catalog_problem("half-square"), coderivative=coderivative)
+
+
+def _no_oracle():
+    return dataclasses.replace(catalog_problem("identity"), coderivative=None)
+
+
+PARITY_CASES = {
+    "half-square": (lambda: catalog_problem("half-square"), 0.5),
+    "half-square-cap": (lambda: catalog_problem("half-square"), 0.25),
+    "halfline-convex": (lambda: catalog_problem("halfline-convex"), 1.0),
+    "linear-A": (lambda: catalog_problem("linear-A"), 1.0),
+    "inline-kink": (_kink, 1.0),
+    "constant": (lambda: catalog_problem("constant"), 1.0),
+    "ball": (_ball_half_square, 0.5),
+    "signed-zero": (_signed_zero, 1.0),
+    "no-oracle": (_no_oracle, 1.0),
+}
+
+
+class TestPerPointEngineParity:
+    @pytest.mark.parametrize("case", list(PARITY_CASES))
+    def test_constants_match_level_major_reference(self, case):
+        make, q = PARITY_CASES[case]
+        p, s = make(), PARITY_SCHEDULE
+        new, ref = strict_subdiff_q_slopes(p, q, s), _strict_ref(p, q, s)
+        for field in ("plain", "approx", "modified", "modified_approx"):
+            _assert_same(getattr(new, field), getattr(ref, field))
+        _assert_same(limiting_coderivative_min_norm(p, q, s), _limiting_ref(p, q, s))
+        for new_est, ref_est in zip(lm_constants(p, q, s), _lm_ref(p, q, s)):
+            _assert_same(new_est, ref_est)
+
+    def test_cases_reach_their_paths(self):
+        s = PARITY_SCHEDULE
+        cap = limiting_coderivative_min_norm(catalog_problem("half-square"), 0.25, s)
+        assert "multiplier-cap" in cap.flags
+        kink = _kink()
+        pool = outer_pools(kink, s, True)[0]
+        assert any(kink.coderivative(pt.x, pt.y, np.ones(1)) is None for pt in pool)
+        halfline = catalog_problem("halfline-convex")
+        pool = outer_pools(halfline, s, True)[0]
+        assert any(halfline.coderivative(pt.x, pt.y, -np.ones(1)).is_empty() for pt in pool)
+        assert not outer_pools(catalog_problem("constant"), s, True)[0]
+        assert catalog_problem("linear-A").dim_y == 2
+
+    @pytest.mark.parametrize(
+        "case", ["half-square", "halfline-convex", "linear-A", "inline-kink", "ball"]
+    )
+    def test_pointwise_slopes_match_reference(self, case, schedule):
+        make, q = PARITY_CASES[case]
+        p = make()
+        pts = [pt for pt in graph_sample(p, p.anchor, 0.5, 16, 5) if p.d_y(pt.y, p.ybar) > 0]
+        pts += [ProductPoint(pt.x, pt.y) for pt in outer_pools(p, PARITY_SCHEDULE, True)[0][:4]]
+        assert len(pts) >= 8
+        ef = ErrorFunction(p, q)
+        for at in pts:
+            for rho in (0.0, 0.05, 0.4):
+                for variant in ("plain", "approximate"):
+                    _assert_same(
+                        subdiff_rho_slope(p, rho, at, variant, schedule),
+                        _subdiff_rho_slope_ref(p, rho, at, variant, schedule),
+                    )
+                new = f_level_subdiff_rho_slope(ef, rho, at, schedule)
+                assert _bits(new) == _bits(_f_level_subdiff_ref(ef, rho, at, schedule))
+
+    @pytest.mark.parametrize("case", ["half-square", "linear-A", "inline-kink", "ball"])
+    def test_one_oracle_call_per_point_and_multiplier(self, case):
+        make, q = PARITY_CASES[case]
+        base = make()
+        calls = Counter()
+
+        def counted(x, y, ystar):
+            calls[(id(x), id(y), ystar.tobytes())] += 1
+            return base.coderivative(x, y, ystar)
+
+        p = dataclasses.replace(base, coderivative=counted)
+        for constant in (strict_subdiff_q_slopes, limiting_coderivative_min_norm, lm_constants):
+            calls.clear()
+            constant(p, q, PARITY_SCHEDULE)
+            assert calls, constant.__name__
+            assert max(calls.values()) == 1, constant.__name__
