@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .extended import INF, ExtReal, is_inf
-from .geometry import ProductPoint, duality_map
+from .geometry import duality_map
 from .problems import (
     EPS_MEM,
     ErrorFunction,
@@ -40,7 +40,9 @@ from .slopes_primal import (
     SlopeEstimate,
     StrictSweepResult,
     SweepTable,
+    anchor_f_rows,
     as_two_variable,
+    distinct_rows,
     f_level_strict,
     gather_point_candidates,
     strict_sweep,
@@ -192,67 +194,55 @@ def error_bound_modulus(func_or_ef, schedule: Schedule) -> ModulusReport:
     companion window forms (x and y shrinking; function value shrinking)
     reported and compared."""
     func = as_two_variable(func_or_ef)
-    anchor = ProductPoint(func.xbar, func.ybar)
     soldist = func.solution_distance
-    rows = []
-    flags = ()
-    per_shell = max(64, schedule.sample_budget // 8)
-    for k, shell in enumerate(schedule.rho_values()):
-        pts = func.sampler(anchor, shell, per_shell, mix_seed(schedule.seed, "er", k))
-        for p in pts:
-            fv = func.value(p.x, p.y)
-            if is_inf(fv) or fv <= 0.0:
-                continue
-            if soldist is None:
-                flags = ("inconclusive", "no-solution-distance")
-                break
-            d = float(soldist(p.x))
-            if d <= EPS_MEM:
-                continue
-            rows.append(
-                (
-                    float(fv),
-                    func.norm_x.value(p.x - func.xbar),
-                    func.norm_y.value(p.y - func.ybar),
-                    float(fv) / d,
-                    p,
-                    d,
-                )
-            )
-        if flags:
-            break
-
     rhos = schedule.rho_values()
+    seeds = [mix_seed(schedule.seed, "er", k) for k in range(len(rhos))]
+    ux, vy, f, dxa, dya = anchor_f_rows(
+        func_or_ef, rhos, max(64, schedule.sample_budget // 8), seeds
+    )
+    flags = ()
+    if soldist is None:
+        if f.size:
+            flags = ("inconclusive", "no-solution-distance")
+        d = np.zeros(0)
+    else:
+        first, inverse, _ = distinct_rows(ux)  # one oracle call per distinct x
+        d = np.array([float(soldist(x)) for x in ux[first]], dtype=float)[inverse]
+    keep = np.flatnonzero(d > EPS_MEM)
+    ux, vy, f, dxa, dya, d = ux[keep], vy[keep], f[keep], dxa[keep], dya[keep], d[keep]
+    ratio = f / d
+
+    def least(window) -> tuple:
+        # the first row holding the window's least ratio, as a scan with
+        # ``<`` finds it (-1 and INF for an empty window)
+        rows = np.flatnonzero(window)
+        if not rows.size:
+            return -1, INF
+        i = int(rows[np.argmin(ratio[rows])])
+        return i, float(ratio[i])
+
     trace = []
-    forms = {"x_only": INF, "x_and_y": INF, "f_to_zero": INF}
+    for rho in rhos:
+        shell = dxa < rho
+        i, value = least(shell)
+        trace.append((rho, value))
+    # the window forms and the witness at the finest shell
+    forms = {
+        "x_only": value,
+        "x_and_y": least(shell & (dya < rho))[1],
+        "f_to_zero": least(shell & (f < rho))[1],
+    }
     witnesses = []
-    for k, rho in enumerate(rhos):
-        best = {key: INF for key in forms}
-        best_rec = None
-        for fv, dxa, dya, ratio, p, d in rows:
-            if dxa >= rho:
-                continue
-            if ratio < best["x_only"]:
-                best["x_only"] = ratio
-                best_rec = (p, fv, d, ratio)
-            if dya < rho and ratio < best["x_and_y"]:
-                best["x_and_y"] = ratio
-            if fv < rho and ratio < best["f_to_zero"]:
-                best["f_to_zero"] = ratio
-        trace.append((rho, best["x_only"]))
-        if k == len(rhos) - 1:
-            forms = best
-            if best_rec is not None:
-                p, fv, d, ratio = best_rec
-                witnesses.append(
-                    {
-                        "x": [float(t) for t in p.x],
-                        "y": [float(t) for t in p.y],
-                        "f": fv,
-                        "solution_distance": d,
-                        "ratio": ratio,
-                    }
-                )
+    if i >= 0:
+        witnesses.append(
+            {
+                "x": [float(t) for t in ux[i]],
+                "y": [float(t) for t in vy[i]],
+                "f": float(f[i]),
+                "solution_distance": float(d[i]),
+                "ratio": value,
+            }
+        )
 
     conclusives = [v for v in forms.values() if not is_inf(v)]
     forms_agree = None
@@ -264,13 +254,13 @@ def error_bound_modulus(func_or_ef, schedule: Schedule) -> ModulusReport:
         forms_agree = all(
             rel_close(a, b, SAMPLED_REL) for a in conclusives for b in conclusives
         )
-    if not rows and not flags:
+    if not ratio.size and not flags:
         flags = ("inconclusive",)
     elif all(is_inf(v) for _, v in trace) and not flags:
         flags = ("inconclusive",)
     return ModulusReport(
         "error_bound_modulus",
-        trace[-1][1] if trace else INF,
+        trace[-1][1],
         tuple(trace),
         tuple(witnesses),
         forms=dict(forms),

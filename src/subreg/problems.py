@@ -233,7 +233,12 @@ class MappingProblem:
 @dataclass(frozen=True, eq=False)
 class ErrorFunction:
     """The induced two-variable error function of a mapping problem:
-    ``d(y, ybar)**q`` on the graph and ``INF`` off it."""
+    ``d(y, ybar)**q`` on the graph and ``INF`` off it.
+
+    :meth:`value` tests membership.  The f-level engine
+    (:func:`~subreg.slopes_primal.f_rows`) evaluates it only on rows its
+    graph sampler drew, and there takes ``f = d(v, ybar)**q`` with no
+    membership test."""
 
     problem: MappingProblem
     q: float
@@ -662,7 +667,7 @@ def validate_P1_P2(ef, schedule: Schedule, threshold: float = 1e-6) -> P1P2Repor
     """Check positivity off ybar (structural for induced error functions)
     and estimate ``liminf f/d(y, ybar)`` as ``f`` shrinks along the
     shells; pass when the final-shell infimum stays above ``threshold``."""
-    from .slopes_primal import as_two_variable
+    from .slopes_primal import anchor_f_rows, as_two_variable
 
     func = as_two_variable(ef)
     notes = []
@@ -681,25 +686,15 @@ def validate_P1_P2(ef, schedule: Schedule, threshold: float = 1e-6) -> P1P2Repor
                 p1 = "fail"
                 break
 
-    pts = func.sampler(
-        ProductPoint(func.xbar, func.ybar),
-        schedule.rho0,
-        schedule.sample_budget,
-        mix_seed(schedule.seed, "p2"),
+    _, _, f, _, dy = anchor_f_rows(
+        ef, [schedule.rho0], schedule.sample_budget, [mix_seed(schedule.seed, "p2")]
     )
-    ratios = []
-    for p in pts:
-        f = func.value(p.x, p.y)
-        if is_inf(f) or f <= 0.0:
-            continue
-        dy = func.norm_y.value(p.y - func.ybar)
-        if dy <= 0.0:
-            continue
-        ratios.append((float(f), float(f) / dy))
+    f, dy = f[dy > 0.0], dy[dy > 0.0]
+    ratios = f / dy
     trace = []
     for rho in schedule.rho_values():
-        level = [r for (f, r) in ratios if f < rho]
-        trace.append((rho, min(level) if level else INF))
+        level = ratios[f < rho]
+        trace.append((rho, float(level.min()) if level.size else INF))
     final = trace[-1][1]
     if is_inf(final):
         p2 = "inconclusive"
@@ -822,6 +817,14 @@ def _linear(matrix=None) -> MappingProblem:
     null_basis = vt[rank:].T  # dim_x x (dim_x - rank)
     pinv = np.linalg.pinv(a)
 
+    def to_graph_batch(t):
+        # column by column, so a row's bits never depend on the rows mapped
+        # with it: a matrix product blocks rows and can round them apart
+        y = t[:, :1] * a[:, 0]
+        for k in range(1, dim_x):
+            y = y + t[:, k : k + 1] * a[:, k]
+        return t, y
+
     def solution_distance(x):
         xp = pinv @ np.zeros(dim_y)  # particular solution for ybar = 0
         d = np.asarray(x, dtype=float) - xp
@@ -841,7 +844,7 @@ def _linear(matrix=None) -> MappingProblem:
         <= MEMBERSHIP_TOL,
         param_dim=dim_x,
         param_to_graph=lambda t: (np.asarray(t, dtype=float), a @ np.asarray(t, dtype=float)),
-        param_to_graph_batch=lambda t: (t, t @ a.T),
+        param_to_graph_batch=to_graph_batch,
         param_of=lambda x, y: np.asarray(x, dtype=float),
         param_window=lambda t0, r: _interval_window(t0, r),
         solution_distance=solution_distance,

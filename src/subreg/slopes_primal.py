@@ -14,6 +14,7 @@ sampling bias cannot explain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -665,17 +666,13 @@ def as_two_variable(obj) -> TwoVariableFunction:
         return obj
     if isinstance(obj, ErrorFunction):
         pr = obj.problem
-
-        def sampler(center, radius, budget, seed):
-            return graph_sample(pr, center, radius, budget, seed)
-
         return TwoVariableFunction(
             f=obj.value,
             xbar=pr.xbar,
             ybar=pr.ybar,
             norm_x=pr.norm_x,
             norm_y=pr.norm_y,
-            sampler=sampler,
+            sampler=partial(graph_sample, pr),
             solution_distance=pr.solution_distance,
             name=f"induced[{pr.name}]",
         )
@@ -729,65 +726,116 @@ def single_variable_embedding(
     )
 
 
-@dataclass(eq=False)
-class _FCandidates:
-    f_at: float
-    fvals: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    local_mask: Optional[np.ndarray] = None
-
-    def reduce(
-        self, numerator: str, rho: float, metric: str = "max", local: bool = False
-    ) -> float:
-        den = (
-            np.maximum(self.dx, rho * self.dy)
-            if metric == "max"
-            else self.dx + rho * self.dy
-        )
-        ok = np.maximum(self.dx, self.dy) > EXCLUSION_BAND
-        if local and self.local_mask is not None:
-            ok = ok & self.local_mask
-        if not np.any(ok):
-            return 0.0
-        fv = np.maximum(self.fvals, 0.0) if numerator == "plus" else self.fvals
-        num = np.maximum(self.f_at - fv, 0.0)
-        vals = np.where(ok, num / np.where(ok, den, 1.0), -1.0)
-        return max(float(np.max(vals)), 0.0)
+# --------------------------------------------------------------------------
+# the f-level engine: rows of a two-variable function, reduced on arrays
+# --------------------------------------------------------------------------
 
 
-def _from_points(
-    func: TwoVariableFunction,
-    at: ProductPoint,
-    pts: list,
-    include_anchor: bool,
-) -> _FCandidates:
-    if include_anchor:
-        pts = list(pts) + [ProductPoint(func.xbar, func.ybar)]
-    f_at = func.value(at.x, at.y)
-    rows = []
-    for p in pts:
-        fv = func.value(p.x, p.y)
-        if is_inf(fv):
-            continue
-        rows.append(
-            (
-                float(fv),
-                func.norm_x.value(p.x - at.x),
-                func.norm_y.value(p.y - at.y),
-            )
-        )
-    if rows:
-        arr = np.array(rows, dtype=float)
-        fvals, dx, dy = arr[:, 0], arr[:, 1], arr[:, 2]
-    else:
-        fvals = dx = dy = np.zeros(0)
-    return _FCandidates(float(f_at) if not is_inf(f_at) else 0.0, fvals, dx, dy)
+def _norm_rows(norm: NormSpec, m: np.ndarray) -> np.ndarray:
+    """Row norms equal bitwise to :meth:`NormSpec.value` on each row.
+
+    ``value_rows`` is that in one dimension; in more, its ``einsum`` sums
+    in another order, while a batched row-by-row product takes the same
+    dot product as ``value``.  Other norm kinds are evaluated row by row.
+    """
+    if norm.kind != "euclidean":
+        return np.array([norm.value(v) for v in m], dtype=float)
+    if norm.dim == 1:
+        return norm.value_rows(m)
+    m = np.ascontiguousarray(m, dtype=float)
+    return np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])
 
 
-def _f_scale(func: TwoVariableFunction, at: ProductPoint) -> float:
-    """Plain product distance from ``at`` to the anchor."""
-    return max(func.norm_x.value(at.x - func.xbar), func.norm_y.value(at.y - func.ybar))
+def f_rows(func_or_ef, calls: Sequence[tuple]) -> tuple:
+    """Sampled rows of a two-variable function for many ``(center,
+    radius, budget, seed)`` calls: ``(ux, vy, f, counts)``, the rows in
+    call order and how many each call kept.
+
+    An :class:`ErrorFunction` samples its graph in one
+    :func:`sample_graph_batch` pass and takes ``f = d(v, ybar)**q`` as
+    Python float powers, with no membership test: graph rows lie on the
+    graph by construction.  A generic function stacks its sampler's
+    points and keeps the rows where ``f`` is finite.
+    """
+    if isinstance(func_or_ef, ErrorFunction):
+        pr, q = func_or_ef.problem, func_or_ef.q
+        ux, vy, counts = sample_graph_batch(pr, calls)
+        dv = _norm_rows(pr.norm_y, vy - pr.ybar)
+        return ux, vy, np.array([d**q for d in dv.tolist()], dtype=float), counts
+    func = as_two_variable(func_or_ef)
+    rows = [[(p, func.value(p.x, p.y)) for p in func.sampler(*call)] for call in calls]
+    rows = [[(p, float(fv)) for p, fv in r if not is_inf(fv)] for r in rows]
+    kept = [pf for r in rows for pf in r]
+    ux = np.array([p.x for p, _ in kept], dtype=float).reshape(-1, func.xbar.size)
+    vy = np.array([p.y for p, _ in kept], dtype=float).reshape(-1, func.ybar.size)
+    counts = np.array([len(r) for r in rows], dtype=np.int64)
+    return ux, vy, np.array([fv for _, fv in kept], dtype=float), counts
+
+
+def distinct_rows(m: np.ndarray) -> tuple:
+    """``np.unique`` of the rows of ``m`` by their bytes, as seeds key
+    points (so -0.0 and 0.0 differ): the first index, the inverse and the
+    count of each distinct row."""
+    m = np.ascontiguousarray(m, dtype=float)
+    keys = m.view(np.dtype((np.void, m.dtype.itemsize * m.shape[1]))).ravel()
+    return np.unique(keys, return_index=True, return_inverse=True, return_counts=True)[1:]
+
+
+def anchor_f_rows(func_or_ef, radii: Sequence[float], budget: int, seeds: Sequence[int]) -> tuple:
+    """The rows with ``f > 0`` of one anchor-centred sample per radius,
+    from one :func:`f_rows` pass, and their distances to the anchor:
+    ``(ux, vy, f, dxa, dya)``."""
+    func = as_two_variable(func_or_ef)
+    anchor = ProductPoint(func.xbar, func.ybar)
+    ux, vy, f, _ = f_rows(func_or_ef, [(anchor, r, budget, s) for r, s in zip(radii, seeds)])
+    keep = f > 0.0
+    ux, vy, f = ux[keep], vy[keep], f[keep]
+    dxa = _norm_rows(func.norm_x, ux - func.xbar)
+    return ux, vy, f, dxa, _norm_rows(func.norm_y, vy - func.ybar)
+
+
+def _f_candidates(func_or_ef, centres: Sequence, calls: Sequence[tuple], anchor: bool) -> tuple:
+    """Candidate rows of several centres, ``len(calls) // len(centres)``
+    consecutive calls each, plus the anchor row after each centre's rows
+    when ``anchor`` is set (and ``f`` is finite there):
+    ``(f, dx, dy, counts)`` with distances to each row's centre."""
+    func = as_two_variable(func_or_ef)
+    ux, vy, f, per_call = f_rows(func_or_ef, calls)
+    counts = per_call.reshape(len(centres), -1).sum(axis=1)
+    f_anchor = func.value(func.xbar, func.ybar) if anchor else INF
+    if not is_inf(f_anchor):
+        ends = np.cumsum(counts)
+        ux = np.insert(ux, ends, func.xbar, axis=0)
+        vy = np.insert(vy, ends, func.ybar, axis=0)
+        f = np.insert(f, ends, float(f_anchor))
+        counts = counts + 1
+    cx = np.repeat(np.array([c.x for c in centres], dtype=float), counts, axis=0)
+    cy = np.repeat(np.array([c.y for c in centres], dtype=float), counts, axis=0)
+    return f, _norm_rows(func.norm_x, ux - cx), _norm_rows(func.norm_y, vy - cy), counts
+
+
+def _f_slopes(f_at, f, dx, dy, counts, rhos, plus: bool, mask=None) -> np.ndarray:
+    """Per segment of ``counts`` rows and per rho: the supremum of
+    ``[f_at - f]_+ / max(dx, rho dy)`` over the rows outside the exclusion
+    band (and inside ``mask``), with ``f`` read as ``[f]_+`` when
+    ``plus``; 0 for a segment without such rows.  ``(segments, rhos)``."""
+    out = np.zeros((counts.size, len(rhos)))
+    ok = np.maximum(dx, dy) > EXCLUSION_BAND
+    if mask is not None:
+        ok &= mask
+    rows = np.flatnonzero(ok)
+    if not rows.size:
+        return out
+    who = np.repeat(np.arange(counts.size), counts)[rows]
+    fv = np.maximum(f[rows], 0.0) if plus else f[rows]
+    num = np.maximum(np.asarray(f_at)[who] - fv, 0.0)
+    vals = np.asarray(rhos, dtype=float)[:, None] * dy[rows]
+    np.maximum(dx[rows], vals, out=vals)
+    np.divide(num, vals, out=vals)
+    n = np.bincount(who, minlength=counts.size)
+    has = np.flatnonzero(n)
+    out[has] = np.maximum.reduceat(vals, np.cumsum(n[has]) - n[has], axis=1).T
+    return out
 
 
 def f_level_slopes(
@@ -813,132 +861,109 @@ def f_level_slopes(
             for v in point_variants:
                 out[v] = SlopeEstimate(INF, ((rho, INF),), False, 0, f"f_{v}")
         else:
-            scale = _f_scale(func, at)
+            f_at = np.array([float(fv)])
+            # plain product distance to the anchor
+            scale = max(func.norm_x.value(at.x - func.xbar), func.norm_y.value(at.y - func.ybar))
             trunc = schedule.truncation_radius or 10.0 * max(1.0, scale)
             if "nonlocal" in point_variants:
-                pts = func.sampler(
-                    at,
-                    trunc,
-                    max(64, schedule.sample_budget // 4),
-                    mix_seed(schedule.seed, "fnl", at.x.tobytes(), at.y.tobytes()),
-                )
-                cands = _from_points(func, at, pts, True)
-                val = cands.reduce("plus", rho)
+                budget = max(64, schedule.sample_budget // 4)
+                call = (at, trunc, budget, _point_seed(schedule, "fnl", at))
+                f, dx, dy, counts = _f_candidates(func_or_ef, [at], [call], True)
+                val = float(_f_slopes(f_at, f, dx, dy, counts, [rho], True)[0, 0])
                 out["nonlocal"] = SlopeEstimate(
-                    val, ((rho, val),), False, cands.fvals.shape[0], "f_nonlocal"
+                    val, ((rho, val),), False, int(counts[0]), "f_nonlocal"
                 )
             if "local" in point_variants:
-                trace = []
-                used = 0
-                for j, nr in enumerate(schedule.neighborhood_radii):
-                    r = max(nr * scale, LOCAL_RADIUS_FLOOR)
-                    pts = func.sampler(
-                        at,
-                        r,
-                        max(64, schedule.sample_budget // 16),
-                        mix_seed(
-                            schedule.seed, "floc", j, at.x.tobytes(), at.y.tobytes()
-                        ),
-                    )
-                    cands = _from_points(func, at, pts, False)
-                    used += cands.fvals.shape[0]
-                    trace.append((r, cands.reduce("raw", rho)))
+                radii = [max(nr * scale, LOCAL_RADIUS_FLOOR) for nr in schedule.neighborhood_radii]
+                budget = max(64, schedule.sample_budget // 16)
+                key = (at.x.tobytes(), at.y.tobytes())
+                calls = [
+                    (at, r, budget, mix_seed(schedule.seed, "floc", j, *key))
+                    for j, r in enumerate(radii)
+                ]
+                f, dx, dy, counts = _f_candidates(func_or_ef, [at] * len(calls), calls, False)
+                vals = _f_slopes(np.repeat(f_at, counts.size), f, dx, dy, counts, [rho], False)
+                trace = tuple(zip(radii, vals[:, 0].tolist()))
                 out["local"] = SlopeEstimate(
-                    trace[-1][1], tuple(trace), False, used, "f_local"
+                    trace[-1][1], trace, False, int(counts.sum()), "f_local"
                 )
 
-    anchor_variants = {
-        "uniform-strict",
-        "strict-outer",
-        "modified-strict-outer",
-    } & set(variants)
+    strict_keys = {
+        "uniform-strict": "uniform",
+        "strict-outer": "plain",
+        "modified-strict-outer": "modified",
+    }
+    anchor_variants = [v for v in strict_keys if v in variants]
     if anchor_variants:
-        strict = f_level_strict(func, schedule)
-        if "uniform-strict" in anchor_variants:
-            out["uniform-strict"] = strict["uniform"]
-        if "strict-outer" in anchor_variants:
-            out["strict-outer"] = strict["plain"]
-        if "modified-strict-outer" in anchor_variants:
-            out["modified-strict-outer"] = strict["modified"]
+        strict = f_level_strict(func_or_ef, schedule)
+        out.update((v, strict[strict_keys[v]]) for v in anchor_variants)
     return out
 
 
 def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
     """Uniform / plain / modified strict outer slopes of a two-variable
     function over the windows ``d(x,xbar) < rho_k``, ``0 < f < rho_k``,
-    with one shared sample pool per level."""
-    func = as_two_variable(func_or_ef)
-    anchor = ProductPoint(func.xbar, func.ybar)
+    with one shared sample pool per level.
+
+    On an :class:`ErrorFunction` every row is a graph row and ``f`` is
+    ``d(v, ybar)**q`` with no membership test (see :func:`f_rows`).  Each
+    distinct window point (by its bytes) gathers its candidates once and
+    is reduced at every level; ``budget_used`` still counts a point once
+    per copy in each level's window.
+    """
     rhos = schedule.rho_values()
-    n = schedule.outer_samples_per_level()
+    seeds = [mix_seed(schedule.seed, "fstrict", k) for k in range(len(rhos))]
+    ux, vy, f, dxa, dya = anchor_f_rows(
+        func_or_ef, rhos, schedule.outer_samples_per_level(), seeds
+    )
+    rho = np.array(rhos)
+    # the coarsest window holds every finer one
+    in_any = (np.maximum(dxa, dya) > UNRESOLVABLE_FLOOR) & (f < rho[0]) & (dxa < rho[0])
+    first, _, mult = distinct_rows(np.hstack([ux, vy])[in_any])
+    pts = np.flatnonzero(in_any)[first]
+    window = (f[pts, None] < rho) & (dxa[pts, None] < rho)
 
-    sampled = []
-    for k, rho in enumerate(rhos):
-        pts = func.sampler(anchor, rho, n, mix_seed(schedule.seed, "fstrict", k))
-        for p in pts:
-            fv = func.value(p.x, p.y)
-            if is_inf(fv) or fv <= 0.0:
-                continue
-            dxa = func.norm_x.value(p.x - func.xbar)
-            dya = func.norm_y.value(p.y - func.ybar)
-            if max(dxa, dya) <= UNRESOLVABLE_FLOOR:
-                continue
-            sampled.append((float(fv), dxa, p))
+    uniform = np.empty((pts.size, rho.size))
+    plain = np.empty((pts.size, rho.size))
+    sizes = np.empty(pts.size, dtype=np.int64)
+    far = max(64, schedule.sample_budget // 8)
+    near = max(64, schedule.sample_budget // 16)
+    step = max(1, SWEEP_CHUNK_ROWS // (far + near + 1))
+    for c0 in range(0, pts.size, step):
+        sel = pts[c0 : c0 + step]
+        centres = [ProductPoint(ux[i], vy[i]) for i in sel]
+        scale = np.maximum(dxa[sel], dya[sel])
+        r_loc = np.maximum(schedule.neighborhood_radii[-1] * scale, LOCAL_RADIUS_FLOOR)
+        calls = []
+        for p, s, r in zip(centres, scale.tolist(), r_loc.tolist()):
+            calls.append((p, 10.0 * max(1.0, s), far, _point_seed(schedule, "fnlc", p)))
+            calls.append((p, r, near, _point_seed(schedule, "flocc", p)))
+        # one shared superset with a local mask, so the nonlocal supremum
+        # dominates the local one sample-wise
+        fc, dx, dy, counts = _f_candidates(func_or_ef, centres, calls, True)
+        pads = r_loc + radius_pads(ux[sel], vy[sel])
+        local = np.maximum(dx, dy) <= np.repeat(pads, counts)
+        chunk = slice(c0, c0 + sel.size)
+        uniform[chunk] = _f_slopes(f[sel], fc, dx, dy, counts, rhos, True)
+        plain[chunk] = _f_slopes(f[sel], fc, dx, dy, counts, rhos, False, local)
+        sizes[chunk] = counts
 
-    tr_u, tr_p, tr_m = [], [], []
-    used = 0
-    candidates: dict = {}  # sampled point -> its candidates
-    for rho in rhos:
-        best_u: ExtReal = INF
-        best_p: ExtReal = INF
-        best_m: ExtReal = INF
-        for fv, dxa, p in sampled:
-            if not (fv < rho and dxa < rho):
-                continue
-            cands = candidates.get(p)
-            if cands is None:
-                scale = _f_scale(func, p)
-                r_loc = max(
-                    schedule.neighborhood_radii[-1] * scale, LOCAL_RADIUS_FLOOR
-                )
-                far = func.sampler(
-                    p,
-                    10.0 * max(1.0, scale),
-                    max(64, schedule.sample_budget // 8),
-                    mix_seed(schedule.seed, "fnlc", p.x.tobytes(), p.y.tobytes()),
-                )
-                near = func.sampler(
-                    p,
-                    r_loc,
-                    max(64, schedule.sample_budget // 16),
-                    mix_seed(schedule.seed, "flocc", p.x.tobytes(), p.y.tobytes()),
-                )
-                # one shared superset with a local mask, so the nonlocal
-                # supremum dominates the local one sample-wise
-                cands = _from_points(func, p, list(far) + list(near), True)
-                cands.local_mask = (
-                    np.maximum(cands.dx, cands.dy) <= r_loc + radius_pad(p)
-                )
-                candidates[p] = cands
-            used += cands.fvals.shape[0]
-            u = cands.reduce("plus", rho)
-            l = cands.reduce("raw", rho, local=True)
-            m = max(l, fv / dxa) if dxa > 0 else INF
-            if u < best_u:
-                best_u = u
-            if l < best_p:
-                best_p = l
-            if m < best_m:
-                best_m = m
-        tr_u.append((rho, best_u))
-        tr_p.append((rho, best_p))
-        tr_m.append((rho, best_m))
-
-    return {
-        "uniform": _finish("f_uniform_strict", tr_u, False, used),
-        "plain": _finish("f_strict_outer", tr_p, False, used),
-        "modified": _finish("f_modified_strict_outer", tr_m, False, used),
-    }
+    with np.errstate(divide="ignore"):
+        ratio = (f[pts] / dxa[pts])[:, None]
+    modified = np.where(ratio > plain, ratio, plain)
+    # a point on x = xbar scores INF, which never wins a level: as NaN
+    modified[dxa[pts] <= 0.0] = np.nan
+    used = int((window * (mult * sizes)[:, None]).sum())
+    out = {}
+    for key, kind, vals in (
+        ("uniform", "f_uniform_strict", uniform),
+        ("plain", "f_strict_outer", plain),
+        ("modified", "f_modified_strict_outer", modified),
+    ):
+        vals = np.where(window, vals, np.nan)
+        trace = [(r, _infimum(vals[:, k])) for k, r in enumerate(rhos)]
+        out[key] = _finish(kind, trace, False, used)
+    return out
 
 
 def rho_slope_profiles(

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from subreg import (
+    INF,
     DualVectorSet,
     ErrorFunction,
+    ModulusReport,
+    ProductPoint,
     Schedule,
     catalog_problem,
     check_subregularity_inequality,
@@ -14,11 +17,16 @@ from subreg import (
     criteria_report,
     error_bound_modulus,
     is_inf,
+    piecewise_problem,
     run_invariant_suite,
     single_variable_embedding,
     subregularity_modulus,
     theorem_7T1_check,
+    validate_P1_P2,
 )
+from subreg.moduli import SAMPLED_REL, looks_divergent, rel_close
+from subreg.problems import EPS_MEM, mix_seed
+from subreg.slopes_primal import as_two_variable
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +223,161 @@ def test_coderivative_homogeneity_row_on_ball_images(radius_of, homogeneous):
     assert row.passed is homogeneous
     # a fixed radius r comes back as r where 2.5 r is due
     assert row.lhs == pytest.approx(0.0 if homogeneous else 1.5 * 0.1, abs=1e-12)
+
+
+# --------------------------------------------------------------------------
+# the array engine against the point-by-point scalar reference
+# --------------------------------------------------------------------------
+
+
+def _ref_error_bound_modulus(func_or_ef, schedule):
+    # the scan the engine replaced: one scalar value, membership test and
+    # oracle call per sampled point, windows taken with ``<``
+    func = as_two_variable(func_or_ef)
+    anchor = ProductPoint(func.xbar, func.ybar)
+    soldist = func.solution_distance
+    rows, flags = [], ()
+    per_shell = max(64, schedule.sample_budget // 8)
+    for k, shell in enumerate(schedule.rho_values()):
+        for p in func.sampler(anchor, shell, per_shell, mix_seed(schedule.seed, "er", k)):
+            fv = func.value(p.x, p.y)
+            if is_inf(fv) or fv <= 0.0:
+                continue
+            if soldist is None:
+                flags = ("inconclusive", "no-solution-distance")
+                break
+            d = float(soldist(p.x))
+            if d <= EPS_MEM:
+                continue
+            dxa = func.norm_x.value(p.x - func.xbar)
+            dya = func.norm_y.value(p.y - func.ybar)
+            rows.append((float(fv), dxa, dya, float(fv) / d, p, d))
+        if flags:
+            break
+    rhos = schedule.rho_values()
+    trace, witnesses = [], []
+    forms = {"x_only": INF, "x_and_y": INF, "f_to_zero": INF}
+    for k, rho in enumerate(rhos):
+        best = {key: INF for key in forms}
+        best_rec = None
+        for fv, dxa, dya, ratio, p, d in rows:
+            if dxa >= rho:
+                continue
+            if ratio < best["x_only"]:
+                best["x_only"] = ratio
+                best_rec = (p, fv, d, ratio)
+            if dya < rho and ratio < best["x_and_y"]:
+                best["x_and_y"] = ratio
+            if fv < rho and ratio < best["f_to_zero"]:
+                best["f_to_zero"] = ratio
+        trace.append((rho, best["x_only"]))
+        if k == len(rhos) - 1:
+            forms = best
+            if best_rec is not None:
+                p, fv, d, ratio = best_rec
+                witnesses.append(
+                    {
+                        "x": [float(t) for t in p.x],
+                        "y": [float(t) for t in p.y],
+                        "f": fv,
+                        "solution_distance": d,
+                        "ratio": ratio,
+                    }
+                )
+    conclusives = [v for v in forms.values() if not is_inf(v)]
+    forms_agree = None
+    if looks_divergent(trace):
+        flags = flags + ("divergent",)
+    elif len(conclusives) == 3:
+        forms_agree = all(rel_close(a, b, SAMPLED_REL) for a in conclusives for b in conclusives)
+    if not rows and not flags:
+        flags = ("inconclusive",)
+    elif all(is_inf(v) for _, v in trace) and not flags:
+        flags = ("inconclusive",)
+    return ModulusReport(
+        "error_bound_modulus",
+        trace[-1][1],
+        tuple(trace),
+        tuple(witnesses),
+        forms=dict(forms),
+        forms_agree=forms_agree,
+        flags=flags,
+    )
+
+
+def _ref_p2(func_or_ef, schedule):
+    func = as_two_variable(func_or_ef)
+    pts = func.sampler(
+        ProductPoint(func.xbar, func.ybar),
+        schedule.rho0,
+        schedule.sample_budget,
+        mix_seed(schedule.seed, "p2"),
+    )
+    ratios = []
+    for p in pts:
+        f = func.value(p.x, p.y)
+        if is_inf(f) or f <= 0.0:
+            continue
+        dy = func.norm_y.value(p.y - func.ybar)
+        if dy > 0.0:
+            ratios.append((float(f), float(f) / dy))
+    trace = []
+    for rho in schedule.rho_values():
+        level = [r for (f, r) in ratios if f < rho]
+        trace.append((rho, min(level) if level else INF))
+    return trace
+
+
+def _bits(v):
+    """Exact identity of a report value: ``INF`` itself, a float's type and
+    hex form, and containers element by element."""
+    if v is INF:
+        return "INF"
+    if isinstance(v, float):
+        return ("float", v.hex())
+    if isinstance(v, (list, tuple)):
+        return (type(v).__name__,) + tuple(_bits(u) for u in v)
+    if isinstance(v, dict):
+        return ("dict",) + tuple((k, _bits(u)) for k, u in v.items())
+    return (type(v).__name__, v)
+
+
+def _inline(coef, power):
+    pieces = [
+        {"domain": [-1.0, 0.0], "coeffs": [0.0]},
+        {"domain": [0.0, 2.0], "coeffs": [0.0] * power + [coef]},
+    ]
+    return piecewise_problem(pieces, xbar=0.0, ybar=0.0)
+
+
+_ENGINE_CASES = {
+    "half-square": lambda: catalog_problem("half-square"),
+    "identity": lambda: catalog_problem("identity"),  # every ratio ties at q = 1
+    "square": lambda: catalog_problem("square"),
+    "halfline-convex": lambda: catalog_problem("halfline-convex"),
+    "linear-A": lambda: catalog_problem("linear-A"),  # 2-D norms
+    "constant": lambda: catalog_problem("constant"),  # empty windows
+    "half-square-inline": lambda: _inline(1.0, 2),
+    "2max2-inline": lambda: _inline(2.0, 2),
+    "3max1-inline": lambda: _inline(3.0, 1),
+    "embedding": lambda: single_variable_embedding(abs, solution_distance=lambda x: abs(float(x[0]))),
+    "embedding-no-oracle": lambda: single_variable_embedding(abs),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize(
+    "name,q",
+    [(n, q) for n in _ENGINE_CASES for q in (0.25, 0.5, 1.0) if "embedding" not in n or q == 1.0],
+)
+def test_error_bound_engine_matches_scalar_reference(name, q, seed):
+    s = Schedule(sample_budget=256, steps=5, seed=seed)
+    made = _ENGINE_CASES[name]()
+    subject = made if "embedding" in name else ErrorFunction(made, q)
+    new, ref = error_bound_modulus(subject, s), _ref_error_bound_modulus(subject, s)
+    for f in dataclasses.fields(ModulusReport):
+        assert _bits(getattr(new, f.name)) == _bits(getattr(ref, f.name)), f.name
+    p2 = validate_P1_P2(subject, s)
+    assert [(_bits(r), _bits(v)) for r, v in p2.trace] == [
+        (_bits(r), _bits(v)) for r, v in _ref_p2(subject, s)
+    ]

@@ -298,6 +298,19 @@ def test_batch_graph_map_matches_scalar(problem):
     assert np.array_equal(np.asarray(by, dtype=float), sy, equal_nan=True)
 
 
+def test_linear_batch_map_rows_do_not_depend_on_their_batch():
+    # a non-diagonal matrix: a matrix product takes one row by another
+    # kernel than many, and can round it apart
+    p = catalog_problem("linear-A", matrix=[[2.0, 1.3], [0.7, 3.0]])
+    rng = np.random.default_rng(7)
+    t = rng.uniform(-3.0, 3.0, (50_000, 2))
+    _, full = p.param_to_graph_batch(t)
+    sizes = np.concatenate([np.ones(200, dtype=int), rng.integers(2, 1000, 100)])
+    for start, size in zip(rng.integers(0, 49_000, 300), sizes):
+        _, part = p.param_to_graph_batch(t[start : start + size])
+        assert part.tobytes() == full[start : start + size].tobytes()
+
+
 def test_clip_keeps_scalar_ties():
     # the batch maps clip with np.clip where the scalar maps take
     # min(max(v, lo), hi); np.maximum alone would turn max(-0.0, 0.0) into 0.0

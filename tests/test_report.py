@@ -255,12 +255,28 @@ class TestRunContext:
             assert json.dumps(entry) == json.dumps(full["constants"][name]), name
 
 
-# Five benchmark configurations at seed 0 and the sha256 of their report
+# Eight benchmark configurations at seed 0 and the sha256 of their report
 # bytes, as listed in perfbench/README.md: the vectorized layers must
 # leave every report byte unchanged.  The two catalog rows pin the 2-D
-# dual path (linear-A) and empty coderivative images (halfline-convex).
+# dual path (linear-A) and empty coderivative images (halfline-convex);
+# the inline rows at q = 0.5 and identity at q = 0.25 (a divergent error
+# bound) pin the f-level engine.
 _SCAN_SCHEDULE = {"sample_budget": 1024, "steps": 8, "seed": 0}
 _CATALOG_SCHEDULE = {"sample_budget": 256, "steps": 5, "seed": 0}
+
+
+def _inline_max_power(coef, power):
+    # F(x) = coef * max(x, 0)**power on [-1, 2], smooth and not convex
+    return {
+        "pieces": [
+            {"domain": [-1.0, 0.0], "coeffs": [0.0]},
+            {"domain": [0.0, 2.0], "coeffs": [0.0] * power + [coef]},
+        ],
+        "xbar": 0.0,
+        "ybar": 0.0,
+        "flags": {"convex": False, "smooth": True},
+    }
+
 _REPORT_HASHES = [
     (
         {"problem": "half-square", "q": 0.5, "schedule": _SCAN_SCHEDULE, "checks": ["moduli"]},
@@ -307,6 +323,28 @@ _REPORT_HASHES = [
         },
         "abcc7a96f64e7704ee5e224e8d8a51495b9ec4754e8ecda9953686e247294441",
     ),
+    (
+        {
+            "problem": _inline_max_power(1.0, 2),
+            "q": 0.5,
+            "schedule": _CATALOG_SCHEDULE,
+            "checks": ALL_CHECKS,
+        },
+        "42bd633d23a9cb0f10fe9dc6c9c43f5c1a42e8a0b325a38b3ca3ef9b3dd80a5d",
+    ),
+    (
+        {
+            "problem": _inline_max_power(2.0, 2),
+            "q": 0.5,
+            "schedule": _CATALOG_SCHEDULE,
+            "checks": ALL_CHECKS,
+        },
+        "77b6a407abb580d315a5446805a043f19ee39977e8e11b48b35d6ea1cb4fe210",
+    ),
+    (
+        {"problem": "identity", "q": 0.25, "schedule": _SCAN_SCHEDULE, "checks": ["moduli"]},
+        "7837268d45dbcef5a72d7de1ca5f396c6da08316b33636b1a1ad8cee8c922946",
+    ),
 ]
 
 
@@ -319,6 +357,9 @@ _REPORT_HASHES = [
         "3max1-inline",
         "linear-A-catalog",
         "halfline-convex-catalog",
+        "half-square-inline",
+        "2max2-inline",
+        "identity-q0.25-scan",
     ],
 )
 def test_report_bytes_unchanged(config, digest):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subreg import (
+    INF,
     ErrorFunction,
     ProductPoint,
     Schedule,
@@ -14,12 +15,22 @@ from subreg import (
     single_variable_embedding,
     strict_q_slopes,
     uniform_strict_q_slope,
+    validate_P1_P2,
 )
+from subreg.geometry import euclidean
+from subreg.moduli import error_bound_modulus
 import subreg.slopes_primal as slopes_primal
 from subreg import piecewise_problem
-from subreg.problems import mix_seed, outer_pools, radius_pad, sample_graph_arrays
+from subreg.problems import (
+    mix_seed,
+    outer_pools,
+    radius_pad,
+    sample_graph_arrays,
+    sample_graph_batch,
+)
 from subreg.slopes_primal import (
     SlopeError,
+    SlopeEstimate,
     f_level_strict,
     gather_point_candidates,
     rho_slope_profiles,
@@ -424,3 +435,256 @@ def test_constant_sweep_is_inconclusive_from_its_empty_table():
     for est in (sweep.uniform, sweep.plain, sweep.modified, sweep.anchor_ratio):
         assert is_inf(est.value) and est.budget_used == 0
         assert "inconclusive" in est.flags
+
+
+# --------------------------------------------------------------------------
+# the f-level engine against the point-by-point scalar reference
+# --------------------------------------------------------------------------
+
+
+class _RefFCandidates:
+    # the scalar candidate set the engine replaced: one row per sampled
+    # point with a finite value, distances by the scalar norm
+    def __init__(self, func, at, pts, include_anchor):
+        if include_anchor:
+            pts = list(pts) + [ProductPoint(func.xbar, func.ybar)]
+        f_at = func.value(at.x, at.y)
+        rows = []
+        for p in pts:
+            fv = func.value(p.x, p.y)
+            if is_inf(fv):
+                continue
+            rows.append((float(fv), func.norm_x.value(p.x - at.x), func.norm_y.value(p.y - at.y)))
+        arr = np.array(rows, dtype=float).reshape(-1, 3)
+        self.f_at = float(f_at) if not is_inf(f_at) else 0.0
+        self.fvals, self.dx, self.dy = arr[:, 0], arr[:, 1], arr[:, 2]
+        self.local_mask = None
+
+    def reduce(self, numerator, rho, local=False):
+        den = np.maximum(self.dx, rho * self.dy)
+        ok = np.maximum(self.dx, self.dy) > slopes_primal.EXCLUSION_BAND
+        if local and self.local_mask is not None:
+            ok = ok & self.local_mask
+        if not np.any(ok):
+            return 0.0
+        fv = np.maximum(self.fvals, 0.0) if numerator == "plus" else self.fvals
+        num = np.maximum(self.f_at - fv, 0.0)
+        vals = np.where(ok, num / np.where(ok, den, 1.0), -1.0)
+        return max(float(np.max(vals)), 0.0)
+
+
+def _ref_f_scale(func, at):
+    return max(func.norm_x.value(at.x - func.xbar), func.norm_y.value(at.y - func.ybar))
+
+
+def _ref_f_level_strict(func_or_ef, schedule):
+    func = slopes_primal.as_two_variable(func_or_ef)
+    anchor = ProductPoint(func.xbar, func.ybar)
+    rhos = schedule.rho_values()
+    n = schedule.outer_samples_per_level()
+    sampled = []
+    for k, rho in enumerate(rhos):
+        for p in func.sampler(anchor, rho, n, mix_seed(schedule.seed, "fstrict", k)):
+            fv = func.value(p.x, p.y)
+            if is_inf(fv) or fv <= 0.0:
+                continue
+            dxa = func.norm_x.value(p.x - func.xbar)
+            dya = func.norm_y.value(p.y - func.ybar)
+            if max(dxa, dya) <= slopes_primal.UNRESOLVABLE_FLOOR:
+                continue
+            sampled.append((float(fv), dxa, p))
+    traces = {"uniform": [], "plain": [], "modified": []}
+    used = 0
+    candidates = {}
+    for rho in rhos:
+        best = {"uniform": INF, "plain": INF, "modified": INF}
+        for fv, dxa, p in sampled:
+            if not (fv < rho and dxa < rho):
+                continue
+            cands = candidates.get(p)
+            if cands is None:
+                scale = _ref_f_scale(func, p)
+                r_loc = max(schedule.neighborhood_radii[-1] * scale, slopes_primal.LOCAL_RADIUS_FLOOR)
+                seed = (p.x.tobytes(), p.y.tobytes())
+                far = func.sampler(
+                    p, 10.0 * max(1.0, scale), max(64, schedule.sample_budget // 8),
+                    mix_seed(schedule.seed, "fnlc", *seed),
+                )
+                near = func.sampler(
+                    p, r_loc, max(64, schedule.sample_budget // 16),
+                    mix_seed(schedule.seed, "flocc", *seed),
+                )
+                cands = _RefFCandidates(func, p, list(far) + list(near), True)
+                cands.local_mask = np.maximum(cands.dx, cands.dy) <= r_loc + radius_pad(p)
+                candidates[p] = cands
+            used += cands.fvals.shape[0]
+            u = cands.reduce("plus", rho)
+            l = cands.reduce("raw", rho, local=True)
+            m = max(l, fv / dxa) if dxa > 0 else INF
+            for key, v in (("uniform", u), ("plain", l), ("modified", m)):
+                if v < best[key]:
+                    best[key] = v
+        for key in traces:
+            traces[key].append((rho, best[key]))
+    return {
+        "uniform": slopes_primal._finish("f_uniform_strict", traces["uniform"], False, used),
+        "plain": slopes_primal._finish("f_strict_outer", traces["plain"], False, used),
+        "modified": slopes_primal._finish("f_modified_strict_outer", traces["modified"], False, used),
+    }
+
+
+def _ref_f_point_slopes(func_or_ef, rho, at, schedule):
+    func = slopes_primal.as_two_variable(func_or_ef)
+    if is_inf(func.value(at.x, at.y)):
+        return {v: SlopeEstimate(INF, ((rho, INF),), False, 0, f"f_{v}") for v in ("nonlocal", "local")}
+    scale = _ref_f_scale(func, at)
+    trunc = schedule.truncation_radius or 10.0 * max(1.0, scale)
+    seed = (at.x.tobytes(), at.y.tobytes())
+    pts = func.sampler(
+        at, trunc, max(64, schedule.sample_budget // 4), mix_seed(schedule.seed, "fnl", *seed)
+    )
+    cands = _RefFCandidates(func, at, pts, True)
+    val = cands.reduce("plus", rho)
+    out = {"nonlocal": SlopeEstimate(val, ((rho, val),), False, cands.fvals.shape[0], "f_nonlocal")}
+    trace, used = [], 0
+    for j, nr in enumerate(schedule.neighborhood_radii):
+        r = max(nr * scale, slopes_primal.LOCAL_RADIUS_FLOOR)
+        pts = func.sampler(
+            at, r, max(64, schedule.sample_budget // 16), mix_seed(schedule.seed, "floc", j, *seed)
+        )
+        cands = _RefFCandidates(func, at, pts, False)
+        used += cands.fvals.shape[0]
+        trace.append((r, cands.reduce("raw", rho)))
+    out["local"] = SlopeEstimate(trace[-1][1], tuple(trace), False, used, "f_local")
+    return out
+
+
+def _bits(v):
+    """A value's exact identity: the ``INF`` object itself, or the type
+    and the hex form of a float (which tells -0.0 from 0.0)."""
+    return "INF" if v is INF else (type(v).__name__, float(v).hex())
+
+
+def _assert_same_estimate(new, ref):
+    assert new.kind == ref.kind
+    assert _bits(new.value) == _bits(ref.value), new.kind
+    assert [(_bits(r), _bits(v)) for r, v in new.trace] == [
+        (_bits(r), _bits(v)) for r, v in ref.trace
+    ], new.kind
+    assert type(new.budget_used) is int and new.budget_used == ref.budget_used, new.kind
+    assert new.truncated == ref.truncated and new.flags == ref.flags, new.kind
+
+
+def _inline(coef, power):
+    pieces = [
+        {"domain": [-1.0, 0.0], "coeffs": [0.0]},
+        {"domain": [0.0, 2.0], "coeffs": [0.0] * power + [coef]},
+    ]
+    return piecewise_problem(pieces, xbar=0.0, ybar=0.0)
+
+
+def _embedding():
+    return single_variable_embedding(abs, solution_distance=lambda x: abs(float(x[0])))
+
+
+# every catalog entry but constant's empty windows has a positive f somewhere;
+# linear-A takes 2-D norms, and the embedding is a generic function
+F_ENGINE_CASES = {
+    "half-square": lambda: catalog_problem("half-square"),
+    "identity": lambda: catalog_problem("identity"),
+    "square": lambda: catalog_problem("square"),
+    "halfline-convex": lambda: catalog_problem("halfline-convex"),
+    "linear-A": lambda: catalog_problem("linear-A"),
+    "constant": lambda: catalog_problem("constant"),
+    "half-square-inline": lambda: _inline(1.0, 2),
+    "2max2-inline": lambda: _inline(2.0, 2),
+    "3max1-inline": lambda: _inline(3.0, 1),
+    "embedding": _embedding,
+}
+F_ENGINE_SCHEDULES = [Schedule(sample_budget=256, steps=5, seed=s) for s in (0, 3)]
+
+
+def _f_engine_subject(name, q):
+    made = F_ENGINE_CASES[name]()
+    return made if name == "embedding" else ErrorFunction(made, q)
+
+
+@pytest.mark.parametrize("seed_index", [0, 1])
+@pytest.mark.parametrize(
+    "name,q",
+    [(n, q) for n in F_ENGINE_CASES for q in (0.25, 0.5, 1.0) if n != "embedding" or q == 1.0],
+)
+def test_f_level_strict_matches_scalar_reference(name, q, seed_index):
+    s = F_ENGINE_SCHEDULES[seed_index]
+    subject = _f_engine_subject(name, q)
+    new, ref = f_level_strict(subject, s), _ref_f_level_strict(subject, s)
+    assert list(new) == list(ref)
+    for key in ref:
+        _assert_same_estimate(new[key], ref[key])
+    # the anchor variants of f_level_slopes, in their fixed order
+    func = slopes_primal.as_two_variable(subject)
+    variants = ("modified-strict-outer", "uniform-strict", "strict-outer")
+    via = f_level_slopes(subject, 0.5, ProductPoint(func.xbar, func.ybar), s, variants)
+    assert list(via) == ["uniform-strict", "strict-outer", "modified-strict-outer"]
+    for key, family in zip(via, ("uniform", "plain", "modified")):
+        _assert_same_estimate(via[key], ref[family])
+    if name != "constant":
+        assert ref["uniform"].budget_used > 0
+
+
+@pytest.mark.parametrize("q", [0.25, 1.0])
+@pytest.mark.parametrize("name", [n for n in F_ENGINE_CASES if n != "constant"])
+def test_f_level_point_slopes_match_scalar_reference(name, q):
+    s = F_ENGINE_SCHEDULES[1]
+    subject = _f_engine_subject(name, q)
+    func = slopes_primal.as_two_variable(subject)
+    ux, vy, f, _, _ = slopes_primal.anchor_f_rows(subject, [0.3], 8, [5])
+    points = [ProductPoint(x, y) for x, y in zip(ux[:3], vy[:3])]
+    points.append(ProductPoint(func.xbar, func.ybar))
+    if name != "embedding":
+        points.append(ProductPoint(func.xbar, func.ybar + 1.0))  # off the graph
+    for at in points:
+        for rho in (0.1, 2.0):
+            new = f_level_slopes(subject, rho, at, s, ("nonlocal", "local"))
+            ref = _ref_f_point_slopes(subject, rho, at, s)
+            for key in ("nonlocal", "local"):
+                _assert_same_estimate(new[key], ref[key])
+
+
+@pytest.mark.parametrize("name", [n for n in F_ENGINE_CASES if n != "embedding"])
+def test_f_engine_rows_lie_on_the_graph(monkeypatch, name):
+    # the engine takes f = d(v, ybar)**q without a membership test
+    problem = F_ENGINE_CASES[name]()
+    drawn = []
+
+    def recording(pr, calls):
+        ux, vy, counts = sample_graph_batch(pr, calls)
+        drawn.append((ux, vy))
+        return ux, vy, counts
+
+    monkeypatch.setattr(slopes_primal, "sample_graph_batch", recording)
+    for q in (0.25, 0.5, 1.0):
+        ef = ErrorFunction(problem, q)
+        for s in F_ENGINE_SCHEDULES:
+            f_level_strict(ef, s)
+            error_bound_modulus(ef, s)
+            validate_P1_P2(ef, s)
+            f_level_slopes(ef, 0.2, problem.anchor, s, ("nonlocal", "local"))
+    rows = sum(ux.shape[0] for ux, _ in drawn)
+    assert rows > 0
+    for ux, vy in drawn:
+        for x, y in zip(ux, vy):
+            assert problem.graph_membership(x, y), (x, y)
+
+
+def test_norm_rows_equal_the_scalar_norm():
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3):
+        norm = euclidean(dim)
+        m = rng.standard_normal((5000, dim)) * rng.choice([1e-9, 1.0, 1e6], (5000, 1))
+        got = slopes_primal._norm_rows(norm, m)
+        want = np.array([norm.value(v) for v in m])
+        assert got.tobytes() == want.tobytes()
+        # a row's norm does not depend on the rows taken with it
+        parts = np.concatenate([slopes_primal._norm_rows(norm, m[i : i + 7]) for i in range(0, 5000, 7)])
+        assert parts.tobytes() == want.tobytes()
