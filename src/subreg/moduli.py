@@ -23,6 +23,7 @@ from .problems import (
     ErrorFunction,
     MappingProblem,
     Schedule,
+    distinct_pool,
     graph_sample,
     halton_points,
     halving_offsets,
@@ -137,14 +138,13 @@ def subregularity_modulus(
     entry and the recorded witnesses reproduce their ratio exactly."""
     if not 0.0 < q <= 1.0:
         raise ModuliError("q must lie in (0, 1]")
-    pools = outer_pools(problem, schedule, True)
+    pool = distinct_pool(outer_pools(problem, schedule, True))
     rhos = schedule.rho_values()
+    ratios: dict = {}  # by x's bytes: one oracle call per distinct x
 
     def ratio_of(x) -> Optional[tuple]:
         sol = problem.solution_dist_exact(x)
-        if sol is None or sol <= EPS_MEM:
-            return None
-        if problem.fiber_distance is None:
+        if sol is None or sol <= EPS_MEM or problem.fiber_distance is None:
             return None
         fib = problem.fiber_distance(x)
         if is_inf(fib):
@@ -152,34 +152,29 @@ def subregularity_modulus(
         return (float(fib) ** q / sol, float(fib), float(sol))
 
     trace = []
-    witnesses = []
     for k, rho in enumerate(rhos):
-        xs = [pt.x for pt in pools[k]]
-        xs += [
-            x
-            for x in _ambient_x_samples(
-                problem, rho, 64, mix_seed(schedule.seed, "srx", k)
-            )
-            if problem.d_x(x, problem.xbar) < rho
-        ]
+        xs = [pt.x for pt, depth, _ in pool if depth >= k]
+        ambient = _ambient_x_samples(problem, rho, 64, mix_seed(schedule.seed, "srx", k))
+        xs += [x for x in ambient if problem.d_x(x, problem.xbar) < rho]
         best: ExtReal = INF
-        best_rec = None
-        for x in xs:
-            r = ratio_of(x)
-            if r is None:
-                continue
-            val, fib, sol = r
-            if val < best:
-                best = val
-                best_rec = {
-                    "x": [float(t) for t in np.asarray(x).reshape(-1)],
-                    "fiber_distance": fib,
-                    "solution_distance": sol,
-                    "ratio": val,
-                }
+        best_x = None
+        for x in xs:  # a level keeps its first strict minimum in this order
+            if (key := x.tobytes()) not in ratios:
+                ratios[key] = ratio_of(x)
+            if ratios[key] is not None and ratios[key][0] < best:
+                best, best_x = ratios[key][0], x
         trace.append((rho, best))
-        if k == len(rhos) - 1 and best_rec is not None:
-            witnesses.append(best_rec)
+    witnesses = []
+    if best_x is not None:  # the finest shell's
+        val, fib, sol = ratios[best_x.tobytes()]
+        witnesses.append(
+            {
+                "x": [float(t) for t in np.asarray(best_x).reshape(-1)],
+                "fiber_distance": fib,
+                "solution_distance": sol,
+                "ratio": val,
+            }
+        )
 
     flags = ()
     if all(is_inf(v) for _, v in trace):

@@ -99,7 +99,8 @@ def _halton_table(dim: int, count: int) -> np.ndarray:
 
 
 def halton_points(dim: int, count: int, seed: int) -> np.ndarray:
-    """Seeded-shift Halton sequence in [0,1)^dim; deterministic forever."""
+    """Seeded-shift Halton sequence in [0,1)^dim, ``dim`` at most 10
+    (else :class:`ProblemError`); deterministic forever."""
     if count <= 0:
         return np.zeros((0, dim))
     return (_halton_table(dim, count) + np.random.default_rng(seed).random(dim)) % 1.0
@@ -567,7 +568,6 @@ class OuterPoint:
     d_x_anchor: float
     d_y_anchor: float
     sol_dist: float
-    level: int
 
 
 def sample_outer_points(
@@ -576,7 +576,6 @@ def sample_outer_points(
     budget: int,
     seed: int,
     schedule: Schedule,
-    level: int = 0,
     outer_restriction: bool = True,
     anchor_zeros: Optional[dict] = None,
 ) -> list:
@@ -599,7 +598,7 @@ def sample_outer_points(
             sd = 1e30 if is_inf(sd_est) else float(sd_est)
         if outer_restriction and sd <= EPS_MEM:
             continue
-        out.append(OuterPoint(p.x, p.y, dxa, dya, sd, level))
+        out.append(OuterPoint(p.x, p.y, dxa, dya, sd))
     return out
 
 
@@ -630,7 +629,6 @@ def outer_pools(
                 n,
                 mix_seed(schedule.seed, "outer", k),
                 schedule,
-                level=k,
                 outer_restriction=outer_restriction,
                 anchor_zeros=anchor_zeros,
             )
@@ -643,11 +641,17 @@ def outer_pools(
     return tuple(pools)
 
 
-def pool_depths(pools: tuple) -> dict:
-    """The finest level holding each point of nested outer pools;
-    ``pools[0]`` holds every point and level ``k``'s pool is the points
-    of depth ``k`` or more, in ``pools[0]``'s order."""
-    return {p: k for k, pool in enumerate(pools) for p in pool}
+def distinct_pool(pools: tuple) -> tuple:
+    """``(point, depth, copies)`` for each distinct ``(x, y)`` (by bytes,
+    as seeds key points) of nested outer pools, in ``pools[0]``'s
+    first-occurrence order: the depth is the finest level holding the
+    point (level ``k``'s pool is the copies of the points of depth ``k``
+    or more) and ``copies`` its number in ``pools[0]``, all that deep."""
+    depth = {p: k for k, pool in enumerate(pools) for p in pool}
+    groups: dict = {}
+    for p in pools[0]:
+        groups.setdefault((p.x.tobytes(), p.y.tobytes()), []).append(p)
+    return tuple((g[0], depth[g[0]], len(g)) for g in groups.values())
 
 
 @dataclass(frozen=True)

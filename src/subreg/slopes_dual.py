@@ -8,10 +8,12 @@ per-level infima over the shared outer pools, and the limiting
 coderivative minimum norm realizes the sequential outer limit along the
 shrinking shells.
 
-Every constant walks the coarsest outer pool once, point by point in
-pool order, and covers all the levels holding a point before moving on.
-At each point, the image norm of each distinct multiplier is computed
-once (:func:`_image_norms`) and shared by that point's levels.
+Every constant walks each distinct outer point once
+(:func:`~subreg.problems.distinct_pool`), in pool order, and covers all
+the levels holding a point before moving on; a point's copies in the
+pools would repeat its values, so they only add to ``budget_used``.  At
+each point, the image norm of each distinct multiplier is computed once
+(:func:`_image_norms`) and shared by that point's levels.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .geometry import (
 from .problems import (
     MappingProblem,
     Schedule,
+    distinct_pool,
     mix_seed,
     outer_pools,
-    pool_depths,
 )
 from .slopes_primal import SlopeEstimate, _finish
 
@@ -250,21 +252,20 @@ def strict_subdiff_q_slopes(
     if problem.coderivative is None:
         return DualStrictSlopes(*(_inconclusive(f"subdiff_strict_q_{t}", rhos) for t in keys))
 
-    pools = outer_pools(problem, schedule, True)
-    depths = pool_depths(pools)
     seed = mix_seed(schedule.seed, "dirs")
     v_frac = schedule.neighborhood_radii[-1] / 10.0
     best = {key: [INF] * len(rhos) for key in keys}
     used = 0
-    for pt in pools[0]:  # in pool order, so a tie keeps the first point
+    # in pool order, so a tie keeps the first point
+    for pt, depth, copies in distinct_pool(outer_pools(problem, schedule, True)):
         d = pt.d_y_anchor
         weight = q * d ** (q - 1.0)
         ratio = d**q / pt.d_x_anchor if pt.d_x_anchor > 0 else INF
         diff = pt.y - problem.ybar
         near = _approx_directions(problem, diff, v_frac * d, seed)
         image_norms = _image_norms(problem, pt)
-        for k in range(depths[pt] + 1):
-            used += 1
+        for k in range(depth + 1):
+            used += copies
             pert = (d ** (1.0 - q) / q) * rhos[k]
             plain_val = _subdiff_value(problem, image_norms, [diff], pert, seed)
             approx_val = _subdiff_value(problem, image_norms, near, pert, seed)
@@ -299,22 +300,21 @@ def limiting_coderivative_min_norm(
     rhos = schedule.rho_values()
     if problem.coderivative is None:
         return _inconclusive("limiting_coderivative_min_norm", rhos)
-    pools = outer_pools(problem, schedule, True)
-    depths = pool_depths(pools)
     dual = problem.norm_y.dual()
     seed = mix_seed(schedule.seed, "dirs")
     best = [INF] * len(rhos)
     capped = False
     used = 0
-    for pt in pools[0]:  # in pool order, so a tie keeps the first point
+    # in pool order, so a tie keeps the first point
+    for pt, depth, copies in distinct_pool(outer_pools(problem, schedule, True)):
         scale = q * pt.d_y_anchor ** (q - 1.0)
         js = duality_map(pt.y - problem.ybar, problem.norm_y).members()
         centers = [c for c in (scale * j for j in js) if dual.value(c) <= MULTIPLIER_CAP]
         capped = capped or len(centers) < len(js)
         image_norms = _image_norms(problem, pt)
-        for k in range(depths[pt] + 1):
+        for k in range(depth + 1):
             ystars = [ys for c in centers for ys in _pert_multipliers(problem, c, rhos[k], seed)]
-            used += len(ystars)
+            used += copies * len(ystars)
             v = image_norms(ystars)
             if v < best[k]:
                 best[k] = v
@@ -352,8 +352,6 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
     rhos = schedule.rho_values()
     if problem.coderivative is None:
         return (_inconclusive("lm_alpha", rhos), _inconclusive("lm_beta", rhos))
-    pools = outer_pools(problem, schedule, True)
-    depths = pool_depths(pools)
     seed = mix_seed(schedule.seed, "dirs")
     dirs = (
         [np.array([1.0]), np.array([-1.0])]
@@ -363,7 +361,8 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
     best_a = [INF] * len(rhos)
     best_b = [INF] * len(rhos)
     used = 0
-    for pt in pools[0]:  # in pool order, so a tie keeps the first point
+    # in pool order, so a tie keeps the first point
+    for pt, depth, copies in distinct_pool(outer_pools(problem, schedule, True)):
         diff = pt.y - problem.ybar
         y_window = pt.d_x_anchor ** (1.0 / q)
         targets = [diff]
@@ -373,11 +372,11 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
         # diff comes first, and its norm is d(y, ybar) > 0: beta's target
         targets = [(t, dy) for t in targets if (dy := problem.norm_y.value(t)) > 0.0]
         image_norms = _image_norms(problem, pt)
-        for k in range(depths[pt] + 1):
+        for k in range(depth + 1):
             eps = rhos[k]
             if not (pt.d_x_anchor < eps and pt.d_y_anchor < min(eps, pt.d_x_anchor**0.5)):
                 continue
-            used += 1
+            used += copies
             for i, (target, dy) in enumerate(targets):
                 # min |x*| over D*F(x,y)(J^q_eps(target))
                 enl = q_duality_enlargement(target, q, eps, 4, seed, problem.norm_y)

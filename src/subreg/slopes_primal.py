@@ -25,12 +25,12 @@ from .problems import (
     ErrorFunction,
     MappingProblem,
     Schedule,
+    distinct_pool,
     graph_sample,
     halton_points,
     halving_offsets,
     mix_seed,
     outer_pools,
-    pool_depths,
     radius_pad,
     radius_pads,
     sample_graph_arrays,
@@ -430,18 +430,20 @@ class SweepTable:
     """Per-point, per-level scalars of the strict sweep on one set of
     outer pools, for both product metrics.
 
-    ``points`` is the coarsest pool ordered by depth (the finest level
-    holding each point); the pools are nested, so level ``k``'s pool is
-    ``points[starts[k]:]``.  Entry ``[i, k]`` of ``nonlocal_values``,
-    ``truncated`` and ``local_values`` is the nonlocal (q, rho_k)-slope,
-    its truncation flag and the local rho_k-slope at ``points[i]``, and
-    is read only for ``i >= starts[k]``.  ``sizes`` counts each point's
-    candidates.
+    ``points`` holds the distinct points of the coarsest pool ordered by
+    depth (the finest level holding each point), and ``copies`` counts
+    each one's copies in the pool; the pools are nested, so level
+    ``k``'s pool is the copies of ``points[starts[k]:]``.  Entry ``[i,
+    k]`` of ``nonlocal_values``, ``truncated`` and ``local_values`` is
+    the nonlocal (q, rho_k)-slope, its truncation flag and the local
+    rho_k-slope at ``points[i]``, and is read only for ``i >=
+    starts[k]``.  ``sizes`` counts each point's candidates.
     """
 
     points: tuple
     starts: tuple
     sizes: np.ndarray
+    copies: np.ndarray
     nonlocal_values: dict
     truncated: dict
     local_values: dict
@@ -470,15 +472,16 @@ def sweep_table(
     outer_restriction: bool = True,
 ) -> SweepTable:
     """Gather the outer pools chunk by chunk and reduce every rho level
-    of every point under both product metrics: the values of
+    of every distinct point under both product metrics: the values of
     :meth:`PointCandidates.nonlocal_value` and
     :meth:`PointCandidates.local_value`, bitwise, with each point's
-    candidates gathered once and dropped with its chunk."""
+    candidates gathered once and dropped with its chunk.  A point's
+    copies would gather the same rows, so they are only counted."""
     pools = outer_pools(problem, schedule, outer_restriction)
     rhos = schedule.rho_values()
-    depth = pool_depths(pools)
-    points = tuple(sorted(pools[0], key=depth.__getitem__))
-    depths = np.array([depth[p] for p in points], dtype=np.int64)
+    pool = sorted(distinct_pool(pools), key=lambda r: r[1])  # by depth, stably
+    points = tuple(r[0] for r in pool)
+    depths = np.array([r[1] for r in pool], dtype=np.int64)
     shape = (len(points), len(rhos))
     nl = {m: np.full(shape, np.nan) for m in SWEEP_METRICS}
     trunc = {m: np.zeros(shape, dtype=bool) for m in SWEEP_METRICS}
@@ -539,8 +542,9 @@ def sweep_table(
         trunc[metric][outside] = False
     return SweepTable(
         points=points,
-        starts=tuple(len(points) - len(pool) for pool in pools),
+        starts=tuple(int(np.searchsorted(depths, k)) for k in range(len(rhos))),
         sizes=sizes,
+        copies=np.array([r[2] for r in pool], dtype=np.int64),
         nonlocal_values=nl,
         truncated=trunc,
         local_values=loc,
@@ -569,8 +573,8 @@ def strict_sweep(
     :func:`sweep_table` of the same problem, order, schedule and
     restriction, built here when not given and returned with the
     result: pass it to the sweep under the other product metric to
-    gather once.  Empty pools contribute ``INF`` levels (infimum of the
-    empty set).
+    gather once.  ``budget_used`` counts every copy of a table row.
+    Empty pools contribute ``INF`` levels (infimum of the empty set).
     """
     if not 0.0 < q <= 1.0:
         raise SlopeError("q must lie in (0, 1]")
@@ -589,7 +593,7 @@ def strict_sweep(
     truncated_any = False
     for k, rho in enumerate(schedule.rho_values()):
         s = table.starts[k]
-        used += int(table.sizes[s:].sum())
+        used += int((table.sizes[s:] * table.copies[s:]).sum())
         truncated_any = truncated_any or bool(table.truncated[metric][s:, k].any())
         plain = weight[s:] * table.local_values[metric][s:, k]
         with_ratio = has_ratio[s:]

@@ -24,8 +24,8 @@ from subreg import (
     theorem_7T1_check,
     validate_P1_P2,
 )
-from subreg.moduli import SAMPLED_REL, looks_divergent, rel_close
-from subreg.problems import EPS_MEM, mix_seed
+from subreg.moduli import SAMPLED_REL, _ambient_x_samples, looks_divergent, rel_close
+from subreg.problems import EPS_MEM, mix_seed, outer_pools
 from subreg.slopes_primal import as_two_variable
 
 
@@ -305,6 +305,47 @@ def _ref_error_bound_modulus(func_or_ef, schedule):
     )
 
 
+def _ref_subregularity_modulus(problem, q, schedule):
+    # the scan the per-distinct-x table replaced: every copy of every
+    # level's pool, then the level's ambient samples, one oracle call each
+    pools = outer_pools(problem, schedule, True)
+    rhos = schedule.rho_values()
+    trace, witnesses = [], []
+    for k, rho in enumerate(rhos):
+        xs = [pt.x for pt in pools[k]]
+        xs += [
+            x
+            for x in _ambient_x_samples(problem, rho, 64, mix_seed(schedule.seed, "srx", k))
+            if problem.d_x(x, problem.xbar) < rho
+        ]
+        best, best_rec = INF, None
+        for x in xs:
+            sol = problem.solution_dist_exact(x)
+            if sol is None or sol <= EPS_MEM or problem.fiber_distance is None:
+                continue
+            fib = problem.fiber_distance(x)
+            if is_inf(fib):
+                continue
+            val = float(fib) ** q / sol
+            if val < best:
+                best = val
+                best_rec = {
+                    "x": [float(t) for t in np.asarray(x).reshape(-1)],
+                    "fiber_distance": float(fib),
+                    "solution_distance": float(sol),
+                    "ratio": val,
+                }
+        trace.append((rho, best))
+        if k == len(rhos) - 1 and best_rec is not None:
+            witnesses.append(best_rec)
+    flags = ()
+    if all(is_inf(v) for _, v in trace):
+        flags = ("inconclusive",)
+    elif any(is_inf(v) for _, v in trace):
+        flags = ("empty-levels",)
+    return ModulusReport("sr_q", trace[-1][1], tuple(trace), tuple(witnesses), flags=flags)
+
+
 def _ref_p2(func_or_ef, schedule):
     func = as_two_variable(func_or_ef)
     pts = func.sampler(
@@ -381,3 +422,15 @@ def test_error_bound_engine_matches_scalar_reference(name, q, seed):
     assert [(_bits(r), _bits(v)) for r, v in p2.trace] == [
         (_bits(r), _bits(v)) for r, v in _ref_p2(subject, s)
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize(
+    "name,q", [(n, q) for n in _ENGINE_CASES if "embedding" not in n for q in (0.25, 0.5, 1.0)]
+)
+def test_subregularity_modulus_matches_per_copy_reference(name, q, seed):
+    s = Schedule(sample_budget=256, steps=5, seed=seed)
+    problem = _ENGINE_CASES[name]()
+    new, ref = subregularity_modulus(problem, q, s), _ref_subregularity_modulus(problem, q, s)
+    for f in dataclasses.fields(ModulusReport):
+        assert _bits(getattr(new, f.name)) == _bits(getattr(ref, f.name)), f.name

@@ -19,8 +19,10 @@ from subreg import (
     validate_P1_P2,
 )
 from subreg.problems import (
+    ProblemError,
     UnknownProblemError,
     _sphere_directions,
+    distinct_pool,
     halton_points,
     halving_offsets,
     mix_seed,
@@ -162,6 +164,28 @@ def test_outer_pools_nested(schedule):
 def test_constant_problem_has_no_outer_points(schedule):
     p = catalog_problem("constant")
     assert all(len(pool) == 0 for pool in outer_pools(p, schedule))
+    assert distinct_pool(outer_pools(p, schedule)) == ()
+
+
+def test_distinct_pool_counts_the_copies_of_each_point():
+    s = Schedule(sample_budget=256, steps=5)
+    pools = outer_pools(catalog_problem("half-square"), s, True)
+    points, depths, copies = zip(*distinct_pool(pools))
+    # the halving stencils of different levels coincide bitwise
+    assert (len(pools[0]), len(points)) == (50, 14)
+    key = lambda pt: (pt.x.tobytes(), pt.y.tobytes())
+    first = {}
+    for pt in pools[0]:
+        first.setdefault(key(pt), pt)
+    assert [key(pt) for pt in points] == list(first)  # once each, first-occurrence order
+    assert all(pt is first[key(pt)] for pt in points)
+    assert sum(copies) == len(pools[0])
+    for k, pool in enumerate(pools):
+        assert sum(c for c, d in zip(copies, depths) if d >= k) == len(pool)
+    # the depth each copy had: the finest level holding it
+    per_copy = {id(pt): k for k, pool in enumerate(pools) for pt in pool}
+    for pt, d in zip(points, depths):
+        assert {per_copy[id(c)] for c in pools[0] if key(c) == key(pt)} == {d}
 
 
 def test_validate_p1_p2_passes_for_induced(schedule):
@@ -423,6 +447,12 @@ def test_sampler_matches_list_based_reference(problem):
                         assert np.array_equal(g, w)
 
 
+def test_halton_dimension_is_at_most_ten():
+    assert halton_points(10, 3, 0).shape == (3, 10)
+    with pytest.raises(ProblemError):
+        halton_points(11, 3, 0)
+
+
 def test_halton_matches_reference_and_prefixes():
     for dim in (1, 2, 3, 10):
         # shrinking and growing counts: answers never depend on call order
@@ -594,7 +624,7 @@ def test_outer_pools_share_the_anchor_sample(monkeypatch, truncation_radius):
     radii = _count_anchor_samples(monkeypatch, s)
     # the per-point path: every outer point draws the anchor sample itself
     per_point = [
-        sample_outer_points(p, rho, 24, mix_seed(s.seed, "outer", k), s, level=k)
+        sample_outer_points(p, rho, 24, mix_seed(s.seed, "outer", k), s)
         for k, rho in enumerate(s.rho_values())
     ]
     drawn = len(radii)
@@ -607,6 +637,6 @@ def test_outer_pools_share_the_anchor_sample(monkeypatch, truncation_radius):
     assert len(pools[0]) == len(fresh)
     for a, b in zip(pools[0], fresh):
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-        assert (a.d_x_anchor, a.d_y_anchor, a.sol_dist, a.level) == (
-            b.d_x_anchor, b.d_y_anchor, b.sol_dist, b.level,
+        assert (a.d_x_anchor, a.d_y_anchor, a.sol_dist) == (
+            b.d_x_anchor, b.d_y_anchor, b.sol_dist,
         )

@@ -408,10 +408,17 @@ def test_sweep_table_matches_per_point_reductions(monkeypatch, name, truncation_
     s = Schedule(sample_budget=256, steps=5, truncation_radius=truncation_radius)
     table = sweep_table(problem, q, s)
     pools = outer_pools(problem, s, True)
-    assert len(table.points) == len(pools[0])
+    # one row per distinct (x, y) of the coarsest pool, with its copies
+    key = lambda pt: (pt.x.tobytes(), pt.y.tobytes())
+    assert len({key(pt) for pt in table.points}) == len(table.points)
     assert bool(table.points) == (name != "constant")
+    assert int(table.copies.sum()) == len(pools[0])
     for k, pool in enumerate(pools):
-        assert set(table.points[table.starts[k] :]) == set(pool)
+        level = table.points[table.starts[k] :]
+        assert {key(pt) for pt in level} == {key(pt) for pt in pool}
+        assert int(table.copies[table.starts[k] :].sum()) == len(pool)
+    for pt, n in zip(table.points, table.copies):
+        assert n == sum(key(c) == key(pt) for c in pools[0])
     for i, pt in enumerate(table.points):
         cands = gather_point_candidates(problem, ProductPoint(pt.x, pt.y), s)
         assert table.sizes[i] == cands.size
