@@ -40,8 +40,6 @@ from .problems import (
 )
 from .report import RunConfig, RunReport, emit_report, parse_config, run_config
 from .slopes_dual import (
-    CoderivativeQuery,
-    coderivative_query,
     f_level_subdiff_rho_slope,
     limiting_coderivative_min_norm,
     lm_constants,

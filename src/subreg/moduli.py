@@ -41,11 +41,12 @@ from .slopes_primal import (
     SlopeEstimate,
     StrictSweepResult,
     SweepTable,
+    _gather,
+    _norm_rows,
     anchor_f_rows,
     as_two_variable,
     distinct_rows,
     f_level_strict,
-    gather_point_candidates,
     strict_sweep,
 )
 
@@ -155,7 +156,8 @@ def subregularity_modulus(
     for k, rho in enumerate(rhos):
         xs = [pt.x for pt, depth, _ in pool if depth >= k]
         ambient = _ambient_x_samples(problem, rho, 64, mix_seed(schedule.seed, "srx", k))
-        xs += [x for x in ambient if problem.d_x(x, problem.xbar) < rho]
+        dist = _norm_rows(problem.norm_x, np.reshape(ambient, (-1, problem.dim_x)) - problem.xbar)
+        xs += [x for x, d in zip(ambient, dist) if d < rho]
         best: ExtReal = INF
         best_x = None
         for x in xs:  # a level keeps its first strict minimum in this order
@@ -285,8 +287,10 @@ def check_subregularity_inequality(
         raise ModuliError("tau and u_radius must be positive")
     if problem.fiber_distance is None or problem.solution_distance is None:
         raise ModuliError("inequality check needs fiber and solution oracles")
-    for x in _ambient_x_samples(problem, u_radius, grid_budget, seed):
-        if problem.d_x(x, problem.xbar) > u_radius:
+    xs = _ambient_x_samples(problem, u_radius, grid_budget, seed)
+    dist = _norm_rows(problem.norm_x, np.reshape(xs, (-1, problem.dim_x)) - problem.xbar)
+    for x, d in zip(xs, dist):
+        if d > u_radius:
             continue
         fib = problem.fiber_distance(x)
         if is_inf(fib):
@@ -719,32 +723,34 @@ def run_invariant_suite(
     # pointwise domination of the nonlocal slope over the local slope and
     # the anchor-distance ratio, on shared candidate supersets
     probes = _probe_points(problem, schedule, 24)
-    rhos = schedule.rho_values()
+    nl = loc = fl = []
+    if probes:
+        # one candidate table for every probe, reduced at the two test
+        # rhos and along the decreasing ladder in one pass per family
+        grid = (0.7, 0.15, *schedule.rho_values())
+        tables = _gather(problem, probes, schedule).rho_profiles(q, grid)
+        nl, loc, fl = (tables[k].tolist() for k in ("nonlocal", "local", "f_local"))
     worst_f = worst_fl = worst_rho = 0.0
     for i, p in enumerate(probes):
-        cands = gather_point_candidates(problem, p, schedule)
         if i < 10:
-            # rho-monotonicity along the decreasing ladder, shared
-            # candidates; its row comes further down
-            for series in cands.rho_profiles(q, rhos).values():
+            # rho-monotonicity along the ladder, shared candidates; its
+            # row comes further down
+            for series in (nl[i][2:], loc[i][2:], fl[i][2:]):
                 for a, b in zip(series, series[1:]):
                     worst_rho = min(worst_rho, b - a)
         d = problem.d_y(p.y, problem.ybar)
         dxa = problem.d_x(p.x, problem.xbar)
         dya = problem.d_y(p.y, problem.ybar)
-        for rho in (0.7, 0.15):
-            nl, _ = cands.nonlocal_value(q, rho)
-            loc = cands.local_value(rho)
+        for j, rho in enumerate((0.7, 0.15)):
             anchor_den = max(dxa, rho * dya)
             bound = max(
-                q * d ** (q - 1.0) * loc,
+                q * d ** (q - 1.0) * loc[i][j],
                 (d**q / anchor_den) if anchor_den > 0 else 0.0,
             )
-            worst_f = min(worst_f, nl - bound)
+            worst_f = min(worst_f, nl[i][j] - bound)
             # on the graph f = d(y, ybar)**q, so f's nonlocal slope is nl
-            fl = cands.f_local_value(q, rho)
-            fbound = max(fl, (d**q / anchor_den) if anchor_den > 0 else 0.0)
-            worst_fl = min(worst_fl, nl - fbound)
+            fbound = max(fl[i][j], (d**q / anchor_den) if anchor_den > 0 else 0.0)
+            worst_fl = min(worst_fl, nl[i][j] - fbound)
     row("nonlocal_dominates_local_and_anchor", worst_f >= -SHARED_SLACK, worst_f, 0.0, SHARED_SLACK)
     row("f_nonlocal_dominates_local_and_anchor", worst_fl >= -SHARED_SLACK, worst_fl, 0.0, SHARED_SLACK)
 

@@ -602,14 +602,16 @@ def sample_outer_points(
     return out
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def outer_pools(
     problem: MappingProblem, schedule: Schedule, outer_restriction: bool = True
 ) -> tuple:
     """Per-rho-level pools of outer points with nested-window reuse.
 
     Pass all three arguments: the cache keys ``(p, s)`` and ``(p, s,
-    True)`` apart, so mixed call shapes would build the pools twice.
+    True)`` apart, so mixed call shapes would build the pools twice.  It
+    keeps the last key only: a run asks for one ``(problem, schedule,
+    True)``, and the problems of finished runs are not kept alive.
 
     Level ``k`` holds every sampled point falling inside window ``k``,
     including points drawn for finer levels, so per-level infima are

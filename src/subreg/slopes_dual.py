@@ -25,7 +25,6 @@ import numpy as np
 
 from .extended import INF, ExtReal, is_inf
 from .geometry import (
-    DualVectorSet,
     ProductPoint,
     _dual_ball_directions,
     duality_map,
@@ -52,24 +51,6 @@ class MissingOracleError(ValueError):
 
 class DualSlopeError(ValueError):
     """Invalid input to a dual slope estimator."""
-
-
-@dataclass(frozen=True, eq=False)
-class CoderivativeQuery:
-    """One coderivative evaluation: the point, the multiplier, and the
-    finite description of the image (``None`` when the oracle has no
-    description at this point)."""
-
-    at: ProductPoint
-    ystar: np.ndarray
-    result: Optional[DualVectorSet]
-
-
-def coderivative_query(problem: MappingProblem, at: ProductPoint, ystar) -> CoderivativeQuery:
-    if problem.coderivative is None:
-        raise MissingOracleError(f"problem {problem.name!r} has no coderivative oracle")
-    ystar = np.asarray(ystar, dtype=float).reshape(-1)
-    return CoderivativeQuery(at, ystar, problem.coderivative(at.x, at.y, ystar))
 
 
 def _image_norms(problem: MappingProblem, at) -> Callable:

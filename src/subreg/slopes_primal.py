@@ -6,6 +6,14 @@ limsup as the supremum at the smallest relative radius, and the strict
 slopes take per-level infima over outer-point pools along the
 decreasing rho ladder, reporting the final (tightest) level.
 
+Every slope here, of the mapping and of a two-variable function alike,
+is the supremum of ``[num]_+ / d_rho`` over candidate rows, and one
+segmented reducer, :func:`_segment_sup`, takes it for many points and
+many rho at once.  Mapping-level candidates live in one table,
+:class:`PointCandidates`, of one point or many (a chunk of an outer
+pool, the invariant suite's probes); each caller builds its own
+numerators.
+
 All suprema are lower-biased (sampled subsets) and all infima are
 upper-biased; comparisons downstream add slack in the direction that
 sampling bias cannot explain.
@@ -14,7 +22,7 @@ sampling bias cannot explain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,7 +41,6 @@ from .problems import (
     outer_pools,
     radius_pad,
     radius_pads,
-    sample_graph_arrays,
     sample_graph_batch,
 )
 
@@ -93,83 +100,123 @@ def _point_seed(schedule: Schedule, tag: str, at: ProductPoint) -> int:
     return mix_seed(schedule.seed, tag, at.x.tobytes(), at.y.tobytes())
 
 
+def _select(ok: np.ndarray, counts: np.ndarray) -> tuple:
+    """The rows where ``ok`` holds, of segments of ``counts`` consecutive
+    rows, and how many of each segment's rows they are."""
+    rows = np.flatnonzero(ok)
+    owner = np.repeat(np.arange(counts.size), counts)
+    return rows, np.bincount(owner[rows], minlength=counts.size)
+
+
+def _segment_sup(num, dx, dy, counts, rhos, metric: str, edge=None):
+    """The one reduction behind every primal slope: per segment of
+    ``counts`` consecutive rows and per rho, the supremum of ``[num]_+ /
+    max(dx, rho dy)`` (``/ (dx + rho dy)`` when ``metric`` is ``"sum"``),
+    and 0 for a segment without rows, as a ``(segments, rhos)`` array.
+
+    Callers pass only the rows that may score, with numerators they built
+    themselves.  With the per-row flags ``edge`` it returns ``(sup,
+    hit)``, ``hit`` telling whether each supremum's first argmax is an
+    edge row (the truncation flag).
+    """
+    out = np.zeros((counts.size, len(rhos)))
+    hit = np.zeros(out.shape, dtype=bool)
+    has = np.flatnonzero(counts)
+    if has.size:
+        n = counts[has]
+        starts = np.cumsum(n) - n
+        vals = np.asarray(rhos, dtype=float)[:, None] * dy
+        (np.maximum if metric == "max" else np.add)(dx, vals, out=vals)
+        np.divide(np.maximum(num, 0.0), vals, out=vals)
+        top = np.maximum.reduceat(vals, starts, axis=1)
+        out[has] = top.T
+        if edge is not None:
+            # edge rows are few: scan only the segments whose supremum
+            # some edge row attains for the first argmax
+            rows = np.flatnonzero(edge)
+            seg = np.searchsorted(starts, rows, side="right") - 1
+            ks, js = np.nonzero(vals[:, rows] == top[:, seg])
+            for k, j in set(zip(ks.tolist(), seg[js].tolist())):
+                first = starts[j] + int(np.argmax(vals[k, starts[j] : starts[j] + n[j]]))
+                hit[has[j], k] = edge[first]
+    return out if edge is None else (out, hit)
+
+
 @dataclass(eq=False)
 class PointCandidates:
-    """Graph candidates around one evaluation point with the distance
-    arrays every ratio reduction needs; local candidates are a subset of
-    the nonlocal superset so pointwise dominations hold sample-wise."""
+    """The candidate table of one or more points, point after point.
 
-    d_at: float
+    Per point: its ``counts`` rows, ``d_at = d(y, ybar)``, the truncation
+    radius and the exclusion distance ``min_dist``.  Per row: the
+    distances ``dx`` and ``dy`` to the row's point, ``dv`` to ybar,
+    ``dist = max(dx, dy)`` and the local mask; local candidates are a
+    subset of the nonlocal superset, so pointwise dominations hold
+    sample-wise.  The table methods reduce every point at every rho of a
+    list in one :func:`_segment_sup` call, as point x rho arrays; the
+    ``*_value`` methods are their one-point, one-rho reads.
+    """
+
+    counts: np.ndarray
+    d_at: np.ndarray
+    trunc_radius: np.ndarray
+    min_dist: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
     dv: np.ndarray
     dist: np.ndarray
     local_mask: np.ndarray
-    trunc_radius: float
-    min_dist: float = EXCLUSION_BAND
 
     @property
     def size(self) -> int:
         return int(self.dx.shape[0])
 
-    def _reduce(self, num: np.ndarray, rho: float, metric: str, mask=None):
-        ok = self.dist > self.min_dist
-        if mask is not None:
-            ok = ok & mask
-        den = (
-            np.maximum(self.dx, rho * self.dy)
-            if metric == "max"
-            else self.dx + rho * self.dy
-        )
-        num = np.maximum(num, 0.0)
-        if not np.any(ok):
-            return 0.0, -1
-        vals = np.where(ok, num / np.where(ok, den, 1.0), -1.0)
-        idx = int(np.argmax(vals))
-        return max(float(vals[idx]), 0.0), idx
+    @cached_property
+    def _scoring(self) -> tuple:
+        # (rows, rows per point) outside each point's exclusion band, and
+        # of those on its local shell: rows in the band never score
+        ok = self.dist > np.repeat(self.min_dist, self.counts)
+        return _select(ok, self.counts), _select(ok & self.local_mask, self.counts)
 
-    def nonlocal_value(self, q: float, rho: float, metric: str = "max"):
-        num = self.d_at**q - self.dv**q
-        value, idx = self._reduce(num, rho, metric)
-        truncated = idx >= 0 and self.dist[idx] >= 0.99 * self.trunc_radius
-        return value, truncated
+    def _sup(self, num, rhos, metric: str, local: bool, edge=None):
+        rows, counts = self._scoring[1 if local else 0]
+        edge = None if edge is None else edge[rows]
+        return _segment_sup(num[rows], self.dx[rows], self.dy[rows], counts, rhos, metric, edge)
 
-    def local_value(self, rho: float, metric: str = "max") -> float:
-        num = self.d_at - self.dv
-        value, _ = self._reduce(num, rho, metric, mask=self.local_mask)
-        return value
+    def _num_q(self, q: float) -> np.ndarray:
+        # d(y, ybar)**q as Python float powers, d(v, ybar)**q on the array
+        return np.repeat([d**q for d in self.d_at.tolist()], self.counts) - self.dv**q
 
-    def f_local_value(self, q: float, rho: float, metric: str = "max") -> float:
+    def nonlocal_table(self, q: float, rhos: Sequence[float], metric: str = "max") -> tuple:
+        """The nonlocal (q, rho)-slopes and their truncation flags (the
+        supremum attained near the truncation radius)."""
+        edge = self.dist >= np.repeat(0.99 * self.trunc_radius, self.counts)
+        return self._sup(self._num_q(q), rhos, metric, False, edge)
+
+    def local_table(self, rhos: Sequence[float], metric: str = "max") -> np.ndarray:
+        return self._sup(np.repeat(self.d_at, self.counts) - self.dv, rhos, metric, True)
+
+    def f_local_table(self, q: float, rhos: Sequence[float], metric: str = "max") -> np.ndarray:
         # induced error function f = d(v, ybar)**q on the graph; its
-        # nonlocal slope is nonlocal_value's
-        num = self.d_at**q - self.dv**q
-        value, _ = self._reduce(num, rho, metric, mask=self.local_mask)
-        return value
+        # nonlocal slope is nonlocal_table's
+        return self._sup(self._num_q(q), rhos, metric, True)
 
     def rho_profiles(self, q: float, rhos: Sequence[float]) -> dict:
-        """The nonlocal, local and f-level local slopes across a rho list."""
-        out = {"nonlocal": [], "local": [], "f_local": []}
-        for rho in rhos:
-            out["nonlocal"].append(self.nonlocal_value(q, rho)[0])
-            out["local"].append(self.local_value(rho))
-            out["f_local"].append(self.f_local_value(q, rho))
-        return out
+        """The nonlocal, local and f-level local slope tables across a rho list."""
+        return {
+            "nonlocal": self.nonlocal_table(q, rhos)[0],
+            "local": self.local_table(rhos),
+            "f_local": self.f_local_table(q, rhos),
+        }
 
+    def nonlocal_value(self, q: float, rho: float, metric: str = "max") -> tuple:
+        value, truncated = self.nonlocal_table(q, [rho], metric)
+        return float(value[0, 0]), bool(truncated[0, 0])
 
-@dataclass(eq=False)
-class _Gathered:
-    """Candidate rows of several points, point after point: per-point
-    scalars as lists, per-row distances as arrays."""
+    def local_value(self, rho: float, metric: str = "max") -> float:
+        return float(self.local_table([rho], metric)[0, 0])
 
-    counts: np.ndarray
-    d_at: list
-    trunc: list
-    min_dist: list
-    dx: np.ndarray
-    dy: np.ndarray
-    dv: np.ndarray
-    dist: np.ndarray
-    local_mask: np.ndarray
+    def f_local_value(self, q: float, rho: float, metric: str = "max") -> float:
+        return float(self.f_local_table(q, [rho], metric)[0, 0])
 
 
 def _gather(
@@ -177,9 +224,10 @@ def _gather(
     points: Sequence,
     schedule: Schedule,
     trunc_radius: Optional[float] = None,
-) -> _Gathered:
-    """The candidate supersets of :func:`gather_point_candidates` for
-    several points, from one batched sampler pass and one norm pass."""
+) -> PointCandidates:
+    """The candidate table of several points: each point's multi-scale
+    superset of :func:`gather_point_candidates`, from one batched sampler
+    pass and one norm pass."""
     anchor = problem.anchor
     finite = _finite(problem)
     n = max(32, schedule.sample_budget // 4)
@@ -226,16 +274,15 @@ def _gather(
         ux[is_anchor], vy[is_anchor] = anchor.x, anchor.y
     dx = problem.norm_x.value_rows(ux - np.repeat(px, counts, axis=0))
     dy = problem.norm_y.value_rows(vy - np.repeat(py, counts, axis=0))
-    dv = problem.norm_y.value_rows(vy - problem.ybar)
     dist = np.maximum(dx, dy)
-    return _Gathered(
+    return PointCandidates(
         counts=counts,
-        d_at=d_at,
-        trunc=trunc,
-        min_dist=min_dist,
+        d_at=np.array(d_at),
+        trunc_radius=np.array(trunc),
+        min_dist=np.array(min_dist),
         dx=dx,
         dy=dy,
-        dv=dv,
+        dv=problem.norm_y.value_rows(vy - problem.ybar),
         dist=dist,
         local_mask=dist <= np.repeat(np.array(r_loc) + radius_pads(px, py), counts),
     )
@@ -249,19 +296,9 @@ def gather_point_candidates(
 ) -> PointCandidates:
     """Multi-scale candidate superset around ``at``: a truncation-radius
     sweep, a near-anchor scale, the tight local shell and the anchor
-    itself.  This is the one-point case of the batched gather that
+    itself.  This is the one-point table of the batched gather that
     :func:`sweep_table` runs over whole outer pools."""
-    g = _gather(problem, [at], schedule, trunc_radius)
-    return PointCandidates(
-        d_at=g.d_at[0],
-        dx=g.dx,
-        dy=g.dy,
-        dv=g.dv,
-        dist=g.dist,
-        local_mask=g.local_mask,
-        trunc_radius=g.trunc[0],
-        min_dist=g.min_dist[0],
-    )
+    return _gather(problem, [at], schedule, trunc_radius)
 
 
 def _require_on_graph(problem: MappingProblem, at: ProductPoint):
@@ -337,16 +374,18 @@ def local_rho_slope(
     """Shrinking-neighborhood limsup of ``[d(y,ybar) - d(v,ybar)]_+ /
     d_rho`` realized as the supremum at the smallest relative radius;
     the trace over the whole radius ladder makes non-stabilization
-    visible."""
+    visible.  A sampled graph draws every radius in one
+    :func:`sample_graph_batch` pass and reduces the radii as segments; an
+    explicit finite graph is scanned scalar by scalar."""
     if rho <= 0:
         raise SlopeError("rho must be positive")
     _require_on_graph(problem, at)
     d_at = problem.d_y(at.y, problem.ybar)
     scale = max(problem.product_dist(at, problem.anchor), 0.0)
-    trace = []
-    used = 0
 
     if _finite(problem):
+        trace = []
+        used = 0
         pairs = []
         for p in problem.graph_points:
             dx = problem.d_x(p.x, at.x)
@@ -368,25 +407,20 @@ def local_rho_slope(
             trace.append((r, best))
         return SlopeEstimate(trace[-1][1], tuple(trace), False, used, "local_rho")
 
+    radii = [max(nr * scale, LOCAL_RADIUS_FLOOR) for nr in schedule.neighborhood_radii]
     n_loc = _local_budget(problem, schedule)
-    for j, nr in enumerate(schedule.neighborhood_radii):
-        r = max(nr * scale, LOCAL_RADIUS_FLOOR)
-        ux, vy = sample_graph_arrays(
-            problem, at, r, n_loc, mix_seed(_point_seed(schedule, "ls", at), j)
-        )
-        if ux.shape[0] == 0:
-            trace.append((r, 0.0))
-            continue
-        dx = problem.norm_x.value_rows(ux - at.x)
-        dy = problem.norm_y.value_rows(vy - at.y)
-        dv = problem.norm_y.value_rows(vy - problem.ybar)
-        den = np.maximum(dx, rho * dy) if metric == "max" else dx + rho * dy
-        ok = np.maximum(dx, dy) > max(EXCLUSION_BAND, NOISE_FLOOR_REL * scale)
-        used += int(np.sum(ok))
-        num = np.maximum(d_at - dv, 0.0)
-        vals = np.where(ok, num / np.where(ok, den, 1.0), -1.0)
-        trace.append((r, max(float(np.max(vals)), 0.0)))
-    return SlopeEstimate(trace[-1][1], tuple(trace), False, used, "local_rho")
+    seed = _point_seed(schedule, "ls", at)
+    ux, vy, counts = sample_graph_batch(
+        problem, [(at, r, n_loc, mix_seed(seed, j)) for j, r in enumerate(radii)]
+    )
+    dx = problem.norm_x.value_rows(ux - at.x)
+    dy = problem.norm_y.value_rows(vy - at.y)
+    dv = problem.norm_y.value_rows(vy - problem.ybar)
+    ok = np.maximum(dx, dy) > max(EXCLUSION_BAND, NOISE_FLOOR_REL * scale)
+    rows, kept = _select(ok, counts)
+    sup = _segment_sup(d_at - dv[rows], dx[rows], dy[rows], kept, [rho], metric)
+    trace = tuple(zip(radii, sup[:, 0].tolist()))
+    return SlopeEstimate(trace[-1][1], trace, False, int(rows.size), "local_rho")
 
 
 # --------------------------------------------------------------------------
@@ -449,31 +483,15 @@ class SweepTable:
     local_values: dict
 
 
-def _first_max_is_edge(vals, top, starts, counts, edge) -> np.ndarray:
-    """Per row of ``vals`` and per segment: is the first occurrence of the
-    segment's maximum ``top`` (the ``np.argmax`` of the segment) an
-    ``edge`` row?  Edge rows are few, so only the segments whose maximum
-    some edge row attains are scanned."""
-    out = np.zeros(top.shape, dtype=bool)
-    rows = np.flatnonzero(edge)
-    if rows.size:
-        seg = np.searchsorted(starts, rows, side="right") - 1
-        ks, js = np.nonzero(vals[:, rows] == top[:, seg])
-        for k, j in set(zip(ks.tolist(), seg[js].tolist())):
-            first = starts[j] + int(np.argmax(vals[k, starts[j] : starts[j] + counts[j]]))
-            out[k, j] = edge[first]
-    return out
-
-
 def sweep_table(
     problem: MappingProblem,
     q: float,
     schedule: Schedule,
     outer_restriction: bool = True,
 ) -> SweepTable:
-    """Gather the outer pools chunk by chunk and reduce every rho level
-    of every distinct point under both product metrics: the values of
-    :meth:`PointCandidates.nonlocal_value` and
+    """Gather the distinct points of the outer pools chunk by chunk into
+    candidate tables and reduce every rho level under both product
+    metrics: the values of :meth:`PointCandidates.nonlocal_value` and
     :meth:`PointCandidates.local_value`, bitwise, with each point's
     candidates gathered once and dropped with its chunk.  A point's
     copies would gather the same rows, so they are only counted."""
@@ -495,46 +513,16 @@ def sweep_table(
         rows_per_point = n // 2 + n // 4 + _local_budget(problem, schedule) + 1
     step = max(1, SWEEP_CHUNK_ROWS // rows_per_point)
     for c0 in range(0, len(points), step):
-        chunk = points[c0 : c0 + step]
-        g = _gather(problem, chunk, schedule)  # outer points carry x and y like graph points
-        sizes[c0 : c0 + len(chunk)] = g.counts
-        # one row per level down to the chunk's deepest; points sorted by
-        # depth keep a chunk's depths close, so few rows go unread
-        levels = int(depths[c0 : c0 + len(chunk)].max()) + 1
-        rho = np.array(rhos[:levels])[:, None]
-        owner = np.repeat(np.arange(len(chunk)), g.counts)
-        dv_q = g.dv**q
-        # rows in a point's exclusion band (and, for the local slope, off
-        # its local shell) never score: the reductions skip them, and a
-        # point left without rows scores 0
-        ok = g.dist > np.repeat(g.min_dist, g.counts)
-        edge = g.dist >= np.repeat([0.99 * t for t in g.trunc], g.counts)
-        for local in (False, True):
-            rows = np.flatnonzero(ok & g.local_mask if local else ok)
-            who = owner[rows]
-            counts = np.bincount(who, minlength=len(chunk))
-            has = c0 + np.flatnonzero(counts)
-            counts = counts[counts > 0]
-            starts = np.cumsum(counts) - counts
-            if local:
-                num = np.maximum(np.array(g.d_at)[who] - g.dv[rows], 0.0)
-            else:
-                num = np.maximum(np.array([d**q for d in g.d_at])[who] - dv_q[rows], 0.0)
-            dx, dy = g.dx[rows], g.dy[rows]
-            for metric in SWEEP_METRICS:
-                out = (loc if local else nl)[metric]
-                out[c0 : c0 + len(chunk), :levels] = 0.0
-                if not rows.size:
-                    continue
-                vals = rho * dy
-                (np.maximum if metric == "max" else np.add)(dx, vals, out=vals)
-                np.divide(num, vals, out=vals)
-                top = np.maximum.reduceat(vals, starts, axis=1)
-                out[has, :levels] = top.T
-                if local:
-                    continue
-                hit = _first_max_is_edge(vals, top, starts, counts, edge[rows])
-                trunc[metric][has, :levels] = hit.T
+        chunk = slice(c0, c0 + step)
+        cands = _gather(problem, points[chunk], schedule)  # outer points carry x and y like graph points
+        sizes[chunk] = cands.counts
+        # one column per level down to the chunk's deepest; points sorted
+        # by depth keep a chunk's depths close, so few columns go unread
+        levels = int(depths[chunk].max()) + 1
+        block = (chunk, slice(0, levels))
+        for metric in SWEEP_METRICS:
+            nl[metric][block], trunc[metric][block] = cands.nonlocal_table(q, rhos[:levels], metric)
+            loc[metric][block] = cands.local_table(rhos[:levels], metric)
 
     outside = depths[:, None] < np.arange(len(rhos))  # levels past a point's depth
     for metric in SWEEP_METRICS:
@@ -818,30 +806,6 @@ def _f_candidates(func_or_ef, centres: Sequence, calls: Sequence[tuple], anchor:
     return f, _norm_rows(func.norm_x, ux - cx), _norm_rows(func.norm_y, vy - cy), counts
 
 
-def _f_slopes(f_at, f, dx, dy, counts, rhos, plus: bool, mask=None) -> np.ndarray:
-    """Per segment of ``counts`` rows and per rho: the supremum of
-    ``[f_at - f]_+ / max(dx, rho dy)`` over the rows outside the exclusion
-    band (and inside ``mask``), with ``f`` read as ``[f]_+`` when
-    ``plus``; 0 for a segment without such rows.  ``(segments, rhos)``."""
-    out = np.zeros((counts.size, len(rhos)))
-    ok = np.maximum(dx, dy) > EXCLUSION_BAND
-    if mask is not None:
-        ok &= mask
-    rows = np.flatnonzero(ok)
-    if not rows.size:
-        return out
-    who = np.repeat(np.arange(counts.size), counts)[rows]
-    fv = np.maximum(f[rows], 0.0) if plus else f[rows]
-    num = np.maximum(np.asarray(f_at)[who] - fv, 0.0)
-    vals = np.asarray(rhos, dtype=float)[:, None] * dy[rows]
-    np.maximum(dx[rows], vals, out=vals)
-    np.divide(num, vals, out=vals)
-    n = np.bincount(who, minlength=counts.size)
-    has = np.flatnonzero(n)
-    out[has] = np.maximum.reduceat(vals, np.cumsum(n[has]) - n[has], axis=1).T
-    return out
-
-
 def f_level_slopes(
     func_or_ef,
     rho: float,
@@ -865,7 +829,7 @@ def f_level_slopes(
             for v in point_variants:
                 out[v] = SlopeEstimate(INF, ((rho, INF),), False, 0, f"f_{v}")
         else:
-            f_at = np.array([float(fv)])
+            f_at = float(fv)
             # plain product distance to the anchor
             scale = max(func.norm_x.value(at.x - func.xbar), func.norm_y.value(at.y - func.ybar))
             trunc = schedule.truncation_radius or 10.0 * max(1.0, scale)
@@ -873,7 +837,9 @@ def f_level_slopes(
                 budget = max(64, schedule.sample_budget // 4)
                 call = (at, trunc, budget, _point_seed(schedule, "fnl", at))
                 f, dx, dy, counts = _f_candidates(func_or_ef, [at], [call], True)
-                val = float(_f_slopes(f_at, f, dx, dy, counts, [rho], True)[0, 0])
+                rows, kept = _select(np.maximum(dx, dy) > EXCLUSION_BAND, counts)
+                num = f_at - np.maximum(f[rows], 0.0)
+                val = float(_segment_sup(num, dx[rows], dy[rows], kept, [rho], "max")[0, 0])
                 out["nonlocal"] = SlopeEstimate(
                     val, ((rho, val),), False, int(counts[0]), "f_nonlocal"
                 )
@@ -886,7 +852,8 @@ def f_level_slopes(
                     for j, r in enumerate(radii)
                 ]
                 f, dx, dy, counts = _f_candidates(func_or_ef, [at] * len(calls), calls, False)
-                vals = _f_slopes(np.repeat(f_at, counts.size), f, dx, dy, counts, [rho], False)
+                rows, kept = _select(np.maximum(dx, dy) > EXCLUSION_BAND, counts)
+                vals = _segment_sup(f_at - f[rows], dx[rows], dy[rows], kept, [rho], "max")
                 trace = tuple(zip(radii, vals[:, 0].tolist()))
                 out["local"] = SlopeEstimate(
                     trace[-1][1], trace, False, int(counts.sum()), "f_local"
@@ -945,11 +912,16 @@ def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
         # one shared superset with a local mask, so the nonlocal supremum
         # dominates the local one sample-wise
         fc, dx, dy, counts = _f_candidates(func_or_ef, centres, calls, True)
-        pads = r_loc + radius_pads(ux[sel], vy[sel])
-        local = np.maximum(dx, dy) <= np.repeat(pads, counts)
+        dist = np.maximum(dx, dy)
+        ok = dist > EXCLUSION_BAND
+        local = ok & (dist <= np.repeat(r_loc + radius_pads(ux[sel], vy[sel]), counts))
+        f_at = np.repeat(f[sel], counts)
         chunk = slice(c0, c0 + sel.size)
-        uniform[chunk] = _f_slopes(f[sel], fc, dx, dy, counts, rhos, True)
-        plain[chunk] = _f_slopes(f[sel], fc, dx, dy, counts, rhos, False, local)
+        rows, kept = _select(ok, counts)
+        num = f_at[rows] - np.maximum(fc[rows], 0.0)
+        uniform[chunk] = _segment_sup(num, dx[rows], dy[rows], kept, rhos, "max")
+        rows, kept = _select(local, counts)
+        plain[chunk] = _segment_sup(f_at[rows] - fc[rows], dx[rows], dy[rows], kept, rhos, "max")
         sizes[chunk] = counts
 
     with np.errstate(divide="ignore"):
@@ -980,4 +952,5 @@ def rho_slope_profiles(
     """Slope values across a rho list on one fixed candidate set per
     family; used to check monotonicity along the decreasing-rho ladder."""
     _require_on_graph(problem, at)
-    return gather_point_candidates(problem, at, schedule).rho_profiles(q, rhos)
+    profiles = gather_point_candidates(problem, at, schedule).rho_profiles(q, rhos)
+    return {family: table[0].tolist() for family, table in profiles.items()}

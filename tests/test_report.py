@@ -207,6 +207,10 @@ class TestRunContext:
             "strict_sweep": 2,  # max- and sum-type product metric
         }
         assert outer_pools.cache_info().misses == 1
+        # a finished run's problem and pools are not kept alive
+        run_config(_reduced_config(["moduli"], problem="identity", q=1.0))
+        assert outer_pools.cache_info().misses == 2
+        assert outer_pools.cache_info().currsize == 1
 
     def test_sweeps_share_candidates_then_drop_them(self, monkeypatch):
         gathers = Counter()

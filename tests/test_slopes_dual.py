@@ -12,7 +12,6 @@ from subreg import (
     ProductPoint,
     Schedule,
     catalog_problem,
-    coderivative_query,
     f_level_subdiff_rho_slope,
     graph_sample,
     is_inf,
@@ -165,21 +164,21 @@ class TestCoderivativeOracleContracts:
         pts = __import__("subreg").graph_sample(p, p.anchor, 1.0, 16, 4)
         for pt in pts[:6]:
             ystar = rng.normal(size=p.dim_y)
-            base = coderivative_query(p, pt, ystar)
-            scaled = coderivative_query(p, pt, 3.0 * ystar)
-            if base.result is None or base.result.is_empty():
+            base = p.coderivative(pt.x, pt.y, ystar)
+            scaled = p.coderivative(pt.x, pt.y, 3.0 * ystar)
+            if base is None or base.is_empty():
                 continue
-            for u, v in zip(base.result.members(), scaled.result.members()):
+            for u, v in zip(base.members(), scaled.members()):
                 np.testing.assert_allclose(3.0 * u, v, atol=1e-9)
 
     def test_halfline_empty_images(self):
         p = catalog_problem("halfline-convex")
-        interior = coderivative_query(p, ProductPoint([0.2], [0.9]), [1.0])
-        assert interior.result.is_empty()
-        boundary = coderivative_query(p, ProductPoint([0.2], [0.2]), [-1.0])
-        assert boundary.result.is_empty()
-        ok = coderivative_query(p, ProductPoint([0.2], [0.2]), [1.5])
-        np.testing.assert_allclose(ok.result.members()[0], [1.5])
+        interior = ProductPoint([0.2], [0.9])
+        assert p.coderivative(interior.x, interior.y, [1.0]).is_empty()
+        boundary = ProductPoint([0.2], [0.2])
+        assert p.coderivative(boundary.x, boundary.y, [-1.0]).is_empty()
+        ok = p.coderivative(boundary.x, boundary.y, [1.5])
+        np.testing.assert_allclose(ok.members()[0], [1.5])
 
 
 class TestQOneFastPath:

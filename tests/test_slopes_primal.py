@@ -381,6 +381,31 @@ def _reference_gather(problem, at, schedule):
     return dx, dy, dv, dist, dist <= r_loc + radius_pad(at), trunc
 
 
+def _reference_reduce(cands, num, rho, metric, mask=None):
+    # the one-point reduction the segmented one replaced: masked argmax,
+    # value clipped at 0, truncation flag from the first argmax
+    ok = cands.dist > cands.min_dist[0]
+    if mask is not None:
+        ok = ok & mask
+    if not np.any(ok):
+        return 0.0, False
+    den = np.maximum(cands.dx, rho * cands.dy) if metric == "max" else cands.dx + rho * cands.dy
+    vals = np.where(ok, np.maximum(num, 0.0) / np.where(ok, den, 1.0), -1.0)
+    idx = int(np.argmax(vals))
+    return max(float(vals[idx]), 0.0), bool(cands.dist[idx] >= 0.99 * cands.trunc_radius[0])
+
+
+def _reference_values(cands, q, rho, metric):
+    # (nonlocal, truncated), local and f-level local slopes of a
+    # one-point table by the reference reduction
+    d_at = float(cands.d_at[0])
+    num_q = d_at**q - cands.dv**q
+    nonlocal_ = _reference_reduce(cands, num_q, rho, metric)
+    local, _ = _reference_reduce(cands, d_at - cands.dv, rho, metric, cands.local_mask)
+    f_local, _ = _reference_reduce(cands, num_q, rho, metric, cands.local_mask)
+    return nonlocal_, local, f_local
+
+
 @pytest.mark.parametrize("name", [n for n in _PARITY_PROBLEMS if n != "constant"])
 def test_gather_matches_per_point_reference(name):
     make, _ = _PARITY_PROBLEMS[name]
@@ -430,10 +455,50 @@ def test_sweep_table_matches_per_point_reductions(monkeypatch, name, truncation_
                 if i < table.starts[k]:  # not in level k's pool
                     assert np.isnan(nl) and np.isnan(loc) and not trunc
                     continue
-                assert (nl, trunc) == cands.nonlocal_value(q, rho, metric)
-                assert loc == cands.local_value(rho, metric)
+                want_nl, want_loc, want_fl = _reference_values(cands, q, rho, metric)
+                assert (nl, trunc) == want_nl == cands.nonlocal_value(q, rho, metric)
+                assert loc == want_loc == cands.local_value(rho, metric)
+                assert cands.f_local_value(q, rho, metric) == want_fl
     if truncation_radius is not None and name in ("half-square", "halfline-convex"):
         assert table.truncated["max"].any()
+
+
+def _reference_local_rho_slope(problem, rho, at, s, metric):
+    # the per-radius loop the batched one replaced: one sampler call and
+    # one reduction per radius
+    d_at = problem.d_y(at.y, problem.ybar)
+    scale = problem.product_dist(at, problem.anchor)
+    budget = min(96, s.sample_budget) if problem.param_dim <= 1 else min(2560, 4 * s.sample_budget)
+    seed = mix_seed(s.seed, "ls", at.x.tobytes(), at.y.tobytes())
+    trace, used = [], 0
+    for j, nr in enumerate(s.neighborhood_radii):
+        r = max(nr * scale, 2.5e-12)
+        ux, vy = sample_graph_arrays(problem, at, r, budget, mix_seed(seed, j))
+        dx = problem.norm_x.value_rows(ux - at.x)
+        dy = problem.norm_y.value_rows(vy - at.y)
+        dv = problem.norm_y.value_rows(vy - problem.ybar)
+        den = np.maximum(dx, rho * dy) if metric == "max" else dx + rho * dy
+        ok = np.maximum(dx, dy) > max(1e-12, 4e-9 * scale)
+        used += int(ok.sum())
+        vals = np.where(ok, np.maximum(d_at - dv, 0.0) / np.where(ok, den, 1.0), -1.0)
+        trace.append((r, max(float(vals.max()), 0.0) if vals.size else 0.0))
+    return tuple(trace), used
+
+
+@pytest.mark.parametrize("name", ["half-square", "linear-A", "inline-3max1"])
+def test_local_rho_slope_matches_per_radius_reference(name):
+    make, _ = _PARITY_PROBLEMS[name]
+    problem = make()
+    s = Schedule(sample_budget=256, steps=5)
+    points = [ProductPoint(p.x, p.y) for p in outer_pools(problem, s, True)[0][:4]]
+    points += [problem.anchor]
+    assert len(points) > 1
+    for at in points:
+        for rho, metric in ((0.5, "max"), (2.0, "sum")):
+            est = local_rho_slope(problem, rho, at, s, metric)
+            trace, used = _reference_local_rho_slope(problem, rho, at, s, metric)
+            assert est.trace == trace and est.value == trace[-1][1]
+            assert est.budget_used == used
 
 
 def test_constant_sweep_is_inconclusive_from_its_empty_table():
