@@ -12,7 +12,8 @@ from typing import Union
 
 
 class Infinity:
-    """The single positive-infinity sentinel; compare and add like +inf."""
+    """The single positive-infinity sentinel; compare, add and scale like
+    +inf, with 0 * inf = 0."""
 
     __slots__ = ()
 
@@ -43,10 +44,13 @@ class Infinity:
     __radd__ = __add__
 
     def __mul__(self, other):
+        # 0 * (+inf) = 0 is the convention of variational analysis
         if isinstance(other, Infinity):
             return self
-        if other <= 0:
-            raise ValueError("cannot scale infinity by a non-positive factor")
+        if other == 0:
+            return 0.0
+        if other < 0:
+            raise ValueError("cannot scale infinity by a negative factor")
         return self
 
     __rmul__ = __mul__

@@ -337,10 +337,10 @@ def q_duality_enlargement(
 
     ``eps == 0`` returns ``q|y|^{q-1} * J(y)`` un-normalized (pass
     ``normalized=True`` for the zero-enlargement normalized variant,
-    which collapses back to J(y)).  ``eps > 0`` samples the set
-    ``{(y* + eps v*)/|y* + eps v*| : y* in q|y|^{q-1}J(y), |v*| <= 1}``
-    deterministically from the seed; candidates whose unnormalized form
-    vanishes are skipped.
+    which collapses back to J(y)).  ``eps > 0`` is the one-level read of
+    :func:`enlargement_rows`: the set ``{(y* + eps v*)/|y* + eps v*| :
+    y* in q|y|^{q-1}J(y), |v*| <= 1}`` sampled at ``v* = 0`` and at
+    ``budget`` dual-sphere directions drawn from the seed.
     """
     y = _as_vector(y)
     if not 0.0 < q <= 1.0:
@@ -348,7 +348,7 @@ def q_duality_enlargement(
     if eps < 0:
         raise GeometryError("eps must be nonnegative")
     norm = norm or euclidean(y.shape[0])
-    base = duality_map(y, norm)
+    face = np.array(duality_map(y, norm).members())
     scale = q * norm.value(y) ** (q - 1.0)
     dual = norm.dual()
     if normalized is None:
@@ -356,28 +356,59 @@ def q_duality_enlargement(
 
     if eps == 0.0:
         if not normalized:
-            return DualVectorSet.from_vertices([scale * j for j in base.members()])
+            return DualVectorSet.from_vertices([scale * j for j in face])
         out = []
-        for j in base.members():
+        for j in face:
             n = dual.value(scale * j)
             if n > 0:
                 out.append(scale * j / n)
         return DualVectorSet.from_vertices(out)
 
-    perturbations = [np.zeros_like(y)]
-    perturbations.extend(_dual_ball_directions(y.shape[0], dual, budget, seed))
-    out = []
-    for j in base.members():
-        ystar = scale * j
-        for v in perturbations:
-            cand = ystar + eps * v
-            n = dual.value(cand)
-            if n <= 1e-15:
-                continue
-            out.append(cand / n)
-    if not out:
+    perturbations = enlargement_perturbations(y.shape[0], dual, budget, seed)
+    cand, kept = enlargement_rows(scale * face, [eps], perturbations, dual)
+    if not kept.any():
         return DualVectorSet.empty()
-    return DualVectorSet.from_vertices(out)
+    return DualVectorSet.from_vertices(cand[kept])
+
+
+def enlargement_perturbations(dim: int, dual: NormSpec, budget: int, seed: int) -> np.ndarray:
+    """The perturbations ``v*`` of the normalized enlargement, as rows:
+    0, then the dual-sphere directions of the seed."""
+    return np.array([np.zeros(dim), *_dual_ball_directions(dim, dual, budget, seed)])
+
+
+def enlargement_rows(ystar: np.ndarray, eps, perturbations: np.ndarray, dual: NormSpec) -> tuple:
+    """The normalized enlargement ``(y* + eps v*)/|y* + eps v*|`` for
+    every ``eps`` of the sequence, centre ``y*`` (a row of ``ystar``) and
+    perturbation ``v*`` (a row of ``perturbations``), as ``(cand,
+    kept)`` on that (eps, centre, perturbation) grid: ``kept`` marks the
+    candidates whose unnormalized dual norm exceeds 1e-15, which
+    ``cand`` holds normalized.
+    """
+    eps = np.asarray(eps, dtype=float)
+    cand = ystar[None, :, None, :] + eps[:, None, None, None] * perturbations[None, None, :, :]
+    n = _norm_rows(dual, cand.reshape(-1, ystar.shape[1])).reshape(cand.shape[:3])
+    kept = ~(n <= 1e-15)
+    np.divide(cand, n[..., None], out=cand, where=kept[..., None])
+    return cand, kept
+
+
+def _norm_rows(norm: NormSpec, m: np.ndarray) -> np.ndarray:
+    """Row norms equal bitwise to :meth:`NormSpec.value` on each row.
+
+    ``value_rows`` is that for the max norms (a maximum is exact) and for
+    the euclidean norm in one dimension; in more, its ``einsum`` sums in
+    another order, while a batched row-by-row product takes the same dot
+    product as ``value``.  The other norms are evaluated row by row.
+    """
+    if norm.kind == "weighted-max" or (norm.kind == "p" and math.isinf(norm.p)):
+        return norm.value_rows(m)
+    if norm.kind != "euclidean":
+        return np.array([norm.value(v) for v in m], dtype=float)
+    if norm.dim == 1:
+        return norm.value_rows(m)
+    m = np.ascontiguousarray(m, dtype=float)
+    return np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])
 
 
 @lru_cache(maxsize=512)

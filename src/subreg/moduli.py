@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .extended import INF, ExtReal, is_inf
-from .geometry import duality_map
+from .geometry import _norm_rows, duality_map
 from .problems import (
     EPS_MEM,
     ErrorFunction,
@@ -42,7 +42,6 @@ from .slopes_primal import (
     StrictSweepResult,
     SweepTable,
     _gather,
-    _norm_rows,
     anchor_f_rows,
     as_two_variable,
     distinct_rows,

@@ -9,17 +9,24 @@ coderivative minimum norm realizes the sequential outer limit along the
 shrinking shells.
 
 Every constant walks each distinct outer point once
-(:func:`~subreg.problems.distinct_pool`), in pool order, and covers all
-the levels holding a point before moving on; a point's copies in the
-pools would repeat its values, so they only add to ``budget_used``.  At
-each point, the image norm of each distinct multiplier is computed once
-(:func:`_image_norms`) and shared by that point's levels.
+(:func:`~subreg.problems.distinct_pool`), in pool order and in chunks of
+points; a point's copies in the pools would repeat its values, so they
+only add to ``budget_used``.  A point's duality faces are taken once per
+direction, and the multipliers of all its levels are laid out as one
+table, a block of the chunk's arrays (:func:`_pert_rows`,
+:func:`~subreg.geometry.enlargement_rows`).  The oracle is called once
+per distinct point and multiplier (:func:`_image_norms`).  Each (point,
+level[, direction set or target]) group is reduced to its least image
+norm, keeping the first of ties as a scan in that order would
+(:func:`_first_min`), and then each level across the points the same
+way.  The pointwise slopes are one-point, one-rho reads of the same
+table.  ``INF`` is ``np.inf`` inside these arrays only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,8 +34,10 @@ from .extended import INF, ExtReal, is_inf
 from .geometry import (
     ProductPoint,
     _dual_ball_directions,
+    _norm_rows,
     duality_map,
-    q_duality_enlargement,
+    enlargement_perturbations,
+    enlargement_rows,
     xi_q,
 )
 from .problems import (
@@ -43,6 +52,9 @@ from .slopes_primal import SlopeEstimate, _finish
 # Duality-mapping multipliers above this are not explored; the limiting
 # minimum-norm estimate may overestimate when the cap binds (flagged).
 MULTIPLIER_CAP = 1e6
+# Distinct outer points whose multiplier tables are built together; on a
+# two-dimensional range a chunk's arrays stay near a megabyte.
+DUAL_CHUNK_POINTS = 64
 
 
 class MissingOracleError(ValueError):
@@ -53,49 +65,164 @@ class DualSlopeError(ValueError):
     """Invalid input to a dual slope estimator."""
 
 
-def _image_norms(problem: MappingProblem, at) -> Callable:
-    """``multipliers -> inf |x*|`` over x* in D*F(x,y)(multipliers) at the
-    point ``at``, calling the oracle once per distinct y*, which the
-    levels of the point and its plain and approximate values share.  The
-    scan keeps the first of tied values, and an empty or all-``INF`` scan
-    returns ``INF``."""
+def _ext(v) -> ExtReal:
+    return INF if v == np.inf else float(v)
+
+
+def _chunks(problem: MappingProblem, schedule: Schedule):
+    """The distinct outer points in pool order, in chunks, each as
+    ``(points, depths, copies)``."""
+    pool = distinct_pool(outer_pools(problem, schedule, True))
+    for i in range(0, len(pool), DUAL_CHUNK_POINTS):
+        pts, depths, copies = zip(*pool[i : i + DUAL_CHUNK_POINTS])
+        yield pts, np.array(depths), np.array(copies)
+
+
+def _image_norms(
+    problem: MappingProblem, points: Sequence, owner: np.ndarray, rows: np.ndarray, where
+) -> np.ndarray:
+    """A table shaped like the mask ``where`` holding, at its true
+    entries in C order, ``inf |x*|`` over x* in D*F(x,y)(row) at
+    ``points[owner]`` for the successive rows and owners; ``np.inf``
+    elsewhere and where the oracle has no description or the image is
+    empty.  The oracle is called once per distinct point and row."""
     dual_x = problem.norm_x.dual()
+    # a row's bit patterns key it, so -0.0 and 0.0 stay apart
+    bits = np.ascontiguousarray(rows).view(np.int64)
+    keys = list(map(tuple, np.column_stack([owner, bits]).tolist()))
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
     memo = {}
-
-    def image_norms(multipliers) -> ExtReal:
-        best: ExtReal = INF
-        for ys in multipliers:
-            ys = np.asarray(ys, dtype=float).reshape(-1)
-            key = ys.tobytes()
-            if key not in memo:
-                res = problem.coderivative(at.x, at.y, ys)
-                memo[key] = INF if res is None else res.min_norm(dual_x)
-            if memo[key] < best:
-                best = memo[key]
-        return best
-
-    return image_norms
+    for key, i in first.items():
+        at = points[key[0]]
+        res = problem.coderivative(at.x, at.y, rows[i])
+        v = INF if res is None else res.min_norm(dual_x)
+        memo[key] = np.inf if is_inf(v) else v
+    table = np.full(np.shape(where), np.inf)
+    table[where] = [memo[key] for key in keys]
+    return table
 
 
-def _pert_multipliers(problem: MappingProblem, j: np.ndarray, pert: float, seed: int) -> list:
-    """Multiplier candidates in J + pert*B*: the exact interval ends in
-    one dimension, dual-sphere directions (always including -j) above."""
-    if pert <= 0.0:
-        return [j]
-    dual = problem.norm_y.dual()
-    if problem.dim_y == 1:
-        jj = float(j[0])
-        cands = [np.array([jj - pert]), np.array([jj]), np.array([jj + pert])]
-        if abs(jj) <= pert:
-            cands.append(np.array([0.0]))
-        return cands
-    dirs = [-j / dual.value(j)] if dual.value(j) > 0 else []
-    dirs += list(_dual_ball_directions(problem.dim_y, dual, 8, seed))
-    cands = [j]
-    cands += [j + pert * d for d in dirs]
-    if dual.value(j) <= pert:
-        cands.append(np.zeros_like(j))
-    return cands
+def _first_min(table: np.ndarray) -> np.ndarray:
+    """Along the last axis, the first entry equal to the least: what a
+    scan keeping the first of ties returns, so -0.0 and 0.0 stay apart.
+    ``np.inf`` along an empty axis."""
+    if not table.shape[-1]:
+        return np.full(table.shape[:-1], np.inf)
+    flat = table.reshape(-1, table.shape[-1])
+    first = np.argmax(flat == flat.min(axis=1, keepdims=True), axis=1)
+    return flat[np.arange(len(flat)), first].reshape(table.shape[:-1])
+
+
+def _across_points(parts: list, shape: tuple) -> list:
+    """The per-point arrays of ``shape``, stacked chunk by chunk
+    (``np.inf`` where a point does not reach a level), reduced over the
+    points in pool order, so a tie keeps the first point; as rows of
+    extended reals, ``INF`` throughout without points."""
+    stack = np.concatenate(parts) if parts else np.empty((0,) + shape)
+    return [[_ext(v) for v in row] for row in _first_min(np.moveaxis(stack, 0, -1)).tolist()]
+
+
+def _padded(faces: list, dim: int) -> tuple:
+    """The member rows of the faces, each face padded with zero rows to
+    the longest, as ``(members, real)``: the rows (faces * longest,
+    dim) and the mask (faces, longest) of the true members."""
+    width = max(map(len, faces), default=0)
+    members = np.zeros((len(faces), width, dim))
+    real = np.zeros((len(faces), width), dtype=bool)
+    for i, face in enumerate(faces):
+        if len(face):
+            members[i, : len(face)] = face
+            real[i, : len(face)] = True
+    return members.reshape(-1, dim), real
+
+
+def _pert_rows(problem: MappingProblem, centres: np.ndarray, perts: np.ndarray, seed: int) -> tuple:
+    """Multiplier candidates in j + pert*B* for each centre row j and
+    each radius pert of its row of ``perts``, as ``(cand, valid)``: the
+    candidates shaped (centres, radii, slots, dim), slots in scan order,
+    and which of them are in the set.  The slots are the exact interval
+    ends ``j - pert, j, j + pert`` in one dimension, and ``j`` then
+    ``j + pert*d`` over the directions d (``-j/|j|`` first, then
+    dual-sphere directions) above; 0 closes a centre's list once
+    ``|j| <= pert``, and a radius ``pert <= 0`` keeps ``j`` alone."""
+    m, dim = centres.shape
+    if dim == 1:
+        size = np.abs(centres[:, 0])
+        cand = np.empty(perts.shape + (4, 1))
+        step = perts[:, :, None]
+        cand[:, :, 0] = centres[:, None] - step
+        cand[:, :, 1] = centres[:, None]
+        cand[:, :, 2] = centres[:, None] + step
+        centre = 1
+    else:
+        dual = problem.norm_y.dual()
+        size = _norm_rows(dual, centres)
+        unit = np.zeros_like(centres)
+        np.divide(-centres, size[:, None], out=unit, where=size[:, None] > 0)
+        ball = np.array(_dual_ball_directions(dim, dual, 8, seed))
+        dirs = np.concatenate([unit[:, None, :], np.broadcast_to(ball, (m,) + ball.shape)], axis=1)
+        cand = np.empty(perts.shape + (dirs.shape[1] + 2, dim))
+        cand[:, :, 0] = centres[:, None]
+        cand[:, :, 1:-1] = centres[:, None, None] + perts[:, :, None, None] * dirs[:, None]
+        centre = 0
+    cand[:, :, -1] = 0.0
+    valid = np.ones(cand.shape[:3], dtype=bool)
+    valid[:, :, -1] = size[:, None] <= perts
+    if dim > 1:
+        valid[:, :, 1] = (size > 0)[:, None]
+    still = perts <= 0.0
+    if still.any():
+        valid[still] = False
+        valid[still, centre] = True
+    return cand, valid
+
+
+def _subdiff_table(
+    problem: MappingProblem,
+    points: Sequence,
+    direction_sets: Sequence,
+    perts: np.ndarray,
+    live: np.ndarray,
+    seed: int,
+) -> np.ndarray:
+    """Per point, per radius of its row of ``perts`` where ``live`` and
+    per direction set of the point: ``inf |x*|`` over x* in
+    D*F(x,y)(J(v) + pert * B*) and over the set's nonzero directions v,
+    as a (points, radii, sets) array, ``np.inf`` off ``live``.  A point
+    takes each distinct direction's face once, and the value is 0 where
+    pert reaches the least dual norm over the set's faces: 0 then lies in
+    the perturbed multiplier set, and D*F(x,y)(0) owns 0."""
+    n_pts, n_rad = perts.shape
+    n_sets = len(direction_sets[0])
+    dim = problem.dim_y
+    flat = [v for sets in direction_sets for vs in sets for v in vs]
+    nonzero = iter((_norm_rows(problem.norm_y, np.array(flat)) > 0.0).tolist())
+    js = []
+    for sets in direction_sets:
+        faces: dict = {}
+        for vs in sets:
+            js.append([])
+            for v in vs:
+                if next(nonzero):
+                    key = v.tobytes()
+                    if key not in faces:
+                        faces[key] = duality_map(v, problem.norm_y).members()
+                    js[-1] += faces[key]
+    centres, real = _padded(js, dim)
+    width = real.shape[1]
+    size = np.where(real, _norm_rows(problem.norm_y.dual(), centres).reshape(real.shape), np.inf)
+    reached = (perts[:, :, None] >= size.min(axis=1).reshape(n_pts, 1, n_sets)) & live[:, :, None]
+    cand, valid = _pert_rows(problem, centres, np.repeat(perts, n_sets * width, axis=0), seed)
+    # a set's members take part at the live radii short of its least norm
+    short = (live[:, :, None] & ~reached).transpose(0, 2, 1).reshape(-1, 1, n_rad)
+    valid &= (real[:, :, None] & short).reshape(-1, n_rad, 1)
+    owner = np.nonzero(valid)[0] // (n_sets * width)
+    table = _image_norms(problem, points, owner, cand[valid], valid)
+    slots = valid.shape[2]
+    table = table.reshape(n_pts, n_sets, width, n_rad, slots).transpose(0, 3, 1, 2, 4)
+    out = _first_min(table.reshape(n_pts, n_rad, n_sets, width * slots))
+    out[reached] = 0.0
+    return out
 
 
 def _approx_directions(
@@ -112,26 +239,11 @@ def _approx_directions(
     return [diff] + [diff + v_radius * d for d in dirs]
 
 
-def _subdiff_value(
-    problem: MappingProblem,
-    image_norms: Callable,
-    directions: list,
-    pert: float,
-    seed: int,
-) -> ExtReal:
-    """inf |x*| over x* in D*F(x,y)(J(v) + pert * B*) and over the nonzero
-    directions v: ``[y - ybar]`` for the plain value."""
-    dual = problem.norm_y.dual()
-    js = [
-        j
-        for v in directions
-        if problem.norm_y.value(v) > 0.0
-        for j in duality_map(v, problem.norm_y).members()
-    ]
-    if pert >= min(dual.value(j) for j in js):
-        # 0 lies in the perturbed multiplier set and D*F(x,y)(0) owns 0
-        return 0.0
-    return image_norms(ys for j in js for ys in _pert_multipliers(problem, j, pert, seed))
+def _at_point(problem: MappingProblem, at, sets: list, pert: float, seed: int) -> list:
+    """The one-point, one-radius read of :func:`_subdiff_table`: a value
+    per direction set."""
+    table = _subdiff_table(problem, [at], [sets], np.array([[pert]]), np.ones((1, 1), bool), seed)
+    return [_ext(v) for v in table[0, 0].tolist()]
 
 
 def subdiff_rho_slope(
@@ -163,18 +275,13 @@ def subdiff_rho_slope(
         raise DualSlopeError("subdifferential slope undefined at y == ybar")
     seed = mix_seed(schedule.seed, "dirs")
     diff = at.y - problem.ybar
-    image_norms = _image_norms(problem, at)
     if variant == "plain":
-        value = _subdiff_value(problem, image_norms, [diff], rho, seed)
+        (value,) = _at_point(problem, at, [[diff]], rho, seed)
         return SlopeEstimate(value, ((rho, value),), False, 1, "subdiff_rho_plain")
-    trace = []
-    for nr in schedule.neighborhood_radii:
-        v_radius = (nr / 10.0) * d
-        near = _approx_directions(problem, diff, v_radius, seed)
-        trace.append((v_radius, _subdiff_value(problem, image_norms, near, rho, seed)))
-    return SlopeEstimate(
-        trace[-1][1], tuple(trace), False, len(trace), "subdiff_rho_approx"
-    )
+    radii = [(nr / 10.0) * d for nr in schedule.neighborhood_radii]
+    sets = [_approx_directions(problem, diff, r, seed) for r in radii]
+    trace = tuple(zip(radii, _at_point(problem, at, sets, rho, seed)))
+    return SlopeEstimate(trace[-1][1], trace, False, len(trace), "subdiff_rho_approx")
 
 
 def f_level_subdiff_rho_slope(
@@ -189,13 +296,8 @@ def f_level_subdiff_rho_slope(
     if d <= 0.0:
         raise DualSlopeError("undefined at y == ybar")
     xi = xi_q(at.y, problem.ybar, q, problem.norm_y)
-    inner = _subdiff_value(
-        problem,
-        _image_norms(problem, at),
-        [at.y - problem.ybar],
-        xi * rho,
-        mix_seed(schedule.seed, "dirs"),
-    )
+    seed = mix_seed(schedule.seed, "dirs")
+    (inner,) = _at_point(problem, at, [[at.y - problem.ybar]], xi * rho, seed)
     return q * d ** (q - 1.0) * inner
 
 
@@ -235,33 +337,26 @@ def strict_subdiff_q_slopes(
 
     seed = mix_seed(schedule.seed, "dirs")
     v_frac = schedule.neighborhood_radii[-1] / 10.0
-    best = {key: [INF] * len(rhos) for key in keys}
+    parts = []
     used = 0
-    # in pool order, so a tie keeps the first point
-    for pt, depth, copies in distinct_pool(outer_pools(problem, schedule, True)):
-        d = pt.d_y_anchor
-        weight = q * d ** (q - 1.0)
-        ratio = d**q / pt.d_x_anchor if pt.d_x_anchor > 0 else INF
-        diff = pt.y - problem.ybar
-        near = _approx_directions(problem, diff, v_frac * d, seed)
-        image_norms = _image_norms(problem, pt)
-        for k in range(depth + 1):
-            used += copies
-            pert = (d ** (1.0 - q) / q) * rhos[k]
-            plain_val = _subdiff_value(problem, image_norms, [diff], pert, seed)
-            approx_val = _subdiff_value(problem, image_norms, near, pert, seed)
-            vals = {
-                "plain": weight * plain_val if not is_inf(plain_val) else INF,
-                "approx": weight * approx_val if not is_inf(approx_val) else INF,
-            }
-            vals["modified"] = max(vals["plain"], ratio)
-            vals["modified_approx"] = max(vals["approx"], ratio)
-            for key, v in vals.items():
-                if v < best[key][k]:
-                    best[key][k] = v
-
+    for pts, depths, copies in _chunks(problem, schedule):
+        d = [pt.d_y_anchor for pt in pts]
+        diffs = [pt.y - problem.ybar for pt in pts]
+        sets = [[[v], _approx_directions(problem, v, v_frac * dy, seed)] for v, dy in zip(diffs, d)]
+        xi = np.array([dy ** (1.0 - q) / q for dy in d])
+        live = np.arange(len(rhos)) <= depths[:, None]
+        table = _subdiff_table(problem, pts, sets, xi[:, None] * np.array(rhos), live, seed)
+        weight = np.array([q * dy ** (q - 1.0) for dy in d])
+        plain, approx = np.moveaxis(weight[:, None, None] * table, 2, 0)
+        ratio = [dy**q / pt.d_x_anchor if pt.d_x_anchor > 0 else np.inf for dy, pt in zip(d, pts)]
+        ratio = np.array(ratio)[:, None]
+        # modified = max(value, ratio), which keeps the value on a tie
+        modified = [np.where(ratio > v, ratio, v) for v in (plain, approx)]
+        parts.append(np.stack([plain, approx, *modified], axis=1))
+        used += int(copies @ (depths + 1))
+    best = _across_points(parts, (len(keys), len(rhos)))
     return DualStrictSlopes(
-        *(_finish(f"subdiff_strict_q_{t}", list(zip(rhos, best[t])), False, used) for t in keys)
+        *(_finish(f"subdiff_strict_q_{t}", list(zip(rhos, b)), False, used) for t, b in zip(keys, best))
     )
 
 
@@ -283,24 +378,28 @@ def limiting_coderivative_min_norm(
         return _inconclusive("limiting_coderivative_min_norm", rhos)
     dual = problem.norm_y.dual()
     seed = mix_seed(schedule.seed, "dirs")
-    best = [INF] * len(rhos)
+    n_rad = len(rhos)
+    parts = []
     capped = False
     used = 0
-    # in pool order, so a tie keeps the first point
-    for pt, depth, copies in distinct_pool(outer_pools(problem, schedule, True)):
-        scale = q * pt.d_y_anchor ** (q - 1.0)
-        js = duality_map(pt.y - problem.ybar, problem.norm_y).members()
-        centers = [c for c in (scale * j for j in js) if dual.value(c) <= MULTIPLIER_CAP]
-        capped = capped or len(centers) < len(js)
-        image_norms = _image_norms(problem, pt)
-        for k in range(depth + 1):
-            ystars = [ys for c in centers for ys in _pert_multipliers(problem, c, rhos[k], seed)]
-            used += copies * len(ystars)
-            v = image_norms(ystars)
-            if v < best[k]:
-                best[k] = v
-    trace = list(zip(rhos, best))
-    est = _finish("limiting_coderivative_min_norm", trace, False, used)
+    for pts, depths, copies in _chunks(problem, schedule):
+        faces = [duality_map(pt.y - problem.ybar, problem.norm_y).members() for pt in pts]
+        members, real = _padded(faces, problem.dim_y)
+        width = real.shape[1]
+        scale = np.array([q * pt.d_y_anchor ** (q - 1.0) for pt in pts])
+        centres = (scale[:, None] * members.reshape(len(pts), -1)).reshape(members.shape)
+        kept = real & (_norm_rows(dual, centres).reshape(real.shape) <= MULTIPLIER_CAP)
+        capped = capped or bool((real & ~kept).any())
+        cand, valid = _pert_rows(problem, centres, np.tile(rhos, (len(centres), 1)), seed)
+        live = np.arange(n_rad) <= depths[:, None]
+        valid &= (kept[:, :, None] & live[:, None, :]).reshape(-1, n_rad, 1)
+        used += int(copies @ valid.reshape(len(pts), -1).sum(axis=1))
+        table = _image_norms(problem, pts, np.nonzero(valid)[0] // width, cand[valid], valid)
+        slots = valid.shape[2]
+        table = table.reshape(len(pts), width, n_rad, slots).transpose(0, 2, 1, 3)
+        parts.append(_first_min(table.reshape(len(pts), 1, n_rad, width * slots)))
+    (best,) = _across_points(parts, (1, n_rad))
+    est = _finish("limiting_coderivative_min_norm", list(zip(rhos, best)), False, used)
     if capped:
         est = SlopeEstimate(
             est.value,
@@ -327,6 +426,10 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
     ranges nearby targets ``y'`` within ``|x-xbar|^{1/q}``.  With the
     nested pools the per-epsilon infima are monotone and the supremum
     over the epsilon ladder is its final entry.
+
+    Each target's face is taken once per point, and its enlargement over
+    every epsilon level is one block of
+    :func:`~subreg.geometry.enlargement_rows`.
     """
     if not 0.0 < q <= 1.0:
         raise DualSlopeError("q must lie in (0, 1]")
@@ -334,41 +437,53 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
     if problem.coderivative is None:
         return (_inconclusive("lm_alpha", rhos), _inconclusive("lm_beta", rhos))
     seed = mix_seed(schedule.seed, "dirs")
+    dual, dim, n_rad, eps = problem.norm_y.dual(), problem.dim_y, len(rhos), np.array(rhos)
     dirs = (
         [np.array([1.0]), np.array([-1.0])]
-        if problem.dim_y == 1
-        else _dual_ball_directions(problem.dim_y, problem.norm_y, 4, seed)
+        if dim == 1
+        else _dual_ball_directions(dim, problem.norm_y, 4, seed)
     )
-    best_a = [INF] * len(rhos)
-    best_b = [INF] * len(rhos)
+    n_tgt = 1 + 3 * len(dirs)
+    perturbations = enlargement_perturbations(dim, dual, 4, seed)
+    parts = []
     used = 0
-    # in pool order, so a tie keeps the first point
-    for pt, depth, copies in distinct_pool(outer_pools(problem, schedule, True)):
-        diff = pt.y - problem.ybar
-        y_window = pt.d_x_anchor ** (1.0 / q)
-        targets = [diff]
-        for frac in (0.5, 0.99, 1.0 - 1e-9):
-            for dvec in dirs:
-                targets.append(diff + frac * y_window * dvec)
-        # diff comes first, and its norm is d(y, ybar) > 0: beta's target
-        targets = [(t, dy) for t in targets if (dy := problem.norm_y.value(t)) > 0.0]
-        image_norms = _image_norms(problem, pt)
-        for k in range(depth + 1):
-            eps = rhos[k]
-            if not (pt.d_x_anchor < eps and pt.d_y_anchor < min(eps, pt.d_x_anchor**0.5)):
-                continue
-            used += copies
-            for i, (target, dy) in enumerate(targets):
-                # min |x*| over D*F(x,y)(J^q_eps(target))
-                enl = q_duality_enlargement(target, q, eps, 4, seed, problem.norm_y)
-                inner = image_norms(() if enl.is_empty() else enl.members())
-                if is_inf(inner):
-                    continue
-                val = q * inner * dy ** (q - 1.0)
-                if i == 0 and val < best_b[k]:
-                    best_b[k] = val
-                if val < best_a[k]:
-                    best_a[k] = val
+    for pts, depths, copies in _chunks(problem, schedule):
+        # the window d(x, xbar) < eps, d(y, ybar) < min(eps, d(x, xbar)^{1/2})
+        dist = np.array([[p.d_x_anchor, p.d_y_anchor, p.d_x_anchor**0.5] for p in pts])
+        window = (dist[:, :1] < eps) & (dist[:, 1:2] < np.minimum(eps, dist[:, 2:]))
+        live = window & (np.arange(n_rad) <= depths[:, None])
+        used += int(copies @ live.sum(axis=1))
+        targets = []
+        for pt in pts:
+            diff = pt.y - problem.ybar
+            y_window = pt.d_x_anchor ** (1.0 / q)
+            targets.append(diff)
+            for frac in (0.5, 0.99, 1.0 - 1e-9):
+                for dvec in dirs:
+                    targets.append(diff + frac * y_window * dvec)
+        dys = _norm_rows(problem.norm_y, np.array(targets)).tolist()
+        # a target of norm 0 gets no face (diff, beta's target, has
+        # norm d(y, ybar) > 0); a point off every window gets none
+        reach = np.repeat(live.any(axis=1), n_tgt).tolist()
+        weights = np.array([dy ** (q - 1.0) if dy > 0.0 else 1.0 for dy in dys])
+        faces = [
+            duality_map(t, problem.norm_y).members() if dy > 0.0 and ok else ()
+            for t, dy, ok in zip(targets, dys, reach)
+        ]
+        members, real = _padded(faces, dim)
+        # min |x*| over D*F(x,y)(J^q_eps(target)), J^q_eps(target) the
+        # normalized enlargement of q |target|^{q-1} J(target)
+        ystar = ((q * weights)[:, None] * members.reshape(len(faces), -1)).reshape(members.shape)
+        cand, kept = enlargement_rows(ystar, eps, perturbations, dual)
+        width = real.shape[1]
+        in_window = real.reshape(len(pts), 1, -1) & live[:, :, None]
+        kept &= in_window.transpose(1, 0, 2).reshape(n_rad, -1, 1)
+        owner = np.nonzero(kept)[1] // (n_tgt * width)
+        table = _image_norms(problem, pts, owner, cand[kept], kept)
+        inner = _first_min(table.reshape(n_rad, len(pts), n_tgt, width * len(perturbations)))
+        val = q * inner * weights.reshape(len(pts), n_tgt)
+        parts.append(np.stack([_first_min(val), val[:, :, 0]]).transpose(2, 0, 1))
+    best_a, best_b = _across_points(parts, (2, n_rad))
 
     def _sup(kind: str, trace: list) -> SlopeEstimate:
         finite = [v for _, v in trace if not is_inf(v)]

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .extended import INF, ExtReal, is_inf
-from .geometry import NormSpec, ProductPoint, euclidean
+from .geometry import NormSpec, ProductPoint, _norm_rows, euclidean
 from .problems import (
     ErrorFunction,
     MappingProblem,
@@ -721,21 +721,6 @@ def single_variable_embedding(
 # --------------------------------------------------------------------------
 # the f-level engine: rows of a two-variable function, reduced on arrays
 # --------------------------------------------------------------------------
-
-
-def _norm_rows(norm: NormSpec, m: np.ndarray) -> np.ndarray:
-    """Row norms equal bitwise to :meth:`NormSpec.value` on each row.
-
-    ``value_rows`` is that in one dimension; in more, its ``einsum`` sums
-    in another order, while a batched row-by-row product takes the same
-    dot product as ``value``.  Other norm kinds are evaluated row by row.
-    """
-    if norm.kind != "euclidean":
-        return np.array([norm.value(v) for v in m], dtype=float)
-    if norm.dim == 1:
-        return norm.value_rows(m)
-    m = np.ascontiguousarray(m, dtype=float)
-    return np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])
 
 
 def f_rows(func_or_ef, calls: Sequence[tuple]) -> tuple:

@@ -211,6 +211,11 @@ def test_infinity_sentinel_behavior():
     assert 3.0 + INF == INF
     assert min([INF, 2.0]) == 2.0
     assert max([INF, 2.0]) == INF
+    assert INF * 2.5 == INF and 2.5 * INF == INF
+    assert INF * 0 == 0.0 and 0 * INF == 0.0
+    assert INF * 0.0 == 0.0 and type(INF * 0.0) is float
+    with pytest.raises(ValueError):
+        INF * -1
 
 
 def test_dual_vector_set_ball_and_empty():

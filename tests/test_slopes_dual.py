@@ -9,6 +9,7 @@ from subreg import (
     INF,
     DualVectorSet,
     ErrorFunction,
+    NormSpec,
     ProductPoint,
     Schedule,
     catalog_problem,
@@ -31,7 +32,6 @@ from subreg.slopes_dual import (
     DualStrictSlopes,
     MissingOracleError,
     _inconclusive,
-    _pert_multipliers,
 )
 from subreg.slopes_primal import SlopeEstimate, _finish
 
@@ -211,6 +211,25 @@ class TestQOneFastPath:
 # must match bitwise: every level scans its pool, and every multiplier
 # calls the oracle.
 # --------------------------------------------------------------------------
+
+
+def _pert_multipliers(problem, j, pert, seed):
+    if pert <= 0.0:
+        return [j]
+    dual = problem.norm_y.dual()
+    if problem.dim_y == 1:
+        jj = float(j[0])
+        cands = [np.array([jj - pert]), np.array([jj]), np.array([jj + pert])]
+        if abs(jj) <= pert:
+            cands.append(np.array([0.0]))
+        return cands
+    dirs = [-j / dual.value(j)] if dual.value(j) > 0 else []
+    dirs += list(_dual_ball_directions(problem.dim_y, dual, 8, seed))
+    cands = [j]
+    cands += [j + pert * d for d in dirs]
+    if dual.value(j) <= pert:
+        cands.append(np.zeros_like(j))
+    return cands
 
 
 def _image_min_norm(problem, x, y, ystar):
@@ -471,6 +490,12 @@ def _signed_zero():
     return dataclasses.replace(catalog_problem("half-square"), coderivative=coderivative)
 
 
+def _linear_l1():
+    # l1 on Y: a point with a zero coordinate of y - ybar has a face of
+    # two vertices (a vertex list), the others a single sign vector
+    return dataclasses.replace(catalog_problem("linear-A"), norm_y=NormSpec("p", 2, p=1.0))
+
+
 def _no_oracle():
     return dataclasses.replace(catalog_problem("identity"), coderivative=None)
 
@@ -480,6 +505,7 @@ PARITY_CASES = {
     "half-square-cap": (lambda: catalog_problem("half-square"), 0.25),
     "halfline-convex": (lambda: catalog_problem("halfline-convex"), 1.0),
     "linear-A": (lambda: catalog_problem("linear-A"), 1.0),
+    "linear-A-l1": (_linear_l1, 1.0),
     "inline-kink": (_kink, 1.0),
     "constant": (lambda: catalog_problem("constant"), 1.0),
     "ball": (_ball_half_square, 0.5),
@@ -512,6 +538,9 @@ class TestPerPointEngineParity:
         assert any(halfline.coderivative(pt.x, pt.y, -np.ones(1)).is_empty() for pt in pool)
         assert not outer_pools(catalog_problem("constant"), s, True)[0]
         assert catalog_problem("linear-A").dim_y == 2
+        l1 = _linear_l1()
+        pool = outer_pools(l1, s, True)[0]
+        assert any(len(duality_map(pt.y - l1.ybar, l1.norm_y).members()) > 1 for pt in pool)
 
     @pytest.mark.parametrize(
         "case", ["half-square", "halfline-convex", "linear-A", "inline-kink", "ball"]
@@ -540,7 +569,7 @@ class TestPerPointEngineParity:
         calls = Counter()
 
         def counted(x, y, ystar):
-            calls[(id(x), id(y), ystar.tobytes())] += 1
+            calls[(x.tobytes(), y.tobytes(), ystar.tobytes())] += 1
             return base.coderivative(x, y, ystar)
 
         p = dataclasses.replace(base, coderivative=counted)
