@@ -396,13 +396,10 @@ def enlargement_rows(ystar: np.ndarray, eps, perturbations: np.ndarray, dual: No
 def _norm_rows(norm: NormSpec, m: np.ndarray) -> np.ndarray:
     """Row norms equal bitwise to :meth:`NormSpec.value` on each row.
 
-    ``value_rows`` is that for the max norms (a maximum is exact) and for
-    the euclidean norm in one dimension; in more, its ``einsum`` sums in
-    another order, while a batched row-by-row product takes the same dot
-    product as ``value``.  The other norms are evaluated row by row.
+    ``value_rows`` is that in one dimension; in more, its ``einsum`` sums
+    in another order, while a batched row-by-row product takes the same
+    dot product as ``value``.  Other norm kinds are evaluated row by row.
     """
-    if norm.kind == "weighted-max" or (norm.kind == "p" and math.isinf(norm.p)):
-        return norm.value_rows(m)
     if norm.kind != "euclidean":
         return np.array([norm.value(v) for v in m], dtype=float)
     if norm.dim == 1:

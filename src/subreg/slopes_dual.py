@@ -52,8 +52,11 @@ from .slopes_primal import SlopeEstimate, _finish
 # Duality-mapping multipliers above this are not explored; the limiting
 # minimum-norm estimate may overestimate when the cap binds (flagged).
 MULTIPLIER_CAP = 1e6
-# Distinct outer points whose multiplier tables are built together; on a
-# two-dimensional range a chunk's arrays stay near a megabyte.
+# Distinct outer points whose multiplier tables are built together.  On
+# linear-A (2-D, 446 distinct points) a chunk's arrays peak near 8 MiB
+# (tracemalloc), below the primal layer's peak, so an all-checks run
+# keeps its 62 MiB peak RSS; one table for all points peaks near 37 MiB
+# and lifts the run to 77 MiB.
 DUAL_CHUNK_POINTS = 64
 
 
@@ -88,17 +91,16 @@ def _image_norms(
     empty.  The oracle is called once per distinct point and row."""
     dual_x = problem.norm_x.dual()
     # a row's bit patterns key it, so -0.0 and 0.0 stay apart
-    bits = np.ascontiguousarray(rows).view(np.int64)
-    keys = list(map(tuple, np.column_stack([owner, bits]).tolist()))
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    memo = {}
-    for key, i in first.items():
-        at = points[key[0]]
-        res = problem.coderivative(at.x, at.y, rows[i])
+    keys = np.column_stack([owner, np.ascontiguousarray(rows).view(np.int64)])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    norms = np.empty(len(first))
+    for k in np.argsort(first):  # in scan order
+        at = points[owner[first[k]]]
+        res = problem.coderivative(at.x, at.y, rows[first[k]])
         v = INF if res is None else res.min_norm(dual_x)
-        memo[key] = np.inf if is_inf(v) else v
+        norms[k] = np.inf if is_inf(v) else v
     table = np.full(np.shape(where), np.inf)
-    table[where] = [memo[key] for key in keys]
+    table[where] = norms[inverse.reshape(-1)]
     return table
 
 
