@@ -154,6 +154,9 @@ def parse_config(data: dict) -> RunConfig:
         _require_keys(spec, {"pieces", "xbar", "ybar", "flags"}, "problem")
         if "pieces" not in spec:
             raise ConfigError("inline problem requires 'pieces'")
+        for key in ("xbar", "ybar"):
+            if not is_finite_real(spec.get(key, 0.0)):
+                raise ConfigError(f"problem.{key} must be a finite number, got {spec[key]!r}")
         flags = spec.get("flags", {})
         _require_keys(
             flags, {"convex", "smooth", "graph_locally_closed"}, "problem.flags"
@@ -166,6 +169,9 @@ def parse_config(data: dict) -> RunConfig:
     fmt = output.get("format", "json")
     if fmt not in ("json", "table"):
         raise ConfigError(f"unknown output format {fmt!r}")
+    path = output.get("path")
+    if path is not None and not isinstance(path, str):
+        raise ConfigError(f"output path must be a string, got {path!r}")
 
     return RunConfig(
         problem_spec=spec,
@@ -173,7 +179,7 @@ def parse_config(data: dict) -> RunConfig:
         gamma=None if gamma is None else float(gamma),
         schedule=schedule,
         checks=checks,
-        output_path=output.get("path"),
+        output_path=path,
         output_format=fmt,
     )
 

@@ -7,12 +7,15 @@ slopes take per-level infima over outer-point pools along the
 decreasing rho ladder, reporting the final (tightest) level.
 
 Every slope here, of the mapping and of a two-variable function alike,
-is the supremum of ``[num]_+ / d_rho`` over candidate rows, and one
-segmented reducer, :func:`_segment_sup`, takes it for many points and
-many rho at once.  Mapping-level candidates live in one table,
-:class:`PointCandidates`, of one point or many (a chunk of an outer
-pool, the invariant suite's probes); each caller builds its own
-numerators.
+is the supremum of ``[num]_+ / d_rho`` over candidate rows: a mapping's
+slopes are those of the induced f = d(y, ybar)**q on its graph.  One
+table, :class:`PointCandidates`, holds the candidates of many segments
+(the points of an outer-pool chunk, the invariant suite's probes, or
+the radii of one point's ladder), each row with its distances to its
+segment's centre and a value: d(v, ybar) on a mapping's graph, f for a
+two-variable function.  It builds the numerators from the centre and
+row values and reduces every segment at many rho at once through one
+segmented reducer, :func:`_segment_sup`.
 
 All suprema are lower-biased (sampled subsets) and all infima are
 upper-biased; comparisons downstream add slack in the direction that
@@ -114,8 +117,8 @@ def _segment_sup(num, dx, dy, counts, rhos, metric: str, edge=None):
     max(dx, rho dy)`` (``/ (dx + rho dy)`` when ``metric`` is ``"sum"``),
     and 0 for a segment without rows, as a ``(segments, rhos)`` array.
 
-    Callers pass only the rows that may score, with numerators they built
-    themselves.  With the per-row flags ``edge`` it returns ``(sup,
+    :class:`PointCandidates` passes only the rows that may score, with
+    their numerators.  With the per-row flags ``edge`` it returns ``(sup,
     hit)``, ``hit`` telling whether each supremum's first argmax is an
     edge row (the truncation flag).
     """
@@ -144,27 +147,49 @@ def _segment_sup(num, dx, dy, counts, rhos, metric: str, edge=None):
 
 @dataclass(eq=False)
 class PointCandidates:
-    """The candidate table of one or more points, point after point.
+    """The candidate table of one or more segments, segment after segment.
 
-    Per point: its ``counts`` rows, ``d_at = d(y, ybar)``, the truncation
-    radius and the exclusion distance ``min_dist``.  Per row: the
-    distances ``dx`` and ``dy`` to the row's point, ``dv`` to ybar,
-    ``dist = max(dx, dy)`` and the local mask; local candidates are a
-    subset of the nonlocal superset, so pointwise dominations hold
-    sample-wise.  The table methods reduce every point at every rho of a
-    list in one :func:`_segment_sup` call, as point x rho arrays; the
-    ``*_value`` methods are their one-point, one-rho reads.
+    A segment is a point, or one radius of a point's ladder.  Per segment:
+    its ``counts`` rows, the ``centre_value`` its rows descend from, the
+    truncation radius and the exclusion distance ``min_dist``.  Per row:
+    the distances ``dx`` and ``dy`` to the segment's centre, ``dist =
+    max(dx, dy)``, the ``row_value`` (d(v, ybar) on a mapping's graph, f
+    for a two-variable function) and the local mask; local candidates are
+    a subset of the nonlocal superset, so pointwise dominations hold
+    sample-wise.  The table methods reduce every segment at every rho of
+    a list in one :func:`_segment_sup` call, as segment x rho arrays; the
+    ``*_value`` methods are their one-segment, one-rho reads.
     """
 
     counts: np.ndarray
-    d_at: np.ndarray
+    centre_value: np.ndarray
     trunc_radius: np.ndarray
     min_dist: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
-    dv: np.ndarray
+    row_value: np.ndarray
     dist: np.ndarray
     local_mask: np.ndarray
+
+    @classmethod
+    def around(
+        cls, norms, centres, rows, counts, centre_value, min_dist, local_radius, trunc_radius
+    ) -> "PointCandidates":
+        """The table of the rows ``(ux, vy, value)``, ``counts[i]`` of them
+        around ``centres = (cx, cy)[i]``, with distances by the row norms
+        ``norms = (norm_x, norm_y)`` and the local mask ``dist <=
+        local_radius`` up to the centre's rounding pad.  A per-segment
+        argument may be one value for every segment."""
+        (cx, cy), (ux, vy, value) = centres, rows
+        dx = norms[0](ux - np.repeat(cx, counts, axis=0))
+        dy = norms[1](vy - np.repeat(cy, counts, axis=0))
+        dist = np.maximum(dx, dy)
+        seg = lambda v: np.broadcast_to(np.asarray(v, dtype=float), counts.shape)
+        reach = np.repeat(seg(local_radius) + radius_pads(cx, cy), counts)
+        return cls(
+            counts, seg(centre_value), seg(trunc_radius), seg(min_dist),
+            dx, dy, value, dist, dist <= reach,
+        )
 
     @property
     def size(self) -> int:
@@ -172,59 +197,64 @@ class PointCandidates:
 
     @cached_property
     def _scoring(self) -> tuple:
-        # (rows, rows per point) outside each point's exclusion band, and
-        # of those on its local shell: rows in the band never score
+        # (rows, rows per segment) outside each segment's exclusion band,
+        # and of those on its local shell: rows in the band never score
         ok = self.dist > np.repeat(self.min_dist, self.counts)
         return _select(ok, self.counts), _select(ok & self.local_mask, self.counts)
 
-    def _sup(self, num, rhos, metric: str, local: bool, edge=None):
-        rows, counts = self._scoring[1 if local else 0]
+    def _sup(self, q: float, rhos, metric: str, local: bool, edge=None):
+        # numerators centre**q - row**q, the centre's as Python float
+        # powers and the rows' on the array; nonlocal rows clip at 0
+        rows, counts = self._scoring[local]
+        value = self.row_value[rows] if local else np.maximum(self.row_value[rows], 0.0)
+        num = np.repeat([c**q for c in self.centre_value.tolist()], counts) - value**q
         edge = None if edge is None else edge[rows]
-        return _segment_sup(num[rows], self.dx[rows], self.dy[rows], counts, rhos, metric, edge)
-
-    def _num_q(self, q: float) -> np.ndarray:
-        # d(y, ybar)**q as Python float powers, d(v, ybar)**q on the array
-        return np.repeat([d**q for d in self.d_at.tolist()], self.counts) - self.dv**q
+        return _segment_sup(num, self.dx[rows], self.dy[rows], counts, rhos, metric, edge)
 
     def nonlocal_table(self, q: float, rhos: Sequence[float], metric: str = "max") -> tuple:
         """The nonlocal (q, rho)-slopes and their truncation flags (the
         supremum attained near the truncation radius)."""
         edge = self.dist >= np.repeat(0.99 * self.trunc_radius, self.counts)
-        return self._sup(self._num_q(q), rhos, metric, False, edge)
+        return self._sup(q, rhos, metric, False, edge)
 
-    def local_table(self, rhos: Sequence[float], metric: str = "max") -> np.ndarray:
-        return self._sup(np.repeat(self.d_at, self.counts) - self.dv, rhos, metric, True)
-
-    def f_local_table(self, q: float, rhos: Sequence[float], metric: str = "max") -> np.ndarray:
-        # induced error function f = d(v, ybar)**q on the graph; its
-        # nonlocal slope is nonlocal_table's
-        return self._sup(self._num_q(q), rhos, metric, True)
+    def local_table(self, rhos: Sequence[float], metric: str = "max", q: float = 1.0) -> np.ndarray:
+        """The local rho-slopes of the q-th powers of the values: at q = 1
+        the mapping's local slope, at the order q on a mapping's graph the
+        induced error function's (whose nonlocal slope is the mapping's)."""
+        return self._sup(q, rhos, metric, True)
 
     def rho_profiles(self, q: float, rhos: Sequence[float]) -> dict:
         """The nonlocal, local and f-level local slope tables across a rho list."""
         return {
             "nonlocal": self.nonlocal_table(q, rhos)[0],
             "local": self.local_table(rhos),
-            "f_local": self.f_local_table(q, rhos),
+            "f_local": self.local_table(rhos, q=q),
         }
 
     def nonlocal_value(self, q: float, rho: float, metric: str = "max") -> tuple:
         value, truncated = self.nonlocal_table(q, [rho], metric)
         return float(value[0, 0]), bool(truncated[0, 0])
 
-    def local_value(self, rho: float, metric: str = "max") -> float:
-        return float(self.local_table([rho], metric)[0, 0])
-
-    def f_local_value(self, q: float, rho: float, metric: str = "max") -> float:
-        return float(self.f_local_table(q, [rho], metric)[0, 0])
+    def local_value(self, rho: float, metric: str = "max", q: float = 1.0) -> float:
+        return float(self.local_table([rho], metric, q)[0, 0])
 
 
-def _gather(
-    problem: MappingProblem,
-    points: Sequence,
-    schedule: Schedule,
-    trunc_radius: Optional[float] = None,
-) -> PointCandidates:
+def _with_anchor(counts: np.ndarray, *columns) -> tuple:
+    """Each ``(rows, anchor_row)`` column with the anchor row inserted
+    after every segment of ``counts`` rows, and the new counts."""
+    ends = np.cumsum(counts)
+    return [np.insert(rows, ends, a, axis=0) for rows, a in columns], counts + 1
+
+
+def _graph_table(problem: MappingProblem, centres, ux, vy, counts, *segments) -> PointCandidates:
+    # graph rows valued d(v, ybar), every distance by value_rows; the
+    # segments' centre values, bands, local and truncation radii follow
+    norms = (problem.norm_x.value_rows, problem.norm_y.value_rows)
+    dv = problem.norm_y.value_rows(vy - problem.ybar)
+    return PointCandidates.around(norms, centres, (ux, vy, dv), counts, *segments)
+
+
+def _gather(problem: MappingProblem, points: Sequence, schedule: Schedule) -> PointCandidates:
     """The candidate table of several points: each point's multi-scale
     superset of :func:`gather_point_candidates`, from one batched sampler
     pass and one norm pass."""
@@ -235,7 +265,7 @@ def _gather(
     d_at, trunc, r_loc, min_dist = [], [], [], []
     for at in points:
         d_anchor = problem.product_dist(at, anchor)
-        tr = trunc_radius or schedule.truncation_radius or 10.0 * max(1.0, d_anchor)
+        tr = schedule.truncation_radius or 10.0 * max(1.0, d_anchor)
         scale = max(d_anchor, 0.0)
         d_at.append(problem.d_y(at.y, problem.ybar))
         trunc.append(tr)
@@ -264,41 +294,19 @@ def _gather(
     else:
         # far, mid and local rows, then the anchor itself, point by point
         sx, sy, per_call = sample_graph_batch(problem, calls)
-        first_call = np.cumsum(per_point) - per_point
-        counts = np.add.reduceat(per_call, first_call) + 1
-        is_anchor = np.zeros(int(counts.sum()), dtype=bool)
-        is_anchor[np.cumsum(counts) - 1] = True
-        ux = np.empty((is_anchor.size, problem.dim_x))
-        vy = np.empty((is_anchor.size, problem.dim_y))
-        ux[~is_anchor], vy[~is_anchor] = sx, sy
-        ux[is_anchor], vy[is_anchor] = anchor.x, anchor.y
-    dx = problem.norm_x.value_rows(ux - np.repeat(px, counts, axis=0))
-    dy = problem.norm_y.value_rows(vy - np.repeat(py, counts, axis=0))
-    dist = np.maximum(dx, dy)
-    return PointCandidates(
-        counts=counts,
-        d_at=np.array(d_at),
-        trunc_radius=np.array(trunc),
-        min_dist=np.array(min_dist),
-        dx=dx,
-        dy=dy,
-        dv=problem.norm_y.value_rows(vy - problem.ybar),
-        dist=dist,
-        local_mask=dist <= np.repeat(np.array(r_loc) + radius_pads(px, py), counts),
-    )
+        counts = np.add.reduceat(per_call, np.cumsum(per_point) - per_point)
+        (ux, vy), counts = _with_anchor(counts, (sx, anchor.x), (sy, anchor.y))
+    return _graph_table(problem, (px, py), ux, vy, counts, d_at, min_dist, r_loc, trunc)
 
 
 def gather_point_candidates(
-    problem: MappingProblem,
-    at: ProductPoint,
-    schedule: Schedule,
-    trunc_radius: Optional[float] = None,
+    problem: MappingProblem, at: ProductPoint, schedule: Schedule
 ) -> PointCandidates:
     """Multi-scale candidate superset around ``at``: a truncation-radius
     sweep, a near-anchor scale, the tight local shell and the anchor
     itself.  This is the one-point table of the batched gather that
     :func:`sweep_table` runs over whole outer pools."""
-    return _gather(problem, [at], schedule, trunc_radius)
+    return _gather(problem, [at], schedule)
 
 
 def _require_on_graph(problem: MappingProblem, at: ProductPoint):
@@ -355,9 +363,7 @@ def nonlocal_q_rho_slope(
     if _finite(problem):
         value, used = _exhaustive_nonlocal(problem, q, rho, at, metric)
         return SlopeEstimate(value, ((rho, value),), False, used, "nonlocal_q_rho")
-    cands = gather_point_candidates(problem, at, schedule)
-    if cands.size == 0:
-        raise SlopeError("empty candidate sample")
+    cands = gather_point_candidates(problem, at, schedule)  # never empty: it holds the anchor
     value, truncated = cands.nonlocal_value(q, rho, metric)
     return SlopeEstimate(
         value, ((rho, value),), truncated, cands.size, "nonlocal_q_rho"
@@ -413,14 +419,13 @@ def local_rho_slope(
     ux, vy, counts = sample_graph_batch(
         problem, [(at, r, n_loc, mix_seed(seed, j)) for j, r in enumerate(radii)]
     )
-    dx = problem.norm_x.value_rows(ux - at.x)
-    dy = problem.norm_y.value_rows(vy - at.y)
-    dv = problem.norm_y.value_rows(vy - problem.ybar)
-    ok = np.maximum(dx, dy) > max(EXCLUSION_BAND, NOISE_FLOOR_REL * scale)
-    rows, kept = _select(ok, counts)
-    sup = _segment_sup(d_at - dv[rows], dx[rows], dy[rows], kept, [rho], metric)
-    trace = tuple(zip(radii, sup[:, 0].tolist()))
-    return SlopeEstimate(trace[-1][1], trace, False, int(rows.size), "local_rho")
+    # one segment per radius, each scored whole outside the noise band
+    centres = (np.tile(at.x, (len(radii), 1)), np.tile(at.y, (len(radii), 1)))
+    band = max(EXCLUSION_BAND, NOISE_FLOOR_REL * scale)
+    cands = _graph_table(problem, centres, ux, vy, counts, d_at, band, np.inf, radii)
+    trace = tuple(zip(radii, cands.local_table([rho], metric)[:, 0].tolist()))
+    used = int(cands._scoring[True][1].sum())
+    return SlopeEstimate(trace[-1][1], trace, False, used, "local_rho")
 
 
 # --------------------------------------------------------------------------
@@ -771,24 +776,27 @@ def anchor_f_rows(func_or_ef, radii: Sequence[float], budget: int, seeds: Sequen
     return ux, vy, f, dxa, _norm_rows(func.norm_y, vy - func.ybar)
 
 
-def _f_candidates(func_or_ef, centres: Sequence, calls: Sequence[tuple], anchor: bool) -> tuple:
-    """Candidate rows of several centres, ``len(calls) // len(centres)``
-    consecutive calls each, plus the anchor row after each centre's rows
-    when ``anchor`` is set (and ``f`` is finite there):
-    ``(f, dx, dy, counts)`` with distances to each row's centre."""
+def _f_table(
+    func_or_ef, centres: Sequence, f_at, calls: Sequence[tuple], local_radius, trunc, anchor: bool
+) -> PointCandidates:
+    """The candidate table of a two-variable function around several
+    centres, ``len(calls) // len(centres)`` consecutive calls each, plus
+    the anchor row after each centre's rows when ``anchor`` is set (and
+    ``f`` is finite there): rows valued ``f``, centres valued ``f_at``,
+    distances by :func:`_norm_rows` and the plain exclusion band."""
     func = as_two_variable(func_or_ef)
     ux, vy, f, per_call = f_rows(func_or_ef, calls)
     counts = per_call.reshape(len(centres), -1).sum(axis=1)
     f_anchor = func.value(func.xbar, func.ybar) if anchor else INF
     if not is_inf(f_anchor):
-        ends = np.cumsum(counts)
-        ux = np.insert(ux, ends, func.xbar, axis=0)
-        vy = np.insert(vy, ends, func.ybar, axis=0)
-        f = np.insert(f, ends, float(f_anchor))
-        counts = counts + 1
-    cx = np.repeat(np.array([c.x for c in centres], dtype=float), counts, axis=0)
-    cy = np.repeat(np.array([c.y for c in centres], dtype=float), counts, axis=0)
-    return f, _norm_rows(func.norm_x, ux - cx), _norm_rows(func.norm_y, vy - cy), counts
+        columns = (ux, func.xbar), (vy, func.ybar), (f, float(f_anchor))
+        (ux, vy, f), counts = _with_anchor(counts, *columns)
+    cx = np.array([c.x for c in centres], dtype=float)
+    cy = np.array([c.y for c in centres], dtype=float)
+    norms = (partial(_norm_rows, func.norm_x), partial(_norm_rows, func.norm_y))
+    return PointCandidates.around(
+        norms, (cx, cy), (ux, vy, f), counts, f_at, EXCLUSION_BAND, local_radius, trunc
+    )
 
 
 def f_level_slopes(
@@ -818,16 +826,13 @@ def f_level_slopes(
             # plain product distance to the anchor
             scale = max(func.norm_x.value(at.x - func.xbar), func.norm_y.value(at.y - func.ybar))
             trunc = schedule.truncation_radius or 10.0 * max(1.0, scale)
+            # f's values enter the tables at q = 1, bitwise as they are
             if "nonlocal" in point_variants:
                 budget = max(64, schedule.sample_budget // 4)
                 call = (at, trunc, budget, _point_seed(schedule, "fnl", at))
-                f, dx, dy, counts = _f_candidates(func_or_ef, [at], [call], True)
-                rows, kept = _select(np.maximum(dx, dy) > EXCLUSION_BAND, counts)
-                num = f_at - np.maximum(f[rows], 0.0)
-                val = float(_segment_sup(num, dx[rows], dy[rows], kept, [rho], "max")[0, 0])
-                out["nonlocal"] = SlopeEstimate(
-                    val, ((rho, val),), False, int(counts[0]), "f_nonlocal"
-                )
+                cands = _f_table(func_or_ef, [at], f_at, [call], np.inf, trunc, True)
+                val = cands.nonlocal_value(1.0, rho)[0]
+                out["nonlocal"] = SlopeEstimate(val, ((rho, val),), False, cands.size, "f_nonlocal")
             if "local" in point_variants:
                 radii = [max(nr * scale, LOCAL_RADIUS_FLOOR) for nr in schedule.neighborhood_radii]
                 budget = max(64, schedule.sample_budget // 16)
@@ -836,13 +841,10 @@ def f_level_slopes(
                     (at, r, budget, mix_seed(schedule.seed, "floc", j, *key))
                     for j, r in enumerate(radii)
                 ]
-                f, dx, dy, counts = _f_candidates(func_or_ef, [at] * len(calls), calls, False)
-                rows, kept = _select(np.maximum(dx, dy) > EXCLUSION_BAND, counts)
-                vals = _segment_sup(f_at - f[rows], dx[rows], dy[rows], kept, [rho], "max")
-                trace = tuple(zip(radii, vals[:, 0].tolist()))
-                out["local"] = SlopeEstimate(
-                    trace[-1][1], trace, False, int(counts.sum()), "f_local"
-                )
+                # one segment per radius
+                cands = _f_table(func_or_ef, [at] * len(calls), f_at, calls, np.inf, radii, False)
+                trace = tuple(zip(radii, cands.local_table([rho])[:, 0].tolist()))
+                out["local"] = SlopeEstimate(trace[-1][1], trace, False, cands.size, "f_local")
 
     strict_keys = {
         "uniform-strict": "uniform",
@@ -890,24 +892,18 @@ def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
         centres = [ProductPoint(ux[i], vy[i]) for i in sel]
         scale = np.maximum(dxa[sel], dya[sel])
         r_loc = np.maximum(schedule.neighborhood_radii[-1] * scale, LOCAL_RADIUS_FLOOR)
+        trunc = 10.0 * np.maximum(1.0, scale)
         calls = []
-        for p, s, r in zip(centres, scale.tolist(), r_loc.tolist()):
-            calls.append((p, 10.0 * max(1.0, s), far, _point_seed(schedule, "fnlc", p)))
+        for p, t, r in zip(centres, trunc.tolist(), r_loc.tolist()):
+            calls.append((p, t, far, _point_seed(schedule, "fnlc", p)))
             calls.append((p, r, near, _point_seed(schedule, "flocc", p)))
         # one shared superset with a local mask, so the nonlocal supremum
         # dominates the local one sample-wise
-        fc, dx, dy, counts = _f_candidates(func_or_ef, centres, calls, True)
-        dist = np.maximum(dx, dy)
-        ok = dist > EXCLUSION_BAND
-        local = ok & (dist <= np.repeat(r_loc + radius_pads(ux[sel], vy[sel]), counts))
-        f_at = np.repeat(f[sel], counts)
+        cands = _f_table(func_or_ef, centres, f[sel], calls, r_loc, trunc, True)
         chunk = slice(c0, c0 + sel.size)
-        rows, kept = _select(ok, counts)
-        num = f_at[rows] - np.maximum(fc[rows], 0.0)
-        uniform[chunk] = _segment_sup(num, dx[rows], dy[rows], kept, rhos, "max")
-        rows, kept = _select(local, counts)
-        plain[chunk] = _segment_sup(f_at[rows] - fc[rows], dx[rows], dy[rows], kept, rhos, "max")
-        sizes[chunk] = counts
+        uniform[chunk] = cands.nonlocal_table(1.0, rhos)[0]
+        plain[chunk] = cands.local_table(rhos)
+        sizes[chunk] = cands.counts
 
     with np.errstate(divide="ignore"):
         ratio = (f[pts] / dxa[pts])[:, None]

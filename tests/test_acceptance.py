@@ -268,11 +268,11 @@ def test_criterion_5_bridge_between_levels(problems, schedule):
         for pt in probes:
             cands = gather_point_candidates(problem, pt, schedule)
             d = problem.d_y(pt.y, problem.ybar)
-            exact = cands.f_local_value(1.0, rho)
+            exact = cands.local_value(rho, q=1.0)
             base = cands.local_value(rho)
             if exact != base:  # q = 1: identical candidate ratios
                 failures.append((name, 1.0, float(pt.x[0]), exact, base))
-            f_half = cands.f_local_value(0.5, rho)
+            f_half = cands.local_value(rho, q=0.5)
             bridged = 0.5 * d ** (-0.5) * base
             scale = max(abs(f_half), abs(bridged), 1e-12)
             if abs(f_half - bridged) > 1e-6 * scale:

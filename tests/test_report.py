@@ -383,6 +383,10 @@ def test_import_does_not_load_scipy(cli_env):
     assert res.stdout.strip() == "False"
 
 
+# an inline problem whose anchor the bad-value cases replace
+_LINE = {"pieces": [{"domain": [-1.0, 1.0], "coeffs": [0.0, 1.0]}]}
+
+
 class TestCLI:
     def _run(self, args, tmp_path, env):
         return subprocess.run(
@@ -411,11 +415,15 @@ class TestCLI:
             ("sample_budget", 100.5, "sample_budget must be an integer, got 100.5"),
             ("output", 5, "output must be a mapping"),
             ("checks", "moduli", "checks must be a list of check names"),
+            ("output", {"path": 5}, "output path must be a string, got 5"),
+            ("problem", dict(_LINE, xbar=[0, 1]), "problem.xbar must be a finite number, got [0, 1]"),
+            ("problem", dict(_LINE, ybar=[0, 1]), "problem.ybar must be a finite number, got [0, 1]"),
+            ("problem", dict(_LINE, ybar={"y": 0}), "problem.ybar must be a finite number, got {'y': 0}"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, cli_env, key, value, message):
         raw = {"problem": "identity", "q": 1.0, "schedule": dict(REDUCED_SCHEDULE)}
-        if key in ("q", "gamma", "output", "checks"):
+        if key in ("problem", "q", "gamma", "output", "checks"):
             raw[key] = value
         else:
             raw["schedule"][key] = value

@@ -270,7 +270,7 @@ class TestBridgeToErrorFunction:
         ][:10]
         for pt in pts:
             cands = gather_point_candidates(p, pt, light_schedule)
-            assert cands.f_local_value(1.0, 0.4) == cands.local_value(0.4)
+            assert cands.local_value(0.4, q=1.0) == cands.local_value(0.4)
 
     def test_half_square_bridge_identity(self, half_square, schedule):
         # local slope of the induced error function at (0.5, 0.25), rho 0.5:
@@ -398,10 +398,10 @@ def _reference_reduce(cands, num, rho, metric, mask=None):
 def _reference_values(cands, q, rho, metric):
     # (nonlocal, truncated), local and f-level local slopes of a
     # one-point table by the reference reduction
-    d_at = float(cands.d_at[0])
-    num_q = d_at**q - cands.dv**q
+    d_at = float(cands.centre_value[0])
+    num_q = d_at**q - cands.row_value**q
     nonlocal_ = _reference_reduce(cands, num_q, rho, metric)
-    local, _ = _reference_reduce(cands, d_at - cands.dv, rho, metric, cands.local_mask)
+    local, _ = _reference_reduce(cands, d_at - cands.row_value, rho, metric, cands.local_mask)
     f_local, _ = _reference_reduce(cands, num_q, rho, metric, cands.local_mask)
     return nonlocal_, local, f_local
 
@@ -416,10 +416,10 @@ def test_gather_matches_per_point_reference(name):
     for at in points:
         got = gather_point_candidates(problem, at, s)
         want = _reference_gather(problem, at, s)
-        for g, w in zip((got.dx, got.dy, got.dv, got.dist, got.local_mask), want):
+        for g, w in zip((got.dx, got.dy, got.row_value, got.dist, got.local_mask), want):
             assert g.shape == w.shape and np.array_equal(g, w)
         assert got.trunc_radius == want[-1]
-        assert got.d_at == problem.d_y(at.y, problem.ybar)
+        assert got.centre_value == problem.d_y(at.y, problem.ybar)
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 600])  # one chunk, and a few points per chunk
@@ -458,7 +458,7 @@ def test_sweep_table_matches_per_point_reductions(monkeypatch, name, truncation_
                 want_nl, want_loc, want_fl = _reference_values(cands, q, rho, metric)
                 assert (nl, trunc) == want_nl == cands.nonlocal_value(q, rho, metric)
                 assert loc == want_loc == cands.local_value(rho, metric)
-                assert cands.f_local_value(q, rho, metric) == want_fl
+                assert cands.local_value(rho, metric, q) == want_fl
     if truncation_radius is not None and name in ("half-square", "halfline-convex"):
         assert table.truncated["max"].any()
 
@@ -660,7 +660,8 @@ def _embedding():
 
 
 # every catalog entry but constant's empty windows has a positive f somewhere;
-# linear-A takes 2-D norms, and the embedding is a generic function
+# linear-A takes 2-D norms, the embedding is a generic function, and finite
+# samples an explicit graph
 F_ENGINE_CASES = {
     "half-square": lambda: catalog_problem("half-square"),
     "identity": lambda: catalog_problem("identity"),
@@ -672,6 +673,7 @@ F_ENGINE_CASES = {
     "2max2-inline": lambda: _inline(2.0, 2),
     "3max1-inline": lambda: _inline(3.0, 1),
     "embedding": _embedding,
+    "finite": _finite_half_square,
 }
 F_ENGINE_SCHEDULES = [Schedule(sample_budget=256, steps=5, seed=s) for s in (0, 3)]
 
