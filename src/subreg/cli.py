@@ -66,7 +66,11 @@ def main(argv=None) -> int:
     try:
         report = run_config(cfg)
         text = emit_report(report, cfg.output_format)
-    except ConfigError as exc:
+    except (ConfigError, OverflowError) as exc:
+        # no one bound on rho0 fits every mapping, so an oracle's overflow
+        # is what tells a too large one
+        if isinstance(exc, OverflowError):
+            exc = f"numeric overflow during evaluation: {exc}; try a smaller schedule rho0"
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except Exception:

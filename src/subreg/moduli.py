@@ -41,8 +41,11 @@ from .slopes_primal import (
     SlopeEstimate,
     StrictSweepResult,
     SweepTable,
+    _finish,
     _gather,
+    _infimum,
     anchor_f_rows,
+    anchor_ratios,
     as_two_variable,
     distinct_rows,
     f_level_strict,
@@ -316,7 +319,7 @@ def check_subregularity_inequality(
 _CONSTANT_SOURCES = {
     "sr_q": lambda ctx: ctx.subregularity.as_estimate(),
     "error_bound_modulus": lambda ctx: ctx.error_bound.as_estimate(),
-    "anchor_ratio_liminf": lambda ctx: ctx.sweep.anchor_ratio,
+    "anchor_ratio_liminf": lambda ctx: ctx.anchor_ratio,
     "uniform_strict_q_slope": lambda ctx: ctx.sweep.uniform,
     "strict_q_slope": lambda ctx: ctx.sweep.plain,
     "modified_strict_q_slope": lambda ctx: ctx.sweep.modified,
@@ -340,7 +343,7 @@ class RunContext(Mapping):
     product metrics, which read one :class:`SweepTable` (candidates do
     not depend on the metric, so the outer pools are gathered once and
     only per-point, per-level values are kept), the two modulus reports
-    and the theorem-7T1 result.
+    and the theorem-7T1 result.  The anchor ratio needs no sweep.
     """
 
     def __init__(self, problem: MappingProblem, q: float, schedule: Schedule):
@@ -360,6 +363,17 @@ class RunContext(Mapping):
 
     def __len__(self) -> int:
         return len(CONSTANT_NAMES)
+
+    @cached_property
+    def anchor_ratio(self) -> SlopeEstimate:
+        """The ratio liminf from anchor distances; the budget counts pool copies read."""
+        pool = distinct_pool(outer_pools(self.problem, self.schedule, True))
+        ratio = anchor_ratios([r[0] for r in pool], self.q)
+        depths, copies = np.array([r[1:] for r in pool], dtype=np.int64).reshape(-1, 2).T
+        levels = [(rho, depths >= k) for k, rho in enumerate(self.schedule.rho_values())]
+        trace = [(rho, _infimum(ratio[at])) for rho, at in levels]
+        used = sum(int(copies[at].sum()) for _, at in levels)
+        return _finish("anchor_ratio_liminf", trace, False, used)
 
     @cached_property
     def sweep(self) -> StrictSweepResult:

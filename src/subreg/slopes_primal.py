@@ -435,14 +435,13 @@ def local_rho_slope(
 
 @dataclass(frozen=True)
 class StrictSweepResult:
-    """Per-level infima of every primal strict-slope family computed on
-    shared outer pools, so the family orderings hold sample-wise, and
-    the table they were read from."""
+    """Per-level infima of the uniform, plain and modified strict
+    q-slopes computed on shared outer pools, so the family orderings
+    hold sample-wise, and the table they were read from."""
 
     uniform: SlopeEstimate
     plain: SlopeEstimate
     modified: SlopeEstimate
-    anchor_ratio: SlopeEstimate
     table: "SweepTable" = field(default=None, compare=False, repr=False)
 
 
@@ -551,6 +550,12 @@ def _infimum(values: np.ndarray) -> ExtReal:
     return float(values.min()) if values.size else INF
 
 
+def anchor_ratios(points: Sequence, q: float) -> np.ndarray:
+    """``d(y, ybar)^q / d(x, xbar)`` per outer point in Python float powers, NaN at d = 0."""
+    r = [p.d_y_anchor**q / p.d_x_anchor if p.d_x_anchor > 0 else np.nan for p in points]
+    return np.array(r, dtype=float)
+
+
 def strict_sweep(
     problem: MappingProblem,
     q: float,
@@ -559,8 +564,8 @@ def strict_sweep(
     metric: str = "max",
     outer_restriction: bool = True,
 ) -> StrictSweepResult:
-    """Shared-pool evaluation of the uniform strict q-slope, the plain
-    and modified strict q-slopes and the anchor-distance ratio liminf.
+    """Shared-pool evaluation of the uniform strict q-slope and the plain
+    and modified strict q-slopes.
 
     Reads the per-point, per-level values from ``table``, a
     :func:`sweep_table` of the same problem, order, schedule and
@@ -573,15 +578,11 @@ def strict_sweep(
         raise SlopeError("q must lie in (0, 1]")
     if table is None:
         table = sweep_table(problem, q, schedule, outer_restriction)
-    pts = table.points
-    weight = np.array([q * p.d_y_anchor ** (q - 1.0) for p in pts], dtype=float)
-    has_ratio = np.array([p.d_x_anchor > 0 for p in pts], dtype=bool)
-    ratio = np.array(
-        [p.d_y_anchor**q / p.d_x_anchor if p.d_x_anchor > 0 else np.inf for p in pts],
-        dtype=float,
-    )
+    weight = np.array([q * p.d_y_anchor ** (q - 1.0) for p in table.points], dtype=float)
+    ratio = anchor_ratios(table.points, q)
+    has_ratio = ~np.isnan(ratio)
 
-    tr_uniform, tr_plain, tr_modified, tr_ratio = [], [], [], []
+    tr_uniform, tr_plain, tr_modified = [], [], []
     used = 0
     truncated_any = False
     for k, rho in enumerate(schedule.rho_values()):
@@ -589,19 +590,15 @@ def strict_sweep(
         used += int((table.sizes[s:] * table.copies[s:]).sum())
         truncated_any = truncated_any or bool(table.truncated[metric][s:, k].any())
         plain = weight[s:] * table.local_values[metric][s:, k]
-        with_ratio = has_ratio[s:]
-        r = ratio[s:]
-        modified = np.where(r > plain, r, plain)
+        modified = np.where(ratio[s:] > plain, ratio[s:], plain)
         tr_uniform.append((rho, _infimum(table.nonlocal_values[metric][s:, k])))
         tr_plain.append((rho, _infimum(plain)))
-        tr_modified.append((rho, _infimum(modified[with_ratio])))
-        tr_ratio.append((rho, _infimum(r[with_ratio])))
+        tr_modified.append((rho, _infimum(modified[has_ratio[s:]])))
 
     return StrictSweepResult(
         uniform=_finish("uniform_strict_q", tr_uniform, truncated_any, used),
         plain=_finish("strict_q", tr_plain, False, used),
         modified=_finish("modified_strict_q", tr_modified, False, used),
-        anchor_ratio=_finish("anchor_ratio_liminf", tr_ratio, False, used),
         table=table,
     )
 

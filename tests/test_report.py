@@ -179,6 +179,26 @@ class TestRunContext:
         report = run_config(_reduced_config(["moduli"]))
         assert list(report.constants) == ["sr_q", "error_bound_modulus", "anchor_ratio_liminf"]
 
+    def test_moduli_only_run_builds_no_sweep_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a moduli-only run must not gather candidates")
+
+        monkeypatch.setattr(slopes_primal, "sweep_table", refuse)
+        for problem in ("half-square", _inline_max_power(1.0, 2)):
+            report = run_config(_reduced_config(["moduli"], problem=problem))
+            ratio = report.constants["anchor_ratio_liminf"]
+            assert not ratio.inconclusive and ratio.budget_used > 0
+
+    def test_anchor_ratio_stays_below_the_modified_slope(self):
+        # arrow (c) => (e) level by level: the modified slope is the larger
+        # of the ratio and the plain slope on the same outer points
+        report = run_config(_reduced_config(ALL_CHECKS, problem="linear-A", q=1.0))
+        ratio = report.constants["anchor_ratio_liminf"].trace
+        modified = report.constants["modified_strict_q_slope"].trace
+        assert len(ratio) == len(modified) == REDUCED_SCHEDULE["steps"]
+        for (rho, r), (rho_m, m) in zip(ratio, modified):
+            assert rho == rho_m and r <= m
+
     def test_all_checks_compute_each_quantity_once(self, monkeypatch):
         calls = Counter()
 
@@ -260,8 +280,8 @@ class TestRunContext:
 
 
 # Eight benchmark configurations at seed 0 and the sha256 of their report
-# bytes, as listed in perfbench/README.md: the vectorized layers must
-# leave every report byte unchanged.  The two catalog rows pin the 2-D
+# bytes, as listed in .github/report-hashes/seed-0.txt: the vectorized
+# layers must leave every report byte unchanged.  The two catalog rows pin the 2-D
 # dual path (linear-A) and empty coderivative images (halfline-convex);
 # the inline rows at q = 0.5 and identity at q = 0.25 (a divergent error
 # bound) pin the f-level engine.
@@ -284,11 +304,11 @@ def _inline_max_power(coef, power):
 _REPORT_HASHES = [
     (
         {"problem": "half-square", "q": 0.5, "schedule": _SCAN_SCHEDULE, "checks": ["moduli"]},
-        "b9e5842ae62a891612fa2b656616c00a3e5a016de2486444f40c81bbebcae4c4",
+        "362357504b7127411c65e6411144d38ec63da62c579ba124b7d9f31b46d6b36f",
     ),
     (
         {"problem": "halfline-convex", "q": 1.0, "schedule": _SCAN_SCHEDULE, "checks": ["moduli"]},
-        "44de48b248150c6974a5e69c74773a5401d7c3f49f3d504b2b2afb74e7c2d068",
+        "1e2fe65e03b95d4915c5fc6a90e4b637fc7858ee493451bbff46f1224f218fc3",
     ),
     (
         {
@@ -305,7 +325,7 @@ _REPORT_HASHES = [
             "schedule": {"sample_budget": 256, "steps": 5, "seed": 0},
             "checks": ["slopes", "moduli", "criteria", "invariants", "theorem-7T1", "lm-constants"],
         },
-        "9ec0a4d7746eae1714a47473f619bd68381e3f24e38245e4380a4eba826324f7",
+        "b06b62aad4e1eb3a66346de674f0e4d58fced3dfe0ebbbd2bbcc7d15eb0193db",
     ),
     (
         {
@@ -315,7 +335,7 @@ _REPORT_HASHES = [
             "schedule": _CATALOG_SCHEDULE,
             "checks": ALL_CHECKS,
         },
-        "bdbb5efb0c5e0d1165995afbdf346c38f9333acd6aec278377176acc04930152",
+        "6173fa091b29c6a8323c6bcd3c9db3066f45f834f7e8aad8ac2fd56c88eb8f60",
     ),
     (
         {
@@ -325,7 +345,7 @@ _REPORT_HASHES = [
             "schedule": _CATALOG_SCHEDULE,
             "checks": ALL_CHECKS,
         },
-        "abcc7a96f64e7704ee5e224e8d8a51495b9ec4754e8ecda9953686e247294441",
+        "1e4dc52e3126bef3b12271a4b92d19724c3354a8fc8fe0ea6f331950c9939eb9",
     ),
     (
         {
@@ -334,7 +354,7 @@ _REPORT_HASHES = [
             "schedule": _CATALOG_SCHEDULE,
             "checks": ALL_CHECKS,
         },
-        "42bd633d23a9cb0f10fe9dc6c9c43f5c1a42e8a0b325a38b3ca3ef9b3dd80a5d",
+        "6032df69fed90dfff59ccf17b0ad2162368706e343e2d15ce24d2d8e3ceed476",
     ),
     (
         {
@@ -343,11 +363,11 @@ _REPORT_HASHES = [
             "schedule": _CATALOG_SCHEDULE,
             "checks": ALL_CHECKS,
         },
-        "77b6a407abb580d315a5446805a043f19ee39977e8e11b48b35d6ea1cb4fe210",
+        "80d7c5e353cce458238ab9f06a6e2f6d9d78e538ddf08abc51db8c2c6d5d4f4f",
     ),
     (
         {"problem": "identity", "q": 0.25, "schedule": _SCAN_SCHEDULE, "checks": ["moduli"]},
-        "7837268d45dbcef5a72d7de1ca5f396c6da08316b33636b1a1ad8cee8c922946",
+        "0e8a565e2bd0e2f4790622a4dbf772ce03e3c8f0497669fea8debe91409bc46c",
     ),
 ]
 
@@ -433,6 +453,21 @@ class TestCLI:
         assert res.returncode == 2, res.stderr
         assert "invalid configuration" in res.stderr
         assert message in res.stderr
+
+    def test_overflowing_rho0_exits_2(self, tmp_path, cli_env):
+        # half-square's fiber distance squares the huge sampled x
+        raw = {
+            "problem": "half-square",
+            "q": 0.5,
+            "schedule": {"rho0": 1e308, "sample_budget": 256, "steps": 5},
+            "checks": ["moduli"],
+        }
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(raw))
+        res = self._run(["--config", str(cfg)], tmp_path, cli_env)
+        assert res.returncode == 2, res.stderr
+        assert "invalid configuration: numeric overflow" in res.stderr
+        assert "smaller schedule rho0" in res.stderr
 
     def test_missing_config_exits_2(self, tmp_path, cli_env):
         res = self._run(

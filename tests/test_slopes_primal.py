@@ -18,7 +18,7 @@ from subreg import (
     validate_P1_P2,
 )
 from subreg.geometry import euclidean
-from subreg.moduli import error_bound_modulus
+from subreg.moduli import RunContext, error_bound_modulus
 import subreg.slopes_primal as slopes_primal
 from subreg import piecewise_problem
 from subreg.problems import (
@@ -503,10 +503,49 @@ def test_local_rho_slope_matches_per_radius_reference(name):
 
 def test_constant_sweep_is_inconclusive_from_its_empty_table():
     p = catalog_problem("constant")
-    sweep = strict_sweep(p, 1.0, Schedule(sample_budget=256, steps=5))
-    for est in (sweep.uniform, sweep.plain, sweep.modified, sweep.anchor_ratio):
+    s = Schedule(sample_budget=256, steps=5)
+    sweep = strict_sweep(p, 1.0, s)
+    ratio = RunContext(p, 1.0, s)["anchor_ratio_liminf"]
+    for est in (sweep.uniform, sweep.plain, sweep.modified, ratio):
         assert is_inf(est.value) and est.budget_used == 0
         assert "inconclusive" in est.flags
+
+
+def _reference_anchor_ratio(problem, q, s):
+    # the ratio loop strict_sweep ran over its table before the run
+    # context read the ratio from the pools: per level, the table points
+    # of that depth or more with d(x, xbar) > 0; the budget is the pool
+    # copies the levels read
+    table = sweep_table(problem, q, s)
+    pts = table.points
+    has_ratio = np.array([p.d_x_anchor > 0 for p in pts], dtype=bool)
+    ratio = np.array(
+        [p.d_y_anchor**q / p.d_x_anchor if p.d_x_anchor > 0 else np.inf for p in pts],
+        dtype=float,
+    )
+    trace, used = [], 0
+    for k, rho in enumerate(s.rho_values()):
+        start = table.starts[k]
+        used += int(table.copies[start:].sum())
+        trace.append((rho, slopes_primal._infimum(ratio[start:][has_ratio[start:]])))
+    return slopes_primal._finish("anchor_ratio_liminf", trace, False, used)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0])
+@pytest.mark.parametrize("name", ["half-square", "halfline-convex", "linear-A", "constant"])
+def test_anchor_ratio_matches_sweep_reference(name, q):
+    make, _ = _PARITY_PROBLEMS[name]
+    problem = make()
+    s = Schedule(sample_budget=256, steps=5)
+    got = RunContext(problem, q, s)["anchor_ratio_liminf"]
+    want = _reference_anchor_ratio(problem, q, s)
+
+    def bits(trace):  # repr round-trips a float and tells -0.0 from 0.0
+        return [(repr(rho), repr(v)) for rho, v in trace]
+
+    assert bits(got.trace) == bits(want.trace)
+    assert repr(got.value) == repr(want.value)
+    assert got.flags == want.flags and got.budget_used == want.budget_used
 
 
 # --------------------------------------------------------------------------
