@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 clean run with all checks passing, 1 clean run with check
-failures, 2 invalid configuration, 3 internal error during evaluation.
+failures, 2 invalid configuration (a numeric overflow during evaluation
+included), 3 internal error during evaluation.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import os
 import sys
 import traceback
 from dataclasses import replace
+
+import numpy as np
 
 from .report import ConfigError, emit_report, parse_config, run_config
 
@@ -64,12 +67,15 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        report = run_config(cfg)
-        text = emit_report(report, cfg.output_format)
-    except (ConfigError, OverflowError) as exc:
+        # numpy overflow raises too: a batched graph map on a huge sample
+        # would otherwise read as a clean, inconclusive run
+        with np.errstate(over="raise"):
+            report = run_config(cfg)
+            text = emit_report(report, cfg.output_format)
+    except (ConfigError, OverflowError, FloatingPointError) as exc:
         # no one bound on rho0 fits every mapping, so an oracle's overflow
         # is what tells a too large one
-        if isinstance(exc, OverflowError):
+        if not isinstance(exc, ConfigError):
             exc = f"numeric overflow during evaluation: {exc}; try a smaller schedule rho0"
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2

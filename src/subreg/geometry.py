@@ -408,6 +408,15 @@ def _norm_rows(norm: NormSpec, m: np.ndarray) -> np.ndarray:
     return np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])
 
 
+def distinct_rows(m: np.ndarray) -> tuple:
+    """``np.unique`` of the rows of ``m`` by their bytes, as seeds key
+    points (so -0.0 and 0.0 differ): the first index, the inverse and the
+    count of each distinct row."""
+    m = np.ascontiguousarray(m, dtype=float)
+    keys = m.view(np.dtype((np.void, m.dtype.itemsize * m.shape[1]))).ravel()
+    return np.unique(keys, return_index=True, return_inverse=True, return_counts=True)[1:]
+
+
 @lru_cache(maxsize=512)
 def _dual_ball_directions(dim: int, dual: NormSpec, budget: int, seed: int) -> tuple:
     """Deterministic unit-dual-norm directions spanning the ball

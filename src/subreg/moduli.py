@@ -26,7 +26,7 @@ from .problems import (
     distinct_pool,
     graph_sample,
     halton_points,
-    halving_offsets,
+    halving_ladder,
     mix_seed,
     outer_pools,
     validate_P1_P2,
@@ -113,24 +113,39 @@ class ModulusReport:
         )
 
 
-def _ambient_x_samples(problem: MappingProblem, radius: float, count: int, seed: int):
-    """Deterministic x-samples in the ball around xbar: axis stencil
-    plus quasi-random fill."""
-    dim = problem.dim_x
-    stop = max(1e-9 * radius, 1e-11)
-    out = []
+def _ambient_x_samples(problem: MappingProblem, radius: float, count: int, seed: int) -> np.ndarray:
+    """Deterministic x-samples (rows) in the ball around xbar: axis
+    stencil plus quasi-random fill."""
+    dim, xbar = problem.dim_x, problem.xbar
+    offs, keep = halving_ladder(radius, max(1e-9 * radius, 1e-11), 2 * count)
+    offs = offs[keep]
+    blocks, used = [np.zeros((0, dim))], 0
     for i in range(dim):
-        # at most 4 * count stencil points over all axes
-        for off in halving_offsets(radius, stop, 2 * count - len(out) // 2):
-            for sgn in (1.0, -1.0):
-                x = problem.xbar.copy()
-                x[i] += sgn * off
-                out.append(x)
-    fill = max(0, count - len(out))
+        # at most 4 * count stencil points over all axes: +off, -off each
+        n = min(offs.size, max(0, 2 * count - used))
+        used += n
+        block = np.repeat(xbar[None], 2 * n, axis=0)
+        block[:, i] += np.repeat(offs[:n], 2) * np.tile([1.0, -1.0], n)
+        blocks.append(block)
+    fill = max(0, count - 2 * used)
     if fill:
         u = halton_points(dim, fill, mix_seed(seed, "ambient"))
-        out.extend(problem.xbar + (2.0 * u - 1.0) * radius)
-    return out
+        blocks.append(xbar + (2.0 * u - 1.0) * radius)
+    return np.concatenate(blocks)
+
+
+def _first_least(values: np.ndarray, valid: np.ndarray) -> int:
+    """The entry a scan over the ``valid`` entries keeps when it starts
+    from ``INF`` and takes each one ``<`` its best: the first least, or
+    the first valid entry when that is NaN or nothing beats it (-1 when
+    none is valid)."""
+    rows = np.flatnonzero(valid)
+    if not rows.size:
+        return -1
+    j = int(rows[0])
+    masked = np.where(valid & ~np.isnan(values), values, np.inf)
+    i = int(np.argmin(masked))
+    return j if np.isnan(values[j]) or masked[i] == np.inf else i
 
 
 def subregularity_modulus(
@@ -138,45 +153,51 @@ def subregularity_modulus(
 ) -> ModulusReport:
     """Per-shell minimum of ``d(ybar, F(x))^q / d(x, F^{-1}(ybar))``
     over points outside the solution set; the value is the final-shell
-    entry and the recorded witnesses reproduce their ratio exactly."""
+    entry and the recorded witnesses reproduce their ratio exactly.
+
+    Each level scans its pool's distinct x, then the in-ball ambient
+    samples, and keeps its first least ratio; the oracles are called once
+    per distinct x of all levels."""
     if not 0.0 < q <= 1.0:
         raise ModuliError("q must lie in (0, 1]")
     pool = distinct_pool(outer_pools(problem, schedule, True))
+    px = np.array([pt.x for pt, _, _ in pool], dtype=float).reshape(-1, problem.dim_x)
+    depth = np.array([d for _, d, _ in pool], dtype=int)
     rhos = schedule.rho_values()
-    ratios: dict = {}  # by x's bytes: one oracle call per distinct x
-
-    def ratio_of(x) -> Optional[tuple]:
-        sol = problem.solution_dist_exact(x)
-        if sol is None or sol <= EPS_MEM or problem.fiber_distance is None:
-            return None
-        fib = problem.fiber_distance(x)
-        if is_inf(fib):
-            return None
-        return (float(fib) ** q / sol, float(fib), float(sol))
-
-    trace = []
+    levels = []
     for k, rho in enumerate(rhos):
-        xs = [pt.x for pt, depth, _ in pool if depth >= k]
         ambient = _ambient_x_samples(problem, rho, 64, mix_seed(schedule.seed, "srx", k))
-        dist = _norm_rows(problem.norm_x, np.reshape(ambient, (-1, problem.dim_x)) - problem.xbar)
-        xs += [x for x, d in zip(ambient, dist) if d < rho]
-        best: ExtReal = INF
-        best_x = None
-        for x in xs:  # a level keeps its first strict minimum in this order
-            if (key := x.tobytes()) not in ratios:
-                ratios[key] = ratio_of(x)
-            if ratios[key] is not None and ratios[key][0] < best:
-                best, best_x = ratios[key][0], x
-        trace.append((rho, best))
+        inside = _norm_rows(problem.norm_x, ambient - problem.xbar) < rho
+        levels.append(np.concatenate([px[depth >= k], ambient[inside]]))
+    xs = np.concatenate(levels)
+    first, inverse, _ = distinct_rows(xs)  # one oracle call per distinct x
+    n = first.size
+    ratio, fib, sol = np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
+    valid = np.zeros(n, dtype=bool)
+    if problem.fiber_distance is not None:
+        for j, x in enumerate(xs[first]):
+            sd = problem.solution_dist_exact(x)
+            if sd is None or sd <= EPS_MEM:
+                continue
+            fd = problem.fiber_distance(x)
+            if is_inf(fd):
+                continue
+            ratio[j], fib[j], sol[j], valid[j] = float(fd) ** q / sd, float(fd), sd, True
+
+    trace, bounds = [], np.cumsum([0] + [len(level) for level in levels]).tolist()
+    for rho, start, end in zip(rhos, bounds, bounds[1:]):
+        ids = inverse[start:end]
+        i = _first_least(ratio[ids], valid[ids])
+        trace.append((rho, INF if i < 0 else float(ratio[ids[i]])))
     witnesses = []
-    if best_x is not None:  # the finest shell's
-        val, fib, sol = ratios[best_x.tobytes()]
+    if i >= 0:  # the finest shell's
+        j = ids[i]
         witnesses.append(
             {
-                "x": [float(t) for t in np.asarray(best_x).reshape(-1)],
-                "fiber_distance": fib,
-                "solution_distance": sol,
-                "ratio": val,
+                "x": [float(t) for t in xs[start + i]],
+                "fiber_distance": float(fib[j]),
+                "solution_distance": float(sol[j]),
+                "ratio": float(ratio[j]),
             }
         )
 
@@ -290,7 +311,7 @@ def check_subregularity_inequality(
     if problem.fiber_distance is None or problem.solution_distance is None:
         raise ModuliError("inequality check needs fiber and solution oracles")
     xs = _ambient_x_samples(problem, u_radius, grid_budget, seed)
-    dist = _norm_rows(problem.norm_x, np.reshape(xs, (-1, problem.dim_x)) - problem.xbar)
+    dist = _norm_rows(problem.norm_x, xs - problem.xbar)
     for x, d in zip(xs, dist):
         if d > u_radius:
             continue

@@ -24,6 +24,8 @@ from .geometry import (
     DualVectorSet,
     NormSpec,
     ProductPoint,
+    _norm_rows,
+    distinct_rows,
     euclidean,
 )
 
@@ -572,34 +574,46 @@ class OuterPoint:
 
 def sample_outer_points(
     problem: MappingProblem,
-    radius: float,
+    radii: Sequence[float],
     budget: int,
-    seed: int,
+    seeds: Sequence[int],
     schedule: Schedule,
     outer_restriction: bool = True,
-    anchor_zeros: Optional[dict] = None,
 ) -> list:
-    """Graph points in the open shell ``d(x,xbar) < radius``,
-    ``0 < d(y,ybar) < radius`` with ``x`` outside F^{-1}(ybar)
+    """Graph points in the open shells ``d(x,xbar) < radii[k]``,
+    ``0 < d(y,ybar) < radii[k]`` with ``x`` outside F^{-1}(ybar)
     (solution distance above ``EPS_MEM``; drop with
-    ``outer_restriction=False``).  Without a solution-distance oracle the
-    distances come from :func:`solution_set_distance`, sharing
-    ``anchor_zeros``."""
-    pts = graph_sample(problem, problem.anchor, radius, budget, seed)
-    out = []
-    for p in pts:
-        dxa = problem.d_x(p.x, problem.xbar)
-        dya = problem.d_y(p.y, problem.ybar)
-        if not (dxa < radius and 0.0 < dya < radius):
-            continue
-        sd = problem.solution_dist_exact(p.x)
+    ``outer_restriction=False``), level ``k``'s points after level
+    ``k - 1``'s.
+
+    Level ``k`` keeps what an anchor-centred :func:`graph_sample` of
+    radius ``radii[k]``, ``budget`` points and seed ``seeds[k]`` draws;
+    one :func:`sample_graph_batch` call draws every level, bitwise as one
+    call per level would.  The solution distance is taken once per
+    distinct x (by bytes).  Without an oracle it comes from
+    :func:`solution_set_distance`, which then draws one anchor sample per
+    radius for the whole call."""
+    anchor = problem.anchor
+    calls = [(anchor, radius, budget, seed) for radius, seed in zip(radii, seeds)]
+    ux, vy, counts = sample_graph_batch(problem, calls)
+    rho = np.repeat(np.asarray(radii, dtype=float), counts)
+    dxa = _norm_rows(problem.norm_x, ux - problem.xbar)
+    dya = _norm_rows(problem.norm_y, vy - problem.ybar)
+    shell = np.flatnonzero((dxa < rho) & (0.0 < dya) & (dya < rho))
+    ux, vy, dxa, dya = ux[shell], vy[shell], dxa[shell], dya[shell]
+    first, inverse, _ = distinct_rows(ux)
+    anchor_zeros: dict = {}  # one anchor sample per radius for the whole call
+    sol = []
+    for x in ux[first]:
+        sd = problem.solution_dist_exact(x)
         if sd is None:
-            sd_est = solution_set_distance(problem, p.x, schedule, anchor_zeros).value
+            sd_est = solution_set_distance(problem, x, schedule, anchor_zeros).value
             sd = 1e30 if is_inf(sd_est) else float(sd_est)
-        if outer_restriction and sd <= EPS_MEM:
-            continue
-        out.append(OuterPoint(p.x, p.y, dxa, dya, sd))
-    return out
+        sol.append(sd)
+    sol = np.array(sol, dtype=float)[inverse]
+    keep = np.flatnonzero(~(outer_restriction & (sol <= EPS_MEM)))
+    columns = dxa[keep].tolist(), dya[keep].tolist(), sol[keep].tolist()
+    return [OuterPoint(ux[i], vy[i], *d) for i, *d in zip(keep.tolist(), *columns)]
 
 
 @lru_cache(maxsize=1)
@@ -613,6 +627,7 @@ def outer_pools(
     keeps the last key only: a run asks for one ``(problem, schedule,
     True)``, and the problems of finished runs are not kept alive.
 
+    One :func:`sample_outer_points` call draws every level's points.
     Level ``k`` holds every sampled point falling inside window ``k``,
     including points drawn for finer levels, so per-level infima are
     monotone along the shrinking-window ladder by construction.
@@ -621,26 +636,11 @@ def outer_pools(
     n = schedule.outer_samples_per_level()
     if problem.param_dim >= 2:
         n *= 2  # direction coverage needs more shell points
-    fresh = []
-    anchor_zeros: dict = {}  # one anchor sample per radius for the whole build
-    for k, rho in enumerate(rhos):
-        fresh.extend(
-            sample_outer_points(
-                problem,
-                rho,
-                n,
-                mix_seed(schedule.seed, "outer", k),
-                schedule,
-                outer_restriction=outer_restriction,
-                anchor_zeros=anchor_zeros,
-            )
-        )
-    pools = []
-    for rho in rhos:
-        pools.append(
-            tuple(p for p in fresh if p.d_x_anchor < rho and p.d_y_anchor < rho)
-        )
-    return tuple(pools)
+    seeds = [mix_seed(schedule.seed, "outer", k) for k in range(len(rhos))]
+    fresh = sample_outer_points(problem, rhos, n, seeds, schedule, outer_restriction)
+    return tuple(
+        tuple(p for p in fresh if p.d_x_anchor < rho and p.d_y_anchor < rho) for rho in rhos
+    )
 
 
 def distinct_pool(pools: tuple) -> tuple:

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .extended import INF, ExtReal, is_inf
-from .geometry import NormSpec, ProductPoint, _norm_rows, euclidean
+from .geometry import NormSpec, ProductPoint, _norm_rows, distinct_rows, euclidean
 from .problems import (
     ErrorFunction,
     MappingProblem,
@@ -749,15 +749,6 @@ def f_rows(func_or_ef, calls: Sequence[tuple]) -> tuple:
     vy = np.array([p.y for p, _ in kept], dtype=float).reshape(-1, func.ybar.size)
     counts = np.array([len(r) for r in rows], dtype=np.int64)
     return ux, vy, np.array([fv for _, fv in kept], dtype=float), counts
-
-
-def distinct_rows(m: np.ndarray) -> tuple:
-    """``np.unique`` of the rows of ``m`` by their bytes, as seeds key
-    points (so -0.0 and 0.0 differ): the first index, the inverse and the
-    count of each distinct row."""
-    m = np.ascontiguousarray(m, dtype=float)
-    keys = m.view(np.dtype((np.void, m.dtype.itemsize * m.shape[1]))).ravel()
-    return np.unique(keys, return_index=True, return_inverse=True, return_counts=True)[1:]
 
 
 def anchor_f_rows(func_or_ef, radii: Sequence[float], budget: int, seeds: Sequence[int]) -> tuple:

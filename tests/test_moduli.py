@@ -24,8 +24,14 @@ from subreg import (
     theorem_7T1_check,
     validate_P1_P2,
 )
-from subreg.moduli import SAMPLED_REL, _ambient_x_samples, looks_divergent, rel_close
-from subreg.problems import EPS_MEM, mix_seed, outer_pools
+from subreg.moduli import (
+    SAMPLED_REL,
+    _ambient_x_samples,
+    _first_least,
+    looks_divergent,
+    rel_close,
+)
+from subreg.problems import EPS_MEM, halton_points, halving_offsets, mix_seed, outer_pools
 from subreg.slopes_primal import as_two_variable
 
 
@@ -434,3 +440,59 @@ def test_subregularity_modulus_matches_per_copy_reference(name, q, seed):
     new, ref = subregularity_modulus(problem, q, s), _ref_subregularity_modulus(problem, q, s)
     for f in dataclasses.fields(ModulusReport):
         assert _bits(getattr(new, f.name)) == _bits(getattr(ref, f.name)), f.name
+
+
+def _ref_ambient_x_samples(problem, radius, count, seed):
+    # the list of per-point copies the row array replaced
+    stop = max(1e-9 * radius, 1e-11)
+    out = []
+    for i in range(problem.dim_x):
+        for off in halving_offsets(radius, stop, 2 * count - len(out) // 2):
+            for sgn in (1.0, -1.0):
+                x = problem.xbar.copy()
+                x[i] += sgn * off
+                out.append(x)
+    fill = max(0, count - len(out))
+    if fill:
+        u = halton_points(problem.dim_x, fill, mix_seed(seed, "ambient"))
+        out.extend(problem.xbar + (2.0 * u - 1.0) * radius)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,radius,count",
+    [
+        ("half-square", 0.5, 64),  # 60 stencil rows, a 4-row Halton fill
+        ("half-square", 1e-10, 64),  # a short stencil, mostly fill
+        ("linear-A", 0.5, 64),  # the stencil fills the count
+        ("linear-A", 0.5, 20),  # the second axis's stencil is capped
+        ("linear-A", 0.5, 4),  # the first axis takes the whole cap
+        ("linear-A", 1e-10, 64),  # both stencils and a Halton fill
+    ],
+)
+def test_ambient_x_samples_match_the_per_point_copies(name, radius, count):
+    problem = catalog_problem(name)
+    got = _ambient_x_samples(problem, radius, count, 11)
+    want = _ref_ambient_x_samples(problem, radius, count, 11)
+    assert got.shape == (len(want), problem.dim_x)
+    assert [r.tobytes() for r in got] == [x.tobytes() for x in want]
+
+
+@pytest.mark.parametrize(
+    "values,valid",
+    [
+        ([3.0, 1.0, 1.0, 2.0], [1, 1, 1, 1]),  # the first of a tie
+        ([np.nan, 1.0, 0.5], [1, 1, 1]),  # a NaN first entry is never beaten
+        ([np.nan, 1.0, np.nan, 0.5], [0, 1, 1, 1]),  # a later NaN never wins
+        ([0.1, np.inf, np.inf], [0, 1, 1]),  # nothing beats a float inf
+        ([5.0, 2.0, 9.0], [0, 0, 0]),  # no valid entry
+        ([], []),
+    ],
+)
+def test_first_least_is_the_scan(values, valid):
+    values, valid = np.array(values, dtype=float), np.array(valid, dtype=bool)
+    best, want = INF, -1
+    for i in np.flatnonzero(valid):
+        if float(values[i]) < best:
+            best, want = float(values[i]), int(i)
+    assert _first_least(values, valid) == want

@@ -19,6 +19,7 @@ from subreg import (
     validate_P1_P2,
 )
 from subreg.problems import (
+    EPS_MEM,
     ProblemError,
     UnknownProblemError,
     _sphere_directions,
@@ -139,7 +140,7 @@ def test_half_square_ratio_grid():
 
 def test_outer_points_respect_shell_and_filter(schedule):
     p = catalog_problem("half-square")
-    pts = sample_outer_points(p, 0.25, 64, 5, schedule)
+    pts = sample_outer_points(p, [0.25], 64, [5], schedule)
     assert pts
     for pt in pts:
         assert pt.d_x_anchor < 0.25 and 0.0 < pt.d_y_anchor < 0.25
@@ -601,6 +602,83 @@ def test_piecewise_solution_distance_matches_per_call_roots(pieces, xbar, ybar):
         assert got(np.array([u])) == want([u])
 
 
+def _ref_outer_level(problem, radius, budget, seed, schedule, outer_restriction, anchor_zeros):
+    # one level of the per-level pool build the batched draw replaced: one
+    # graph_sample, then scalar distances and one solution distance per point
+    out = []
+    for pt in graph_sample(problem, problem.anchor, radius, budget, seed):
+        dxa = problem.d_x(pt.x, problem.xbar)
+        dya = problem.d_y(pt.y, problem.ybar)
+        if not (dxa < radius and 0.0 < dya < radius):
+            continue
+        sd = problem.solution_dist_exact(pt.x)
+        if sd is None:
+            sd_est = solution_set_distance(problem, pt.x, schedule, anchor_zeros).value
+            sd = 1e30 if is_inf(sd_est) else float(sd_est)
+        if outer_restriction and sd <= EPS_MEM:
+            continue
+        out.append((pt.x, pt.y, dxa, dya, sd))
+    return out
+
+
+def _ref_fresh(problem, schedule, outer_restriction=True, anchor_zeros=None):
+    # every level's points of the per-level build, in level order
+    n = schedule.outer_samples_per_level() * (2 if problem.param_dim >= 2 else 1)
+    levels = [
+        _ref_outer_level(
+            problem, rho, n, mix_seed(schedule.seed, "outer", k), schedule, outer_restriction,
+            anchor_zeros,
+        )
+        for k, rho in enumerate(schedule.rho_values())
+    ]
+    return [pt for level in levels for pt in level]
+
+
+def _point_bits(x, y, *dist):
+    return (x.tobytes(), y.tobytes(), *(float(v).hex() for v in dist))
+
+
+def _finite_half_square():
+    xs = np.linspace(-0.5, 0.5, 41)
+    return finite_graph_problem([([x], [max(x, 0.0) ** 2]) for x in xs], [0.0], [0.0])
+
+
+_POOL_CASES = {
+    "half-square": lambda: catalog_problem("half-square"),
+    "halfline-convex": lambda: catalog_problem("halfline-convex"),
+    "constant": lambda: catalog_problem("constant"),
+    "linear-A": lambda: catalog_problem("linear-A"),
+    "linear-A-skew": lambda: catalog_problem("linear-A", matrix=[[2.0, 1.3], [0.7, 3.0]]),
+    "half-square-no-oracle": lambda: dataclasses.replace(
+        catalog_problem("half-square"), solution_distance=None
+    ),
+    "finite": _finite_half_square,
+}
+
+
+@pytest.mark.parametrize("outer_restriction", [True, False])
+@pytest.mark.parametrize(
+    "name,truncation_radius",
+    [(name, None) for name in _POOL_CASES] + [("half-square-no-oracle", 3.0)],
+)
+def test_outer_pools_match_the_per_level_build(name, truncation_radius, outer_restriction):
+    problem = _POOL_CASES[name]()
+    s = Schedule(sample_budget=512, steps=6, seed=3, truncation_radius=truncation_radius)
+    ref = _ref_fresh(problem, s, outer_restriction, {})
+    assert ref or name == "constant"
+    pools = outer_pools(problem, s, outer_restriction)
+    assert [
+        _point_bits(pt.x, pt.y, pt.d_x_anchor, pt.d_y_anchor, pt.sol_dist) for pt in pools[0]
+    ] == [_point_bits(*r) for r in ref]
+    for pt in pools[0]:
+        assert all(type(v) is float for v in (pt.d_x_anchor, pt.d_y_anchor, pt.sol_dist))
+    coarse = {id(pt) for pt in pools[0]}
+    for pool, rho in zip(pools, s.rho_values()):
+        want = [(x.tobytes(), y.tobytes()) for x, y, dxa, dya, _ in ref if dxa < rho and dya < rho]
+        assert [(pt.x.tobytes(), pt.y.tobytes()) for pt in pool] == want
+        assert {id(pt) for pt in pool} <= coarse  # the same objects, shared by the levels
+
+
 def _count_anchor_samples(monkeypatch, schedule):
     import subreg.problems as problems
 
@@ -623,20 +701,14 @@ def test_outer_pools_share_the_anchor_sample(monkeypatch, truncation_radius):
     s = Schedule(sample_budget=256, steps=4, truncation_radius=truncation_radius)
     radii = _count_anchor_samples(monkeypatch, s)
     # the per-point path: every outer point draws the anchor sample itself
-    per_point = [
-        sample_outer_points(p, rho, 24, mix_seed(s.seed, "outer", k), s)
-        for k, rho in enumerate(s.rho_values())
-    ]
+    fresh = _ref_fresh(p, s)
     drawn = len(radii)
     assert drawn > 1
     radii.clear()
     pools = outer_pools(p, s, True)
     assert len(radii) == len(set(radii)) == 1  # one draw per distinct radius
-    fresh = [pt for level in per_point for pt in level]
     assert len(fresh) == drawn
     assert len(pools[0]) == len(fresh)
-    for a, b in zip(pools[0], fresh):
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-        assert (a.d_x_anchor, a.d_y_anchor, a.sol_dist) == (
-            b.d_x_anchor, b.d_y_anchor, b.sol_dist,
-        )
+    for a, (x, y, *dist) in zip(pools[0], fresh):
+        assert np.array_equal(a.x, x) and np.array_equal(a.y, y)
+        assert (a.d_x_anchor, a.d_y_anchor, a.sol_dist) == tuple(dist)

@@ -455,19 +455,22 @@ class TestCLI:
         assert message in res.stderr
 
     def test_overflowing_rho0_exits_2(self, tmp_path, cli_env):
-        # half-square's fiber distance squares the huge sampled x
-        raw = {
-            "problem": "half-square",
-            "q": 0.5,
-            "schedule": {"rho0": 1e308, "sample_budget": 256, "steps": 5},
-            "checks": ["moduli"],
-        }
-        cfg = tmp_path / "huge.json"
-        cfg.write_text(json.dumps(raw))
-        res = self._run(["--config", str(cfg)], tmp_path, cli_env)
-        assert res.returncode == 2, res.stderr
-        assert "invalid configuration: numeric overflow" in res.stderr
-        assert "smaller schedule rho0" in res.stderr
+        for problem, q in (
+            ("half-square", 0.5),  # the fiber distance squares the huge sampled x
+            ("linear-A", 1),  # numpy overflow in the batched graph map
+        ):
+            raw = {
+                "problem": problem,
+                "q": q,
+                "schedule": {"rho0": 1e308, "sample_budget": 256, "steps": 5},
+                "checks": ["moduli"],
+            }
+            cfg = tmp_path / "huge.json"
+            cfg.write_text(json.dumps(raw))
+            res = self._run(["--config", str(cfg)], tmp_path, cli_env)
+            assert res.returncode == 2, (problem, res.stderr)
+            assert "invalid configuration: numeric overflow" in res.stderr
+            assert "smaller schedule rho0" in res.stderr
 
     def test_missing_config_exits_2(self, tmp_path, cli_env):
         res = self._run(
