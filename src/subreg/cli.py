@@ -73,10 +73,13 @@ def main(argv=None) -> int:
             report = run_config(cfg)
             text = emit_report(report, cfg.output_format)
     except (ConfigError, OverflowError, FloatingPointError) as exc:
-        # no one bound on rho0 fits every mapping, so an oracle's overflow
-        # is what tells a too large one
+        # no one bound on rho0 or the truncation radius fits every mapping,
+        # so an oracle's overflow is what tells a too large one
         if not isinstance(exc, ConfigError):
-            exc = f"numeric overflow during evaluation: {exc}; try a smaller schedule rho0"
+            exc = (
+                f"numeric overflow during evaluation: {exc}; "
+                "try a smaller schedule rho0 or truncation_radius"
+            )
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -88,20 +88,24 @@ class NormSpec:
         return float(np.sum(w * np.abs(v)))
 
     def value_rows(self, m: np.ndarray) -> np.ndarray:
-        """Norm of every row of a 2-d array."""
+        """Norm of every row of a 2-d array (a 1-d array is a column of
+        one-dimensional rows), equal bitwise to :meth:`value` of the row.
+        Array powers round otherwise, so other finite ``p`` go row by row."""
         m = np.asarray(m, dtype=float)
         if m.ndim == 1:
             m = m.reshape(-1, 1)
         if self.kind == "euclidean":
             if self.dim == 1:
                 return np.abs(m[:, 0])
-            return np.sqrt(np.einsum("ij,ij->i", m, m))
+            # value's dot product, row by row, so the sum runs in its order
+            m = np.ascontiguousarray(m)
+            return np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])
         if self.kind == "p":
             if math.isinf(self.p):
                 return np.max(np.abs(m), axis=1)
             if self.p == 1.0:
                 return np.sum(np.abs(m), axis=1)
-            return np.sum(np.abs(m) ** self.p, axis=1) ** (1.0 / self.p)
+            return np.array([self.value(v) for v in m], dtype=float)
         w = np.asarray(self.weights, dtype=float)
         if self.kind == "weighted-max":
             return np.max(w * np.abs(m), axis=1)
@@ -387,25 +391,10 @@ def enlargement_rows(ystar: np.ndarray, eps, perturbations: np.ndarray, dual: No
     """
     eps = np.asarray(eps, dtype=float)
     cand = ystar[None, :, None, :] + eps[:, None, None, None] * perturbations[None, None, :, :]
-    n = _norm_rows(dual, cand.reshape(-1, ystar.shape[1])).reshape(cand.shape[:3])
+    n = dual.value_rows(cand.reshape(-1, ystar.shape[1])).reshape(cand.shape[:3])
     kept = ~(n <= 1e-15)
     np.divide(cand, n[..., None], out=cand, where=kept[..., None])
     return cand, kept
-
-
-def _norm_rows(norm: NormSpec, m: np.ndarray) -> np.ndarray:
-    """Row norms equal bitwise to :meth:`NormSpec.value` on each row.
-
-    ``value_rows`` is that in one dimension; in more, its ``einsum`` sums
-    in another order, while a batched row-by-row product takes the same
-    dot product as ``value``.  Other norm kinds are evaluated row by row.
-    """
-    if norm.kind != "euclidean":
-        return np.array([norm.value(v) for v in m], dtype=float)
-    if norm.dim == 1:
-        return norm.value_rows(m)
-    m = np.ascontiguousarray(m, dtype=float)
-    return np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])
 
 
 def distinct_rows(m: np.ndarray) -> tuple:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .extended import INF, ExtReal, is_inf
-from .geometry import _norm_rows, duality_map
+from .geometry import duality_map
 from .problems import (
     EPS_MEM,
     ErrorFunction,
@@ -167,7 +167,7 @@ def subregularity_modulus(
     levels = []
     for k, rho in enumerate(rhos):
         ambient = _ambient_x_samples(problem, rho, 64, mix_seed(schedule.seed, "srx", k))
-        inside = _norm_rows(problem.norm_x, ambient - problem.xbar) < rho
+        inside = problem.norm_x.value_rows(ambient - problem.xbar) < rho
         levels.append(np.concatenate([px[depth >= k], ambient[inside]]))
     xs = np.concatenate(levels)
     first, inverse, _ = distinct_rows(xs)  # one oracle call per distinct x
@@ -311,7 +311,7 @@ def check_subregularity_inequality(
     if problem.fiber_distance is None or problem.solution_distance is None:
         raise ModuliError("inequality check needs fiber and solution oracles")
     xs = _ambient_x_samples(problem, u_radius, grid_budget, seed)
-    dist = _norm_rows(problem.norm_x, xs - problem.xbar)
+    dist = problem.norm_x.value_rows(xs - problem.xbar)
     for x, d in zip(xs, dist):
         if d > u_radius:
             continue

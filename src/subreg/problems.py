@@ -24,7 +24,6 @@ from .geometry import (
     DualVectorSet,
     NormSpec,
     ProductPoint,
-    _norm_rows,
     distinct_rows,
     euclidean,
 )
@@ -148,6 +147,8 @@ class Schedule:
                 raise ProblemError(f"{name} must be an integer, got {value!r}")
         if self.rho0 <= 0 or not 0.0 < self.factor < 1.0 or self.steps < 1:
             raise ProblemError("schedule requires rho0 > 0, factor in (0,1), steps >= 1")
+        if not self.rho0 * self.factor ** (self.steps - 1) > 0.0:
+            raise ProblemError("the finest rho, rho0 * factor**(steps - 1), underflows to 0")
         if self.sample_budget < 1:
             raise ProblemError("sample budget must be positive")
         radii = tuple(self.neighborhood_radii)
@@ -597,8 +598,8 @@ def sample_outer_points(
     calls = [(anchor, radius, budget, seed) for radius, seed in zip(radii, seeds)]
     ux, vy, counts = sample_graph_batch(problem, calls)
     rho = np.repeat(np.asarray(radii, dtype=float), counts)
-    dxa = _norm_rows(problem.norm_x, ux - problem.xbar)
-    dya = _norm_rows(problem.norm_y, vy - problem.ybar)
+    dxa = problem.norm_x.value_rows(ux - problem.xbar)
+    dya = problem.norm_y.value_rows(vy - problem.ybar)
     shell = np.flatnonzero((dxa < rho) & (0.0 < dya) & (dya < rho))
     ux, vy, dxa, dya = ux[shell], vy[shell], dxa[shell], dya[shell]
     first, inverse, _ = distinct_rows(ux)
@@ -988,13 +989,14 @@ def piecewise_problem(
     parsed = []
     for pc in pieces:
         try:
-            a, b = float(pc["domain"][0]), float(pc["domain"][1])
-            coeffs = [float(c) for c in pc["coeffs"]]
+            a, b, coeffs = pc["domain"][0], pc["domain"][1], list(pc["coeffs"])
         except (KeyError, TypeError, IndexError) as exc:
             raise ProblemError(f"malformed piece {pc!r}") from exc
+        if not all(is_finite_real(v) for v in (a, b, *coeffs)):
+            raise ProblemError(f"piece domain ends and coefficients must be finite numbers: {pc!r}")
         if b < a or not coeffs:
             raise ProblemError(f"malformed piece {pc!r}")
-        parsed.append((a, b, np.array(coeffs)))
+        parsed.append((float(a), float(b), np.array(coeffs, dtype=float)))
     parsed.sort(key=lambda t: t[0])
     lo_all = parsed[0][0]
     hi_all = max(b for _, b, _ in parsed)

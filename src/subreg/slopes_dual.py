@@ -34,7 +34,6 @@ from .extended import INF, ExtReal, is_inf
 from .geometry import (
     ProductPoint,
     _dual_ball_directions,
-    _norm_rows,
     duality_map,
     enlargement_perturbations,
     enlargement_rows,
@@ -158,7 +157,7 @@ def _pert_rows(problem: MappingProblem, centres: np.ndarray, perts: np.ndarray, 
         centre = 1
     else:
         dual = problem.norm_y.dual()
-        size = _norm_rows(dual, centres)
+        size = dual.value_rows(centres)
         unit = np.zeros_like(centres)
         np.divide(-centres, size[:, None], out=unit, where=size[:, None] > 0)
         ball = np.array(_dual_ball_directions(dim, dual, 8, seed))
@@ -198,7 +197,7 @@ def _subdiff_table(
     n_sets = len(direction_sets[0])
     dim = problem.dim_y
     flat = [v for sets in direction_sets for vs in sets for v in vs]
-    nonzero = iter((_norm_rows(problem.norm_y, np.array(flat)) > 0.0).tolist())
+    nonzero = iter((problem.norm_y.value_rows(np.array(flat)) > 0.0).tolist())
     js = []
     for sets in direction_sets:
         faces: dict = {}
@@ -212,7 +211,7 @@ def _subdiff_table(
                     js[-1] += faces[key]
     centres, real = _padded(js, dim)
     width = real.shape[1]
-    size = np.where(real, _norm_rows(problem.norm_y.dual(), centres).reshape(real.shape), np.inf)
+    size = np.where(real, problem.norm_y.dual().value_rows(centres).reshape(real.shape), np.inf)
     reached = (perts[:, :, None] >= size.min(axis=1).reshape(n_pts, 1, n_sets)) & live[:, :, None]
     cand, valid = _pert_rows(problem, centres, np.repeat(perts, n_sets * width, axis=0), seed)
     # a set's members take part at the live radii short of its least norm
@@ -390,7 +389,7 @@ def limiting_coderivative_min_norm(
         width = real.shape[1]
         scale = np.array([q * pt.d_y_anchor ** (q - 1.0) for pt in pts])
         centres = (scale[:, None] * members.reshape(len(pts), -1)).reshape(members.shape)
-        kept = real & (_norm_rows(dual, centres).reshape(real.shape) <= MULTIPLIER_CAP)
+        kept = real & (dual.value_rows(centres).reshape(real.shape) <= MULTIPLIER_CAP)
         capped = capped or bool((real & ~kept).any())
         cand, valid = _pert_rows(problem, centres, np.tile(rhos, (len(centres), 1)), seed)
         live = np.arange(n_rad) <= depths[:, None]
@@ -463,7 +462,7 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
             for frac in (0.5, 0.99, 1.0 - 1e-9):
                 for dvec in dirs:
                     targets.append(diff + frac * y_window * dvec)
-        dys = _norm_rows(problem.norm_y, np.array(targets)).tolist()
+        dys = problem.norm_y.value_rows(np.array(targets)).tolist()
         # a target of norm 0 gets no face (diff, beta's target, has
         # norm d(y, ybar) > 0); a point off every window gets none
         reach = np.repeat(live.any(axis=1), n_tgt).tolist()

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .extended import INF, ExtReal, is_inf
-from .geometry import NormSpec, ProductPoint, _norm_rows, distinct_rows, euclidean
+from .geometry import NormSpec, ProductPoint, distinct_rows, euclidean
 from .problems import (
     ErrorFunction,
     MappingProblem,
@@ -176,13 +176,13 @@ class PointCandidates:
         cls, norms, centres, rows, counts, centre_value, min_dist, local_radius, trunc_radius
     ) -> "PointCandidates":
         """The table of the rows ``(ux, vy, value)``, ``counts[i]`` of them
-        around ``centres = (cx, cy)[i]``, with distances by the row norms
+        around ``centres = (cx, cy)[i]``, with distances in the norms
         ``norms = (norm_x, norm_y)`` and the local mask ``dist <=
         local_radius`` up to the centre's rounding pad.  A per-segment
         argument may be one value for every segment."""
-        (cx, cy), (ux, vy, value) = centres, rows
-        dx = norms[0](ux - np.repeat(cx, counts, axis=0))
-        dy = norms[1](vy - np.repeat(cy, counts, axis=0))
+        (norm_x, norm_y), (cx, cy), (ux, vy, value) = norms, centres, rows
+        dx = norm_x.value_rows(ux - np.repeat(cx, counts, axis=0))
+        dy = norm_y.value_rows(vy - np.repeat(cy, counts, axis=0))
         dist = np.maximum(dx, dy)
         seg = lambda v: np.broadcast_to(np.asarray(v, dtype=float), counts.shape)
         reach = np.repeat(seg(local_radius) + radius_pads(cx, cy), counts)
@@ -247,9 +247,9 @@ def _with_anchor(counts: np.ndarray, *columns) -> tuple:
 
 
 def _graph_table(problem: MappingProblem, centres, ux, vy, counts, *segments) -> PointCandidates:
-    # graph rows valued d(v, ybar), every distance by value_rows; the
-    # segments' centre values, bands, local and truncation radii follow
-    norms = (problem.norm_x.value_rows, problem.norm_y.value_rows)
+    # graph rows valued d(v, ybar); the segments' centre values, bands,
+    # local and truncation radii follow
+    norms = (problem.norm_x, problem.norm_y)
     dv = problem.norm_y.value_rows(vy - problem.ybar)
     return PointCandidates.around(norms, centres, (ux, vy, dv), counts, *segments)
 
@@ -739,7 +739,7 @@ def f_rows(func_or_ef, calls: Sequence[tuple]) -> tuple:
     if isinstance(func_or_ef, ErrorFunction):
         pr, q = func_or_ef.problem, func_or_ef.q
         ux, vy, counts = sample_graph_batch(pr, calls)
-        dv = _norm_rows(pr.norm_y, vy - pr.ybar)
+        dv = pr.norm_y.value_rows(vy - pr.ybar)
         return ux, vy, np.array([d**q for d in dv.tolist()], dtype=float), counts
     func = as_two_variable(func_or_ef)
     rows = [[(p, func.value(p.x, p.y)) for p in func.sampler(*call)] for call in calls]
@@ -760,8 +760,8 @@ def anchor_f_rows(func_or_ef, radii: Sequence[float], budget: int, seeds: Sequen
     ux, vy, f, _ = f_rows(func_or_ef, [(anchor, r, budget, s) for r, s in zip(radii, seeds)])
     keep = f > 0.0
     ux, vy, f = ux[keep], vy[keep], f[keep]
-    dxa = _norm_rows(func.norm_x, ux - func.xbar)
-    return ux, vy, f, dxa, _norm_rows(func.norm_y, vy - func.ybar)
+    dxa = func.norm_x.value_rows(ux - func.xbar)
+    return ux, vy, f, dxa, func.norm_y.value_rows(vy - func.ybar)
 
 
 def _f_table(
@@ -770,8 +770,8 @@ def _f_table(
     """The candidate table of a two-variable function around several
     centres, ``len(calls) // len(centres)`` consecutive calls each, plus
     the anchor row after each centre's rows when ``anchor`` is set (and
-    ``f`` is finite there): rows valued ``f``, centres valued ``f_at``,
-    distances by :func:`_norm_rows` and the plain exclusion band."""
+    ``f`` is finite there): rows valued ``f``, centres valued ``f_at``
+    and the plain exclusion band."""
     func = as_two_variable(func_or_ef)
     ux, vy, f, per_call = f_rows(func_or_ef, calls)
     counts = per_call.reshape(len(centres), -1).sum(axis=1)
@@ -781,7 +781,7 @@ def _f_table(
         (ux, vy, f), counts = _with_anchor(counts, *columns)
     cx = np.array([c.x for c in centres], dtype=float)
     cy = np.array([c.y for c in centres], dtype=float)
-    norms = (partial(_norm_rows, func.norm_x), partial(_norm_rows, func.norm_y))
+    norms = (func.norm_x, func.norm_y)
     return PointCandidates.around(
         norms, (cx, cy), (ux, vy, f), counts, f_at, EXCLUSION_BAND, local_radius, trunc
     )

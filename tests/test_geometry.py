@@ -224,3 +224,22 @@ def test_dual_vector_set_ball_and_empty():
     assert not ball.contains([2.0, 0.0], euclidean(2))
     assert ball.min_norm(euclidean(2)) == 0.0
     assert is_inf(DualVectorSet.empty().min_norm(euclidean(2)))
+
+
+def test_value_rows_equal_the_scalar_norm():
+    rng = np.random.default_rng(11)
+    norms = [euclidean(dim) for dim in (1, 2, 3, 4)]
+    for dim in (1, 2, 3):
+        norms += [NormSpec("p", dim, p=p) for p in (1.0, 1.5, 3.0, math.inf)]
+        weights = tuple(np.exp(rng.uniform(-3.0, 3.0, dim)).tolist())
+        norms += [NormSpec(kind, dim, weights=weights) for kind in ("weighted-max", "weighted-sum")]
+    for norm in norms:
+        m = rng.standard_normal((2000, norm.dim)) * np.exp(rng.uniform(-30.0, 30.0, (2000, norm.dim)))
+        want = np.array([norm.value(v) for v in m])
+        assert norm.value_rows(m).tobytes() == want.tobytes(), norm
+        # a row's norm does not depend on the rows taken with it
+        parts = np.concatenate([norm.value_rows(m[i : i + 7]) for i in range(0, 2000, 7)])
+        assert parts.tobytes() == want.tobytes(), norm
+        if norm.dim == 1:
+            # a 1-d array is a column of one-dimensional rows
+            assert norm.value_rows(m[:, 0]).tobytes() == want.tobytes(), norm

@@ -1,9 +1,12 @@
+import ast
 import dataclasses
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,7 +338,7 @@ _REPORT_HASHES = [
             "schedule": _CATALOG_SCHEDULE,
             "checks": ALL_CHECKS,
         },
-        "6173fa091b29c6a8323c6bcd3c9db3066f45f834f7e8aad8ac2fd56c88eb8f60",
+        "130238877d5cc50f8be8db2cdd8954d33546a5c3df8442c555f72eacac88a6e7",
     ),
     (
         {
@@ -392,6 +395,16 @@ def test_report_bytes_unchanged(config, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_readme_library_example_runs(capsys):
+    # the README's one python block, so the library docs cannot rot unseen
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    sr_q, conditions = capsys.readouterr().out.splitlines()
+    assert float(sr_q) == pytest.approx(1.0, rel=0.05)  # the "~1.0" it prints
+    assert set(ast.literal_eval(conditions)) == set("abcdefghij")
+
+
 def test_import_does_not_load_scipy(cli_env):
     res = subprocess.run(
         [sys.executable, "-c", "import sys, subreg; print('scipy' in sys.modules)"],
@@ -405,6 +418,13 @@ def test_import_does_not_load_scipy(cli_env):
 
 # an inline problem whose anchor the bad-value cases replace
 _LINE = {"pieces": [{"domain": [-1.0, 1.0], "coeffs": [0.0, 1.0]}]}
+_BAD_PIECE = "piece domain ends and coefficients must be finite numbers"
+
+
+def _pieces(*domains_and_coeffs):
+    # an inline problem from alternating domain and coefficient lists
+    pairs = zip(domains_and_coeffs[::2], domains_and_coeffs[1::2])
+    return {"pieces": [{"domain": d, "coeffs": c} for d, c in pairs]}
 
 
 class TestCLI:
@@ -439,6 +459,14 @@ class TestCLI:
             ("problem", dict(_LINE, xbar=[0, 1]), "problem.xbar must be a finite number, got [0, 1]"),
             ("problem", dict(_LINE, ybar=[0, 1]), "problem.ybar must be a finite number, got [0, 1]"),
             ("problem", dict(_LINE, ybar={"y": 0}), "problem.ybar must be a finite number, got {'y': 0}"),
+            # rho ladders whose finest rho underflows to 0
+            ("steps", 1100, "the finest rho, rho0 * factor**(steps - 1), underflows to 0"),
+            ("factor", 1e-100, "the finest rho, rho0 * factor**(steps - 1), underflows to 0"),
+            # inline pieces: a string, a bool, a NaN or an infinity
+            ("problem", _pieces([-1, 1], [0, "1"]), _BAD_PIECE),
+            ("problem", _pieces([-1, True], [0, True]), _BAD_PIECE),
+            ("problem", _pieces([-1, 0], [0.0], [0, 1], [0, float("nan")]), _BAD_PIECE),
+            ("problem", _pieces([-1, float("inf")], [0, 1]), _BAD_PIECE),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, cli_env, key, value, message):
@@ -455,22 +483,26 @@ class TestCLI:
         assert message in res.stderr
 
     def test_overflowing_rho0_exits_2(self, tmp_path, cli_env):
-        for problem, q in (
-            ("half-square", 0.5),  # the fiber distance squares the huge sampled x
-            ("linear-A", 1),  # numpy overflow in the batched graph map
+        for problem, q, schedule, checks in (
+            # the fiber distance squares the huge sampled x
+            ("half-square", 0.5, {"rho0": 1e308}, ["moduli"]),
+            # numpy overflow in the batched graph map
+            ("linear-A", 1, {"rho0": 1e308}, ["moduli"]),
+            # the slopes sample out to a huge truncation radius
+            ("half-square", 0.5, {"truncation_radius": 1e300}, ["slopes"]),
         ):
             raw = {
                 "problem": problem,
                 "q": q,
-                "schedule": {"rho0": 1e308, "sample_budget": 256, "steps": 5},
-                "checks": ["moduli"],
+                "schedule": dict(schedule, sample_budget=256, steps=5),
+                "checks": checks,
             }
             cfg = tmp_path / "huge.json"
             cfg.write_text(json.dumps(raw))
             res = self._run(["--config", str(cfg)], tmp_path, cli_env)
-            assert res.returncode == 2, (problem, res.stderr)
+            assert res.returncode == 2, (problem, schedule, res.stderr)
             assert "invalid configuration: numeric overflow" in res.stderr
-            assert "smaller schedule rho0" in res.stderr
+            assert "smaller schedule rho0 or truncation_radius" in res.stderr
 
     def test_missing_config_exits_2(self, tmp_path, cli_env):
         res = self._run(

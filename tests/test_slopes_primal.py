@@ -17,7 +17,6 @@ from subreg import (
     uniform_strict_q_slope,
     validate_P1_P2,
 )
-from subreg.geometry import euclidean
 from subreg.moduli import RunContext, error_bound_modulus
 import subreg.slopes_primal as slopes_primal
 from subreg import piecewise_problem
@@ -789,15 +788,3 @@ def test_f_engine_rows_lie_on_the_graph(monkeypatch, name):
         for x, y in zip(ux, vy):
             assert problem.graph_membership(x, y), (x, y)
 
-
-def test_norm_rows_equal_the_scalar_norm():
-    rng = np.random.default_rng(11)
-    for dim in (1, 2, 3):
-        norm = euclidean(dim)
-        m = rng.standard_normal((5000, dim)) * rng.choice([1e-9, 1.0, 1e6], (5000, 1))
-        got = slopes_primal._norm_rows(norm, m)
-        want = np.array([norm.value(v) for v in m])
-        assert got.tobytes() == want.tobytes()
-        # a row's norm does not depend on the rows taken with it
-        parts = np.concatenate([slopes_primal._norm_rows(norm, m[i : i + 7]) for i in range(0, 5000, 7)])
-        assert parts.tobytes() == want.tobytes()
