@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
@@ -59,6 +59,8 @@ def main(argv=None) -> int:
         if args.out:
             cfg = replace(cfg, output_path=args.out)
         if cfg.output_path:
+            if os.path.isdir(cfg.output_path):
+                raise ConfigError(f"output path is a directory: {cfg.output_path}")
             parent = os.path.dirname(os.path.abspath(cfg.output_path))
             if not os.path.isdir(parent):
                 raise ConfigError(f"output directory does not exist: {parent}")

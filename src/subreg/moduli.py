@@ -17,13 +17,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .extended import INF, ExtReal, is_inf
-from .geometry import duality_map
+from .geometry import distinct_rows, duality_map
 from .problems import (
     EPS_MEM,
     ErrorFunction,
     MappingProblem,
     Schedule,
-    distinct_pool,
     graph_sample,
     halton_points,
     halving_ladder,
@@ -45,9 +44,7 @@ from .slopes_primal import (
     _gather,
     _infimum,
     anchor_f_rows,
-    anchor_ratios,
     as_two_variable,
-    distinct_rows,
     f_level_strict,
     strict_sweep,
 )
@@ -160,15 +157,13 @@ def subregularity_modulus(
     per distinct x of all levels."""
     if not 0.0 < q <= 1.0:
         raise ModuliError("q must lie in (0, 1]")
-    pool = distinct_pool(outer_pools(problem, schedule, True))
-    px = np.array([pt.x for pt, _, _ in pool], dtype=float).reshape(-1, problem.dim_x)
-    depth = np.array([d for _, d, _ in pool], dtype=int)
+    pool = outer_pools(problem, schedule, True)
     rhos = schedule.rho_values()
     levels = []
     for k, rho in enumerate(rhos):
         ambient = _ambient_x_samples(problem, rho, 64, mix_seed(schedule.seed, "srx", k))
         inside = problem.norm_x.value_rows(ambient - problem.xbar) < rho
-        levels.append(np.concatenate([px[depth >= k], ambient[inside]]))
+        levels.append(np.concatenate([pool.x[pool.depth >= k], ambient[inside]]))
     xs = np.concatenate(levels)
     first, inverse, _ = distinct_rows(xs)  # one oracle call per distinct x
     n = first.size
@@ -388,12 +383,11 @@ class RunContext(Mapping):
     @cached_property
     def anchor_ratio(self) -> SlopeEstimate:
         """The ratio liminf from anchor distances; the budget counts pool copies read."""
-        pool = distinct_pool(outer_pools(self.problem, self.schedule, True))
-        ratio = anchor_ratios([r[0] for r in pool], self.q)
-        depths, copies = np.array([r[1:] for r in pool], dtype=np.int64).reshape(-1, 2).T
-        levels = [(rho, depths >= k) for k, rho in enumerate(self.schedule.rho_values())]
+        pool = outer_pools(self.problem, self.schedule, True)
+        ratio = pool.ratio(self.q)
+        levels = [(rho, pool.depth >= k) for k, rho in enumerate(self.schedule.rho_values())]
         trace = [(rho, _infimum(ratio[at])) for rho, at in levels]
-        used = sum(int(copies[at].sum()) for _, at in levels)
+        used = sum(int(pool.copies[at].sum()) for _, at in levels)
         return _finish("anchor_ratio_liminf", trace, False, used)
 
     @cached_property

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -201,7 +201,6 @@ class MappingProblem:
     coderivative: Optional[Callable] = None
     graph_points: Optional[tuple] = None
     convex: bool = False
-    smooth: bool = False
     graph_locally_closed: bool = True
     canonical_q: float = 1.0
 
@@ -562,15 +561,50 @@ def solution_set_distance(
     return DistanceEstimate(best, exact=False)
 
 
+def distinct_window_rows(rows: np.ndarray, level: np.ndarray, radii: Sequence[float]) -> tuple:
+    """The distinct rows (by bytes, as seeds key points) whose ``level``
+    lies below ``radii[0]``, in first-draw order, as ``(index, depth,
+    copies)``: each one's first row, the finest ``k`` with ``level <
+    radii[k]`` on the decreasing ladder ``radii`` (window ``k`` holds the
+    rows of depth ``k`` or more) and its number of rows."""
+    inside = np.flatnonzero(level < radii[0])
+    first, _, copies = distinct_rows(rows[inside])
+    order = np.argsort(first)
+    index = inside[first[order]]
+    depth = (level[index, None] < np.asarray(radii, dtype=float)).sum(axis=1) - 1
+    return index, depth, copies[order]
+
+
 @dataclass(frozen=True, eq=False)
-class OuterPoint:
-    """A sampled graph point outside F^{-1}(ybar) with cached distances."""
+class OuterPool:
+    """The outer points of every rho level, one row per distinct ``(x,
+    y)`` in first-draw order: its distances ``dxa = d(x, xbar)`` and
+    ``dya = d(y, ybar)``, its ``depth`` (level ``k`` is the rows of depth
+    ``k`` or more) and its ``copies`` drawn, the halving stencils of
+    different levels coinciding bitwise.  ``len`` counts the copies."""
 
     x: np.ndarray
     y: np.ndarray
-    d_x_anchor: float
-    d_y_anchor: float
-    sol_dist: float
+    dxa: np.ndarray
+    dya: np.ndarray
+    depth: np.ndarray
+    copies: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.copies.sum())
+
+    def take(self, index) -> "OuterPool":
+        """The rows at ``index`` (a slice or an index array)."""
+        return OuterPool(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def ratio(self, q: float) -> np.ndarray:
+        """``d(y, ybar)^q / d(x, xbar)`` per row in Python float powers, NaN at d(x, xbar) = 0."""
+        dxa, dya = self.dxa.tolist(), self.dya.tolist()
+        return np.array([dy**q / dx if dx > 0 else np.nan for dx, dy in zip(dxa, dya)], dtype=float)
+
+    def weight(self, q: float) -> np.ndarray:
+        """``q d(y, ybar)^(q-1)`` per row in Python float powers."""
+        return np.array([q * dy ** (q - 1.0) for dy in self.dya.tolist()], dtype=float)
 
 
 def sample_outer_points(
@@ -580,18 +614,18 @@ def sample_outer_points(
     seeds: Sequence[int],
     schedule: Schedule,
     outer_restriction: bool = True,
-) -> list:
-    """Graph points in the open shells ``d(x,xbar) < radii[k]``,
-    ``0 < d(y,ybar) < radii[k]`` with ``x`` outside F^{-1}(ybar)
-    (solution distance above ``EPS_MEM``; drop with
-    ``outer_restriction=False``), level ``k``'s points after level
-    ``k - 1``'s.
+) -> OuterPool:
+    """The graph points in the open shells ``d(x,xbar) < radii[k]``,
+    ``0 < d(y,ybar) < radii[k]`` of the decreasing ladder ``radii`` with
+    ``x`` outside F^{-1}(ybar) (solution distance above ``EPS_MEM``; drop
+    with ``outer_restriction=False``), as an :class:`OuterPool`.
 
-    Level ``k`` keeps what an anchor-centred :func:`graph_sample` of
+    Level ``k`` draws what an anchor-centred :func:`graph_sample` of
     radius ``radii[k]``, ``budget`` points and seed ``seeds[k]`` draws;
     one :func:`sample_graph_batch` call draws every level, bitwise as one
-    call per level would.  The solution distance is taken once per
-    distinct x (by bytes).  Without an oracle it comes from
+    call per level would.  A row's depth is the finest level whose shell
+    holds it, whichever level drew it.  The solution distance is taken
+    once per distinct x (by bytes).  Without an oracle it comes from
     :func:`solution_set_distance`, which then draws one anchor sample per
     radius for the whole call."""
     anchor = problem.anchor
@@ -611,50 +645,29 @@ def sample_outer_points(
             sd_est = solution_set_distance(problem, x, schedule, anchor_zeros).value
             sd = 1e30 if is_inf(sd_est) else float(sd_est)
         sol.append(sd)
-    sol = np.array(sol, dtype=float)[inverse]
-    keep = np.flatnonzero(~(outer_restriction & (sol <= EPS_MEM)))
-    columns = dxa[keep].tolist(), dya[keep].tolist(), sol[keep].tolist()
-    return [OuterPoint(ux[i], vy[i], *d) for i, *d in zip(keep.tolist(), *columns)]
+    outer = ~(outer_restriction & (np.array(sol, dtype=float)[inverse] <= EPS_MEM))
+    level = np.where(outer, np.maximum(dxa, dya), np.inf)
+    index, depth, copies = distinct_window_rows(np.hstack([ux, vy]), level, radii)
+    return OuterPool(ux[index], vy[index], dxa[index], dya[index], depth, copies)
 
 
 @lru_cache(maxsize=1)
-def outer_pools(
-    problem: MappingProblem, schedule: Schedule, outer_restriction: bool = True
-) -> tuple:
-    """Per-rho-level pools of outer points with nested-window reuse.
+def outer_pools(problem: MappingProblem, schedule: Schedule, outer_restriction: bool) -> OuterPool:
+    """The outer points of every rho level of ``schedule``, from one
+    :func:`sample_outer_points` call.
 
-    Pass all three arguments: the cache keys ``(p, s)`` and ``(p, s,
-    True)`` apart, so mixed call shapes would build the pools twice.  It
-    keeps the last key only: a run asks for one ``(problem, schedule,
-    True)``, and the problems of finished runs are not kept alive.
-
-    One :func:`sample_outer_points` call draws every level's points.
-    Level ``k`` holds every sampled point falling inside window ``k``,
-    including points drawn for finer levels, so per-level infima are
-    monotone along the shrinking-window ladder by construction.
+    A row's depth places it in every coarser window too, so per-level
+    infima are monotone along the shrinking-window ladder by
+    construction.  The cache keeps the last key only: a run asks for one
+    ``(problem, schedule, True)``, and the problems of finished runs are
+    not kept alive.
     """
     rhos = schedule.rho_values()
     n = schedule.outer_samples_per_level()
     if problem.param_dim >= 2:
         n *= 2  # direction coverage needs more shell points
     seeds = [mix_seed(schedule.seed, "outer", k) for k in range(len(rhos))]
-    fresh = sample_outer_points(problem, rhos, n, seeds, schedule, outer_restriction)
-    return tuple(
-        tuple(p for p in fresh if p.d_x_anchor < rho and p.d_y_anchor < rho) for rho in rhos
-    )
-
-
-def distinct_pool(pools: tuple) -> tuple:
-    """``(point, depth, copies)`` for each distinct ``(x, y)`` (by bytes,
-    as seeds key points) of nested outer pools, in ``pools[0]``'s
-    first-occurrence order: the depth is the finest level holding the
-    point (level ``k``'s pool is the copies of the points of depth ``k``
-    or more) and ``copies`` its number in ``pools[0]``, all that deep."""
-    depth = {p: k for k, pool in enumerate(pools) for p in pool}
-    groups: dict = {}
-    for p in pools[0]:
-        groups.setdefault((p.x.tobytes(), p.y.tobytes()), []).append(p)
-    return tuple((g[0], depth[g[0]], len(g)) for g in groups.values())
+    return sample_outer_points(problem, rhos, n, seeds, schedule, outer_restriction)
 
 
 @dataclass(frozen=True)
@@ -759,7 +772,6 @@ def _half_square() -> MappingProblem:
         fiber_distance=lambda x: max(float(x[0]), 0.0) ** 2,
         coderivative=coderivative,
         convex=False,
-        smooth=True,
         canonical_q=0.5,
     )
 
@@ -782,7 +794,6 @@ def _identity() -> MappingProblem:
         fiber_distance=lambda x: abs(float(x[0])),
         coderivative=lambda x, y, ystar: DualVectorSet.singleton([float(ystar[0])]),
         convex=True,
-        smooth=True,
         canonical_q=1.0,
     )
 
@@ -808,7 +819,6 @@ def _square() -> MappingProblem:
             [2.0 * float(x[0]) * float(ystar[0])]
         ),
         convex=False,
-        smooth=True,
         canonical_q=1.0,
     )
 
@@ -858,7 +868,6 @@ def _linear(matrix=None) -> MappingProblem:
         fiber_distance=lambda x: float(np.linalg.norm(a @ np.asarray(x, dtype=float))),
         coderivative=lambda x, y, ystar: DualVectorSet.singleton(a.T @ np.asarray(ystar, float)),
         convex=True,
-        smooth=True,
         canonical_q=1.0,
     )
 
@@ -905,7 +914,6 @@ def _halfline() -> MappingProblem:
         fiber_distance=lambda x: max(float(x[0]), 0.0),
         coderivative=coderivative,
         convex=True,
-        smooth=False,
         canonical_q=1.0,
     )
 
@@ -928,7 +936,6 @@ def _constant() -> MappingProblem:
         fiber_distance=lambda x: 0.0,
         coderivative=lambda x, y, ystar: DualVectorSet.singleton([0.0]),
         convex=True,
-        smooth=True,
         canonical_q=1.0,
     )
 
@@ -975,7 +982,6 @@ def piecewise_problem(
     xbar: float,
     ybar: float,
     convex: bool = False,
-    smooth: bool = False,
     graph_locally_closed: bool = True,
     name: str = "inline",
 ) -> MappingProblem:
@@ -1125,7 +1131,6 @@ def piecewise_problem(
         fiber_distance=fiber_distance,
         coderivative=coderivative,
         convex=convex,
-        smooth=smooth,
         graph_locally_closed=graph_locally_closed,
     )
 

@@ -158,9 +158,11 @@ def parse_config(data: dict) -> RunConfig:
             if not is_finite_real(spec.get(key, 0.0)):
                 raise ConfigError(f"problem.{key} must be a finite number, got {spec[key]!r}")
         flags = spec.get("flags", {})
-        _require_keys(
-            flags, {"convex", "smooth", "graph_locally_closed"}, "problem.flags"
-        )
+        # smooth is accepted for older configurations; it does not change the run
+        _require_keys(flags, {"convex", "smooth", "graph_locally_closed"}, "problem.flags")
+        for key, value in flags.items():
+            if not isinstance(value, bool):
+                raise ConfigError(f"problem.flags.{key} must be true or false, got {value!r}")
     else:
         raise ConfigError("problem must be a catalog name or an inline mapping")
 
@@ -197,9 +199,8 @@ def build_problem(cfg: RunConfig) -> MappingProblem:
             spec["pieces"],
             xbar=spec.get("xbar", 0.0),
             ybar=spec.get("ybar", 0.0),
-            convex=bool(flags.get("convex", False)),
-            smooth=bool(flags.get("smooth", False)),
-            graph_locally_closed=bool(flags.get("graph_locally_closed", True)),
+            convex=flags.get("convex", False),
+            graph_locally_closed=flags.get("graph_locally_closed", True),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid inline problem: {exc}") from exc

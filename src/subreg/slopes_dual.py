@@ -8,12 +8,12 @@ per-level infima over the shared outer pools, and the limiting
 coderivative minimum norm realizes the sequential outer limit along the
 shrinking shells.
 
-Every constant walks each distinct outer point once
-(:func:`~subreg.problems.distinct_pool`), in pool order and in chunks of
-points; a point's copies in the pools would repeat its values, so they
-only add to ``budget_used``.  A point's duality faces are taken once per
-direction, and the multipliers of all its levels are laid out as one
-table, a block of the chunk's arrays (:func:`_pert_rows`,
+Every constant walks the rows of the outer-point table
+(:func:`~subreg.problems.outer_pools`), one per distinct outer point, in
+table order and in chunks of rows; a point's copies would repeat its
+values, so they only add to ``budget_used``.  A point's duality faces
+are taken once per direction, and the multipliers of all its levels are
+laid out as one table, a block of the chunk's arrays (:func:`_pert_rows`,
 :func:`~subreg.geometry.enlargement_rows`).  The oracle is called once
 per distinct point and multiplier (:func:`_image_norms`).  Each (point,
 level[, direction set or target]) group is reduced to its least image
@@ -39,13 +39,7 @@ from .geometry import (
     enlargement_rows,
     xi_q,
 )
-from .problems import (
-    MappingProblem,
-    Schedule,
-    distinct_pool,
-    mix_seed,
-    outer_pools,
-)
+from .problems import MappingProblem, Schedule, mix_seed, outer_pools
 from .slopes_primal import SlopeEstimate, _finish
 
 # Duality-mapping multipliers above this are not explored; the limiting
@@ -72,30 +66,30 @@ def _ext(v) -> ExtReal:
 
 
 def _chunks(problem: MappingProblem, schedule: Schedule):
-    """The distinct outer points in pool order, in chunks, each as
-    ``(points, depths, copies)``."""
-    pool = distinct_pool(outer_pools(problem, schedule, True))
-    for i in range(0, len(pool), DUAL_CHUNK_POINTS):
-        pts, depths, copies = zip(*pool[i : i + DUAL_CHUNK_POINTS])
-        yield pts, np.array(depths), np.array(copies)
+    """The rows of the outer-point table in order, in chunks of
+    :class:`~subreg.problems.OuterPool` rows."""
+    pool = outer_pools(problem, schedule, True)
+    for i in range(0, pool.depth.size, DUAL_CHUNK_POINTS):
+        yield pool.take(slice(i, i + DUAL_CHUNK_POINTS))
 
 
 def _image_norms(
-    problem: MappingProblem, points: Sequence, owner: np.ndarray, rows: np.ndarray, where
+    problem: MappingProblem, x, y, owner: np.ndarray, rows: np.ndarray, where
 ) -> np.ndarray:
     """A table shaped like the mask ``where`` holding, at its true
-    entries in C order, ``inf |x*|`` over x* in D*F(x,y)(row) at
-    ``points[owner]`` for the successive rows and owners; ``np.inf``
-    elsewhere and where the oracle has no description or the image is
-    empty.  The oracle is called once per distinct point and row."""
+    entries in C order, ``inf |x*|`` over x* in D*F(x,y)(row) at the
+    point ``(x[owner], y[owner])`` for the successive rows and owners;
+    ``np.inf`` elsewhere and where the oracle has no description or the
+    image is empty.  The oracle is called once per distinct point and
+    row."""
     dual_x = problem.norm_x.dual()
     # a row's bit patterns key it, so -0.0 and 0.0 stay apart
     keys = np.column_stack([owner, np.ascontiguousarray(rows).view(np.int64)])
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     norms = np.empty(len(first))
     for k in np.argsort(first):  # in scan order
-        at = points[owner[first[k]]]
-        res = problem.coderivative(at.x, at.y, rows[first[k]])
+        i = owner[first[k]]
+        res = problem.coderivative(x[i], y[i], rows[first[k]])
         v = INF if res is None else res.min_norm(dual_x)
         norms[k] = np.inf if is_inf(v) else v
     table = np.full(np.shape(where), np.inf)
@@ -180,14 +174,15 @@ def _pert_rows(problem: MappingProblem, centres: np.ndarray, perts: np.ndarray, 
 
 def _subdiff_table(
     problem: MappingProblem,
-    points: Sequence,
+    x: np.ndarray,
+    y: np.ndarray,
     direction_sets: Sequence,
     perts: np.ndarray,
     live: np.ndarray,
     seed: int,
 ) -> np.ndarray:
-    """Per point, per radius of its row of ``perts`` where ``live`` and
-    per direction set of the point: ``inf |x*|`` over x* in
+    """Per point (a row of ``x`` and ``y``), per radius of its row of
+    ``perts`` where ``live`` and per direction set of the point: ``inf |x*|`` over x* in
     D*F(x,y)(J(v) + pert * B*) and over the set's nonzero directions v,
     as a (points, radii, sets) array, ``np.inf`` off ``live``.  A point
     takes each distinct direction's face once, and the value is 0 where
@@ -218,7 +213,7 @@ def _subdiff_table(
     short = (live[:, :, None] & ~reached).transpose(0, 2, 1).reshape(-1, 1, n_rad)
     valid &= (real[:, :, None] & short).reshape(-1, n_rad, 1)
     owner = np.nonzero(valid)[0] // (n_sets * width)
-    table = _image_norms(problem, points, owner, cand[valid], valid)
+    table = _image_norms(problem, x, y, owner, cand[valid], valid)
     slots = valid.shape[2]
     table = table.reshape(n_pts, n_sets, width, n_rad, slots).transpose(0, 3, 1, 2, 4)
     out = _first_min(table.reshape(n_pts, n_rad, n_sets, width * slots))
@@ -243,7 +238,8 @@ def _approx_directions(
 def _at_point(problem: MappingProblem, at, sets: list, pert: float, seed: int) -> list:
     """The one-point, one-radius read of :func:`_subdiff_table`: a value
     per direction set."""
-    table = _subdiff_table(problem, [at], [sets], np.array([[pert]]), np.ones((1, 1), bool), seed)
+    one = np.ones((1, 1), bool)
+    table = _subdiff_table(problem, at.x[None], at.y[None], [sets], np.array([[pert]]), one, seed)
     return [_ext(v) for v in table[0, 0].tolist()]
 
 
@@ -340,21 +336,21 @@ def strict_subdiff_q_slopes(
     v_frac = schedule.neighborhood_radii[-1] / 10.0
     parts = []
     used = 0
-    for pts, depths, copies in _chunks(problem, schedule):
-        d = [pt.d_y_anchor for pt in pts]
-        diffs = [pt.y - problem.ybar for pt in pts]
+    for chunk in _chunks(problem, schedule):
+        d = chunk.dya.tolist()
+        diffs = chunk.y - problem.ybar
         sets = [[[v], _approx_directions(problem, v, v_frac * dy, seed)] for v, dy in zip(diffs, d)]
         xi = np.array([dy ** (1.0 - q) / q for dy in d])
-        live = np.arange(len(rhos)) <= depths[:, None]
-        table = _subdiff_table(problem, pts, sets, xi[:, None] * np.array(rhos), live, seed)
-        weight = np.array([q * dy ** (q - 1.0) for dy in d])
-        plain, approx = np.moveaxis(weight[:, None, None] * table, 2, 0)
-        ratio = [dy**q / pt.d_x_anchor if pt.d_x_anchor > 0 else np.inf for dy, pt in zip(d, pts)]
-        ratio = np.array(ratio)[:, None]
+        live = np.arange(len(rhos)) <= chunk.depth[:, None]
+        perts = xi[:, None] * np.array(rhos)
+        table = _subdiff_table(problem, chunk.x, chunk.y, sets, perts, live, seed)
+        plain, approx = np.moveaxis(chunk.weight(q)[:, None, None] * table, 2, 0)
+        ratio = chunk.ratio(q)[:, None]
+        ratio[np.isnan(ratio)] = np.inf  # d(x, xbar) = 0
         # modified = max(value, ratio), which keeps the value on a tie
         modified = [np.where(ratio > v, ratio, v) for v in (plain, approx)]
         parts.append(np.stack([plain, approx, *modified], axis=1))
-        used += int(copies @ (depths + 1))
+        used += int(chunk.copies @ (chunk.depth + 1))
     best = _across_points(parts, (len(keys), len(rhos)))
     return DualStrictSlopes(
         *(_finish(f"subdiff_strict_q_{t}", list(zip(rhos, b)), False, used) for t, b in zip(keys, best))
@@ -383,22 +379,24 @@ def limiting_coderivative_min_norm(
     parts = []
     capped = False
     used = 0
-    for pts, depths, copies in _chunks(problem, schedule):
-        faces = [duality_map(pt.y - problem.ybar, problem.norm_y).members() for pt in pts]
+    for chunk in _chunks(problem, schedule):
+        n_pts = chunk.depth.size
+        faces = [duality_map(v, problem.norm_y).members() for v in chunk.y - problem.ybar]
         members, real = _padded(faces, problem.dim_y)
         width = real.shape[1]
-        scale = np.array([q * pt.d_y_anchor ** (q - 1.0) for pt in pts])
-        centres = (scale[:, None] * members.reshape(len(pts), -1)).reshape(members.shape)
+        scale = chunk.weight(q)
+        centres = (scale[:, None] * members.reshape(n_pts, -1)).reshape(members.shape)
         kept = real & (dual.value_rows(centres).reshape(real.shape) <= MULTIPLIER_CAP)
         capped = capped or bool((real & ~kept).any())
         cand, valid = _pert_rows(problem, centres, np.tile(rhos, (len(centres), 1)), seed)
-        live = np.arange(n_rad) <= depths[:, None]
+        live = np.arange(n_rad) <= chunk.depth[:, None]
         valid &= (kept[:, :, None] & live[:, None, :]).reshape(-1, n_rad, 1)
-        used += int(copies @ valid.reshape(len(pts), -1).sum(axis=1))
-        table = _image_norms(problem, pts, np.nonzero(valid)[0] // width, cand[valid], valid)
+        used += int(chunk.copies @ valid.reshape(n_pts, -1).sum(axis=1))
+        owner = np.nonzero(valid)[0] // width
+        table = _image_norms(problem, chunk.x, chunk.y, owner, cand[valid], valid)
         slots = valid.shape[2]
-        table = table.reshape(len(pts), width, n_rad, slots).transpose(0, 2, 1, 3)
-        parts.append(_first_min(table.reshape(len(pts), 1, n_rad, width * slots)))
+        table = table.reshape(n_pts, width, n_rad, slots).transpose(0, 2, 1, 3)
+        parts.append(_first_min(table.reshape(n_pts, 1, n_rad, width * slots)))
     (best,) = _across_points(parts, (1, n_rad))
     est = _finish("limiting_coderivative_min_norm", list(zip(rhos, best)), False, used)
     if capped:
@@ -448,16 +446,16 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
     perturbations = enlargement_perturbations(dim, dual, 4, seed)
     parts = []
     used = 0
-    for pts, depths, copies in _chunks(problem, schedule):
+    for chunk in _chunks(problem, schedule):
+        n_pts, dxa = chunk.depth.size, chunk.dxa.tolist()
         # the window d(x, xbar) < eps, d(y, ybar) < min(eps, d(x, xbar)^{1/2})
-        dist = np.array([[p.d_x_anchor, p.d_y_anchor, p.d_x_anchor**0.5] for p in pts])
-        window = (dist[:, :1] < eps) & (dist[:, 1:2] < np.minimum(eps, dist[:, 2:]))
-        live = window & (np.arange(n_rad) <= depths[:, None])
-        used += int(copies @ live.sum(axis=1))
+        root = np.array([dx**0.5 for dx in dxa])[:, None]
+        window = (chunk.dxa[:, None] < eps) & (chunk.dya[:, None] < np.minimum(eps, root))
+        live = window & (np.arange(n_rad) <= chunk.depth[:, None])
+        used += int(chunk.copies @ live.sum(axis=1))
         targets = []
-        for pt in pts:
-            diff = pt.y - problem.ybar
-            y_window = pt.d_x_anchor ** (1.0 / q)
+        for diff, dx in zip(chunk.y - problem.ybar, dxa):
+            y_window = dx ** (1.0 / q)
             targets.append(diff)
             for frac in (0.5, 0.99, 1.0 - 1e-9):
                 for dvec in dirs:
@@ -477,12 +475,12 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
         ystar = ((q * weights)[:, None] * members.reshape(len(faces), -1)).reshape(members.shape)
         cand, kept = enlargement_rows(ystar, eps, perturbations, dual)
         width = real.shape[1]
-        in_window = real.reshape(len(pts), 1, -1) & live[:, :, None]
+        in_window = real.reshape(n_pts, 1, -1) & live[:, :, None]
         kept &= in_window.transpose(1, 0, 2).reshape(n_rad, -1, 1)
         owner = np.nonzero(kept)[1] // (n_tgt * width)
-        table = _image_norms(problem, pts, owner, cand[kept], kept)
-        inner = _first_min(table.reshape(n_rad, len(pts), n_tgt, width * len(perturbations)))
-        val = q * inner * weights.reshape(len(pts), n_tgt)
+        table = _image_norms(problem, chunk.x, chunk.y, owner, cand[kept], kept)
+        inner = _first_min(table.reshape(n_rad, n_pts, n_tgt, width * len(perturbations)))
+        val = q * inner * weights.reshape(n_pts, n_tgt)
         parts.append(np.stack([_first_min(val), val[:, :, 0]]).transpose(2, 0, 1))
     best_a, best_b = _across_points(parts, (2, n_rad))
 

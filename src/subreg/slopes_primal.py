@@ -31,12 +31,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .extended import INF, ExtReal, is_inf
-from .geometry import NormSpec, ProductPoint, distinct_rows, euclidean
+from .geometry import NormSpec, ProductPoint, euclidean
 from .problems import (
     ErrorFunction,
     MappingProblem,
+    OuterPool,
     Schedule,
-    distinct_pool,
+    distinct_window_rows,
     graph_sample,
     halton_points,
     halving_offsets,
@@ -468,20 +469,17 @@ class SweepTable:
     """Per-point, per-level scalars of the strict sweep on one set of
     outer pools, for both product metrics.
 
-    ``points`` holds the distinct points of the coarsest pool ordered by
-    depth (the finest level holding each point), and ``copies`` counts
-    each one's copies in the pool; the pools are nested, so level
-    ``k``'s pool is the copies of ``points[starts[k]:]``.  Entry ``[i,
-    k]`` of ``nonlocal_values``, ``truncated`` and ``local_values`` is
-    the nonlocal (q, rho_k)-slope, its truncation flag and the local
-    rho_k-slope at ``points[i]``, and is read only for ``i >=
-    starts[k]``.  ``sizes`` counts each point's candidates.
+    ``rows`` holds the rows of the :func:`~subreg.problems.outer_pools`
+    table ordered by depth, stably, so level ``k`` is ``rows[starts[k]:]``.
+    Entry ``[i, k]`` of ``nonlocal_values``, ``truncated`` and
+    ``local_values`` is the nonlocal (q, rho_k)-slope, its truncation
+    flag and the local rho_k-slope at row ``i``, and is read only for
+    ``i >= starts[k]``.  ``sizes`` counts each row's candidates.
     """
 
-    points: tuple
+    rows: OuterPool
     starts: tuple
     sizes: np.ndarray
-    copies: np.ndarray
     nonlocal_values: dict
     truncated: dict
     local_values: dict
@@ -493,22 +491,21 @@ def sweep_table(
     schedule: Schedule,
     outer_restriction: bool = True,
 ) -> SweepTable:
-    """Gather the distinct points of the outer pools chunk by chunk into
-    candidate tables and reduce every rho level under both product
-    metrics: the values of :meth:`PointCandidates.nonlocal_value` and
-    :meth:`PointCandidates.local_value`, bitwise, with each point's
-    candidates gathered once and dropped with its chunk.  A point's
-    copies would gather the same rows, so they are only counted."""
-    pools = outer_pools(problem, schedule, outer_restriction)
+    """Gather the rows of the outer pools chunk by chunk into candidate
+    tables and reduce every rho level under both product metrics: the
+    values of :meth:`PointCandidates.nonlocal_value` and
+    :meth:`PointCandidates.local_value`, bitwise, with each row's
+    candidates gathered once and dropped with its chunk.  A row's copies
+    would gather the same candidates, so they are only counted."""
+    pool = outer_pools(problem, schedule, outer_restriction)
+    rows = pool.take(np.argsort(pool.depth, kind="stable"))
+    depths = rows.depth
     rhos = schedule.rho_values()
-    pool = sorted(distinct_pool(pools), key=lambda r: r[1])  # by depth, stably
-    points = tuple(r[0] for r in pool)
-    depths = np.array([r[1] for r in pool], dtype=np.int64)
-    shape = (len(points), len(rhos))
+    shape = (depths.size, len(rhos))
     nl = {m: np.full(shape, np.nan) for m in SWEEP_METRICS}
     trunc = {m: np.zeros(shape, dtype=bool) for m in SWEEP_METRICS}
     loc = {m: np.full(shape, np.nan) for m in SWEEP_METRICS}
-    sizes = np.zeros(len(points), dtype=np.int64)
+    sizes = np.zeros(depths.size, dtype=np.int64)
 
     if _finite(problem):
         rows_per_point = len(problem.graph_points)
@@ -516,11 +513,12 @@ def sweep_table(
         n = max(32, schedule.sample_budget // 4)
         rows_per_point = n // 2 + n // 4 + _local_budget(problem, schedule) + 1
     step = max(1, SWEEP_CHUNK_ROWS // rows_per_point)
-    for c0 in range(0, len(points), step):
+    for c0 in range(0, depths.size, step):
         chunk = slice(c0, c0 + step)
-        cands = _gather(problem, points[chunk], schedule)  # outer points carry x and y like graph points
+        points = [ProductPoint(x, y) for x, y in zip(rows.x[chunk], rows.y[chunk])]
+        cands = _gather(problem, points, schedule)
         sizes[chunk] = cands.counts
-        # one column per level down to the chunk's deepest; points sorted
+        # one column per level down to the chunk's deepest; rows sorted
         # by depth keep a chunk's depths close, so few columns go unread
         levels = int(depths[chunk].max()) + 1
         block = (chunk, slice(0, levels))
@@ -528,15 +526,14 @@ def sweep_table(
             nl[metric][block], trunc[metric][block] = cands.nonlocal_table(q, rhos[:levels], metric)
             loc[metric][block] = cands.local_table(rhos[:levels], metric)
 
-    outside = depths[:, None] < np.arange(len(rhos))  # levels past a point's depth
+    outside = depths[:, None] < np.arange(len(rhos))  # levels past a row's depth
     for metric in SWEEP_METRICS:
         nl[metric][outside] = loc[metric][outside] = np.nan
         trunc[metric][outside] = False
     return SweepTable(
-        points=points,
+        rows=rows,
         starts=tuple(int(np.searchsorted(depths, k)) for k in range(len(rhos))),
         sizes=sizes,
-        copies=np.array([r[2] for r in pool], dtype=np.int64),
         nonlocal_values=nl,
         truncated=trunc,
         local_values=loc,
@@ -548,12 +545,6 @@ def _infimum(values: np.ndarray) -> ExtReal:
     an empty level is ``INF``."""
     values = values[~np.isnan(values)]
     return float(values.min()) if values.size else INF
-
-
-def anchor_ratios(points: Sequence, q: float) -> np.ndarray:
-    """``d(y, ybar)^q / d(x, xbar)`` per outer point in Python float powers, NaN at d = 0."""
-    r = [p.d_y_anchor**q / p.d_x_anchor if p.d_x_anchor > 0 else np.nan for p in points]
-    return np.array(r, dtype=float)
 
 
 def strict_sweep(
@@ -578,8 +569,8 @@ def strict_sweep(
         raise SlopeError("q must lie in (0, 1]")
     if table is None:
         table = sweep_table(problem, q, schedule, outer_restriction)
-    weight = np.array([q * p.d_y_anchor ** (q - 1.0) for p in table.points], dtype=float)
-    ratio = anchor_ratios(table.points, q)
+    rows = table.rows
+    weight, ratio = rows.weight(q), rows.ratio(q)
     has_ratio = ~np.isnan(ratio)
 
     tr_uniform, tr_plain, tr_modified = [], [], []
@@ -587,7 +578,7 @@ def strict_sweep(
     truncated_any = False
     for k, rho in enumerate(schedule.rho_values()):
         s = table.starts[k]
-        used += int((table.sizes[s:] * table.copies[s:]).sum())
+        used += int((table.sizes[s:] * rows.copies[s:]).sum())
         truncated_any = truncated_any or bool(table.truncated[metric][s:, k].any())
         plain = weight[s:] * table.local_values[metric][s:, k]
         modified = np.where(ratio[s:] > plain, ratio[s:], plain)
@@ -853,24 +844,23 @@ def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
 
     On an :class:`ErrorFunction` every row is a graph row and ``f`` is
     ``d(v, ybar)**q`` with no membership test (see :func:`f_rows`).  Each
-    distinct window point (by its bytes) gathers its candidates once and
-    is reduced at every level; ``budget_used`` still counts a point once
-    per copy in each level's window.
+    distinct window point (by its bytes, in first-draw order: see
+    :func:`~subreg.problems.distinct_window_rows`, on ``max(f, d(x,
+    xbar))``) gathers its candidates once and is reduced at every level;
+    ``budget_used`` still counts a point once per copy in each level's
+    window.
     """
     rhos = schedule.rho_values()
     seeds = [mix_seed(schedule.seed, "fstrict", k) for k in range(len(rhos))]
     ux, vy, f, dxa, dya = anchor_f_rows(
         func_or_ef, rhos, schedule.outer_samples_per_level(), seeds
     )
-    rho = np.array(rhos)
-    # the coarsest window holds every finer one
-    in_any = (np.maximum(dxa, dya) > UNRESOLVABLE_FLOOR) & (f < rho[0]) & (dxa < rho[0])
-    first, _, mult = distinct_rows(np.hstack([ux, vy])[in_any])
-    pts = np.flatnonzero(in_any)[first]
-    window = (f[pts, None] < rho) & (dxa[pts, None] < rho)
+    level = np.where(np.maximum(dxa, dya) > UNRESOLVABLE_FLOOR, np.maximum(f, dxa), np.inf)
+    pts, depth, mult = distinct_window_rows(np.hstack([ux, vy]), level, rhos)
+    window = depth[:, None] >= np.arange(len(rhos))
 
-    uniform = np.empty((pts.size, rho.size))
-    plain = np.empty((pts.size, rho.size))
+    uniform = np.empty(window.shape)
+    plain = np.empty(window.shape)
     sizes = np.empty(pts.size, dtype=np.int64)
     far = max(64, schedule.sample_budget // 8)
     near = max(64, schedule.sample_budget // 16)

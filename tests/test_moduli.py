@@ -31,8 +31,9 @@ from subreg.moduli import (
     looks_divergent,
     rel_close,
 )
-from subreg.problems import EPS_MEM, halton_points, halving_offsets, mix_seed, outer_pools
+from subreg.problems import EPS_MEM, halton_points, halving_offsets, mix_seed
 from subreg.slopes_primal import as_two_variable
+from pool_reference import ref_pools
 
 
 @pytest.fixture(scope="module")
@@ -314,7 +315,7 @@ def _ref_error_bound_modulus(func_or_ef, schedule):
 def _ref_subregularity_modulus(problem, q, schedule):
     # the scan the per-distinct-x table replaced: every copy of every
     # level's pool, then the level's ambient samples, one oracle call each
-    pools = outer_pools(problem, schedule, True)
+    pools = ref_pools(problem, schedule)
     rhos = schedule.rho_values()
     trace, witnesses = [], []
     for k, rho in enumerate(rhos):

@@ -19,11 +19,9 @@ from subreg import (
     validate_P1_P2,
 )
 from subreg.problems import (
-    EPS_MEM,
     ProblemError,
     UnknownProblemError,
     _sphere_directions,
-    distinct_pool,
     halton_points,
     halving_offsets,
     mix_seed,
@@ -33,6 +31,7 @@ from subreg.problems import (
     sample_graph_batch,
     sample_outer_points,
 )
+from pool_reference import ref_fresh, ref_pools
 
 
 @pytest.fixture(scope="module")
@@ -140,53 +139,36 @@ def test_half_square_ratio_grid():
 
 def test_outer_points_respect_shell_and_filter(schedule):
     p = catalog_problem("half-square")
-    pts = sample_outer_points(p, [0.25], 64, [5], schedule)
-    assert pts
-    for pt in pts:
-        assert pt.d_x_anchor < 0.25 and 0.0 < pt.d_y_anchor < 0.25
-        assert pt.sol_dist > 1e-7
-        assert float(pt.x[0]) > 0.0
+    pool = sample_outer_points(p, [0.25], 64, [5], schedule)
+    assert len(pool) and np.all(pool.depth == 0)
+    assert np.all(pool.dxa < 0.25) and np.all((0.0 < pool.dya) & (pool.dya < 0.25))
+    assert np.all(pool.x[:, 0] > 1e-7)  # outside F^{-1}(ybar) = (-inf, 0]
 
 
 def test_outer_pools_nested(schedule):
     p = catalog_problem("half-square")
-    pools = outer_pools(p, schedule)
+    pool = outer_pools(p, schedule, True)
     rhos = schedule.rho_values()
-    assert len(pools) == len(rhos)
-    for pool, rho in zip(pools, rhos):
-        for pt in pool:
-            assert pt.d_x_anchor < rho and pt.d_y_anchor < rho
-    # every point of a finer pool appears in every coarser window
-    fine_ids = {id(pt) for pt in pools[-1]}
-    coarse_ids = {id(pt) for pt in pools[0]}
-    assert fine_ids <= coarse_ids
+    assert 0 <= pool.depth.min() and pool.depth.max() < len(rhos)
+    level = np.maximum(pool.dxa, pool.dya)
+    for k, rho in enumerate(rhos):
+        # level k is the rows of depth k or more: exactly those inside window k
+        assert np.array_equal(pool.depth >= k, level < rho)
 
 
 def test_constant_problem_has_no_outer_points(schedule):
     p = catalog_problem("constant")
-    assert all(len(pool) == 0 for pool in outer_pools(p, schedule))
-    assert distinct_pool(outer_pools(p, schedule)) == ()
+    pool = outer_pools(p, schedule, True)
+    assert len(pool) == 0 and pool.depth.size == 0
+    assert pool.x.shape == (0, p.dim_x) and pool.y.shape == (0, p.dim_y)
 
 
-def test_distinct_pool_counts_the_copies_of_each_point():
+def test_outer_pool_counts_the_copies_of_each_point():
     s = Schedule(sample_budget=256, steps=5)
-    pools = outer_pools(catalog_problem("half-square"), s, True)
-    points, depths, copies = zip(*distinct_pool(pools))
+    pool = outer_pools(catalog_problem("half-square"), s, True)
     # the halving stencils of different levels coincide bitwise
-    assert (len(pools[0]), len(points)) == (50, 14)
-    key = lambda pt: (pt.x.tobytes(), pt.y.tobytes())
-    first = {}
-    for pt in pools[0]:
-        first.setdefault(key(pt), pt)
-    assert [key(pt) for pt in points] == list(first)  # once each, first-occurrence order
-    assert all(pt is first[key(pt)] for pt in points)
-    assert sum(copies) == len(pools[0])
-    for k, pool in enumerate(pools):
-        assert sum(c for c, d in zip(copies, depths) if d >= k) == len(pool)
-    # the depth each copy had: the finest level holding it
-    per_copy = {id(pt): k for k, pool in enumerate(pools) for pt in pool}
-    for pt, d in zip(points, depths):
-        assert {per_copy[id(c)] for c in pools[0] if key(c) == key(pt)} == {d}
+    assert (len(pool), pool.depth.size) == (50, 14)
+    assert int(pool.copies.min()) >= 1 and int(pool.copies.max()) > 1
 
 
 def test_validate_p1_p2_passes_for_induced(schedule):
@@ -602,38 +584,6 @@ def test_piecewise_solution_distance_matches_per_call_roots(pieces, xbar, ybar):
         assert got(np.array([u])) == want([u])
 
 
-def _ref_outer_level(problem, radius, budget, seed, schedule, outer_restriction, anchor_zeros):
-    # one level of the per-level pool build the batched draw replaced: one
-    # graph_sample, then scalar distances and one solution distance per point
-    out = []
-    for pt in graph_sample(problem, problem.anchor, radius, budget, seed):
-        dxa = problem.d_x(pt.x, problem.xbar)
-        dya = problem.d_y(pt.y, problem.ybar)
-        if not (dxa < radius and 0.0 < dya < radius):
-            continue
-        sd = problem.solution_dist_exact(pt.x)
-        if sd is None:
-            sd_est = solution_set_distance(problem, pt.x, schedule, anchor_zeros).value
-            sd = 1e30 if is_inf(sd_est) else float(sd_est)
-        if outer_restriction and sd <= EPS_MEM:
-            continue
-        out.append((pt.x, pt.y, dxa, dya, sd))
-    return out
-
-
-def _ref_fresh(problem, schedule, outer_restriction=True, anchor_zeros=None):
-    # every level's points of the per-level build, in level order
-    n = schedule.outer_samples_per_level() * (2 if problem.param_dim >= 2 else 1)
-    levels = [
-        _ref_outer_level(
-            problem, rho, n, mix_seed(schedule.seed, "outer", k), schedule, outer_restriction,
-            anchor_zeros,
-        )
-        for k, rho in enumerate(schedule.rho_values())
-    ]
-    return [pt for level in levels for pt in level]
-
-
 def _point_bits(x, y, *dist):
     return (x.tobytes(), y.tobytes(), *(float(v).hex() for v in dist))
 
@@ -656,6 +606,20 @@ _POOL_CASES = {
 }
 
 
+def _ref_table(fresh, radii):
+    # the reference draw deduped by bytes in first-draw order: each
+    # point's first copy, its number of copies and the finest window
+    # holding it, scanned level by level
+    rows = {}
+    for pt in fresh:
+        key = (pt.x.tobytes(), pt.y.tobytes())
+        if key not in rows:
+            depth = max(k for k, rho in enumerate(radii) if pt.dxa < rho and pt.dya < rho)
+            rows[key] = [pt, depth, 0]
+        rows[key][2] += 1
+    return list(rows.values())
+
+
 @pytest.mark.parametrize("outer_restriction", [True, False])
 @pytest.mark.parametrize(
     "name,truncation_radius",
@@ -664,19 +628,22 @@ _POOL_CASES = {
 def test_outer_pools_match_the_per_level_build(name, truncation_radius, outer_restriction):
     problem = _POOL_CASES[name]()
     s = Schedule(sample_budget=512, steps=6, seed=3, truncation_radius=truncation_radius)
-    ref = _ref_fresh(problem, s, outer_restriction, {})
-    assert ref or name == "constant"
-    pools = outer_pools(problem, s, outer_restriction)
-    assert [
-        _point_bits(pt.x, pt.y, pt.d_x_anchor, pt.d_y_anchor, pt.sol_dist) for pt in pools[0]
-    ] == [_point_bits(*r) for r in ref]
-    for pt in pools[0]:
-        assert all(type(v) is float for v in (pt.d_x_anchor, pt.d_y_anchor, pt.sol_dist))
-    coarse = {id(pt) for pt in pools[0]}
-    for pool, rho in zip(pools, s.rho_values()):
-        want = [(x.tobytes(), y.tobytes()) for x, y, dxa, dya, _ in ref if dxa < rho and dya < rho]
-        assert [(pt.x.tobytes(), pt.y.tobytes()) for pt in pool] == want
-        assert {id(pt) for pt in pool} <= coarse  # the same objects, shared by the levels
+    fresh = ref_fresh(problem, s, outer_restriction, {})
+    assert fresh or name == "constant"
+    want = _ref_table(fresh, s.rho_values())
+    pool = outer_pools(problem, s, outer_restriction)
+    got = zip(pool.x, pool.y, pool.dxa.tolist(), pool.dya.tolist())
+    assert [_point_bits(*r) for r in got] == [
+        _point_bits(pt.x, pt.y, pt.dxa, pt.dya) for pt, _, _ in want
+    ]
+    assert pool.depth.tolist() == [depth for _, depth, _ in want]
+    assert pool.copies.tolist() == [copies for _, _, copies in want]
+    assert len(pool) == len(fresh)
+    if name.startswith("half-square") and outer_restriction:
+        assert int(pool.copies.max()) > 1  # the stencils of different levels coincide
+    # level k of the table holds the copies of window k of the reference
+    for k, level in enumerate(ref_pools(problem, s, outer_restriction)):
+        assert int(pool.copies[pool.depth >= k].sum()) == len(level)
 
 
 def _count_anchor_samples(monkeypatch, schedule):
@@ -701,14 +668,15 @@ def test_outer_pools_share_the_anchor_sample(monkeypatch, truncation_radius):
     s = Schedule(sample_budget=256, steps=4, truncation_radius=truncation_radius)
     radii = _count_anchor_samples(monkeypatch, s)
     # the per-point path: every outer point draws the anchor sample itself
-    fresh = _ref_fresh(p, s)
+    fresh = ref_fresh(p, s)
     drawn = len(radii)
     assert drawn > 1
     radii.clear()
-    pools = outer_pools(p, s, True)
+    pool = outer_pools(p, s, True)
     assert len(radii) == len(set(radii)) == 1  # one draw per distinct radius
     assert len(fresh) == drawn
-    assert len(pools[0]) == len(fresh)
-    for a, (x, y, *dist) in zip(pools[0], fresh):
-        assert np.array_equal(a.x, x) and np.array_equal(a.y, y)
-        assert (a.d_x_anchor, a.d_y_anchor, a.sol_dist) == tuple(dist)
+    assert len(pool) == len(fresh)
+    want = _ref_table(fresh, s.rho_values())
+    assert [_point_bits(x, y) for x, y in zip(pool.x, pool.y)] == [
+        _point_bits(pt.x, pt.y) for pt, _, _ in want
+    ]

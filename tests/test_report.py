@@ -256,7 +256,7 @@ class TestRunContext:
         # context keeps one row of scalars per pool point
         table = ctx.table
         assert ctx.sweep.table is ctx.sum_sweep.table is table
-        assert int(table.sizes.sum()) > 2 * len(table.points) > 0
+        assert int(table.sizes.sum()) > 2 * table.rows.depth.size > 0
 
         def arrays(obj):
             if isinstance(obj, np.ndarray):
@@ -270,7 +270,7 @@ class TestRunContext:
 
         kept = list(arrays({k: v for k, v in vars(ctx).items() if k != "problem"}))
         assert kept
-        assert all(a.shape[0] == len(table.points) for a in kept)
+        assert all(a.shape[0] == table.rows.depth.size for a in kept)
 
     @pytest.mark.parametrize("problem,q", [("half-square", 0.5), ("halfline-convex", 1.0)])
     def test_moduli_only_entries_equal_all_checks_entries(self, problem, q):
@@ -427,6 +427,10 @@ def _pieces(*domains_and_coeffs):
     return {"pieces": [{"domain": d, "coeffs": c} for d, c in pairs]}
 
 
+def _bad_flag(name, shown):
+    return f"problem.flags.{name} must be true or false, got {shown}"
+
+
 class TestCLI:
     def _run(self, args, tmp_path, env):
         return subprocess.run(
@@ -467,6 +471,16 @@ class TestCLI:
             ("problem", _pieces([-1, True], [0, True]), _BAD_PIECE),
             ("problem", _pieces([-1, 0], [0.0], [0, 1], [0, float("nan")]), _BAD_PIECE),
             ("problem", _pieces([-1, float("inf")], [0, 1]), _BAD_PIECE),
+            # inline flags that are not JSON booleans
+            ("problem", dict(_LINE, flags={"convex": "false"}), _bad_flag("convex", "'false'")),
+            ("problem", dict(_LINE, flags={"convex": "yes"}), _bad_flag("convex", "'yes'")),
+            ("problem", dict(_LINE, flags={"convex": 1.5}), _bad_flag("convex", "1.5")),
+            ("problem", dict(_LINE, flags={"smooth": 1}), _bad_flag("smooth", "1")),
+            (
+                "problem",
+                dict(_LINE, flags={"graph_locally_closed": "no"}),
+                _bad_flag("graph_locally_closed", "'no'"),
+            ),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, cli_env, key, value, message):
@@ -510,6 +524,24 @@ class TestCLI:
         )
         assert res.returncode == 2, res.stderr
         assert "cannot read config" in res.stderr
+
+    def test_config_not_utf8_exits_2(self, tmp_path, cli_env):
+        cfg = tmp_path / "utf16.json"
+        text = json.dumps({"problem": "identity", "q": 1.0})
+        cfg.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))  # UTF-16 with its byte-order mark
+        res = self._run(["--config", str(cfg)], tmp_path, cli_env)
+        assert res.returncode == 2, res.stderr
+        assert "cannot read config" in res.stderr
+
+    def test_out_naming_a_directory_exits_2(self, tmp_path, cli_env):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "identity", "q": 1.0, "checks": ["moduli"]}))
+        (tmp_path / "reports").mkdir()
+        for args in (["--out", str(tmp_path / "reports")], ["--out", "reports"]):
+            res = self._run(["--config", str(cfg)] + args, tmp_path, cli_env)
+            assert res.returncode == 2, res.stderr
+            assert "invalid configuration: output path is a directory" in res.stderr
+            assert "Traceback" not in res.stderr
 
     def test_verify_run_passes(self, tmp_path, cli_env):
         cfg = tmp_path / "cfg.json"

@@ -34,6 +34,7 @@ from subreg.slopes_dual import (
     _inconclusive,
 )
 from subreg.slopes_primal import SlopeEstimate, _finish
+from pool_reference import ref_pools
 
 
 @pytest.fixture(scope="module")
@@ -317,21 +318,21 @@ def _strict_ref(problem, q, schedule):
     keys = ("plain", "approx", "modified", "modified_approx")
     if problem.coderivative is None:
         return DualStrictSlopes(*(_inconclusive(f"subdiff_strict_q_{t}", rhos) for t in keys))
-    pools = outer_pools(problem, schedule, True)
+    pools = ref_pools(problem, schedule)
     v_frac = schedule.neighborhood_radii[-1] / 10.0
     tr = {k: [] for k in keys}
     used = 0
     for k, rho in enumerate(rhos):
         best = {key: INF for key in tr}
         for pt in pools[k]:
-            d = pt.d_y_anchor
+            d = pt.dya
             weight = q * d ** (q - 1.0)
             pert = (d ** (1.0 - q) / q) * rho
             seed = mix_seed(schedule.seed, "dirs")
             used += 1
             plain_val = _subdiff_value(problem, pt.x, pt.y, pert, seed)
             approx_val = _approx_subdiff_value(problem, pt.x, pt.y, pert, v_frac * d, seed)
-            ratio = pt.d_y_anchor**q / pt.d_x_anchor if pt.d_x_anchor > 0 else INF
+            ratio = pt.dya**q / pt.dxa if pt.dxa > 0 else INF
             vals = {
                 "plain": weight * plain_val if not is_inf(plain_val) else INF,
                 "approx": weight * approx_val if not is_inf(approx_val) else INF,
@@ -350,7 +351,7 @@ def _limiting_ref(problem, q, schedule):
     rhos = schedule.rho_values()
     if problem.coderivative is None:
         return _inconclusive("limiting_coderivative_min_norm", rhos)
-    pools = outer_pools(problem, schedule, True)
+    pools = ref_pools(problem, schedule)
     dual = problem.norm_y.dual()
     trace = []
     capped = False
@@ -358,7 +359,7 @@ def _limiting_ref(problem, q, schedule):
     for k, rho in enumerate(rhos):
         best = INF
         for pt in pools[k]:
-            scale = q * pt.d_y_anchor ** (q - 1.0)
+            scale = q * pt.dya ** (q - 1.0)
             for j in duality_map(pt.y - problem.ybar, problem.norm_y).members():
                 center = scale * j
                 if dual.value(center) > MULTIPLIER_CAP:
@@ -381,23 +382,23 @@ def _lm_ref(problem, q, schedule):
     rhos = schedule.rho_values()
     if problem.coderivative is None:
         return (_inconclusive("lm_alpha", rhos), _inconclusive("lm_beta", rhos))
-    pools = outer_pools(problem, schedule, True)
+    pools = ref_pools(problem, schedule)
     tr_a, tr_b = [], []
     used = 0
     for k, eps in enumerate(rhos):
         best_a = best_b = INF
         for pt in pools[k]:
-            if not (pt.d_x_anchor < eps and pt.d_y_anchor < min(eps, pt.d_x_anchor**0.5)):
+            if not (pt.dxa < eps and pt.dya < min(eps, pt.dxa**0.5)):
                 continue
             seed = mix_seed(schedule.seed, "dirs")
             diff = pt.y - problem.ybar
             used += 1
             inner = _enlargement_min(problem, pt.x, pt.y, diff, q, eps, seed)
             if not is_inf(inner):
-                b_val = q * inner * pt.d_y_anchor ** (q - 1.0)
+                b_val = q * inner * pt.dya ** (q - 1.0)
                 if b_val < best_b:
                     best_b = b_val
-            y_window = pt.d_x_anchor ** (1.0 / q)
+            y_window = pt.dxa ** (1.0 / q)
             targets = [diff]
             dirs = (
                 [np.array([1.0]), np.array([-1.0])]
@@ -531,16 +532,17 @@ class TestPerPointEngineParity:
         cap = limiting_coderivative_min_norm(catalog_problem("half-square"), 0.25, s)
         assert "multiplier-cap" in cap.flags
         kink = _kink()
-        pool = outer_pools(kink, s, True)[0]
-        assert any(kink.coderivative(pt.x, pt.y, np.ones(1)) is None for pt in pool)
+        pool = outer_pools(kink, s, True)
+        assert any(kink.coderivative(x, y, np.ones(1)) is None for x, y in zip(pool.x, pool.y))
         halfline = catalog_problem("halfline-convex")
-        pool = outer_pools(halfline, s, True)[0]
-        assert any(halfline.coderivative(pt.x, pt.y, -np.ones(1)).is_empty() for pt in pool)
-        assert not outer_pools(catalog_problem("constant"), s, True)[0]
+        pool = outer_pools(halfline, s, True)
+        images = [halfline.coderivative(x, y, -np.ones(1)) for x, y in zip(pool.x, pool.y)]
+        assert any(image.is_empty() for image in images)
+        assert not outer_pools(catalog_problem("constant"), s, True)
         assert catalog_problem("linear-A").dim_y == 2
         l1 = _linear_l1()
-        pool = outer_pools(l1, s, True)[0]
-        assert any(len(duality_map(pt.y - l1.ybar, l1.norm_y).members()) > 1 for pt in pool)
+        pool = outer_pools(l1, s, True)
+        assert any(len(duality_map(y - l1.ybar, l1.norm_y).members()) > 1 for y in pool.y)
 
     @pytest.mark.parametrize(
         "case", ["half-square", "halfline-convex", "linear-A", "inline-kink", "ball"]
@@ -549,7 +551,8 @@ class TestPerPointEngineParity:
         make, q = PARITY_CASES[case]
         p = make()
         pts = [pt for pt in graph_sample(p, p.anchor, 0.5, 16, 5) if p.d_y(pt.y, p.ybar) > 0]
-        pts += [ProductPoint(pt.x, pt.y) for pt in outer_pools(p, PARITY_SCHEDULE, True)[0][:4]]
+        pool = outer_pools(p, PARITY_SCHEDULE, True)
+        pts += [ProductPoint(x, y) for x, y in zip(pool.x[:4], pool.y[:4])]
         assert len(pts) >= 8
         ef = ErrorFunction(p, q)
         for at in pts:

@@ -17,6 +17,7 @@ from subreg import (
     uniform_strict_q_slope,
     validate_P1_P2,
 )
+from subreg.geometry import distinct_rows
 from subreg.moduli import RunContext, error_bound_modulus
 import subreg.slopes_primal as slopes_primal
 from subreg import piecewise_problem
@@ -36,6 +37,7 @@ from subreg.slopes_primal import (
     strict_sweep,
     sweep_table,
 )
+from pool_reference import ref_pools
 
 
 @pytest.fixture(scope="module")
@@ -411,7 +413,8 @@ def test_gather_matches_per_point_reference(name):
     problem = make()
     s = Schedule(sample_budget=256, steps=5)
     points = [problem.anchor]  # no mid block at the anchor
-    points += [ProductPoint(p.x, p.y) for p in outer_pools(problem, s, True)[0][:6]]
+    pool = outer_pools(problem, s, True)
+    points += [ProductPoint(x, y) for x, y in zip(pool.x[:6], pool.y[:6])]
     for at in points:
         got = gather_point_candidates(problem, at, s)
         want = _reference_gather(problem, at, s)
@@ -431,20 +434,22 @@ def test_sweep_table_matches_per_point_reductions(monkeypatch, name, truncation_
     problem = make()
     s = Schedule(sample_budget=256, steps=5, truncation_radius=truncation_radius)
     table = sweep_table(problem, q, s)
-    pools = outer_pools(problem, s, True)
+    pools = ref_pools(problem, s)
+    rows = table.rows
+    points = [ProductPoint(x, y) for x, y in zip(rows.x, rows.y)]
     # one row per distinct (x, y) of the coarsest pool, with its copies
     key = lambda pt: (pt.x.tobytes(), pt.y.tobytes())
-    assert len({key(pt) for pt in table.points}) == len(table.points)
-    assert bool(table.points) == (name != "constant")
-    assert int(table.copies.sum()) == len(pools[0])
+    assert len({key(pt) for pt in points}) == len(points)
+    assert bool(points) == (name != "constant")
+    assert int(rows.copies.sum()) == len(pools[0])
     for k, pool in enumerate(pools):
-        level = table.points[table.starts[k] :]
+        level = points[table.starts[k] :]
         assert {key(pt) for pt in level} == {key(pt) for pt in pool}
-        assert int(table.copies[table.starts[k] :].sum()) == len(pool)
-    for pt, n in zip(table.points, table.copies):
+        assert int(rows.copies[table.starts[k] :].sum()) == len(pool)
+    for pt, n in zip(points, rows.copies):
         assert n == sum(key(c) == key(pt) for c in pools[0])
-    for i, pt in enumerate(table.points):
-        cands = gather_point_candidates(problem, ProductPoint(pt.x, pt.y), s)
+    for i, pt in enumerate(points):
+        cands = gather_point_candidates(problem, pt, s)
         assert table.sizes[i] == cands.size
         for k, rho in enumerate(s.rho_values()):
             for metric in ("max", "sum"):
@@ -489,7 +494,8 @@ def test_local_rho_slope_matches_per_radius_reference(name):
     make, _ = _PARITY_PROBLEMS[name]
     problem = make()
     s = Schedule(sample_budget=256, steps=5)
-    points = [ProductPoint(p.x, p.y) for p in outer_pools(problem, s, True)[0][:4]]
+    pool = outer_pools(problem, s, True)
+    points = [ProductPoint(x, y) for x, y in zip(pool.x[:4], pool.y[:4])]
     points += [problem.anchor]
     assert len(points) > 1
     for at in points:
@@ -511,22 +517,17 @@ def test_constant_sweep_is_inconclusive_from_its_empty_table():
 
 
 def _reference_anchor_ratio(problem, q, s):
-    # the ratio loop strict_sweep ran over its table before the run
-    # context read the ratio from the pools: per level, the table points
-    # of that depth or more with d(x, xbar) > 0; the budget is the pool
-    # copies the levels read
-    table = sweep_table(problem, q, s)
-    pts = table.points
-    has_ratio = np.array([p.d_x_anchor > 0 for p in pts], dtype=bool)
-    ratio = np.array(
-        [p.d_y_anchor**q / p.d_x_anchor if p.d_x_anchor > 0 else np.inf for p in pts],
-        dtype=float,
-    )
+    # the ratio loop strict_sweep once ran, as a scan over every copy of
+    # each level's pool of the per-level build: the points with
+    # d(x, xbar) > 0; the budget is the pool copies the levels read
     trace, used = [], 0
-    for k, rho in enumerate(s.rho_values()):
-        start = table.starts[k]
-        used += int(table.copies[start:].sum())
-        trace.append((rho, slopes_primal._infimum(ratio[start:][has_ratio[start:]])))
+    for rho, pool in zip(s.rho_values(), ref_pools(problem, s)):
+        best = INF
+        for pt in pool:
+            used += 1
+            if pt.dxa > 0 and pt.dya**q / pt.dxa < best:
+                best = pt.dya**q / pt.dxa
+        trace.append((rho, best))
     return slopes_primal._finish("anchor_ratio_liminf", trace, False, used)
 
 
@@ -742,6 +743,70 @@ def test_f_level_strict_matches_scalar_reference(name, q, seed_index):
         _assert_same_estimate(via[key], ref[family])
     if name != "constant":
         assert ref["uniform"].budget_used > 0
+
+
+def _ref_f_level_strict_sorted_keys(func_or_ef, schedule):
+    # the window dedupe the first-draw table replaced: the distinct window
+    # points in the sorted order of their bytes, each with its copies in
+    # the coarsest window, and the windows (f < rho) & (dxa < rho)
+    rhos = schedule.rho_values()
+    seeds = [mix_seed(schedule.seed, "fstrict", k) for k in range(len(rhos))]
+    ux, vy, f, dxa, dya = slopes_primal.anchor_f_rows(
+        func_or_ef, rhos, schedule.outer_samples_per_level(), seeds
+    )
+    rho = np.array(rhos)
+    floor, floor_loc = slopes_primal.UNRESOLVABLE_FLOOR, slopes_primal.LOCAL_RADIUS_FLOOR
+    in_any = (np.maximum(dxa, dya) > floor) & (f < rho[0]) & (dxa < rho[0])
+    first, _, mult = distinct_rows(np.hstack([ux, vy])[in_any])
+    pts = np.flatnonzero(in_any)[first]
+    window = (f[pts, None] < rho) & (dxa[pts, None] < rho)
+    uniform, plain = np.empty((pts.size, rho.size)), np.empty((pts.size, rho.size))
+    sizes = np.empty(pts.size, dtype=np.int64)
+    far = max(64, schedule.sample_budget // 8)
+    near = max(64, schedule.sample_budget // 16)
+    step = max(1, slopes_primal.SWEEP_CHUNK_ROWS // (far + near + 1))
+    for c0 in range(0, pts.size, step):
+        sel = pts[c0 : c0 + step]
+        centres = [ProductPoint(ux[i], vy[i]) for i in sel]
+        scale = np.maximum(dxa[sel], dya[sel])
+        r_loc = np.maximum(schedule.neighborhood_radii[-1] * scale, floor_loc)
+        trunc = 10.0 * np.maximum(1.0, scale)
+        calls = []
+        for p, t, r in zip(centres, trunc.tolist(), r_loc.tolist()):
+            calls.append((p, t, far, slopes_primal._point_seed(schedule, "fnlc", p)))
+            calls.append((p, r, near, slopes_primal._point_seed(schedule, "flocc", p)))
+        cands = slopes_primal._f_table(func_or_ef, centres, f[sel], calls, r_loc, trunc, True)
+        chunk = slice(c0, c0 + sel.size)
+        uniform[chunk] = cands.nonlocal_table(1.0, rhos)[0]
+        plain[chunk] = cands.local_table(rhos)
+        sizes[chunk] = cands.counts
+    with np.errstate(divide="ignore"):
+        ratio = (f[pts] / dxa[pts])[:, None]
+    modified = np.where(ratio > plain, ratio, plain)
+    modified[dxa[pts] <= 0.0] = np.nan
+    used = int((window * (mult * sizes)[:, None]).sum())
+    out = {}
+    for key, kind, vals in (
+        ("uniform", "f_uniform_strict", uniform),
+        ("plain", "f_strict_outer", plain),
+        ("modified", "f_modified_strict_outer", modified),
+    ):
+        vals = np.where(window, vals, np.nan)
+        trace = [(r, slopes_primal._infimum(vals[:, k])) for k, r in enumerate(rhos)]
+        out[key] = slopes_primal._finish(kind, trace, False, used)
+    return out
+
+
+@pytest.mark.parametrize("seed_index", [0, 1])
+@pytest.mark.parametrize("name", ["linear-A", "half-square-inline"])
+def test_f_level_strict_matches_the_sorted_key_windows(name, seed_index):
+    s = F_ENGINE_SCHEDULES[seed_index]
+    ef = ErrorFunction(F_ENGINE_CASES[name](), 0.5)
+    new, ref = f_level_strict(ef, s), _ref_f_level_strict_sorted_keys(ef, s)
+    assert list(new) == list(ref)
+    for key in ref:
+        _assert_same_estimate(new[key], ref[key])
+    assert ref["uniform"].budget_used > 0
 
 
 @pytest.mark.parametrize("q", [0.25, 1.0])
