@@ -10,7 +10,7 @@ cross-family inequality checks into pass/fail rows.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -22,6 +22,7 @@ from .problems import (
     EPS_MEM,
     ErrorFunction,
     MappingProblem,
+    OuterPool,
     Schedule,
     graph_sample,
     halton_points,
@@ -44,8 +45,10 @@ from .slopes_primal import (
     _gather,
     _infimum,
     anchor_f_rows,
+    anchor_graph_rows,
     as_two_variable,
     f_level_strict,
+    q_powers,
     strict_sweep,
 )
 
@@ -145,8 +148,121 @@ def _first_least(values: np.ndarray, valid: np.ndarray) -> int:
     return j if np.isnan(values[j]) or masked[i] == np.inf else i
 
 
+def _read_only(columns):
+    """``columns``, a dataclass of arrays, with every array read-only."""
+    for f in fields(columns):
+        getattr(columns, f.name).setflags(write=False)
+    return columns
+
+
+def _solution_distances(soldist, ux: np.ndarray) -> np.ndarray:
+    """``soldist`` at every row of ``ux``, one call per distinct x (NaN
+    without an oracle)."""
+    if soldist is None:
+        return np.full(ux.shape[0], np.nan)
+    first, inverse, _ = distinct_rows(ux)
+    return np.array([float(soldist(x)) for x in ux[first]], dtype=float)[inverse]
+
+
+def _error_bound_draw(schedule: Schedule) -> tuple:
+    """The anchor samples of the error bound: ``(radii, budget, seeds)``."""
+    rhos = schedule.rho_values()
+    seeds = [mix_seed(schedule.seed, "er", k) for k in range(len(rhos))]
+    return rhos, max(64, schedule.sample_budget // 8), seeds
+
+
+@dataclass(frozen=True, eq=False)
+class SubregColumns:
+    """``sr_q``'s x rows: each level's pool x, then its in-ball ambient
+    samples, stacked with the level ``bounds``; the ``inverse`` of
+    :func:`~subreg.geometry.distinct_rows` on them; and per distinct x the
+    fiber and solution distances and whether the ratio is defined there
+    (solution distance above ``EPS_MEM``, finite fiber distance)."""
+
+    xs: np.ndarray
+    bounds: np.ndarray
+    inverse: np.ndarray
+    fiber: np.ndarray
+    solution: np.ndarray
+    valid: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class AnchorColumns:
+    """The error bound's anchor graph rows with ``d(v, ybar) > 0``: x, y,
+    ``d(x, xbar)``, ``d(y, ybar)`` and the solution distance of each
+    row's x (NaN without an oracle)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    dxa: np.ndarray
+    dya: np.ndarray
+    solution: np.ndarray
+
+
+class Tables:
+    """Every order-free array the three moduli read for one problem and
+    schedule, each built on first read and then read-only.
+
+    The order q enters ``sr_q``, the error bound and the anchor ratio
+    only as a power of a distance, which each takes per order from these
+    columns: the outer pool (:func:`~subreg.problems.outer_pools`), the
+    ``sr_q`` rows (:class:`SubregColumns`) and the error bound's anchor
+    rows (:class:`AnchorColumns`).  Runs of one problem and schedule at
+    several orders can share one ``Tables``.
+    """
+
+    def __init__(self, problem: MappingProblem, schedule: Schedule):
+        self.problem = problem
+        self.schedule = schedule
+
+    @cached_property
+    def pool(self) -> OuterPool:
+        return _read_only(outer_pools(self.problem, self.schedule, True))
+
+    @cached_property
+    def subreg(self) -> SubregColumns:
+        problem, schedule, pool = self.problem, self.schedule, self.pool
+        levels = []
+        for k, rho in enumerate(schedule.rho_values()):
+            ambient = _ambient_x_samples(problem, rho, 64, mix_seed(schedule.seed, "srx", k))
+            inside = problem.norm_x.value_rows(ambient - problem.xbar) < rho
+            levels.append(np.concatenate([pool.x[pool.depth >= k], ambient[inside]]))
+        xs = np.concatenate(levels)
+        first, inverse, _ = distinct_rows(xs)  # one oracle call per distinct x
+        n = first.size
+        fib, sol = np.full(n, np.nan), np.full(n, np.nan)
+        valid = np.zeros(n, dtype=bool)
+        if problem.fiber_distance is not None:
+            for j, x in enumerate(xs[first]):
+                sd = problem.solution_dist_exact(x)
+                if sd is None or sd <= EPS_MEM:
+                    continue
+                fd = problem.fiber_distance(x)
+                if is_inf(fd):
+                    continue
+                fib[j], sol[j], valid[j] = float(fd), sd, True
+        bounds = np.cumsum([0] + [len(level) for level in levels])
+        return _read_only(SubregColumns(xs, bounds, inverse, fib, sol, valid))
+
+    @cached_property
+    def anchor(self) -> AnchorColumns:
+        problem = self.problem
+        ux, vy, dxa, dya = anchor_graph_rows(problem, *_error_bound_draw(self.schedule))
+        sol = _solution_distances(problem.solution_distance, ux)
+        return _read_only(AnchorColumns(ux, vy, dxa, dya, sol))
+
+
+def _tables(problem: MappingProblem, schedule: Schedule, tables: Optional[Tables]) -> Tables:
+    if tables is None:
+        return Tables(problem, schedule)
+    if tables.problem is not problem or tables.schedule != schedule:
+        raise ModuliError("the tables belong to another problem or schedule")
+    return tables
+
+
 def subregularity_modulus(
-    problem: MappingProblem, q: float, schedule: Schedule
+    problem: MappingProblem, q: float, schedule: Schedule, tables: Optional[Tables] = None
 ) -> ModulusReport:
     """Per-shell minimum of ``d(ybar, F(x))^q / d(x, F^{-1}(ybar))``
     over points outside the solution set; the value is the final-shell
@@ -154,33 +270,18 @@ def subregularity_modulus(
 
     Each level scans its pool's distinct x, then the in-ball ambient
     samples, and keeps its first least ratio; the oracles are called once
-    per distinct x of all levels."""
+    per distinct x of all levels, when ``tables`` (fresh ones if not
+    given) first builds its ``sr_q`` rows."""
     if not 0.0 < q <= 1.0:
         raise ModuliError("q must lie in (0, 1]")
-    pool = outer_pools(problem, schedule, True)
-    rhos = schedule.rho_values()
-    levels = []
-    for k, rho in enumerate(rhos):
-        ambient = _ambient_x_samples(problem, rho, 64, mix_seed(schedule.seed, "srx", k))
-        inside = problem.norm_x.value_rows(ambient - problem.xbar) < rho
-        levels.append(np.concatenate([pool.x[pool.depth >= k], ambient[inside]]))
-    xs = np.concatenate(levels)
-    first, inverse, _ = distinct_rows(xs)  # one oracle call per distinct x
-    n = first.size
-    ratio, fib, sol = np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
-    valid = np.zeros(n, dtype=bool)
-    if problem.fiber_distance is not None:
-        for j, x in enumerate(xs[first]):
-            sd = problem.solution_dist_exact(x)
-            if sd is None or sd <= EPS_MEM:
-                continue
-            fd = problem.fiber_distance(x)
-            if is_inf(fd):
-                continue
-            ratio[j], fib[j], sol[j], valid[j] = float(fd) ** q / sd, float(fd), sd, True
+    cols = _tables(problem, schedule, tables).subreg
+    xs, inverse, valid = cols.xs, cols.inverse, cols.valid
+    fib, sol = cols.fiber[valid].tolist(), cols.solution[valid].tolist()
+    ratio = np.full(valid.size, np.nan)
+    ratio[valid] = [f**q / s for f, s in zip(fib, sol)]
 
-    trace, bounds = [], np.cumsum([0] + [len(level) for level in levels]).tolist()
-    for rho, start, end in zip(rhos, bounds, bounds[1:]):
+    trace, bounds = [], cols.bounds.tolist()
+    for rho, start, end in zip(schedule.rho_values(), bounds, bounds[1:]):
         ids = inverse[start:end]
         i = _first_least(ratio[ids], valid[ids])
         trace.append((rho, INF if i < 0 else float(ratio[ids[i]])))
@@ -190,8 +291,8 @@ def subregularity_modulus(
         witnesses.append(
             {
                 "x": [float(t) for t in xs[start + i]],
-                "fiber_distance": float(fib[j]),
-                "solution_distance": float(sol[j]),
+                "fiber_distance": float(cols.fiber[j]),
+                "solution_distance": float(cols.solution[j]),
                 "ratio": float(ratio[j]),
             }
         )
@@ -204,25 +305,25 @@ def subregularity_modulus(
     return ModulusReport("sr_q", trace[-1][1], tuple(trace), tuple(witnesses), flags=flags)
 
 
-def error_bound_modulus(func_or_ef, schedule: Schedule) -> ModulusReport:
+def error_bound_modulus(
+    func_or_ef, schedule: Schedule, tables: Optional[Tables] = None
+) -> ModulusReport:
     """Liminf of ``f / d(x, S(f))`` along the shells, with the two
     companion window forms (x and y shrinking; function value shrinking)
-    reported and compared."""
+    reported and compared.  An :class:`ErrorFunction` reads its rows
+    from ``tables`` (fresh ones if not given) and takes ``f = d(v,
+    ybar)**q`` per row."""
     func = as_two_variable(func_or_ef)
-    soldist = func.solution_distance
-    rhos = schedule.rho_values()
-    seeds = [mix_seed(schedule.seed, "er", k) for k in range(len(rhos))]
-    ux, vy, f, dxa, dya = anchor_f_rows(
-        func_or_ef, rhos, max(64, schedule.sample_budget // 8), seeds
-    )
-    flags = ()
-    if soldist is None:
-        if f.size:
-            flags = ("inconclusive", "no-solution-distance")
-        d = np.zeros(0)
+    if isinstance(func_or_ef, ErrorFunction):
+        cols = _tables(func_or_ef.problem, schedule, tables).anchor
+        ux, vy, dxa, dya, d = cols.x, cols.y, cols.dxa, cols.dya, cols.solution
+        f = q_powers(dya, func_or_ef.q)
     else:
-        first, inverse, _ = distinct_rows(ux)  # one oracle call per distinct x
-        d = np.array([float(soldist(x)) for x in ux[first]], dtype=float)[inverse]
+        ux, vy, f, dxa, dya = anchor_f_rows(func, *_error_bound_draw(schedule))
+        d = _solution_distances(func.solution_distance, ux)
+    flags = ()
+    if func.solution_distance is None and f.size:
+        flags = ("inconclusive", "no-solution-distance")
     keep = np.flatnonzero(d > EPS_MEM)
     ux, vy, f, dxa, dya, d = ux[keep], vy[keep], f[keep], dxa[keep], dya[keep], d[keep]
     ratio = f / d
@@ -237,7 +338,7 @@ def error_bound_modulus(func_or_ef, schedule: Schedule) -> ModulusReport:
         return i, float(ratio[i])
 
     trace = []
-    for rho in rhos:
+    for rho in schedule.rho_values():
         shell = dxa < rho
         i, value = least(shell)
         trace.append((rho, value))
@@ -359,13 +460,17 @@ class RunContext(Mapping):
     product metrics, which read one :class:`SweepTable` (candidates do
     not depend on the metric, so the outer pools are gathered once and
     only per-point, per-level values are kept), the two modulus reports
-    and the theorem-7T1 result.  The anchor ratio needs no sweep.
+    and the theorem-7T1 result.  The anchor ratio needs no sweep.  The
+    moduli read the order-free :class:`Tables` given (fresh ones if not).
     """
 
-    def __init__(self, problem: MappingProblem, q: float, schedule: Schedule):
+    def __init__(
+        self, problem: MappingProblem, q: float, schedule: Schedule, tables: Optional[Tables] = None
+    ):
         self.problem = problem
         self.q = q
         self.schedule = schedule
+        self.tables = _tables(problem, schedule, tables)
         self.table: Optional[SweepTable] = None  # built by the first sweep
 
     def __getitem__(self, name: str) -> SlopeEstimate:
@@ -383,7 +488,7 @@ class RunContext(Mapping):
     @cached_property
     def anchor_ratio(self) -> SlopeEstimate:
         """The ratio liminf from anchor distances; the budget counts pool copies read."""
-        pool = outer_pools(self.problem, self.schedule, True)
+        pool = self.tables.pool
         ratio = pool.ratio(self.q)
         levels = [(rho, pool.depth >= k) for k, rho in enumerate(self.schedule.rho_values())]
         trace = [(rho, _infimum(ratio[at])) for rho, at in levels]
@@ -418,11 +523,11 @@ class RunContext(Mapping):
 
     @cached_property
     def subregularity(self) -> ModulusReport:
-        return subregularity_modulus(self.problem, self.q, self.schedule)
+        return subregularity_modulus(self.problem, self.q, self.schedule, self.tables)
 
     @cached_property
     def error_bound(self) -> ModulusReport:
-        return error_bound_modulus(ErrorFunction(self.problem, self.q), self.schedule)
+        return error_bound_modulus(ErrorFunction(self.problem, self.q), self.schedule, self.tables)
 
     @cached_property
     def theorem_7T1(self) -> Theorem7T1Result:

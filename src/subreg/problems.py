@@ -659,8 +659,11 @@ def outer_pools(problem: MappingProblem, schedule: Schedule, outer_restriction: 
     A row's depth places it in every coarser window too, so per-level
     infima are monotone along the shrinking-window ladder by
     construction.  The cache keeps the last key only: a run asks for one
-    ``(problem, schedule, True)``, and the problems of finished runs are
-    not kept alive.
+    ``(problem, schedule, True)``.  :func:`~subreg.report.run_config`
+    keeps the last run's problem in one slot keyed by its canonical
+    problem spec and schedule, so the runs of one problem and schedule at
+    several orders share one pool; a run of another problem or schedule
+    replaces it.
     """
     rhos = schedule.rho_values()
     n = schedule.outer_samples_per_level()

@@ -23,6 +23,7 @@ from .moduli import (
     CriteriaReport,
     InvariantRow,
     RunContext,
+    Tables,
     criteria_report,
     run_invariant_suite,
 )
@@ -206,6 +207,24 @@ def build_problem(cfg: RunConfig) -> MappingProblem:
         raise ConfigError(f"invalid inline problem: {exc}") from exc
 
 
+# The last run's problem and order-free tables, under the key of its
+# canonical problem spec and schedule: the runs of one problem and
+# schedule at several orders build them once.
+_last_tables: dict = {}
+
+
+def _tables_for(cfg: RunConfig) -> Tables:
+    """The tables of the last run when ``cfg`` names the same problem
+    spec and schedule, else fresh ones (with a fresh problem) in their
+    place."""
+    key = (json.dumps(cfg.problem_spec, sort_keys=True), cfg.schedule)
+    tables = _last_tables.get(key)
+    if tables is None:
+        _last_tables.clear()
+        tables = _last_tables[key] = Tables(build_problem(cfg), cfg.schedule)
+    return tables
+
+
 @dataclass(frozen=True)
 class RunReport:
     problem_name: str
@@ -229,11 +248,12 @@ def run_config(cfg: RunConfig) -> RunReport:
     """Execute the configured checks in dependency order; missing
     oracles degrade the dependent entries to inconclusive instead of
     aborting."""
-    problem = build_problem(cfg)
+    tables = _tables_for(cfg)
+    problem = tables.problem
     gamma = cfg.gamma if cfg.gamma is not None else DEFAULT_GAMMA
 
     # computes each constant once, and only those the checks read
-    ctx = RunContext(problem, cfg.q, cfg.schedule)
+    ctx = RunContext(problem, cfg.q, cfg.schedule, tables)
     shown = {name for c in cfg.checks for name in _CHECK_ENTRIES.get(c, ())}
     constants = {name: ctx[name] for name in CONSTANT_NAMES if name in shown}
 

@@ -716,22 +716,47 @@ def single_variable_embedding(
 # --------------------------------------------------------------------------
 
 
+def q_powers(values: np.ndarray, q: float) -> np.ndarray:
+    """``v**q`` of every entry, as Python float powers (numpy's array
+    power rounds apart on some entries)."""
+    return np.array([v**q for v in values.tolist()], dtype=float)
+
+
+def graph_rows(problem: MappingProblem, calls: Sequence[tuple]) -> tuple:
+    """The order-free part of an :class:`ErrorFunction`'s rows: one
+    :func:`sample_graph_batch` pass over many ``(center, radius, budget,
+    seed)`` calls and ``d(v, ybar)`` per row, as ``(ux, vy, dv,
+    counts)``."""
+    ux, vy, counts = sample_graph_batch(problem, calls)
+    return ux, vy, problem.norm_y.value_rows(vy - problem.ybar), counts
+
+
+def anchor_graph_rows(
+    problem: MappingProblem, radii: Sequence[float], budget: int, seeds: Sequence[int]
+) -> tuple:
+    """The graph rows with ``d(v, ybar) > 0`` of one anchor-centred
+    sample per radius, from one :func:`graph_rows` pass, and their
+    distances to the anchor: ``(ux, vy, dxa, dya)``."""
+    anchor = problem.anchor
+    ux, vy, dya, _ = graph_rows(problem, [(anchor, r, budget, s) for r, s in zip(radii, seeds)])
+    keep = dya > 0.0
+    ux, vy, dya = ux[keep], vy[keep], dya[keep]
+    return ux, vy, problem.norm_x.value_rows(ux - problem.xbar), dya
+
+
 def f_rows(func_or_ef, calls: Sequence[tuple]) -> tuple:
     """Sampled rows of a two-variable function for many ``(center,
     radius, budget, seed)`` calls: ``(ux, vy, f, counts)``, the rows in
     call order and how many each call kept.
 
-    An :class:`ErrorFunction` samples its graph in one
-    :func:`sample_graph_batch` pass and takes ``f = d(v, ybar)**q`` as
-    Python float powers, with no membership test: graph rows lie on the
-    graph by construction.  A generic function stacks its sampler's
-    points and keeps the rows where ``f`` is finite.
+    An :class:`ErrorFunction` takes its rows from :func:`graph_rows` and
+    ``f = d(v, ybar)**q`` from :func:`q_powers`, with no membership test:
+    graph rows lie on the graph by construction.  A generic function
+    stacks its sampler's points and keeps the rows where ``f`` is finite.
     """
     if isinstance(func_or_ef, ErrorFunction):
-        pr, q = func_or_ef.problem, func_or_ef.q
-        ux, vy, counts = sample_graph_batch(pr, calls)
-        dv = pr.norm_y.value_rows(vy - pr.ybar)
-        return ux, vy, np.array([d**q for d in dv.tolist()], dtype=float), counts
+        ux, vy, dv, counts = graph_rows(func_or_ef.problem, calls)
+        return ux, vy, q_powers(dv, func_or_ef.q), counts
     func = as_two_variable(func_or_ef)
     rows = [[(p, func.value(p.x, p.y)) for p in func.sampler(*call)] for call in calls]
     rows = [[(p, float(fv)) for p, fv in r if not is_inf(fv)] for r in rows]
@@ -745,7 +770,14 @@ def f_rows(func_or_ef, calls: Sequence[tuple]) -> tuple:
 def anchor_f_rows(func_or_ef, radii: Sequence[float], budget: int, seeds: Sequence[int]) -> tuple:
     """The rows with ``f > 0`` of one anchor-centred sample per radius,
     from one :func:`f_rows` pass, and their distances to the anchor:
-    ``(ux, vy, f, dxa, dya)``."""
+    ``(ux, vy, f, dxa, dya)``.
+
+    An :class:`ErrorFunction` keeps the rows of :func:`anchor_graph_rows`:
+    for ``d > 0`` and q in (0, 1], ``d**q >= min(d, 1) > 0``, so ``d(v,
+    ybar) > 0`` keeps the rows ``f > 0`` keeps."""
+    if isinstance(func_or_ef, ErrorFunction):
+        ux, vy, dxa, dya = anchor_graph_rows(func_or_ef.problem, radii, budget, seeds)
+        return ux, vy, q_powers(dya, func_or_ef.q), dxa, dya
     func = as_two_variable(func_or_ef)
     anchor = ProductPoint(func.xbar, func.ybar)
     ux, vy, f, _ = f_rows(func_or_ef, [(anchor, r, budget, s) for r, s in zip(radii, seeds)])
@@ -899,17 +931,3 @@ def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
         trace = [(r, _infimum(vals[:, k])) for k, r in enumerate(rhos)]
         out[key] = _finish(kind, trace, False, used)
     return out
-
-
-def rho_slope_profiles(
-    problem: MappingProblem,
-    at: ProductPoint,
-    q: float,
-    rhos: Sequence[float],
-    schedule: Schedule,
-) -> dict:
-    """Slope values across a rho list on one fixed candidate set per
-    family; used to check monotonicity along the decreasing-rho ladder."""
-    _require_on_graph(problem, at)
-    profiles = gather_point_candidates(problem, at, schedule).rho_profiles(q, rhos)
-    return {family: table[0].tolist() for family, table in profiles.items()}

@@ -26,7 +26,15 @@ from subreg import (
     subdiff_rho_slope,
     theorem_7T1_check,
 )
-from subreg.slopes_primal import gather_point_candidates, rho_slope_profiles
+from subreg.slopes_primal import gather_point_candidates
+
+
+def rho_slope_profiles(problem, at, q, rhos, schedule):
+    # slope values across a rho list on one fixed candidate set per
+    # family, to check monotonicity along the decreasing-rho ladder
+    profiles = gather_point_candidates(problem, at, schedule).rho_profiles(q, rhos)
+    return {family: table[0].tolist() for family, table in profiles.items()}
+
 
 CANONICAL_Q = {
     "half-square": 0.5,

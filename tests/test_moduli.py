@@ -26,6 +26,8 @@ from subreg import (
 )
 from subreg.moduli import (
     SAMPLED_REL,
+    ModuliError,
+    Tables,
     _ambient_x_samples,
     _first_least,
     looks_divergent,
@@ -413,6 +415,10 @@ _ENGINE_CASES = {
 }
 
 
+def _other_q(q):
+    return 0.5 if q == 1.0 else 1.0
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize(
     "name,q",
@@ -422,9 +428,18 @@ def test_error_bound_engine_matches_scalar_reference(name, q, seed):
     s = Schedule(sample_budget=256, steps=5, seed=seed)
     made = _ENGINE_CASES[name]()
     subject = made if "embedding" in name else ErrorFunction(made, q)
-    new, ref = error_bound_modulus(subject, s), _ref_error_bound_modulus(subject, s)
-    for f in dataclasses.fields(ModulusReport):
-        assert _bits(getattr(new, f.name)) == _bits(getattr(ref, f.name)), f.name
+    ref = _ref_error_bound_modulus(subject, s)
+    news = [error_bound_modulus(subject, s)]
+    if "embedding" not in name:
+        # tables first read at another order give the same bits
+        tables = Tables(made, s)
+        error_bound_modulus(ErrorFunction(made, _other_q(q)), s, tables)
+        read = tables.anchor
+        news.append(error_bound_modulus(subject, s, tables))
+        assert tables.anchor is read
+    for new in news:
+        for f in dataclasses.fields(ModulusReport):
+            assert _bits(getattr(new, f.name)) == _bits(getattr(ref, f.name)), f.name
     p2 = validate_P1_P2(subject, s)
     assert [(_bits(r), _bits(v)) for r, v in p2.trace] == [
         (_bits(r), _bits(v)) for r, v in _ref_p2(subject, s)
@@ -438,9 +453,26 @@ def test_error_bound_engine_matches_scalar_reference(name, q, seed):
 def test_subregularity_modulus_matches_per_copy_reference(name, q, seed):
     s = Schedule(sample_budget=256, steps=5, seed=seed)
     problem = _ENGINE_CASES[name]()
-    new, ref = subregularity_modulus(problem, q, s), _ref_subregularity_modulus(problem, q, s)
-    for f in dataclasses.fields(ModulusReport):
-        assert _bits(getattr(new, f.name)) == _bits(getattr(ref, f.name)), f.name
+    ref = _ref_subregularity_modulus(problem, q, s)
+    # fresh tables, then tables first read at another order
+    tables = Tables(problem, s)
+    subregularity_modulus(problem, _other_q(q), s, tables)
+    read = tables.subreg
+    news = [subregularity_modulus(problem, q, s), subregularity_modulus(problem, q, s, tables)]
+    assert tables.subreg is read
+    for new in news:
+        for f in dataclasses.fields(ModulusReport):
+            assert _bits(getattr(new, f.name)) == _bits(getattr(ref, f.name)), f.name
+
+
+def test_tables_of_another_problem_or_schedule_are_refused():
+    p, s = catalog_problem("half-square"), Schedule(sample_budget=256, steps=5)
+    other_seed = Schedule(sample_budget=256, steps=5, seed=1)
+    for tables in (Tables(catalog_problem("half-square"), s), Tables(p, other_seed)):
+        with pytest.raises(ModuliError):
+            subregularity_modulus(p, 0.5, s, tables)
+        with pytest.raises(ModuliError):
+            error_bound_modulus(ErrorFunction(p, 0.5), s, tables)
 
 
 def _ref_ambient_x_samples(problem, radius, count, seed):

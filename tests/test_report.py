@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import subreg.moduli as moduli
+import subreg.report as report_module
 import subreg.slopes_primal as slopes_primal
 from subreg import Schedule, catalog_problem, emit_report, parse_config, run_config
 from subreg.problems import outer_pools
@@ -222,6 +223,7 @@ class TestRunContext:
         ):
             counted(name)
         outer_pools.cache_clear()
+        report_module._last_tables.clear()
         run_config(_reduced_config(ALL_CHECKS))
         assert calls == {
             "theorem_7T1_check": 1,
@@ -230,7 +232,11 @@ class TestRunContext:
             "strict_sweep": 2,  # max- and sum-type product metric
         }
         assert outer_pools.cache_info().misses == 1
-        # a finished run's problem and pools are not kept alive
+        # the next run of the same problem and schedule, at another order,
+        # reuses the last run's problem and pools
+        run_config(_reduced_config(["moduli"], q=1.0))
+        assert outer_pools.cache_info().misses == 1
+        # a different problem replaces them
         run_config(_reduced_config(["moduli"], problem="identity", q=1.0))
         assert outer_pools.cache_info().misses == 2
         assert outer_pools.cache_info().currsize == 1
@@ -272,6 +278,60 @@ class TestRunContext:
         assert kept
         assert all(a.shape[0] == table.rows.depth.size for a in kept)
 
+    def test_order_scan_reuses_tables_and_keeps_bytes(self, monkeypatch):
+        # the order-scan benchmark round: five problems at four orders each
+        raws = [
+            {"problem": name, "q": q, "schedule": dict(_SCAN_SCHEDULE), "checks": ["moduli"]}
+            for name in ("half-square", "identity", "square", "halfline-convex", "constant")
+            for q in (0.25, 0.5, 0.75, 1.0)
+        ]
+        builds = Counter()
+        build = report_module.build_problem
+
+        def counted(cfg):
+            builds[cfg.problem_spec] += 1
+            return build(cfg)
+
+        monkeypatch.setattr(report_module, "build_problem", counted)
+        report_module._last_tables.clear()
+        warm = [emit_report(run_config(parse_config(raw))) for raw in raws]
+        assert builds == {raw["problem"]: 1 for raw in raws}
+        assert [_cold_report(raw) for raw in raws] == warm
+
+    @pytest.mark.parametrize("change", ["coefficient", "seed"])
+    def test_a_changed_key_never_reuses_tables(self, change):
+        first = {
+            "problem": _inline_max_power(3.0, 1),
+            "q": 1.0,
+            "schedule": dict(REDUCED_SCHEDULE),
+            "checks": ["moduli"],
+        }
+        if change == "coefficient":  # inline specs that differ in one coefficient
+            second = dict(first, problem=_inline_max_power(3.5, 1))
+        else:  # schedules that differ only in their seed
+            second = dict(first, schedule=dict(REDUCED_SCHEDULE, seed=1))
+        report_module._last_tables.clear()
+        run_config(parse_config(first))
+        (held,) = report_module._last_tables.values()
+        text = emit_report(run_config(parse_config(second)))
+        (fresh,) = report_module._last_tables.values()
+        assert fresh is not held and fresh.problem is not held.problem
+        assert text == _cold_report(second)
+        # the two keys give different constants, so a stale table would show
+        assert json.loads(text)["constants"] != json.loads(_cold_report(first))["constants"]
+
+    def test_table_arrays_are_read_only(self):
+        report_module._last_tables.clear()
+        run_config(_reduced_config(["moduli"]))
+        (tables,) = report_module._last_tables.values()
+        columns = (tables.pool, tables.subreg, tables.anchor)
+        arrays = [getattr(c, f.name) for c in columns for f in dataclasses.fields(c)]
+        assert len(arrays) == 17
+        for a in arrays:
+            assert a.size
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
     @pytest.mark.parametrize("problem,q", [("half-square", 0.5), ("halfline-convex", 1.0)])
     def test_moduli_only_entries_equal_all_checks_entries(self, problem, q):
         only = json.loads(emit_report(run_config(_reduced_config(["moduli"], problem, q))))
@@ -290,6 +350,13 @@ class TestRunContext:
 # bound) pin the f-level engine.
 _SCAN_SCHEDULE = {"sample_budget": 1024, "steps": 8, "seed": 0}
 _CATALOG_SCHEDULE = {"sample_budget": 256, "steps": 5, "seed": 0}
+
+
+def _cold_report(raw):
+    """The report of ``raw`` run with no table or pool kept from before."""
+    report_module._last_tables.clear()
+    outer_pools.cache_clear()
+    return emit_report(run_config(parse_config(raw)))
 
 
 def _inline_max_power(coef, power):

@@ -33,11 +33,17 @@ from subreg.slopes_primal import (
     SlopeEstimate,
     f_level_strict,
     gather_point_candidates,
-    rho_slope_profiles,
     strict_sweep,
     sweep_table,
 )
 from pool_reference import ref_pools
+
+
+def rho_slope_profiles(problem, at, q, rhos, schedule):
+    # slope values across a rho list on one fixed candidate set per
+    # family, to check monotonicity along the decreasing-rho ladder
+    profiles = gather_point_candidates(problem, at, schedule).rho_profiles(q, rhos)
+    return {family: table[0].tolist() for family, table in profiles.items()}
 
 
 @pytest.fixture(scope="module")
