@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -406,10 +405,9 @@ def distinct_rows(m: np.ndarray) -> tuple:
     return np.unique(keys, return_index=True, return_inverse=True, return_counts=True)[1:]
 
 
-@lru_cache(maxsize=512)
 def _dual_ball_directions(dim: int, dual: NormSpec, budget: int, seed: int) -> tuple:
     """Deterministic unit-dual-norm directions spanning the ball
-    boundary; treat the returned arrays as read-only."""
+    boundary."""
     if dim == 1:
         w = dual.value(np.ones(1))
         return (np.array([1.0 / w]), np.array([-1.0 / w]))

@@ -543,7 +543,13 @@ def compute_constants(
 
 
 def _context(problem, q, schedule, constants: Optional[RunContext]) -> RunContext:
-    return constants if constants is not None else RunContext(problem, q, schedule)
+    """``constants`` (a fresh context if not given), refused when it was
+    built for another order, schedule or problem name."""
+    if constants is None:
+        return RunContext(problem, q, schedule)
+    if (constants.q, constants.schedule, constants.problem.name) != (q, schedule, problem.name):
+        raise ModuliError("the constants belong to another run")
+    return constants
 
 
 @dataclass(frozen=True)
@@ -622,73 +628,50 @@ def criteria_report(
         raise ModuliError("gamma must be positive")
     ctx = _context(problem, q, schedule, constants)
     eps = SHARED_SLACK
-
-    conditions = {}
-    estimates = {}
-    flags = []
     sr = ctx["sr_q"]
-    conditions["a"] = (
-        "inconclusive"
-        if sr.inconclusive
-        else ("holds" if (is_inf(sr.value) or sr.value > 0.0) else "fails")
-    )
-    estimates["a"] = sr.value
+    conditions = {"a": _status(sr, 0.0)}
+    estimates = {"a": sr.value}
+    flags = []
     for letter in "bcdefghij":
         est = ctx[_QUANT_SOURCES[letter]]
         conditions[letter] = _status(est, gamma)
         estimates[letter] = est.value
         if not est.inconclusive and is_inf(est.value):
             flags.append(f"condition {letter} holds via empty-infimum convention")
+    qualitative = {letter: _status(ctx[name], 1e-6) for letter, name in _QUAL_SOURCES.items()}
 
-    qualitative = {}
-    for letter, name in _QUAL_SOURCES.items():
-        qualitative[letter] = _status(ctx[name], 1e-6)
+    # an arrow is broken when its source holds strictly above the upper
+    # threshold and its target fails at or below the lower one
+    def holds_above(est: SlopeEstimate, threshold: float) -> bool:
+        return not est.inconclusive and (is_inf(est.value) or est.value > threshold)
 
-    violations = []
+    def fails_at(est: SlopeEstimate, threshold: float) -> bool:
+        return not est.inconclusive and not is_inf(est.value) and est.value <= threshold
 
-    def strict_holds(letter: str) -> bool:
-        est = ctx[_QUANT_SOURCES[letter]]
-        if est.inconclusive:
-            return False
-        return is_inf(est.value) or est.value > gamma + eps
+    def broken(sources: dict, arrows: tuple, above: float, at_most: float) -> list:
+        return [
+            (lhs, rhs)
+            for lhs, rhs in arrows
+            if holds_above(ctx[sources[lhs]], above) and fails_at(ctx[sources[rhs]], at_most)
+        ]
 
-    def loose_fails(letter: str) -> bool:
-        est = ctx[_QUANT_SOURCES[letter]]
-        if est.inconclusive:
-            return False
-        return (not is_inf(est.value)) and est.value <= gamma - eps
-
-    for lhs, rhs in _QUANT_ARROWS:
-        if strict_holds(lhs) and loose_fails(rhs):
-            violations.append(
-                f"quantitative ({lhs}) => ({rhs}) broken at gamma={gamma:g}"
-            )
-
-    def q_strict(letter: str) -> bool:
-        est = ctx[_QUAL_SOURCES[letter]]
-        if est.inconclusive:
-            return False
-        return is_inf(est.value) or est.value > 2e-6
-
-    def q_loose_fails(letter: str) -> bool:
-        est = ctx[_QUAL_SOURCES[letter]]
-        if est.inconclusive:
-            return False
-        return (not is_inf(est.value)) and est.value <= 0.0
-
-    for lhs, rhs in _QUAL_ARROWS:
-        if q_strict(lhs) and q_loose_fails(rhs):
-            violations.append(f"qualitative ({lhs}) => ({rhs}) broken")
-
+    violations = [
+        f"quantitative ({lhs}) => ({rhs}) broken at gamma={gamma:g}"
+        for lhs, rhs in broken(_QUANT_SOURCES, _QUANT_ARROWS, gamma + eps, gamma - eps)
+    ]
+    violations += [
+        f"qualitative ({lhs}) => ({rhs}) broken"
+        for lhs, rhs in broken(_QUAL_SOURCES, _QUAL_ARROWS, 2e-6, 0.0)
+    ]
     # tau-gated arrows, reading the estimated modulus as tau
     if not sr.inconclusive and not is_inf(sr.value):
-        tau = sr.value
-        if gamma + eps < tau and conditions["a"] == "holds" and loose_fails("b"):
+        tau, b = sr.value, ctx[_QUANT_SOURCES["b"]]
+        if gamma + eps < tau and conditions["a"] == "holds" and fails_at(b, gamma - eps):
             violations.append(f"(a) => (b) broken for gamma={gamma:g} < tau={tau:g}")
         if (
             tau <= gamma - eps
             and problem.graph_locally_closed
-            and strict_holds("b")
+            and holds_above(b, gamma + eps)
             and conditions["a"] == "fails"
         ):
             violations.append(f"(b) => (a) broken for tau={tau:g} <= gamma={gamma:g}")
@@ -726,9 +709,9 @@ def convexity_necessity_check(
     strict subdifferential q-slope.  A modulus estimate that is infinite
     or visibly diverging along its trace passes with a guard flag
     instead of asserting against an equally divergent right-hand side."""
+    ctx = _context(problem, q, schedule, constants)
     if not problem.convex:
         return ConvexityCheckResult("skipped", 0.0, 0.0)
-    ctx = _context(problem, q, schedule, constants)
     sr = ctx["sr_q"]
     dual_plain = ctx["subdiff_strict_q_slope_plain"]
     lhs = INF if is_inf(sr.value) else q * sr.value
@@ -853,6 +836,12 @@ def run_invariant_suite(
     def row(name, passed, lhs, rhs, slack, note=""):
         rows.append(InvariantRow(name, bool(passed), lhs, rhs, float(slack), note))
 
+    def leq(name, lhs, rhs, slack=SHARED_SLACK):
+        row(name, leq_ok(lhs, rhs, slack), lhs, rhs, slack)
+
+    def close(name, lhs, rhs):
+        row(name, rel_close(lhs, rhs, SAMPLED_REL), lhs, rhs, SAMPLED_REL)
+
     # pointwise domination of the nonlocal slope over the local slope and
     # the anchor-distance ratio, on shared candidate supersets
     probes = _probe_points(problem, schedule, 24)
@@ -873,9 +862,8 @@ def run_invariant_suite(
                     worst_rho = min(worst_rho, b - a)
         d = problem.d_y(p.y, problem.ybar)
         dxa = problem.d_x(p.x, problem.xbar)
-        dya = problem.d_y(p.y, problem.ybar)
         for j, rho in enumerate((0.7, 0.15)):
-            anchor_den = max(dxa, rho * dya)
+            anchor_den = max(dxa, rho * d)
             bound = max(
                 q * d ** (q - 1.0) * loc[i][j],
                 (d**q / anchor_den) if anchor_den > 0 else 0.0,
@@ -891,44 +879,26 @@ def run_invariant_suite(
     uni = ctx["uniform_strict_q_slope"].value
     plain = ctx["strict_q_slope"].value
     modified = ctx["modified_strict_q_slope"].value
-    row("uniform_ge_modified", leq_ok(modified, uni, SHARED_SLACK), modified, uni, SHARED_SLACK)
-    row("modified_ge_plain", leq_ok(plain, modified, SHARED_SLACK), plain, modified, SHARED_SLACK)
+    leq("uniform_ge_modified", modified, uni)
+    leq("modified_ge_plain", plain, modified)
 
     dp = ctx["subdiff_strict_q_slope_plain"].value
     da = ctx["subdiff_strict_q_slope_approx"].value
     dm = ctx["subdiff_strict_q_slope_modified"].value
     dma = ctx["subdiff_strict_q_slope_modified_approx"].value
-    row("dual_approx_le_plain", leq_ok(da, dp, SHARED_SLACK), da, dp, SHARED_SLACK)
-    row("dual_plain_le_modified", leq_ok(dp, dm, SHARED_SLACK), dp, dm, SHARED_SLACK)
-    row("dual_approx_le_modified_approx", leq_ok(da, dma, SHARED_SLACK), da, dma, SHARED_SLACK)
-    row("dual_modified_approx_le_modified", leq_ok(dma, dm, SHARED_SLACK), dma, dm, SHARED_SLACK)
+    leq("dual_approx_le_plain", da, dp)
+    leq("dual_plain_le_modified", dp, dm)
+    leq("dual_approx_le_modified_approx", da, dma)
+    leq("dual_modified_approx_le_modified", dma, dm)
 
     bias = SHARED_SLACK + BAND_BIAS_REL * (0.0 if is_inf(da) else abs(da))
-    row("primal_ge_dual_approx", leq_ok(da, plain, bias), da, plain, bias)
+    leq("primal_ge_dual_approx", da, plain, bias)
     bias_m = SHARED_SLACK + BAND_BIAS_REL * (0.0 if is_inf(dma) else abs(dma))
-    row(
-        "modified_primal_ge_dual_modified_approx",
-        leq_ok(dma, modified, bias_m),
-        dma,
-        modified,
-        bias_m,
-    )
+    leq("modified_primal_ge_dual_modified_approx", dma, modified, bias_m)
 
     if problem.norm_y.smooth_off_origin and problem.coderivative is not None:
-        row(
-            "primal_dual_equality_plain",
-            rel_close(plain, dp, SAMPLED_REL),
-            plain,
-            dp,
-            SAMPLED_REL,
-        )
-        row(
-            "primal_dual_equality_modified",
-            rel_close(modified, dm, SAMPLED_REL),
-            modified,
-            dm,
-            SAMPLED_REL,
-        )
+        close("primal_dual_equality_plain", plain, dp)
+        close("primal_dual_equality_modified", modified, dm)
 
     alpha = ctx["lm_alpha"].value
     beta = ctx["lm_beta"].value
@@ -939,25 +909,13 @@ def run_invariant_suite(
     lm_slack = SHARED_SLACK + rho_last * max(
         [abs(v) for v in (alpha, beta, dm, dma) if not is_inf(v)] or [0.0]
     )
-    row("alpha_le_dual_modified_approx", leq_ok(alpha, dma, lm_slack), alpha, dma, lm_slack)
-    row("dual_plain_le_beta", leq_ok(dp, beta, lm_slack), dp, beta, lm_slack)
-    row("beta_le_dual_modified", leq_ok(beta, dm, lm_slack), beta, dm, lm_slack)
+    leq("alpha_le_dual_modified_approx", alpha, dma, lm_slack)
+    leq("dual_plain_le_beta", dp, beta, lm_slack)
+    leq("beta_le_dual_modified", beta, dm, lm_slack)
 
     lim = ctx["limiting_coderivative_min_norm"].value
-    row(
-        "limiting_agrees_with_dual_plain",
-        rel_close(lim, dp, SAMPLED_REL),
-        lim,
-        dp,
-        SAMPLED_REL,
-    )
-    row(
-        "limiting_agrees_with_dual_approx",
-        rel_close(lim, da, SAMPLED_REL),
-        lim,
-        da,
-        SAMPLED_REL,
-    )
+    close("limiting_agrees_with_dual_plain", lim, dp)
+    close("limiting_agrees_with_dual_approx", lim, da)
 
     # modulus cross-checks
     ef = ErrorFunction(problem, q)
@@ -971,30 +929,11 @@ def run_invariant_suite(
             SAMPLED_REL,
         )
     f_strict = f_level_strict(ef, schedule)
-    slack = SHARED_SLACK + (
-        0.0 if is_inf(f_strict["uniform"].value) else SAMPLED_REL * abs(f_strict["uniform"].value)
-    )
-    row(
-        "error_bound_le_f_uniform_slope",
-        leq_ok(er.value, f_strict["uniform"].value, slack),
-        er.value,
-        f_strict["uniform"].value,
-        slack,
-    )
-    row(
-        "f_uniform_ge_f_modified",
-        leq_ok(f_strict["modified"].value, f_strict["uniform"].value, SHARED_SLACK),
-        f_strict["modified"].value,
-        f_strict["uniform"].value,
-        SHARED_SLACK,
-    )
-    row(
-        "f_modified_ge_f_plain",
-        leq_ok(f_strict["plain"].value, f_strict["modified"].value, SHARED_SLACK),
-        f_strict["plain"].value,
-        f_strict["modified"].value,
-        SHARED_SLACK,
-    )
+    f_uni, f_mod, f_plain = (f_strict[k].value for k in ("uniform", "modified", "plain"))
+    slack = SHARED_SLACK + (0.0 if is_inf(f_uni) else SAMPLED_REL * abs(f_uni))
+    leq("error_bound_le_f_uniform_slope", er.value, f_uni, slack)
+    leq("f_uniform_ge_f_modified", f_mod, f_uni)
+    leq("f_modified_ge_f_plain", f_plain, f_mod)
 
     thm = ctx.theorem_7T1
     row(

@@ -151,7 +151,9 @@ class Schedule:
             raise ProblemError("the finest rho, rho0 * factor**(steps - 1), underflows to 0")
         if self.sample_budget < 1:
             raise ProblemError("sample budget must be positive")
+        # a tuple, so that the schedule stays hashable (the pool cache keys on it)
         radii = tuple(self.neighborhood_radii)
+        object.__setattr__(self, "neighborhood_radii", radii)
         if not radii or not all(is_finite_real(r) and r > 0 for r in radii):
             raise ProblemError("neighborhood radii must be positive finite numbers")
         if any(b >= a for a, b in zip(radii, radii[1:])):
@@ -284,22 +286,21 @@ def halving_offsets(start: float, stop: float, cap: int) -> list:
     return offs[keep].tolist()
 
 
-@lru_cache(maxsize=32)
 def _sphere_directions(dim: int, count: int, seed: int) -> np.ndarray:
     """Unit directions (rows) for multi-dimensional parameter stencils.
 
     In two dimensions the circle grid is emitted in bit-reversed order
     so every prefix is itself a near-uniform grid (budget-truncated
     gathers keep spread directions); higher dimensions use seeded
-    normalized gaussians.  Treat the returned array as read-only.
+    normalized gaussians.
     """
     if dim == 2:
-        bits = max(1, int(np.ceil(np.log2(count))))
-        idx = np.arange(count)
-        rev = np.array(
-            [int(format(i, f"0{bits}b")[::-1], 2) for i in idx], dtype=float
-        )
-        angles = 2.0 * np.pi * rev / (1 << bits)
+        # the bit-reversed fractions i / 2**bits: each doubling appends
+        # the previous ones shifted by the next power of two
+        frac, step = np.zeros(1), 0.5
+        while frac.size < count:
+            frac, step = np.concatenate([frac, frac + step]), step / 2
+        angles = 2.0 * np.pi * frac[:count]
         return np.column_stack([np.cos(angles), np.sin(angles)])
     rng = np.random.default_rng(seed)
     dirs = []
@@ -340,7 +341,7 @@ def _batch_to_graph(problem: MappingProblem, params: np.ndarray) -> tuple:
 
 def _call_dirs(dim: int, count: int, seeds: Sequence[int]) -> np.ndarray:
     """Stencil directions of each call, ``(calls or 1, count, dim)``."""
-    if dim == 2:  # the circle grid ignores the seed: one cache key serves every call
+    if dim == 2:  # the circle grid ignores the seed: one grid serves every call
         return _sphere_directions(2, count, 0)[None]
     return np.stack([_sphere_directions(dim, count, mix_seed(s, "sphere")) for s in seeds])
 

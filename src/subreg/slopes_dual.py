@@ -221,17 +221,21 @@ def _subdiff_table(
     return out
 
 
-def _approx_directions(
-    problem: MappingProblem, diff: np.ndarray, v_radius: float, seed: int
-) -> list:
-    """``diff`` followed by the directions near it over which the
-    approximate variant's inner liminf ranges; the centre is always
-    included, so the approximate value never exceeds the plain one."""
+def _near_directions(problem: MappingProblem, seed: int) -> list:
+    """The unit directions a call moves its targets along: +1 and -1 in
+    one dimension, else dual-sphere directions of the seed."""
+    if problem.dim_y == 1:
+        return [np.array([1.0]), np.array([-1.0])]
+    return list(_dual_ball_directions(problem.dim_y, problem.norm_y, 4, seed))
+
+
+def _approx_directions(diff: np.ndarray, v_radius: float, dirs: list) -> list:
+    """``diff`` followed by the directions ``diff + v_radius * d`` near
+    it, d over the call's ``dirs``, over which the approximate variant's
+    inner liminf ranges; the centre is always included, so the
+    approximate value never exceeds the plain one."""
     if v_radius <= 0.0:
         return [diff]
-    if problem.dim_y == 1:
-        return [diff, diff + np.array([v_radius]), diff - np.array([v_radius])]
-    dirs = _dual_ball_directions(problem.dim_y, problem.norm_y, 4, seed)
     return [diff] + [diff + v_radius * d for d in dirs]
 
 
@@ -276,7 +280,8 @@ def subdiff_rho_slope(
         (value,) = _at_point(problem, at, [[diff]], rho, seed)
         return SlopeEstimate(value, ((rho, value),), False, 1, "subdiff_rho_plain")
     radii = [(nr / 10.0) * d for nr in schedule.neighborhood_radii]
-    sets = [_approx_directions(problem, diff, r, seed) for r in radii]
+    dirs = _near_directions(problem, seed)
+    sets = [_approx_directions(diff, r, dirs) for r in radii]
     trace = tuple(zip(radii, _at_point(problem, at, sets, rho, seed)))
     return SlopeEstimate(trace[-1][1], trace, False, len(trace), "subdiff_rho_approx")
 
@@ -334,12 +339,13 @@ def strict_subdiff_q_slopes(
 
     seed = mix_seed(schedule.seed, "dirs")
     v_frac = schedule.neighborhood_radii[-1] / 10.0
+    dirs = _near_directions(problem, seed)
     parts = []
     used = 0
     for chunk in _chunks(problem, schedule):
         d = chunk.dya.tolist()
         diffs = chunk.y - problem.ybar
-        sets = [[[v], _approx_directions(problem, v, v_frac * dy, seed)] for v, dy in zip(diffs, d)]
+        sets = [[[v], _approx_directions(v, v_frac * dy, dirs)] for v, dy in zip(diffs, d)]
         xi = np.array([dy ** (1.0 - q) / q for dy in d])
         live = np.arange(len(rhos)) <= chunk.depth[:, None]
         perts = xi[:, None] * np.array(rhos)
@@ -437,11 +443,7 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
         return (_inconclusive("lm_alpha", rhos), _inconclusive("lm_beta", rhos))
     seed = mix_seed(schedule.seed, "dirs")
     dual, dim, n_rad, eps = problem.norm_y.dual(), problem.dim_y, len(rhos), np.array(rhos)
-    dirs = (
-        [np.array([1.0]), np.array([-1.0])]
-        if dim == 1
-        else _dual_ball_directions(dim, problem.norm_y, 4, seed)
-    )
+    dirs = _near_directions(problem, seed)
     n_tgt = 1 + 3 * len(dirs)
     perturbations = enlargement_perturbations(dim, dual, 4, seed)
     parts = []

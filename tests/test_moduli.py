@@ -25,16 +25,23 @@ from subreg import (
     validate_P1_P2,
 )
 from subreg.moduli import (
+    _QUAL_ARROWS,
+    _QUAL_SOURCES,
+    _QUANT_ARROWS,
+    _QUANT_SOURCES,
     SAMPLED_REL,
+    SHARED_SLACK,
     ModuliError,
+    RunContext,
     Tables,
     _ambient_x_samples,
     _first_least,
+    _status,
     looks_divergent,
     rel_close,
 )
 from subreg.problems import EPS_MEM, halton_points, halving_offsets, mix_seed
-from subreg.slopes_primal import as_two_variable
+from subreg.slopes_primal import SlopeEstimate, as_two_variable
 from pool_reference import ref_pools
 
 
@@ -166,6 +173,146 @@ class TestCriteria:
     def test_rejects_nonpositive_gamma(self, schedule, hs_constants):
         with pytest.raises(ValueError):
             criteria_report(catalog_problem("half-square"), 0.5, 0.0, schedule, hs_constants)
+
+
+class _HandMade(RunContext):
+    """A run context that reads its estimates from a dict."""
+
+    def __init__(self, problem, q, schedule, estimates):
+        super().__init__(problem, q, schedule)
+        self.estimates = estimates
+
+    def __getitem__(self, name):
+        return self.estimates[name]
+
+
+def _estimate(value, inconclusive=False):
+    flags = ("inconclusive",) if inconclusive else ()
+    return SlopeEstimate(value, ((0.5, value),), False, 1, "hand-made", flags)
+
+
+def _ref_criteria(problem, gamma, ctx):
+    # condition (a) and the four arrow closures the one evaluator replaced
+    eps = SHARED_SLACK
+    sr = ctx["sr_q"]
+    conditions = {
+        "a": (
+            "inconclusive"
+            if sr.inconclusive
+            else ("holds" if (is_inf(sr.value) or sr.value > 0.0) else "fails")
+        )
+    }
+    for letter in "bcdefghij":
+        conditions[letter] = _status(ctx[_QUANT_SOURCES[letter]], gamma)
+    violations = []
+
+    def strict_holds(letter):
+        est = ctx[_QUANT_SOURCES[letter]]
+        if est.inconclusive:
+            return False
+        return is_inf(est.value) or est.value > gamma + eps
+
+    def loose_fails(letter):
+        est = ctx[_QUANT_SOURCES[letter]]
+        if est.inconclusive:
+            return False
+        return (not is_inf(est.value)) and est.value <= gamma - eps
+
+    for lhs, rhs in _QUANT_ARROWS:
+        if strict_holds(lhs) and loose_fails(rhs):
+            violations.append(f"quantitative ({lhs}) => ({rhs}) broken at gamma={gamma:g}")
+
+    def q_strict(letter):
+        est = ctx[_QUAL_SOURCES[letter]]
+        if est.inconclusive:
+            return False
+        return is_inf(est.value) or est.value > 2e-6
+
+    def q_loose_fails(letter):
+        est = ctx[_QUAL_SOURCES[letter]]
+        if est.inconclusive:
+            return False
+        return (not is_inf(est.value)) and est.value <= 0.0
+
+    for lhs, rhs in _QUAL_ARROWS:
+        if q_strict(lhs) and q_loose_fails(rhs):
+            violations.append(f"qualitative ({lhs}) => ({rhs}) broken")
+
+    if not sr.inconclusive and not is_inf(sr.value):
+        tau = sr.value
+        if gamma + eps < tau and conditions["a"] == "holds" and loose_fails("b"):
+            violations.append(f"(a) => (b) broken for gamma={gamma:g} < tau={tau:g}")
+        if (
+            tau <= gamma - eps
+            and problem.graph_locally_closed
+            and strict_holds("b")
+            and conditions["a"] == "fails"
+        ):
+            violations.append(f"(b) => (a) broken for tau={tau:g} <= gamma={gamma:g}")
+    return conditions, violations
+
+
+def _arrow_cases(gamma):
+    """(the value of every other entry, the values of the arrow's ends,
+    the one violation they break, the names of the ends) for every arrow.
+    The other entries sit where no arrow can start or end: at gamma for a
+    quantitative or tau-gated arrow (positive, neither above gamma + eps
+    nor at or below gamma - eps) and at 1e-6 for a qualitative one
+    (below gamma, neither above 2e-6 nor at or below 0)."""
+    cases = []
+    for lhs, rhs in _QUANT_ARROWS:
+        ends = (_QUANT_SOURCES[lhs], _QUANT_SOURCES[rhs])
+        message = f"quantitative ({lhs}) => ({rhs}) broken at gamma={gamma:g}"
+        for high in (2.0 * gamma, INF):
+            cases.append((gamma, dict(zip(ends, (high, gamma / 2))), message, ends))
+    for lhs, rhs in _QUAL_ARROWS:
+        ends = (_QUAL_SOURCES[lhs], _QUAL_SOURCES[rhs])
+        message = f"qualitative ({lhs}) => ({rhs}) broken"
+        cases.append((1e-6, dict(zip(ends, (1e-5, 0.0))), message, ends))
+    ends = ("sr_q", _QUANT_SOURCES["b"])
+    message = f"(a) => (b) broken for gamma={gamma:g} < tau={2.0 * gamma:g}"
+    cases.append((gamma, dict(zip(ends, (2.0 * gamma, gamma / 2))), message, ends))
+    message = f"(b) => (a) broken for tau=0 <= gamma={gamma:g}"
+    cases.append((gamma, dict(zip(ends, (0.0, 2.0 * gamma))), message, ends))
+    return cases
+
+
+def test_arrow_evaluator_breaks_each_arrow_as_the_closures_did():
+    p, q, s, gamma = catalog_problem("half-square"), 0.5, Schedule(sample_budget=256, steps=5), 0.5
+    assert p.graph_locally_closed
+    names = ["sr_q", *_QUANT_SOURCES.values(), *_QUAL_SOURCES.values()]
+    cases = _arrow_cases(gamma)
+    assert len({message for _, _, message, _ in cases}) == 7 + 5 + 2
+    for other, values, message, ends in cases:
+        for inconclusive in (None, *ends):
+            estimates = {
+                name: _estimate(values.get(name, other), name == inconclusive) for name in names
+            }
+            ctx = _HandMade(p, q, s, estimates)
+            rep = criteria_report(p, q, gamma, s, ctx)
+            conditions, violations = _ref_criteria(p, gamma, ctx)
+            assert rep.conditions == conditions
+            assert list(rep.implication_violations) == violations
+            # one violation per case, and none once an end is inconclusive
+            assert violations == ([message] if inconclusive is None else []), (message, inconclusive)
+
+
+def test_a_context_of_another_run_is_refused():
+    p, s = catalog_problem("half-square"), Schedule(sample_budget=256, steps=5)
+    others = [
+        RunContext(p, 1.0, s),
+        RunContext(p, 0.5, Schedule(sample_budget=256, steps=5, seed=1)),
+        RunContext(catalog_problem("identity"), 0.5, s),
+    ]
+    for ctx in others:
+        with pytest.raises(ModuliError):
+            criteria_report(p, 0.5, 0.5, s, ctx)
+        with pytest.raises(ModuliError):
+            run_invariant_suite(p, 0.5, s, constants=ctx)
+        with pytest.raises(ModuliError):
+            theorem_7T1_check(p, 0.5, s, ctx)
+        with pytest.raises(ModuliError):
+            convexity_necessity_check(p, 0.5, s, ctx)
 
 
 class TestConvexityNecessity:

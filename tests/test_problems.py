@@ -248,6 +248,35 @@ def test_schedule_validation():
     assert rhos == [0.5, 0.25, 0.125]
 
 
+@pytest.mark.parametrize(
+    "radii", [[0.25, 0.05, 0.01], np.array([0.25, 0.05, 0.01])], ids=["list", "array"]
+)
+def test_schedule_keeps_its_radii_hashable(radii):
+    s = Schedule(sample_budget=256, steps=3, neighborhood_radii=radii)
+    assert type(s.neighborhood_radii) is tuple
+    assert s == Schedule(sample_budget=256, steps=3, neighborhood_radii=(0.25, 0.05, 0.01))
+    # the first pool read keys the pool cache on the schedule
+    assert outer_pools(catalog_problem("half-square"), s, True).x.shape[0] > 0
+    # the elements stay as given: an integer radius is serialized as one
+    assert type(Schedule(neighborhood_radii=[1, 0.5]).neighborhood_radii[0]) is int
+
+
+def test_outer_pools_is_the_only_cached_callable():
+    import importlib
+    import pkgutil
+
+    import subreg
+
+    cached = set()
+    for info in pkgutil.iter_modules(subreg.__path__):
+        for obj in vars(importlib.import_module(f"subreg.{info.name}")).values():
+            members = vars(obj).values() if isinstance(obj, type) else ()
+            for o in (obj, *members):
+                if hasattr(o, "cache_info"):
+                    cached.add(f"{o.__module__}.{o.__qualname__}")
+    assert cached == {"subreg.problems.outer_pools"}
+
+
 # --------------------------------------------------------------------------
 # vectorized sampler against the row-by-row reference
 # --------------------------------------------------------------------------
@@ -428,6 +457,21 @@ def test_sampler_matches_list_based_reference(problem):
                     for g, w in zip(got, want):
                         assert g.shape == w.shape
                         assert np.array_equal(g, w)
+
+
+def _reference_circle_grid(count):
+    # the string bit reversal the doubling construction replaced
+    bits = max(1, int(np.ceil(np.log2(count))))
+    rev = np.array([int(format(i, f"0{bits}b")[::-1], 2) for i in range(count)], dtype=float)
+    angles = 2.0 * np.pi * rev / (1 << bits)
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def test_circle_grid_matches_the_bit_reversal():
+    for count in (1, 2, 3, 5, 8, 31, 32, 33, 100, 256, 257, 1000):
+        got = _sphere_directions(2, count, 3)
+        assert got.tobytes() == _reference_circle_grid(count).tobytes(), count
+    assert _sphere_directions(2, 32, 0).tobytes() == _sphere_directions(2, 256, 0)[:32].tobytes()
 
 
 def test_halton_dimension_is_at_most_ten():
