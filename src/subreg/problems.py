@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import zlib
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -99,12 +100,79 @@ def _halton_table(dim: int, count: int) -> np.ndarray:
     return out
 
 
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int) -> Callable[[int], int]:
+    """SeedSequence's 32-bit hash, whose multiplier advances per call."""
+
+    def hash32(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = (const * mult) & _M32
+        value = (value * const) & _M32
+        return value ^ (value >> 16)
+
+    return hash32
+
+
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ (r >> 16)
+
+
+def halton_shift(seed: int, dim: int) -> np.ndarray:
+    """``np.random.default_rng(seed).random(dim)``, bitwise, in pure Python.
+
+    The stream is PCG64 (XSL-RR output) seeded through a four-word
+    ``SeedSequence`` (O'Neill 2014; NumPy NEP 19); computing it here
+    keeps ``numpy.random`` and its import out of every sampler whose
+    parameter space is at most one-dimensional.  A negative seed raises
+    :class:`ValueError`, as ``SeedSequence`` does."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _M32]
+    while seed > _M32:
+        seed >>= 32
+        entropy.append(seed & _M32)
+    # SeedSequence(seed): mix the entropy words into a pool of four
+    mixhash = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [mixhash(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], mixhash(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], mixhash(word))
+    # generate_state(4, uint64): eight hashed words, little-endian pairs
+    statehash = _hasher(0x8B51F9DD, 0x58F38DED)
+    words = [statehash(pool[i % 4]) for i in range(8)]
+    s = [words[2 * i] | words[2 * i + 1] << 32 for i in range(4)]
+    # PCG64 srandom: state 0, step, add the initial state, step
+    inc = (((s[2] << 64 | s[3]) << 1) | 1) & _M128
+    state = ((inc + (s[0] << 64 | s[1])) * _PCG_MULT + inc) & _M128
+    out = []
+    for _ in range(dim):
+        state = (state * _PCG_MULT + inc) & _M128
+        rot = state >> 122
+        x = ((state >> 64) ^ state) & _M64
+        x = ((x >> rot) | (x << (64 - rot))) & _M64
+        out.append((x >> 11) * 2.0**-53)
+    return np.array(out)
+
+
 def halton_points(dim: int, count: int, seed: int) -> np.ndarray:
-    """Seeded-shift Halton sequence in [0,1)^dim, ``dim`` at most 10
-    (else :class:`ProblemError`); deterministic forever."""
+    """Halton points ``1..count`` in [0,1)^dim, ``dim`` at most 10 (else
+    :class:`ProblemError`), shifted modulo 1 by :func:`halton_shift` of
+    ``seed``; deterministic forever."""
     if count <= 0:
         return np.zeros((0, dim))
-    return (_halton_table(dim, count) + np.random.default_rng(seed).random(dim)) % 1.0
+    return (_halton_table(dim, count) + halton_shift(seed, dim)) % 1.0
 
 
 @dataclass(frozen=True)
@@ -402,7 +470,7 @@ def _tail_params(t0, lo, hi, seeds, fill: np.ndarray) -> tuple:
         # each call keeps its own seeded shift
         shift = np.zeros((n, dim))
         for j in np.flatnonzero(fill):
-            shift[j] = np.random.default_rng(mix_seed(seeds[j], "halton")).random(dim)
+            shift[j] = halton_shift(mix_seed(seeds[j], "halton"), dim)
         u = (table[None] + shift[:, None, :]) % 1.0
         blocks.append(lo[:, None, :] + u * (hi - lo)[:, None, :])
         valid.append(np.arange(width)[None, :] < fill[:, None])
@@ -687,10 +755,19 @@ class P1P2Report:
         return self.p1_status == "pass" and self.p2_status == "pass"
 
 
-def validate_P1_P2(ef, schedule: Schedule, threshold: float = 1e-6) -> P1P2Report:
+def p2_draw(schedule: Schedule) -> tuple:
+    """The anchor sample of :func:`validate_P1_P2`: ``(radii, budget, seeds)``."""
+    return [schedule.rho0], schedule.sample_budget, [mix_seed(schedule.seed, "p2")]
+
+
+def validate_P1_P2(
+    ef, schedule: Schedule, threshold: float = 1e-6, rows: Optional[tuple] = None
+) -> P1P2Report:
     """Check positivity off ybar (structural for induced error functions)
     and estimate ``liminf f/d(y, ybar)`` as ``f`` shrinks along the
-    shells; pass when the final-shell infimum stays above ``threshold``."""
+    shells; pass when the final-shell infimum stays above ``threshold``.
+    ``rows`` are as :func:`~subreg.slopes_primal.anchor_f_rows` takes
+    them, for the draw of :func:`p2_draw`."""
     from .slopes_primal import anchor_f_rows, as_two_variable
 
     func = as_two_variable(ef)
@@ -710,9 +787,7 @@ def validate_P1_P2(ef, schedule: Schedule, threshold: float = 1e-6) -> P1P2Repor
                 p1 = "fail"
                 break
 
-    _, _, f, _, dy = anchor_f_rows(
-        ef, [schedule.rho0], schedule.sample_budget, [mix_seed(schedule.seed, "p2")]
-    )
+    _, _, f, _, dy = anchor_f_rows(ef, *p2_draw(schedule), rows=rows)
     f, dy = f[dy > 0.0], dy[dy > 0.0]
     ratios = f / dy
     trace = []

@@ -23,6 +23,7 @@ from subreg.problems import (
     UnknownProblemError,
     _sphere_directions,
     halton_points,
+    halton_shift,
     halving_offsets,
     mix_seed,
     outer_pools,
@@ -478,6 +479,24 @@ def test_halton_dimension_is_at_most_ten():
     assert halton_points(10, 3, 0).shape == (3, 10)
     with pytest.raises(ProblemError):
         halton_points(11, 3, 0)
+
+
+def test_halton_shift_is_numpys_pcg64_stream():
+    # the reference is the generator the shift used to come from
+    rng = np.random.default_rng(17)
+    seeds = [0, 1, 2**31 - 1, 2**32, 2**70 + 3]  # 2**31 - 1 is mix_seed's largest
+    seeds += rng.integers(0, 2**31, size=2000).tolist()
+    for seed in seeds:
+        for dim in range(1, 11):
+            want = np.random.default_rng(seed).random(dim)
+            assert halton_shift(seed, dim).tobytes() == want.tobytes(), (seed, dim)
+
+
+def test_halton_shift_refuses_a_negative_seed():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError):
+        halton_shift(-1, 1)
 
 
 def test_halton_matches_reference_and_prefixes():

@@ -332,6 +332,27 @@ class TestRunContext:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = a.flat[0]
 
+    def test_invariant_anchor_rows_are_drawn_once_per_problem_and_schedule(self, monkeypatch):
+        # the f-level strict and P2 anchor draws do not depend on q
+        calls = Counter()
+        draw = slopes_primal.anchor_graph_rows
+
+        def counted(*args):
+            calls["draws"] += 1
+            return draw(*args)
+
+        monkeypatch.setattr(slopes_primal, "anchor_graph_rows", counted)
+        monkeypatch.setattr(moduli, "anchor_graph_rows", counted)
+        report_module._last_tables.clear()
+        run_config(_reduced_config(ALL_CHECKS, q=0.5))
+        assert calls["draws"] == 3  # the error bound's, the f-level strict and the P2 draw
+        (tables,) = report_module._last_tables.values()
+        for a in tables.f_strict + tables.p2:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+        run_config(_reduced_config(ALL_CHECKS, q=1.0))
+        assert calls["draws"] == 3
+
     @pytest.mark.parametrize("problem,q", [("half-square", 0.5), ("halfline-convex", 1.0)])
     def test_moduli_only_entries_equal_all_checks_entries(self, problem, q):
         only = json.loads(emit_report(run_config(_reduced_config(["moduli"], problem, q))))
@@ -481,6 +502,27 @@ def test_import_does_not_load_scipy(cli_env):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_one_dimensional_runs_do_not_load_numpy_random(tmp_path, cli_env):
+    # the Halton shift is computed without numpy.random; 2-D and larger
+    # catalog entries may still load it for their gaussian directions
+    configs = [
+        {"problem": _inline_max_power(1.0, 2), "q": 0.5, "checks": ALL_CHECKS},
+        {"problem": "half-square", "q": 0.5, "checks": ["moduli"]},
+    ]
+    script = ["import sys, subreg.cli"]
+    for i, raw in enumerate(configs):
+        cfg = tmp_path / f"config-{i}.json"
+        cfg.write_text(json.dumps(dict(raw, schedule=dict(REDUCED_SCHEDULE))))
+        out = tmp_path / f"report-{i}.json"
+        script.append(f"assert subreg.cli.main(['--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0")
+        script.append("print('numpy.random' in sys.modules)")
+    res = subprocess.run(
+        [sys.executable, "-c", "\n".join(script)], capture_output=True, text=True, env=cli_env
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "False"]
 
 
 # an inline problem whose anchor the bad-value cases replace
