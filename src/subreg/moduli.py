@@ -29,7 +29,6 @@ from .problems import (
     halving_ladder,
     mix_seed,
     outer_pools,
-    p2_draw,
     validate_P1_P2,
 )
 from .slopes_dual import (
@@ -49,7 +48,6 @@ from .slopes_primal import (
     anchor_graph_rows,
     as_two_variable,
     f_level_strict,
-    f_strict_draw,
     q_powers,
     strict_sweep,
 )
@@ -151,13 +149,9 @@ def _first_least(values: np.ndarray, valid: np.ndarray) -> int:
 
 
 def _read_only(columns):
-    """``columns``, a tuple or a dataclass of arrays, with every array
-    read-only."""
-    arrays = columns
-    if not isinstance(columns, tuple):
-        arrays = [getattr(columns, f.name) for f in fields(columns)]
-    for a in arrays:
-        a.setflags(write=False)
+    """``columns``, a dataclass of arrays, with every array read-only."""
+    for f in fields(columns):
+        getattr(columns, f.name).setflags(write=False)
     return columns
 
 
@@ -257,17 +251,6 @@ class Tables:
         ux, vy, dxa, dya = anchor_graph_rows(problem, *_error_bound_draw(self.schedule))
         sol = _solution_distances(problem.solution_distance, ux)
         return _read_only(AnchorColumns(ux, vy, dxa, dya, sol))
-
-    @cached_property
-    def f_strict(self) -> tuple:
-        """:func:`~subreg.slopes_primal.anchor_graph_rows` of the
-        f-level strict slopes' draw."""
-        return _read_only(anchor_graph_rows(self.problem, *f_strict_draw(self.schedule)))
-
-    @cached_property
-    def p2(self) -> tuple:
-        """:func:`~subreg.slopes_primal.anchor_graph_rows` of the P2 draw."""
-        return _read_only(anchor_graph_rows(self.problem, *p2_draw(self.schedule)))
 
 
 def _tables(problem: MappingProblem, schedule: Schedule, tables: Optional[Tables]) -> Tables:
@@ -945,7 +928,7 @@ def run_invariant_suite(
             er.forms.get("x_only", INF),
             SAMPLED_REL,
         )
-    f_strict = f_level_strict(ef, schedule, rows=ctx.tables.f_strict)
+    f_strict = f_level_strict(ef, schedule)
     f_uni, f_mod, f_plain = (f_strict[k].value for k in ("uniform", "modified", "plain"))
     slack = SHARED_SLACK + (0.0 if is_inf(f_uni) else SAMPLED_REL * abs(f_uni))
     leq("error_bound_le_f_uniform_slope", er.value, f_uni, slack)
@@ -1005,7 +988,7 @@ def run_invariant_suite(
         n_viol += len(rep.implication_violations)
     row("criteria_implications", n_viol == 0, float(n_viol), 0.0, 0.0)
 
-    p1p2 = validate_P1_P2(ef, schedule, rows=ctx.tables.p2)
+    p1p2 = validate_P1_P2(ef, schedule)
     row(
         "p1_p2",
         p1p2.p1_status == "pass" and p1p2.p2_status in ("pass", "inconclusive"),

@@ -755,19 +755,10 @@ class P1P2Report:
         return self.p1_status == "pass" and self.p2_status == "pass"
 
 
-def p2_draw(schedule: Schedule) -> tuple:
-    """The anchor sample of :func:`validate_P1_P2`: ``(radii, budget, seeds)``."""
-    return [schedule.rho0], schedule.sample_budget, [mix_seed(schedule.seed, "p2")]
-
-
-def validate_P1_P2(
-    ef, schedule: Schedule, threshold: float = 1e-6, rows: Optional[tuple] = None
-) -> P1P2Report:
+def validate_P1_P2(ef, schedule: Schedule, threshold: float = 1e-6) -> P1P2Report:
     """Check positivity off ybar (structural for induced error functions)
     and estimate ``liminf f/d(y, ybar)`` as ``f`` shrinks along the
-    shells; pass when the final-shell infimum stays above ``threshold``.
-    ``rows`` are as :func:`~subreg.slopes_primal.anchor_f_rows` takes
-    them, for the draw of :func:`p2_draw`."""
+    shells; pass when the final-shell infimum stays above ``threshold``."""
     from .slopes_primal import anchor_f_rows, as_two_variable
 
     func = as_two_variable(ef)
@@ -787,7 +778,9 @@ def validate_P1_P2(
                 p1 = "fail"
                 break
 
-    _, _, f, _, dy = anchor_f_rows(ef, *p2_draw(schedule), rows=rows)
+    _, _, f, _, dy = anchor_f_rows(
+        ef, [schedule.rho0], schedule.sample_budget, [mix_seed(schedule.seed, "p2")]
+    )
     f, dy = f[dy > 0.0], dy[dy > 0.0]
     ratios = f / dy
     trace = []

@@ -767,25 +767,16 @@ def f_rows(func_or_ef, calls: Sequence[tuple]) -> tuple:
     return ux, vy, np.array([fv for _, fv in kept], dtype=float), counts
 
 
-def anchor_f_rows(
-    func_or_ef,
-    radii: Sequence[float],
-    budget: int,
-    seeds: Sequence[int],
-    rows: Optional[tuple] = None,
-) -> tuple:
+def anchor_f_rows(func_or_ef, radii: Sequence[float], budget: int, seeds: Sequence[int]) -> tuple:
     """The rows with ``f > 0`` of one anchor-centred sample per radius,
     from one :func:`f_rows` pass, and their distances to the anchor:
     ``(ux, vy, f, dxa, dya)``.
 
     An :class:`ErrorFunction` keeps the rows of :func:`anchor_graph_rows`:
     for ``d > 0`` and q in (0, 1], ``d**q >= min(d, 1) > 0``, so ``d(v,
-    ybar) > 0`` keeps the rows ``f > 0`` keeps.  They do not depend on
-    the order, so ``rows``, when given, are taken for that draw's rows."""
+    ybar) > 0`` keeps the rows ``f > 0`` keeps."""
     if isinstance(func_or_ef, ErrorFunction):
-        if rows is None:
-            rows = anchor_graph_rows(func_or_ef.problem, radii, budget, seeds)
-        ux, vy, dxa, dya = rows
+        ux, vy, dxa, dya = anchor_graph_rows(func_or_ef.problem, radii, budget, seeds)
         return ux, vy, q_powers(dya, func_or_ef.q), dxa, dya
     func = as_two_variable(func_or_ef)
     anchor = ProductPoint(func.xbar, func.ybar)
@@ -878,14 +869,7 @@ def f_level_slopes(
     return out
 
 
-def f_strict_draw(schedule: Schedule) -> tuple:
-    """The anchor samples of :func:`f_level_strict`: ``(radii, budget, seeds)``."""
-    rhos = schedule.rho_values()
-    seeds = [mix_seed(schedule.seed, "fstrict", k) for k in range(len(rhos))]
-    return rhos, schedule.outer_samples_per_level(), seeds
-
-
-def f_level_strict(func_or_ef, schedule: Schedule, rows: Optional[tuple] = None) -> dict:
+def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
     """Uniform / plain / modified strict outer slopes of a two-variable
     function over the windows ``d(x,xbar) < rho_k``, ``0 < f < rho_k``,
     with one shared sample pool per level.
@@ -896,11 +880,13 @@ def f_level_strict(func_or_ef, schedule: Schedule, rows: Optional[tuple] = None)
     :func:`~subreg.problems.distinct_window_rows`, on ``max(f, d(x,
     xbar))``) gathers its candidates once and is reduced at every level;
     ``budget_used`` still counts a point once per copy in each level's
-    window.  ``rows`` are as :func:`anchor_f_rows` takes them, for the
-    draw of :func:`f_strict_draw`.
+    window.
     """
     rhos = schedule.rho_values()
-    ux, vy, f, dxa, dya = anchor_f_rows(func_or_ef, *f_strict_draw(schedule), rows=rows)
+    seeds = [mix_seed(schedule.seed, "fstrict", k) for k in range(len(rhos))]
+    ux, vy, f, dxa, dya = anchor_f_rows(
+        func_or_ef, rhos, schedule.outer_samples_per_level(), seeds
+    )
     level = np.where(np.maximum(dxa, dya) > UNRESOLVABLE_FLOOR, np.maximum(f, dxa), np.inf)
     pts, depth, mult = distinct_window_rows(np.hstack([ux, vy]), level, rhos)
     window = depth[:, None] >= np.arange(len(rhos))

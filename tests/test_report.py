@@ -332,27 +332,6 @@ class TestRunContext:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = a.flat[0]
 
-    def test_invariant_anchor_rows_are_drawn_once_per_problem_and_schedule(self, monkeypatch):
-        # the f-level strict and P2 anchor draws do not depend on q
-        calls = Counter()
-        draw = slopes_primal.anchor_graph_rows
-
-        def counted(*args):
-            calls["draws"] += 1
-            return draw(*args)
-
-        monkeypatch.setattr(slopes_primal, "anchor_graph_rows", counted)
-        monkeypatch.setattr(moduli, "anchor_graph_rows", counted)
-        report_module._last_tables.clear()
-        run_config(_reduced_config(ALL_CHECKS, q=0.5))
-        assert calls["draws"] == 3  # the error bound's, the f-level strict and the P2 draw
-        (tables,) = report_module._last_tables.values()
-        for a in tables.f_strict + tables.p2:
-            with pytest.raises(ValueError, match="read-only"):
-                a.flat[0] = a.flat[0]
-        run_config(_reduced_config(ALL_CHECKS, q=1.0))
-        assert calls["draws"] == 3
-
     @pytest.mark.parametrize("problem,q", [("half-square", 0.5), ("halfline-convex", 1.0)])
     def test_moduli_only_entries_equal_all_checks_entries(self, problem, q):
         only = json.loads(emit_report(run_config(_reduced_config(["moduli"], problem, q))))
