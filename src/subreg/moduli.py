@@ -27,6 +27,7 @@ from .problems import (
     graph_sample,
     halton_points,
     halving_ladder,
+    is_finite_real,
     mix_seed,
     outer_pools,
     validate_P1_P2,
@@ -40,7 +41,6 @@ from .slopes_dual import (
 from .slopes_primal import (
     SlopeEstimate,
     StrictSweepResult,
-    SweepTable,
     _finish,
     _gather,
     _infimum,
@@ -65,6 +65,14 @@ BAND_BIAS_REL = 2.0 * 1e-12 / EPS_MEM
 
 class ModuliError(ValueError):
     pass
+
+
+def _require_positive(**values) -> None:
+    """Refuse any value that is not a positive finite real (a bool is
+    not taken for one)."""
+    for name, value in values.items():
+        if not is_finite_real(value) or value <= 0:
+            raise ModuliError(f"{name} must be a positive finite number, got {value!r}")
 
 
 def rel_close(a: ExtReal, b: ExtReal, rel: float, abs_tol: float = 1e-9) -> bool:
@@ -402,8 +410,7 @@ def check_subregularity_inequality(
     """Direct grid verification of ``tau * d(x, F^{-1}(ybar)) <=
     d(ybar, F(x))^q`` over the ball around xbar; a failure returns the
     violating point with both sides."""
-    if tau <= 0 or u_radius <= 0:
-        raise ModuliError("tau and u_radius must be positive")
+    _require_positive(tau=tau, u_radius=u_radius)
     if problem.fiber_distance is None or problem.solution_distance is None:
         raise ModuliError("inequality check needs fiber and solution oracles")
     xs = _ambient_x_samples(problem, u_radius, grid_budget, seed)
@@ -462,6 +469,7 @@ class RunContext(Mapping):
     only per-point, per-level values are kept), the two modulus reports
     and the theorem-7T1 result.  The anchor ratio needs no sweep.  The
     moduli read the order-free :class:`Tables` given (fresh ones if not).
+    The checks take a context as their one run input.
     """
 
     def __init__(
@@ -471,7 +479,6 @@ class RunContext(Mapping):
         self.q = q
         self.schedule = schedule
         self.tables = _tables(problem, schedule, tables)
-        self.table: Optional[SweepTable] = None  # built by the first sweep
 
     def __getitem__(self, name: str) -> SlopeEstimate:
         return _CONSTANT_SOURCES[name](self)
@@ -497,16 +504,11 @@ class RunContext(Mapping):
 
     @cached_property
     def sweep(self) -> StrictSweepResult:
-        return self._strict_sweep("max")
+        return strict_sweep(self.problem, self.q, self.schedule)
 
     @cached_property
     def sum_sweep(self) -> StrictSweepResult:
-        return self._strict_sweep("sum")
-
-    def _strict_sweep(self, metric: str) -> StrictSweepResult:
-        out = strict_sweep(self.problem, self.q, self.schedule, self.table, metric=metric)
-        self.table = out.table
-        return out
+        return strict_sweep(self.problem, self.q, self.schedule, self.sweep.table, metric="sum")
 
     @cached_property
     def dual_slopes(self) -> DualStrictSlopes:
@@ -531,7 +533,7 @@ class RunContext(Mapping):
 
     @cached_property
     def theorem_7T1(self) -> Theorem7T1Result:
-        return theorem_7T1_check(self.problem, self.q, self.schedule, self)
+        return theorem_7T1_check(self)
 
 
 def compute_constants(
@@ -540,16 +542,6 @@ def compute_constants(
     """Every reported constant on shared outer pools, keyed by the
     report entry names and computed when first read."""
     return RunContext(problem, q, schedule)
-
-
-def _context(problem, q, schedule, constants: Optional[RunContext]) -> RunContext:
-    """``constants`` (a fresh context if not given), refused when it was
-    built for another order, schedule or problem name."""
-    if constants is None:
-        return RunContext(problem, q, schedule)
-    if (constants.q, constants.schedule, constants.problem.name) != (q, schedule, problem.name):
-        raise ModuliError("the constants belong to another run")
-    return constants
 
 
 @dataclass(frozen=True)
@@ -608,25 +600,18 @@ def _status(est: SlopeEstimate, threshold: float) -> str:
     return "holds" if est.value > threshold else "fails"
 
 
-def criteria_report(
-    problem: MappingProblem,
-    q: float,
-    gamma: float,
-    schedule: Schedule,
-    constants: Optional[RunContext] = None,
-) -> CriteriaReport:
-    """Truth values of the lettered quantitative conditions at ``gamma``
-    and of the qualitative (strict positivity) conditions, with every
-    implication arrow re-checked against the recorded booleans.
+def criteria_report(ctx: RunContext, gamma: float) -> CriteriaReport:
+    """Truth values of the lettered quantitative conditions of the run
+    ``ctx`` at ``gamma`` and of the qualitative (strict positivity)
+    conditions, with every implication arrow re-checked against the
+    recorded booleans.
 
     Thresholds are widened by +/- 1e-6 before arrow checking so that
     one-sided sampling bias cannot manufacture a violation; inconclusive
     conditions are vacuously consistent.  Infinite estimates (empty
     infima) count as holding and are flagged.
     """
-    if gamma <= 0:
-        raise ModuliError("gamma must be positive")
-    ctx = _context(problem, q, schedule, constants)
+    _require_positive(gamma=gamma)
     eps = SHARED_SLACK
     sr = ctx["sr_q"]
     conditions = {"a": _status(sr, 0.0)}
@@ -670,7 +655,7 @@ def criteria_report(
             violations.append(f"(a) => (b) broken for gamma={gamma:g} < tau={tau:g}")
         if (
             tau <= gamma - eps
-            and problem.graph_locally_closed
+            and ctx.problem.graph_locally_closed
             and holds_above(b, gamma + eps)
             and conditions["a"] == "fails"
         ):
@@ -699,22 +684,16 @@ class ConvexityCheckResult:
     infinite_lhs_guard: bool = False
 
 
-def convexity_necessity_check(
-    problem: MappingProblem,
-    q: float,
-    schedule: Schedule,
-    constants: Optional[RunContext] = None,
-) -> ConvexityCheckResult:
+def convexity_necessity_check(ctx: RunContext) -> ConvexityCheckResult:
     """For convex mappings the scaled modulus is dominated by the plain
     strict subdifferential q-slope.  A modulus estimate that is infinite
     or visibly diverging along its trace passes with a guard flag
     instead of asserting against an equally divergent right-hand side."""
-    ctx = _context(problem, q, schedule, constants)
-    if not problem.convex:
+    if not ctx.problem.convex:
         return ConvexityCheckResult("skipped", 0.0, 0.0)
     sr = ctx["sr_q"]
     dual_plain = ctx["subdiff_strict_q_slope_plain"]
-    lhs = INF if is_inf(sr.value) else q * sr.value
+    lhs = INF if is_inf(sr.value) else ctx.q * sr.value
     rhs = dual_plain.value
     if is_inf(sr.value) or looks_divergent(sr.trace):
         return ConvexityCheckResult("pass", lhs, rhs, infinite_lhs_guard=True)
@@ -744,18 +723,12 @@ class Theorem7T1Result:
         )
 
 
-def theorem_7T1_check(
-    problem: MappingProblem,
-    q: float,
-    schedule: Schedule,
-    constants: Optional[RunContext] = None,
-) -> Theorem7T1Result:
+def theorem_7T1_check(ctx: RunContext) -> Theorem7T1Result:
     """The modulus never exceeds the uniform strict q-slope (always
     asserted, with combined slack); with a locally closed graph the two
     agree within ten percent, and the equality verdict is invariant
     under switching the admissible product metric from max-type to
     sum-type."""
-    ctx = _context(problem, q, schedule, constants)
     sr = ctx["sr_q"]
     uniform = ctx["uniform_strict_q_slope"]
     uniform_sum = ctx.sum_sweep.uniform
@@ -765,7 +738,7 @@ def theorem_7T1_check(
     )
     inequality_ok = leq_ok(sr.value, uniform.value, slack)
 
-    equality_checked = problem.graph_locally_closed
+    equality_checked = ctx.problem.graph_locally_closed
     equality_ok = None
     eq_max = rel_close(sr.value, uniform.value, MODULUS_REL, MODULUS_ABS)
     eq_sum = rel_close(sr.value, uniform_sum.value, MODULUS_REL, MODULUS_ABS)
@@ -820,17 +793,12 @@ def _probe_points(problem: MappingProblem, schedule: Schedule, count: int) -> li
     return out[:count]
 
 
-def run_invariant_suite(
-    problem: MappingProblem,
-    q: float,
-    schedule: Schedule,
-    gamma: Optional[float] = None,
-    constants: Optional[RunContext] = None,
-) -> list:
-    """Every cross-family inequality and consistency check as pass/fail
-    rows; shared pools and shared candidate supersets keep the
-    comparisons sample-wise wherever the relations hold pointwise."""
-    ctx = _context(problem, q, schedule, constants)
+def run_invariant_suite(ctx: RunContext, gamma: Optional[float] = None) -> list:
+    """Every cross-family inequality and consistency check of the run
+    ``ctx`` as pass/fail rows; shared pools and shared candidate supersets
+    keep the comparisons sample-wise wherever the relations hold
+    pointwise."""
+    problem, q, schedule = ctx.problem, ctx.q, ctx.schedule
     rows = []
 
     def row(name, passed, lhs, rhs, slack, note=""):
@@ -984,7 +952,7 @@ def run_invariant_suite(
     gammas = [gamma] if gamma is not None else [0.1, 0.5, 0.9, 1.1, 2.0]
     n_viol = 0
     for g in gammas:
-        rep = criteria_report(problem, q, g, schedule, ctx)
+        rep = criteria_report(ctx, g)
         n_viol += len(rep.implication_violations)
     row("criteria_implications", n_viol == 0, float(n_viol), 0.0, 0.0)
 
@@ -998,7 +966,7 @@ def run_invariant_suite(
         note=f"P1={p1p2.p1_status}, P2={p1p2.p2_status}",
     )
 
-    conv = convexity_necessity_check(problem, q, schedule, ctx)
+    conv = convexity_necessity_check(ctx)
     row(
         "convexity_necessity",
         conv.status != "fail",

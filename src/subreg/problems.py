@@ -241,16 +241,16 @@ class Schedule:
 class MappingProblem:
     """A set-valued mapping given by graph oracles around an anchor point.
 
-    ``param_to_graph`` maps a parameter vector onto a graph point and is
-    the ground truth the membership predicate re-checks.  Samplers call
-    ``param_to_graph_batch`` (one parameter per row, returning the x and
-    y rows) whenever it is set; the scalar map is the fallback for
-    problems without one and the reference the batch map is tested
-    against, bitwise.  All catalog entries carry analytic
-    ``solution_distance`` (distance to F^{-1}(ybar)), ``fiber_distance``
-    (distance from ybar to F(x)) and, where available, a ``coderivative``
-    oracle mapping (x, y, y*) to a finite description of D*F(x,y)(y*)
-    (``None`` when unknown at that point).
+    ``param_to_graph_batch`` maps parameter vectors (one per row) onto
+    graph points, returning the x and y rows; every built-in problem
+    sets it.  ``param_to_graph``, one parameter vector onto one graph
+    point, is the fallback the samplers map row by row for a problem
+    without a batch map; no built-in problem sets it.  All catalog
+    entries carry analytic ``solution_distance`` (distance to
+    F^{-1}(ybar)), ``fiber_distance`` (distance from ybar to F(x)) and,
+    where available, a ``coderivative`` oracle mapping (x, y, y*) to a
+    finite description of D*F(x,y)(y*) (``None`` when unknown at that
+    point).
     """
 
     name: str
@@ -811,13 +811,6 @@ def _interval_window(t0, radius, lo_clip=None):
 
 
 def _half_square() -> MappingProblem:
-    def to_graph(t):
-        u = float(t[0])
-        m = max(u, 0.0)
-        # m * m, as the batch map's array ** 2 computes it; Python's m ** 2
-        # calls pow() and can land one ulp away
-        return np.array([u]), np.array([m * m])
-
     def membership(x, y):
         return abs(float(y[0]) - max(float(x[0]), 0.0) ** 2) <= MEMBERSHIP_TOL
 
@@ -836,7 +829,6 @@ def _half_square() -> MappingProblem:
         xbar=[0.0],
         ybar=[0.0],
         graph_membership=membership,
-        param_to_graph=to_graph,
         param_to_graph_batch=lambda t: (t[:, :1], np.maximum(t[:, :1], 0.0) ** 2),
         param_of=lambda x, y: np.array([float(x[0])]),
         param_window=lambda t0, r: _interval_window(t0, r),
@@ -858,7 +850,6 @@ def _identity() -> MappingProblem:
         xbar=[0.0],
         ybar=[0.0],
         graph_membership=lambda x, y: abs(float(y[0]) - float(x[0])) <= MEMBERSHIP_TOL,
-        param_to_graph=lambda t: (np.array([float(t[0])]), np.array([float(t[0])])),
         param_to_graph_batch=lambda t: (t[:, :1], t[:, :1].copy()),
         param_of=lambda x, y: np.array([float(x[0])]),
         param_window=lambda t0, r: _interval_window(t0, r),
@@ -881,7 +872,6 @@ def _square() -> MappingProblem:
         ybar=[0.0],
         graph_membership=lambda x, y: abs(float(y[0]) - float(x[0]) ** 2)
         <= MEMBERSHIP_TOL,
-        param_to_graph=lambda t: (np.array([float(t[0])]), np.array([float(t[0]) * float(t[0])])),
         param_to_graph_batch=lambda t: (t[:, :1], t[:, :1] ** 2),
         param_of=lambda x, y: np.array([float(x[0])]),
         param_window=lambda t0, r: _interval_window(t0, r),
@@ -932,7 +922,6 @@ def _linear(matrix=None) -> MappingProblem:
         graph_membership=lambda x, y: float(np.linalg.norm(np.asarray(y) - a @ np.asarray(x)))
         <= MEMBERSHIP_TOL,
         param_dim=dim_x,
-        param_to_graph=lambda t: (np.asarray(t, dtype=float), a @ np.asarray(t, dtype=float)),
         param_to_graph_batch=to_graph_batch,
         param_of=lambda x, y: np.asarray(x, dtype=float),
         param_window=lambda t0, r: _interval_window(t0, r),
@@ -945,10 +934,6 @@ def _linear(matrix=None) -> MappingProblem:
 
 
 def _halfline() -> MappingProblem:
-    def to_graph(t):
-        u, s = float(t[0]), max(float(t[1]), 0.0)
-        return np.array([u]), np.array([u + s])
-
     def window(t0, r):
         lo = np.array([t0[0] - r, max(t0[1] - 2.0 * r, 0.0)])
         hi = np.array([t0[0] + r, max(t0[1] + 2.0 * r, 0.0)])
@@ -975,7 +960,6 @@ def _halfline() -> MappingProblem:
         ybar=[0.0],
         graph_membership=lambda x, y: float(y[0]) >= float(x[0]) - MEMBERSHIP_TOL,
         param_dim=2,
-        param_to_graph=to_graph,
         param_to_graph_batch=lambda t: (
             t[:, :1],
             t[:, :1] + np.maximum(t[:, 1:2], 0.0),
@@ -1000,7 +984,6 @@ def _constant() -> MappingProblem:
         xbar=[0.0],
         ybar=[0.0],
         graph_membership=lambda x, y: abs(float(y[0])) <= MEMBERSHIP_TOL,
-        param_to_graph=lambda t: (np.array([float(t[0])]), np.array([0.0])),
         param_to_graph_batch=lambda t: (t[:, :1], np.zeros_like(t[:, :1])),
         param_of=lambda x, y: np.array([float(x[0])]),
         param_window=lambda t0, r: _interval_window(t0, r),
@@ -1094,20 +1077,6 @@ def piecewise_problem(
         v = poly_at(float(x[0]))
         return v is not None and abs(float(y[0]) - v) <= MEMBERSHIP_TOL
 
-    def to_graph(t):
-        u = min(max(float(t[0]), lo_all), hi_all)
-        v = poly_at(u)
-        if v is None:
-            # snap into the nearest domain
-            best, best_d = None, None
-            for edge in edges:
-                d = abs(u - edge)
-                if best_d is None or d < best_d:
-                    best, best_d = edge, d
-            u = best
-            v = poly_at(u)
-        return np.array([u]), np.array([v])
-
     def piece_index(u: np.ndarray) -> np.ndarray:
         # the first piece in sorted order holding u, -1 in a gap
         idx = np.full(u.shape, -1)
@@ -1117,7 +1086,9 @@ def piecewise_problem(
         return idx
 
     def to_graph_batch(t):
-        # to_graph row by row, bitwise: same clip, piece and snap rules
+        # clip to the pieces' hull, take the first piece holding each
+        # point, and snap a point in a gap to the nearest domain end (the
+        # first one on a tie)
         u = np.clip(np.asarray(t, dtype=float)[:, 0], lo_all, hi_all)
         idx = piece_index(u)
         gap = np.flatnonzero(idx < 0)
@@ -1192,7 +1163,6 @@ def piecewise_problem(
         xbar=[float(xbar)],
         ybar=[float(ybar)],
         graph_membership=membership,
-        param_to_graph=to_graph,
         param_to_graph_batch=to_graph_batch,
         param_of=lambda x, y: np.array([float(x[0])]),
         param_window=lambda t0, r: (

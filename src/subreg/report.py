@@ -259,11 +259,11 @@ def run_config(cfg: RunConfig) -> RunReport:
 
     criteria = None
     if "criteria" in cfg.checks:
-        criteria = criteria_report(problem, cfg.q, gamma, cfg.schedule, ctx)
+        criteria = criteria_report(ctx, gamma)
 
     rows = []
     if "invariants" in cfg.checks:
-        rows.extend(run_invariant_suite(problem, cfg.q, cfg.schedule, cfg.gamma, ctx))
+        rows.extend(run_invariant_suite(ctx, cfg.gamma))
     if "theorem-7T1" in cfg.checks:
         thm = ctx.theorem_7T1
         rows.append(

@@ -81,11 +81,8 @@ def constants(problems, schedule):
 
 
 @pytest.fixture(scope="session")
-def invariant_rows(problems, schedule, constants):
-    return {
-        name: run_invariant_suite(p, CANONICAL_Q[name], schedule, constants=constants[name])
-        for name, p in problems.items()
-    }
+def invariant_rows(constants):
+    return {name: run_invariant_suite(ctx) for name, ctx in constants.items()}
 
 
 def test_criterion_1_half_square_reproduction(schedule):
@@ -293,18 +290,16 @@ def test_criterion_5_bridge_between_levels(problems, schedule):
     )
 
 
-def test_criterion_6_modulus_equals_uniform_slope(problems, schedule, constants):
+def test_criterion_6_modulus_equals_uniform_slope(constants):
     failures = []
-    for name, problem in problems.items():
-        res = theorem_7T1_check(problem, CANONICAL_Q[name], schedule, constants[name])
+    for name, ctx in constants.items():
+        res = theorem_7T1_check(ctx)
         if not res.inequality_ok:
             failures.append((name, "inequality"))
         if not res.metric_invariant:
             failures.append((name, "metric-invariance"))
     for name in ("half-square", "identity", "square", "halfline-convex"):
-        res = theorem_7T1_check(
-            problems[name], CANONICAL_Q[name], schedule, constants[name]
-        )
+        res = theorem_7T1_check(constants[name])
         if not (res.equality_checked and res.equality_ok):
             failures.append((name, "equality"))
         if name == "square":
@@ -327,8 +322,8 @@ def test_criterion_7_limiting_coderivative_agreement(constants):
 
 
 def test_criterion_8_convexity_necessity(problems, schedule):
-    res_q1 = convexity_necessity_check(problems["halfline-convex"], 1.0, schedule)
-    res_qh = convexity_necessity_check(problems["halfline-convex"], 0.5, schedule)
+    res_q1 = convexity_necessity_check(compute_constants(problems["halfline-convex"], 1.0, schedule))
+    res_qh = convexity_necessity_check(compute_constants(problems["halfline-convex"], 0.5, schedule))
     ok = (
         res_q1.status == "pass"
         and not res_q1.infinite_lhs_guard
@@ -342,18 +337,16 @@ def test_criterion_8_convexity_necessity(problems, schedule):
     )
 
 
-def test_criterion_9_criteria_consistency(problems, schedule, constants):
+def test_criterion_9_criteria_consistency(constants):
     violations = []
-    for name, problem in problems.items():
+    for name, ctx in constants.items():
         for gamma in (0.1, 0.5, 0.9, 1.1, 2.0):
-            rep = criteria_report(
-                problem, CANONICAL_Q[name], gamma, schedule, constants[name]
-            )
+            rep = criteria_report(ctx, gamma)
             violations.extend((name, gamma, v) for v in rep.implication_violations)
     _report(
         "criterion-9 criteria consistency",
         not violations,
-        f"{len(problems)} problems x 5 gammas" + ("" if not violations else f": {violations}"),
+        f"{len(constants)} problems x 5 gammas" + ("" if not violations else f": {violations}"),
     )
 
 

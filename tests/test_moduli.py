@@ -116,6 +116,9 @@ class TestSubregularityModulus:
             assert abs(ratio - w["ratio"]) <= 1e-9
 
 
+_NOT_POSITIVE_FINITE = [float("nan"), float("inf"), True, 0, -1]
+
+
 class TestDirectInequalityCheck:
     def test_holds_below_the_modulus(self):
         p = catalog_problem("half-square")
@@ -141,11 +144,20 @@ class TestDirectInequalityCheck:
             lo = check_subregularity_inequality(p, 0.5, 0.05, 0.05, seed=2)
             assert (not hi.holds) or lo.holds
 
+    @pytest.mark.parametrize("bad", _NOT_POSITIVE_FINITE)
+    def test_rejects_a_tau_or_radius_that_is_not_positive_finite(self, bad):
+        # nan fails every comparison, so the grid would find no violation
+        p = catalog_problem("half-square")
+        with pytest.raises(ModuliError, match="tau must be a positive finite"):
+            check_subregularity_inequality(p, 0.5, bad, 0.1)
+        with pytest.raises(ModuliError, match="u_radius must be a positive finite"):
+            check_subregularity_inequality(p, 0.5, 0.9, bad)
+
 
 class TestCriteria:
     def test_half_square_below_threshold_all_hold(self, schedule, hs_constants):
         p = catalog_problem("half-square")
-        rep = criteria_report(p, 0.5, 0.5, schedule, hs_constants)
+        rep = criteria_report(hs_constants, 0.5)
         for letter in "bcdefghij":
             assert rep.conditions[letter] == "holds", letter
         assert rep.conditions["a"] == "holds"
@@ -153,26 +165,26 @@ class TestCriteria:
 
     def test_half_square_above_threshold_all_fail(self, schedule, hs_constants):
         p = catalog_problem("half-square")
-        rep = criteria_report(p, 0.5, 2.0, schedule, hs_constants)
+        rep = criteria_report(hs_constants, 2.0)
         for letter in "bcdefghij":
             assert rep.conditions[letter] == "fails", letter
         assert rep.implication_violations == ()
 
     def test_constant_mapping_flagged_holds(self, schedule):
-        p = catalog_problem("constant")
-        rep = criteria_report(p, 1.0, 0.5, schedule)
+        rep = criteria_report(compute_constants(catalog_problem("constant"), 1.0, schedule), 0.5)
         assert rep.conditions["b"] == "inconclusive" or rep.conditions["b"] == "holds"
         assert rep.implication_violations == ()
 
-    def test_gamma_sweep_never_violates(self, schedule, hs_constants):
-        p = catalog_problem("half-square")
+    def test_gamma_sweep_never_violates(self, hs_constants):
         for gamma in (0.1, 0.5, 0.9, 1.1, 2.0):
-            rep = criteria_report(p, 0.5, gamma, schedule, hs_constants)
+            rep = criteria_report(hs_constants, gamma)
             assert rep.implication_violations == ()
 
-    def test_rejects_nonpositive_gamma(self, schedule, hs_constants):
-        with pytest.raises(ValueError):
-            criteria_report(catalog_problem("half-square"), 0.5, 0.0, schedule, hs_constants)
+    def test_rejects_nonpositive_gamma(self, hs_constants):
+        # nan fails every comparison, so it would mark every condition "fails"
+        for bad in _NOT_POSITIVE_FINITE:
+            with pytest.raises(ModuliError, match="gamma must be a positive finite"):
+                criteria_report(hs_constants, bad)
 
 
 class _HandMade(RunContext):
@@ -289,7 +301,7 @@ def test_arrow_evaluator_breaks_each_arrow_as_the_closures_did():
                 name: _estimate(values.get(name, other), name == inconclusive) for name in names
             }
             ctx = _HandMade(p, q, s, estimates)
-            rep = criteria_report(p, q, gamma, s, ctx)
+            rep = criteria_report(ctx, gamma)
             conditions, violations = _ref_criteria(p, gamma, ctx)
             assert rep.conditions == conditions
             assert list(rep.implication_violations) == violations
@@ -297,37 +309,19 @@ def test_arrow_evaluator_breaks_each_arrow_as_the_closures_did():
             assert violations == ([message] if inconclusive is None else []), (message, inconclusive)
 
 
-def test_a_context_of_another_run_is_refused():
-    p, s = catalog_problem("half-square"), Schedule(sample_budget=256, steps=5)
-    others = [
-        RunContext(p, 1.0, s),
-        RunContext(p, 0.5, Schedule(sample_budget=256, steps=5, seed=1)),
-        RunContext(catalog_problem("identity"), 0.5, s),
-    ]
-    for ctx in others:
-        with pytest.raises(ModuliError):
-            criteria_report(p, 0.5, 0.5, s, ctx)
-        with pytest.raises(ModuliError):
-            run_invariant_suite(p, 0.5, s, constants=ctx)
-        with pytest.raises(ModuliError):
-            theorem_7T1_check(p, 0.5, s, ctx)
-        with pytest.raises(ModuliError):
-            convexity_necessity_check(p, 0.5, s, ctx)
-
-
 class TestConvexityNecessity:
     def test_halfline_passes_at_q_one(self, schedule):
-        res = convexity_necessity_check(catalog_problem("halfline-convex"), 1.0, schedule)
+        res = convexity_necessity_check(compute_constants(catalog_problem("halfline-convex"), 1.0, schedule))
         assert res.status == "pass"
         assert not res.infinite_lhs_guard
 
     def test_half_square_skipped(self, schedule):
-        res = convexity_necessity_check(catalog_problem("half-square"), 0.5, schedule)
+        res = convexity_necessity_check(compute_constants(catalog_problem("half-square"), 0.5, schedule))
         assert res.status == "skipped"
 
     def test_halfline_flagged_at_q_half(self, schedule):
         # the order-1/2 modulus diverges; the check must flag, not fail
-        res = convexity_necessity_check(catalog_problem("halfline-convex"), 0.5, schedule)
+        res = convexity_necessity_check(compute_constants(catalog_problem("halfline-convex"), 0.5, schedule))
         assert res.status == "pass"
         assert res.infinite_lhs_guard
 
@@ -338,7 +332,7 @@ class TestTheoremCheck:
         [("half-square", 0.5), ("identity", 1.0), ("square", 1.0), ("halfline-convex", 1.0)],
     )
     def test_equality_cases(self, schedule, name, q):
-        res = theorem_7T1_check(catalog_problem(name), q, schedule)
+        res = theorem_7T1_check(compute_constants(catalog_problem(name), q, schedule))
         assert res.inequality_ok
         assert res.equality_checked and res.equality_ok
         assert res.metric_invariant
@@ -348,15 +342,13 @@ class TestTheoremCheck:
 
         for name in subreg.catalog_names():
             p = catalog_problem(name)
-            res = theorem_7T1_check(p, p.canonical_q, schedule)
+            res = theorem_7T1_check(compute_constants(p, p.canonical_q, schedule))
             assert res.inequality_ok, name
             assert res.metric_invariant, name
 
 
-def test_invariant_suite_all_pass_on_half_square(schedule, hs_constants):
-    rows = run_invariant_suite(
-        catalog_problem("half-square"), 0.5, schedule, constants=hs_constants
-    )
+def test_invariant_suite_all_pass_on_half_square(hs_constants):
+    rows = run_invariant_suite(hs_constants)
     failed = [r for r in rows if not r.passed]
     assert not failed, [(r.name, r.lhs, r.rhs) for r in failed]
 
@@ -374,7 +366,8 @@ def test_coderivative_homogeneity_row_on_ball_images(radius_of, homogeneous):
         return DualVectorSet.ball([2.0 * max(float(x[0]), 0.0) * ys], radius_of(ys))
 
     problem = dataclasses.replace(catalog_problem("half-square"), coderivative=coderivative)
-    rows = run_invariant_suite(problem, 0.5, Schedule(sample_budget=256, steps=5), gamma=0.5)
+    ctx = compute_constants(problem, 0.5, Schedule(sample_budget=256, steps=5))
+    rows = run_invariant_suite(ctx, gamma=0.5)
     (row,) = [r for r in rows if r.name == "coderivative_homogeneity"]
     assert row.passed is homogeneous
     # a fixed radius r comes back as r where 2.5 r is due

@@ -32,6 +32,7 @@ from subreg.problems import (
     sample_graph_batch,
     sample_outer_points,
 )
+from graph_reference import catalog_to_graph, piecewise_to_graph, scalar_graph_rows
 from pool_reference import ref_fresh, ref_pools
 
 
@@ -294,13 +295,14 @@ _HALF_SQUARE_PIECES = [
 ]
 
 
-def _scalar_graph_rows(problem, params):
-    xs, ys = [], []
-    for t in params:
-        x, y = problem.param_to_graph(t)
-        xs.append(np.asarray(x, dtype=float).reshape(-1))
-        ys.append(np.asarray(y, dtype=float).reshape(-1))
-    return np.array(xs), np.array(ys)
+_INLINE_PIECES = {"inline-split": _SPLIT_PIECES, "inline-half-square": _HALF_SQUARE_PIECES}
+
+
+def _scalar_map(problem):
+    # the reference scalar map of a default catalog entry or a test inline problem
+    if problem.name in _INLINE_PIECES:
+        return piecewise_to_graph(_INLINE_PIECES[problem.name])
+    return catalog_to_graph(problem.name)
 
 
 def _parity_params(problem):
@@ -329,7 +331,7 @@ def test_batch_graph_map_matches_scalar(problem):
         params = np.concatenate([params, np.linspace(-2.0, 3.0, 501)[:, None]])
     with np.errstate(invalid="ignore"):  # inf * 0 in linear-A's matrix product
         bx, by = problem.param_to_graph_batch(params)
-        sx, sy = _scalar_graph_rows(problem, params)
+        sx, sy = scalar_graph_rows(_scalar_map(problem), params)
     # NaN parameters give NaN rows in the catalog maps; the inline map snaps them
     assert np.array_equal(np.asarray(bx, dtype=float), sx, equal_nan=True)
     assert np.array_equal(np.asarray(by, dtype=float), sy, equal_nan=True)
@@ -424,7 +426,7 @@ def _reference_sample(problem, center, radius, budget, seed):
     if fill:
         u = _reference_halton(dim, fill, mix_seed(seed, "halton"))
         params.extend(lo + u * (hi - lo))
-    ux, vy = _scalar_graph_rows(problem, np.array(params))
+    ux, vy = scalar_graph_rows(_scalar_map(problem), np.array(params))
     dx = problem.norm_x.value_rows(ux - np.asarray(center.x))
     dy = problem.norm_y.value_rows(vy - np.asarray(center.y))
     cutoff = radius * (1.0 + 1e-12) + radius_pad(center)
@@ -458,6 +460,22 @@ def test_sampler_matches_list_based_reference(problem):
                     for g, w in zip(got, want):
                         assert g.shape == w.shape
                         assert np.array_equal(g, w)
+
+
+def test_a_scalar_graph_map_alone_is_mapped_row_by_row():
+    # the samplers' fallback for a problem without a batch map
+    for problem in (
+        catalog_problem("halfline-convex"),
+        piecewise_problem(_SPLIT_PIECES, xbar=0.0, ybar=0.0, name="inline-split"),
+    ):
+        scalar = dataclasses.replace(
+            problem, param_to_graph=_scalar_map(problem), param_to_graph_batch=None
+        )
+        for radius in (0.7, 1e-3):
+            got = sample_graph_arrays(scalar, problem.anchor, radius, 300, 3)
+            want = sample_graph_arrays(problem, problem.anchor, radius, 300, 3)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
 
 def _reference_circle_grid(count):

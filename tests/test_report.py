@@ -215,6 +215,13 @@ class TestRunContext:
 
             monkeypatch.setattr(moduli, name, wrapper)
 
+        init = moduli.RunContext.__init__
+
+        def counted_init(self, *args, **kwargs):
+            calls["RunContext"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(moduli.RunContext, "__init__", counted_init)
         for name in (
             "theorem_7T1_check",
             "subregularity_modulus",
@@ -226,6 +233,7 @@ class TestRunContext:
         report_module._last_tables.clear()
         run_config(_reduced_config(ALL_CHECKS))
         assert calls == {
+            "RunContext": 1,  # every check reads the one run context
             "theorem_7T1_check": 1,
             "subregularity_modulus": 1,
             "error_bound_modulus": 1,
@@ -260,8 +268,8 @@ class TestRunContext:
         assert gathers["calls"] == gathered  # the sum sweep gathers nothing new
         # and once both are done no per-candidate array is left: the
         # context keeps one row of scalars per pool point
-        table = ctx.table
-        assert ctx.sweep.table is ctx.sum_sweep.table is table
+        table = ctx.sweep.table
+        assert ctx.sum_sweep.table is table
         assert int(table.sizes.sum()) > 2 * table.rows.depth.size > 0
 
         def arrays(obj):

@@ -8,8 +8,7 @@ from subreg import Schedule, catalog_problem, compute_constants, run_invariant_s
 
 def _suite_failures(problem, q, seed):
     schedule = Schedule(sample_budget=1024, steps=8, seed=seed)
-    constants = compute_constants(problem, q, schedule)
-    rows = run_invariant_suite(problem, q, schedule, constants=constants)
+    rows = run_invariant_suite(compute_constants(problem, q, schedule))
     return [(r.name, r.lhs, r.rhs) for r in rows if not r.passed]
 
 
