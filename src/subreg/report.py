@@ -10,12 +10,21 @@ report.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+# hashlib loads OpenSSL's libcrypto (about 3.5 MiB resident) for this one
+# digest: take CPython's builtin sha256 first, as random.py does for sha512
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .extended import Infinity, is_inf
 from .moduli import (
@@ -92,7 +101,7 @@ class RunConfig:
 
     def config_hash(self) -> str:
         text = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()
+        return sha256(text.encode()).hexdigest()
 
 
 def _require_keys(data: dict, allowed: set, where: str):

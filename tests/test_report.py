@@ -480,20 +480,50 @@ def test_readme_library_example_runs(capsys):
     assert set(ast.literal_eval(conditions)) == set("abcdefghij")
 
 
-def test_import_does_not_load_scipy(cli_env):
-    res = subprocess.run(
-        [sys.executable, "-c", "import sys, subreg; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=cli_env,
-    )
+def test_import_does_not_load_scipy_or_openssl(cli_env):
+    # _hashlib is the OpenSSL-backed module behind hashlib
+    script = "import sys, subreg; print('scipy' in sys.modules, '_hashlib' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=cli_env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.split() == ["False", "False"]
 
 
-def test_one_dimensional_runs_do_not_load_numpy_random(tmp_path, cli_env):
-    # the Halton shift is computed without numpy.random; 2-D and larger
-    # catalog entries may still load it for their gaussian directions
+def _canonical_sha256(cfg):
+    # the digest through hashlib, which config_hash takes only as its last resort
+    text = json.dumps(cfg.canonical(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [FULL_HS_CONFIG, {"problem": _inline_max_power(1.0, 2), "q": 0.5}],
+    ids=["catalog", "inline"],
+)
+def test_config_hash_is_sha256_of_canonical_json(raw):
+    cfg = parse_config(raw)
+    assert cfg.config_hash() == _canonical_sha256(cfg)
+
+
+def test_config_hash_falls_back_to_hashlib(cli_env):
+    # a build without the builtin sha256 modules still imports and hashes alike
+    script = "\n".join(
+        [
+            "import sys",
+            "sys.modules['_sha256'] = sys.modules['_sha2'] = None",
+            "import hashlib, subreg.report as r",
+            "print(r.sha256 is hashlib.sha256)",
+            f"print(r.parse_config({FULL_HS_CONFIG!r}).config_hash())",
+        ]
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=cli_env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", _canonical_sha256(parse_config(FULL_HS_CONFIG))]
+
+
+def test_one_dimensional_runs_do_not_load_numpy_random_or_openssl(tmp_path, cli_env):
+    # the Halton shift is computed without numpy.random and the config hash
+    # without hashlib; 2-D and larger catalog entries may still load
+    # numpy.random (and through it OpenSSL) for their gaussian directions
     configs = [
         {"problem": _inline_max_power(1.0, 2), "q": 0.5, "checks": ALL_CHECKS},
         {"problem": "half-square", "q": 0.5, "checks": ["moduli"]},
@@ -504,12 +534,12 @@ def test_one_dimensional_runs_do_not_load_numpy_random(tmp_path, cli_env):
         cfg.write_text(json.dumps(dict(raw, schedule=dict(REDUCED_SCHEDULE))))
         out = tmp_path / f"report-{i}.json"
         script.append(f"assert subreg.cli.main(['--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0")
-        script.append("print('numpy.random' in sys.modules)")
+        script.append("print('numpy.random' in sys.modules, '_hashlib' in sys.modules)")
     res = subprocess.run(
         [sys.executable, "-c", "\n".join(script)], capture_output=True, text=True, env=cli_env
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "False"]
+    assert res.stdout.split() == ["False"] * 4
 
 
 # an inline problem whose anchor the bad-value cases replace
