@@ -9,7 +9,9 @@ q-weighted duality mapping with its normalized enlargement.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,6 +36,11 @@ def _as_vector(v) -> np.ndarray:
     if arr.ndim != 1:
         raise GeometryError(f"expected a vector, got shape {arr.shape}")
     return arr
+
+
+def dot_left(u: Sequence, v: Sequence) -> float:
+    """``u . v`` summed left to right on Python floats: no BLAS kernel picks its bits."""
+    return reduce(operator.add, map(operator.mul, u, v))
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,7 @@ class NormSpec:
         if self.kind == "euclidean":
             if self.dim == 1:
                 return abs(float(v[0]))
-            return float(np.sqrt(np.dot(v, v)))
+            return math.sqrt(dot_left(v.tolist(), v.tolist()))
         if self.kind == "p":
             if math.isinf(self.p):
                 return float(np.max(np.abs(v)))
@@ -96,9 +103,8 @@ class NormSpec:
         if self.kind == "euclidean":
             if self.dim == 1:
                 return np.abs(m[:, 0])
-            # value's dot product, row by row, so the sum runs in its order
-            m = np.ascontiguousarray(m)
-            return np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])
+            # value's sum of squares, in its order
+            return np.sqrt(reduce(np.add, (m * m).T))
         if self.kind == "p":
             if math.isinf(self.p):
                 return np.max(np.abs(m), axis=1)
@@ -218,7 +224,7 @@ class DualVectorSet:
         mat = np.vstack([np.column_stack(self.vectors), np.ones(len(self.vectors))])
         rhs = np.concatenate([v, [1.0]])
         _, residual = nnls(mat, rhs)
-        return residual <= tol * (1.0 + float(np.linalg.norm(rhs)))
+        return residual <= tol * (1.0 + euclidean(rhs.shape[0]).value(rhs))
 
 
 def prod_dist(
@@ -320,9 +326,9 @@ def duality_map(y, norm: NormSpec, tol: float = DEFAULT_TOL) -> DualVectorSet:
     else:
         raise GeometryError(f"duality mapping unsupported for {norm.kind!r}")
 
-    dual = norm.dual()
+    dual, y = norm.dual(), y.tolist()
     for v in out.members():
-        if abs(dual.value(v) - 1.0) > tol or abs(float(np.dot(v, y)) - ny) > tol * ny:
+        if abs(dual.value(v) - 1.0) > tol or abs(dot_left(v.tolist(), y) - ny) > tol * ny:
             raise GeometryError("duality mapping output failed its defining identities")
     return out
 

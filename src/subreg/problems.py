@@ -15,7 +15,7 @@ import numbers
 import operator
 import zlib
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .geometry import (
     NormSpec,
     ProductPoint,
     distinct_rows,
+    dot_left,
     euclidean,
 )
 
@@ -374,7 +375,7 @@ def _sphere_directions(dim: int, count: int, seed: int) -> np.ndarray:
     dirs = []
     while len(dirs) < count:
         g = rng.standard_normal(dim)
-        n = float(np.linalg.norm(g))
+        n = euclidean(dim).value(g)
         if n > 1e-12:
             dirs.append(g / n)
     return np.array(dirs)
@@ -801,13 +802,8 @@ def validate_P1_P2(ef, schedule: Schedule, threshold: float = 1e-6) -> P1P2Repor
 # --------------------------------------------------------------------------
 
 
-def _interval_window(t0, radius, lo_clip=None):
-    lo = t0 - radius
-    hi = t0 + radius
-    if lo_clip is not None:
-        lo = np.maximum(lo, lo_clip)
-        hi = np.maximum(hi, lo_clip)
-    return lo, hi
+def _interval_window(t0, radius):
+    return t0 - radius, t0 + radius
 
 
 def _half_square() -> MappingProblem:
@@ -831,7 +827,7 @@ def _half_square() -> MappingProblem:
         graph_membership=membership,
         param_to_graph_batch=lambda t: (t[:, :1], np.maximum(t[:, :1], 0.0) ** 2),
         param_of=lambda x, y: np.array([float(x[0])]),
-        param_window=lambda t0, r: _interval_window(t0, r),
+        param_window=_interval_window,
         solution_distance=lambda x: max(float(x[0]), 0.0),
         fiber_distance=lambda x: max(float(x[0]), 0.0) ** 2,
         coderivative=coderivative,
@@ -852,7 +848,7 @@ def _identity() -> MappingProblem:
         graph_membership=lambda x, y: abs(float(y[0]) - float(x[0])) <= MEMBERSHIP_TOL,
         param_to_graph_batch=lambda t: (t[:, :1], t[:, :1].copy()),
         param_of=lambda x, y: np.array([float(x[0])]),
-        param_window=lambda t0, r: _interval_window(t0, r),
+        param_window=_interval_window,
         solution_distance=lambda x: abs(float(x[0])),
         fiber_distance=lambda x: abs(float(x[0])),
         coderivative=lambda x, y, ystar: DualVectorSet.singleton([float(ystar[0])]),
@@ -874,7 +870,7 @@ def _square() -> MappingProblem:
         <= MEMBERSHIP_TOL,
         param_to_graph_batch=lambda t: (t[:, :1], t[:, :1] ** 2),
         param_of=lambda x, y: np.array([float(x[0])]),
-        param_window=lambda t0, r: _interval_window(t0, r),
+        param_window=_interval_window,
         solution_distance=lambda x: abs(float(x[0])),
         fiber_distance=lambda x: float(x[0]) ** 2,
         coderivative=lambda x, y, ystar: DualVectorSet.singleton(
@@ -890,44 +886,48 @@ def _linear(matrix=None) -> MappingProblem:
     if a.ndim != 2:
         raise ProblemError("linear-A requires a matrix")
     dim_y, dim_x = a.shape
-    # distance to the affine solution set {u : A u = ybar} (euclidean)
-    u, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0)))
-    null_basis = vt[rank:].T  # dim_x x (dim_x - rank)
-    pinv = np.linalg.pinv(a)
+    norm_x, norm_y = euclidean(dim_x), euclidean(dim_y)
+    # the solution set {u : A u = ybar = 0} is A's null space; only a
+    # rank-deficient matrix has a basis (LAPACK's, as rows) to project on
+    _, s, vt = np.linalg.svd(a)
+    null_basis = vt[int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0))) :]
+    columns = a.T.tolist()
 
-    def to_graph_batch(t):
-        # column by column, so a row's bits never depend on the rows mapped
-        # with it: a matrix product blocks rows and can round them apart
-        y = t[:, :1] * a[:, 0]
-        for k in range(1, dim_x):
-            y = y + t[:, k : k + 1] * a[:, k]
-        return t, y
+    def apply(m, t):
+        # m t for a vector t, t m^T for rows of t: each entry summed left
+        # to right from the first product, so no BLAS kernel picks its bits
+        # and a row's bits do not depend on the rows taken with it
+        t = np.asarray(t, dtype=float)
+        return reduce(np.add, (t[..., k : k + 1] * m[:, k] for k in range(m.shape[1])))
 
     def solution_distance(x):
-        xp = pinv @ np.zeros(dim_y)  # particular solution for ybar = 0
-        d = np.asarray(x, dtype=float) - xp
-        if null_basis.shape[1]:
-            d = d - null_basis @ (null_basis.T @ d)
-        return float(np.linalg.norm(d))
+        d = np.asarray(x, dtype=float)
+        if null_basis.shape[0]:
+            d = d - apply(null_basis.T, apply(null_basis, d))
+        return norm_x.value(d)
+
+    def coderivative(x, y, ystar):
+        # A^T y* on Python floats: one call per distinct multiplier
+        ystar = np.asarray(ystar, dtype=float).tolist()
+        return DualVectorSet.singleton([dot_left(c, ystar) for c in columns])
 
     return MappingProblem(
         name="linear-A",
         dim_x=dim_x,
         dim_y=dim_y,
-        norm_x=euclidean(dim_x),
-        norm_y=euclidean(dim_y),
+        norm_x=norm_x,
+        norm_y=norm_y,
         xbar=np.zeros(dim_x),
         ybar=np.zeros(dim_y),
-        graph_membership=lambda x, y: float(np.linalg.norm(np.asarray(y) - a @ np.asarray(x)))
+        graph_membership=lambda x, y: norm_y.value(np.asarray(y, dtype=float) - apply(a, x))
         <= MEMBERSHIP_TOL,
         param_dim=dim_x,
-        param_to_graph_batch=to_graph_batch,
+        param_to_graph_batch=lambda t: (t, apply(a, t)),
         param_of=lambda x, y: np.asarray(x, dtype=float),
-        param_window=lambda t0, r: _interval_window(t0, r),
+        param_window=_interval_window,
         solution_distance=solution_distance,
-        fiber_distance=lambda x: float(np.linalg.norm(a @ np.asarray(x, dtype=float))),
-        coderivative=lambda x, y, ystar: DualVectorSet.singleton(a.T @ np.asarray(ystar, float)),
+        fiber_distance=lambda x: norm_y.value(apply(a, x)),
+        coderivative=coderivative,
         convex=True,
         canonical_q=1.0,
     )
@@ -986,7 +986,7 @@ def _constant() -> MappingProblem:
         graph_membership=lambda x, y: abs(float(y[0])) <= MEMBERSHIP_TOL,
         param_to_graph_batch=lambda t: (t[:, :1], np.zeros_like(t[:, :1])),
         param_of=lambda x, y: np.array([float(x[0])]),
-        param_window=lambda t0, r: _interval_window(t0, r),
+        param_window=_interval_window,
         solution_distance=lambda x: 0.0,
         fiber_distance=lambda x: 0.0,
         coderivative=lambda x, y, ystar: DualVectorSet.singleton([0.0]),

@@ -156,11 +156,11 @@ def parse_config(data: dict) -> RunConfig:
     bad = [c for c in checks if c not in ALL_CHECKS]
     if bad:
         raise ConfigError(f"unknown checks: {bad}")
+    if len(set(checks)) < len(checks):
+        raise ConfigError(f"duplicate checks: {sorted({c for c in checks if checks.count(c) > 1})}")
 
     spec = data["problem"]
-    if isinstance(spec, str):
-        pass
-    elif isinstance(spec, dict):
+    if isinstance(spec, dict):
         _require_keys(spec, {"pieces", "xbar", "ybar", "flags"}, "problem")
         if "pieces" not in spec:
             raise ConfigError("inline problem requires 'pieces'")
@@ -173,7 +173,7 @@ def parse_config(data: dict) -> RunConfig:
         for key, value in flags.items():
             if not isinstance(value, bool):
                 raise ConfigError(f"problem.flags.{key} must be true or false, got {value!r}")
-    else:
+    elif not isinstance(spec, str):
         raise ConfigError("problem must be a catalog name or an inline mapping")
 
     output = data.get("output", {})

@@ -24,12 +24,20 @@ def _halfline(t):
     return np.array([u]), np.array([u + s])
 
 
+def _row_times(row, t):
+    # row . t on Python floats, summed left to right from the first product
+    total = row[0] * float(t[0])
+    for r, v in zip(row[1:], t[1:]):
+        total += r * float(v)
+    return total
+
+
 def catalog_to_graph(name, matrix=None):
     """The scalar graph map of catalog entry ``name`` (``matrix`` as
     ``catalog_problem`` takes it, for ``linear-A``)."""
     if name == "linear-A":
-        a = np.asarray(matrix if matrix is not None else [[2.0, 0.0], [0.0, 3.0]], float)
-        return lambda t: (np.asarray(t, dtype=float), a @ np.asarray(t, dtype=float))
+        a = np.asarray(matrix if matrix is not None else [[2.0, 0.0], [0.0, 3.0]], float).tolist()
+        return lambda t: (np.asarray(t, dtype=float), np.array([_row_times(r, t) for r in a]))
     return {
         "half-square": _half_square,
         "identity": lambda t: (np.array([float(t[0])]), np.array([float(t[0])])),

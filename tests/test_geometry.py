@@ -226,20 +226,39 @@ def test_dual_vector_set_ball_and_empty():
     assert is_inf(DualVectorSet.empty().min_norm(euclidean(2)))
 
 
+def _squares_left_to_right(row):
+    # the euclidean norm's reference: squares summed left to right on
+    # Python floats, from the first one
+    total = row[0] * row[0]
+    for v in row[1:]:
+        total += v * v
+    return math.sqrt(total)
+
+
+# signed zeros, subnormals, and squares near and past the overflow threshold
+_NORM_EDGE_ENTRIES = [0.0, -0.0, 5e-324, -4e-320, 2.2e-308, 1e150, -3e150, 1.3e154, 0.7]
+
+
 def test_value_rows_equal_the_scalar_norm():
     rng = np.random.default_rng(11)
-    norms = [euclidean(dim) for dim in (1, 2, 3, 4)]
+    norms = [euclidean(dim) for dim in (1, 2, 3, 4, 5, 6)]
     for dim in (1, 2, 3):
         norms += [NormSpec("p", dim, p=p) for p in (1.0, 1.5, 3.0, math.inf)]
         weights = tuple(np.exp(rng.uniform(-3.0, 3.0, dim)).tolist())
         norms += [NormSpec(kind, dim, weights=weights) for kind in ("weighted-max", "weighted-sum")]
     for norm in norms:
         m = rng.standard_normal((2000, norm.dim)) * np.exp(rng.uniform(-30.0, 30.0, (2000, norm.dim)))
-        want = np.array([norm.value(v) for v in m])
-        assert norm.value_rows(m).tobytes() == want.tobytes(), norm
-        # a row's norm does not depend on the rows taken with it
-        parts = np.concatenate([norm.value_rows(m[i : i + 7]) for i in range(0, 2000, 7)])
+        if norm.kind == "euclidean" and norm.dim >= 2:
+            m = np.concatenate([m, rng.choice(_NORM_EDGE_ENTRIES, (500, norm.dim))])
+        with np.errstate(over="ignore"):
+            want = np.array([norm.value(v) for v in m])
+            assert norm.value_rows(m).tobytes() == want.tobytes(), norm
+            # a row's norm does not depend on the rows taken with it
+            parts = np.concatenate([norm.value_rows(m[i : i + 7]) for i in range(0, len(m), 7)])
         assert parts.tobytes() == want.tobytes(), norm
+        if norm.kind == "euclidean" and norm.dim >= 2:
+            ref = np.array([_squares_left_to_right(v) for v in m.tolist()])
+            assert want.tobytes() == ref.tobytes(), norm
         if norm.dim == 1:
             # a 1-d array is a column of one-dimensional rows
             assert norm.value_rows(m[:, 0]).tobytes() == want.tobytes(), norm

@@ -350,6 +350,68 @@ def test_linear_batch_map_rows_do_not_depend_on_their_batch():
         assert part.tobytes() == full[start : start + size].tobytes()
 
 
+# test_robustness.py's linear-A shapes that are not diagonal or not full rank
+_LINEAR_SHAPES = {
+    "upper-triangular": [[2.0, 1.0], [0.0, 3.0]],
+    "rank-deficient": [[1.0, 0.0], [0.0, 0.0]],
+    "rotation": [[0.6, -0.8], [0.8, 0.6]],
+}
+
+
+def _linear_params():
+    rng = np.random.default_rng(13)
+    signed = [0.0, -0.0, 1e-300, -1e-300, 1.5]
+    edges = np.array([[u, v] for u in signed for v in signed])
+    return np.concatenate([rng.uniform(-3.0, 3.0, (2000, 2)), edges])
+
+
+def _blas_linear(matrix):
+    # linear-A's fiber distance, solution distance and coderivative through
+    # BLAS and LAPACK (np.linalg.norm, @, pinv): the parity reference of
+    # the left-to-right sums that replace them
+    a = np.asarray(matrix, dtype=float)
+    _, s, vt = np.linalg.svd(a)
+    null_basis = vt[int(np.sum(s > 1e-12 * s[0])) :].T
+    pinv = np.linalg.pinv(a)
+
+    def solution_distance(x):
+        d = x - pinv @ np.zeros(a.shape[0])
+        if null_basis.shape[1]:
+            d = d - null_basis @ (null_basis.T @ d)
+        return float(np.linalg.norm(d))
+
+    return (lambda x: float(np.linalg.norm(a @ x))), solution_distance, (lambda ys: a.T @ ys)
+
+
+@pytest.mark.parametrize("label", _LINEAR_SHAPES)
+def test_linear_graph_map_is_the_row_by_row_product(label):
+    matrix = _LINEAR_SHAPES[label]
+    t = _linear_params()
+    _, y = catalog_problem("linear-A", matrix=matrix).param_to_graph_batch(t)
+    _, want = scalar_graph_rows(catalog_to_graph("linear-A", matrix), t)
+    assert y.tobytes() == want.tobytes()
+    assert (np.signbit(want) & (want == 0.0)).any()  # -0.0 kept bitwise
+
+
+@pytest.mark.parametrize("label", _LINEAR_SHAPES)
+def test_linear_oracles_stay_within_4_ulp_of_the_blas_forms(label):
+    matrix = _LINEAR_SHAPES[label]
+    a = np.abs(np.asarray(matrix))
+    p = catalog_problem("linear-A", matrix=matrix)
+    fiber, solution, coderivative = _blas_linear(matrix)
+
+    def close(got, want, scale):
+        # 4 ulp of the sum of absolute products, which bounds the rounding
+        # of either order even where a sum cancels
+        return np.all(np.abs(np.asarray(got) - want) <= 4 * np.spacing(scale))
+
+    for x in _linear_params():
+        assert close(p.fiber_distance(x), fiber(x), np.linalg.norm(a @ np.abs(x))), x
+        assert close(p.solution_distance(x), solution(x), np.linalg.norm(x)), x
+        (got,) = p.coderivative(x, None, x).members()
+        assert close(got, coderivative(x), a.T @ np.abs(x)), x
+
+
 def test_clip_keeps_scalar_ties():
     # the batch maps clip with np.clip where the scalar maps take
     # min(max(v, lo), hi); np.maximum alone would turn max(-0.0, 0.0) into 0.0

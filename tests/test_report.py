@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import platform
 import re
 import subprocess
 import sys
@@ -413,7 +414,7 @@ _REPORT_HASHES = [
             "schedule": _CATALOG_SCHEDULE,
             "checks": ALL_CHECKS,
         },
-        "130238877d5cc50f8be8db2cdd8954d33546a5c3df8442c555f72eacac88a6e7",
+        "6173fa091b29c6a8323c6bcd3c9db3066f45f834f7e8aad8ac2fd56c88eb8f60",
     ),
     (
         {
@@ -468,6 +469,26 @@ def test_report_bytes_unchanged(config, digest):
     cfg = parse_config(json.loads(json.dumps(config)))
     text = emit_report(run_config(cfg), cfg.output_format)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="an x86-64 OpenBLAS kernel"
+)
+def test_report_bytes_do_not_depend_on_the_blas_kernel(tmp_path, cli_env):
+    # OpenBLAS picks its kernel from the CPU when it loads. Every x86-64 CPU
+    # runs Prescott's; forcing a kernel the CPU lacks can die with an
+    # illegal instruction, so no other one is forced
+    raw = {"problem": "linear-A", "q": 1.0, "schedule": _CATALOG_SCHEDULE, "checks": ALL_CHECKS}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(raw))
+    res = subprocess.run(
+        [sys.executable, "-m", "subreg.cli", "--config", str(cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(cli_env, OPENBLAS_CORETYPE="Prescott"),
+    )
+    assert res.returncode == 0, res.stderr
+    assert out.read_text() == emit_report(run_config(parse_config(raw)))
 
 
 def test_readme_library_example_runs(capsys):
@@ -607,6 +628,8 @@ class TestCLI:
                 dict(_LINE, flags={"graph_locally_closed": "no"}),
                 _bad_flag("graph_locally_closed", "'no'"),
             ),
+            # a check named twice would run once and be listed twice
+            ("checks", ["moduli", "slopes", "moduli"], "duplicate checks: ['moduli']"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, cli_env, key, value, message):
