@@ -33,7 +33,6 @@ from .problems import (
     catalog_names,
     catalog_problem,
     finite_graph_problem,
-    graph_sample,
     piecewise_problem,
     solution_set_distance,
     validate_P1_P2,

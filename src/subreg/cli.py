@@ -2,7 +2,8 @@
 
 Exit codes: 0 clean run with all checks passing, 1 clean run with check
 failures, 2 invalid configuration (a numeric overflow during evaluation
-included), 3 internal error during evaluation.
+included) or a report that cannot be written, 3 internal error during
+evaluation.
 """
 
 from __future__ import annotations
@@ -90,8 +91,12 @@ def main(argv=None) -> int:
         return 3
 
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report.all_passed else 1

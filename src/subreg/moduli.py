@@ -17,19 +17,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .extended import INF, ExtReal, is_inf
-from .geometry import distinct_rows, duality_map
+from .geometry import ProductPoint, distinct_rows, duality_map
 from .problems import (
     EPS_MEM,
     ErrorFunction,
     MappingProblem,
     OuterPool,
     Schedule,
-    graph_sample,
     halton_points,
     halving_ladder,
     is_finite_real,
     mix_seed,
     outer_pools,
+    sample_graph_batch,
     validate_P1_P2,
 )
 from .slopes_dual import (
@@ -772,25 +772,16 @@ class InvariantRow:
 
 def _probe_points(problem: MappingProblem, schedule: Schedule, count: int) -> list:
     """Graph probes at mixed scales with y off ybar (for pointwise
-    slope-chain checks)."""
-    pts = []
-    for j, radius in enumerate((1.0, 0.1, 0.01)):
-        pts.extend(
-            graph_sample(
-                problem,
-                problem.anchor,
-                radius,
-                count,
-                mix_seed(schedule.seed, "probe", j),
-            )
-        )
-    out = [
-        p
-        for p in pts
-        if problem.d_y(p.y, problem.ybar) > 1e-9
-        and max(problem.d_x(p.x, problem.xbar), problem.d_y(p.y, problem.ybar)) >= 1e-3
+    slope-chain checks), from one anchor-centred draw per radius."""
+    calls = [
+        (problem.anchor, radius, count, mix_seed(schedule.seed, "probe", j))
+        for j, radius in enumerate((1.0, 0.1, 0.01))
     ]
-    return out[:count]
+    ux, vy, _ = sample_graph_batch(problem, calls)
+    dx = problem.norm_x.value_rows(ux - problem.xbar)
+    dy = problem.norm_y.value_rows(vy - problem.ybar)
+    keep = np.flatnonzero((dy > 1e-9) & (np.maximum(dx, dy) >= 1e-3))[:count]
+    return [ProductPoint(x, y) for x, y in zip(ux[keep], vy[keep])]
 
 
 def run_invariant_suite(ctx: RunContext, gamma: Optional[float] = None) -> list:

@@ -348,13 +348,6 @@ def halving_ladder(start, stop, cap: int) -> tuple:
     return offs, offs >= np.asarray(stop, dtype=float)[..., None]
 
 
-def halving_offsets(start: float, stop: float, cap: int) -> list:
-    """Geometric approach offsets ``start, start/2, ...`` down to
-    ``stop``, at most ``cap`` of them."""
-    offs, keep = halving_ladder(start, stop, cap)
-    return offs[keep].tolist()
-
-
 def _sphere_directions(dim: int, count: int, seed: int) -> np.ndarray:
     """Unit directions (rows) for multi-dimensional parameter stencils.
 
@@ -562,44 +555,30 @@ def sample_graph_arrays(
     budget: int,
     seed: int,
 ) -> tuple:
-    """Arrays (one graph point per row) within ``radius`` of ``center``
-    in the plain max product metric; the object-level front end is
-    :func:`graph_sample`, and :func:`sample_graph_batch` serves many calls
-    at once."""
+    """The graph points within ``radius`` of ``center`` in the plain max
+    product metric, as ``(ux, vy)`` rows: :func:`sample_graph_batch` of
+    the one call ``(center, radius, budget, seed)``.
+
+    Quasi-random fill of the parameter window around the center's
+    parameter, plus a per-axis geometric approach stencil and the window
+    corners.  A zero budget yields no rows; every row satisfies the
+    membership predicate by construction.
+    """
     ux, vy, _ = sample_graph_batch(problem, [(center, radius, budget, seed)])
     return ux, vy
 
 
-def graph_sample(
-    problem: MappingProblem,
-    center: ProductPoint,
-    radius: float,
-    budget: int,
-    seed: int,
-) -> list:
-    """Deterministic sample of graph points within ``radius`` of
-    ``center`` in the plain max product metric.
-
-    Quasi-random fill of the parameter window around the center's
-    parameter, plus a per-axis geometric approach stencil and the window
-    corners.  A zero budget yields an empty list; every returned point
-    satisfies the membership predicate by construction.
-    """
-    ux, vy = sample_graph_arrays(problem, center, radius, budget, seed)
-    return [ProductPoint(x, y) for x, y in zip(ux, vy)]
-
-
-def _anchor_zeros(problem: MappingProblem, radius: float, schedule: Schedule) -> list:
-    """x of the anchor sample within ``radius`` whose y sits on ybar
+def _anchor_zeros(problem: MappingProblem, radius: float, schedule: Schedule) -> np.ndarray:
+    """x rows of the anchor sample within ``radius`` whose y sits on ybar
     within the membership tolerance."""
-    pts = graph_sample(
+    ux, vy = sample_graph_arrays(
         problem,
         problem.anchor,
         radius,
         schedule.sample_budget,
         mix_seed(schedule.seed, "soldist"),
     )
-    return [p.x for p in pts if problem.d_y(p.y, problem.ybar) <= MEMBERSHIP_TOL]
+    return ux[problem.norm_y.value_rows(vy - problem.ybar) <= MEMBERSHIP_TOL]
 
 
 def solution_set_distance(
@@ -690,8 +669,8 @@ def sample_outer_points(
     ``x`` outside F^{-1}(ybar) (solution distance above ``EPS_MEM``; drop
     with ``outer_restriction=False``), as an :class:`OuterPool`.
 
-    Level ``k`` draws what an anchor-centred :func:`graph_sample` of
-    radius ``radii[k]``, ``budget`` points and seed ``seeds[k]`` draws;
+    Level ``k`` draws what an anchor-centred :func:`sample_graph_arrays`
+    of radius ``radii[k]``, ``budget`` points and seed ``seeds[k]`` draws;
     one :func:`sample_graph_batch` call draws every level, bitwise as one
     call per level would.  A row's depth is the finest level whose shell
     holds it, whichever level drew it.  The solution distance is taken
@@ -760,24 +739,18 @@ def validate_P1_P2(ef, schedule: Schedule, threshold: float = 1e-6) -> P1P2Repor
     """Check positivity off ybar (structural for induced error functions)
     and estimate ``liminf f/d(y, ybar)`` as ``f`` shrinks along the
     shells; pass when the final-shell infimum stays above ``threshold``."""
-    from .slopes_primal import anchor_f_rows, as_two_variable
+    from .slopes_primal import anchor_f_rows, as_two_variable, f_rows
 
-    func = as_two_variable(ef)
     notes = []
     if isinstance(ef, ErrorFunction):
         p1 = "pass"
         notes.append("positivity off ybar holds structurally for induced error functions")
     else:
-        p1 = "pass"
-        pts = func.sampler(
-            ProductPoint(func.xbar, func.ybar), 1.0, 512, mix_seed(schedule.seed, "p1")
-        )
-        for p in pts:
-            f = func.value(p.x, p.y)
-            dy = func.norm_y.value(p.y - func.ybar)
-            if dy > MEMBERSHIP_TOL and not is_inf(f) and f <= 0.0:
-                p1 = "fail"
-                break
+        func = as_two_variable(ef)
+        call = (ProductPoint(func.xbar, func.ybar), 1.0, 512, mix_seed(schedule.seed, "p1"))
+        _, vy, f, _ = f_rows(func, [call])
+        off_ybar = func.norm_y.value_rows(vy - func.ybar) > MEMBERSHIP_TOL
+        p1 = "fail" if np.any(off_ybar & (f <= 0.0)) else "pass"
 
     _, _, f, _, dy = anchor_f_rows(
         ef, [schedule.rho0], schedule.sample_budget, [mix_seed(schedule.seed, "p2")]

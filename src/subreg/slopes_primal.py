@@ -38,13 +38,13 @@ from .problems import (
     OuterPool,
     Schedule,
     distinct_window_rows,
-    graph_sample,
     halton_points,
-    halving_offsets,
+    halving_ladder,
     mix_seed,
     outer_pools,
     radius_pad,
     radius_pads,
+    sample_graph_arrays,
     sample_graph_batch,
 )
 
@@ -627,7 +627,12 @@ def strict_q_slopes(
 @dataclass(frozen=True, eq=False)
 class TwoVariableFunction:
     """An extended-real function of (x, y) with an anchor where it
-    vanishes and a sampler producing finite-value points."""
+    vanishes and a sampler of points where it is finite.
+
+    The sampler has the graph samplers' contract: ``sampler(center,
+    radius, budget, seed)`` returns ``(ux, vy)``, at most ``budget`` x
+    and y rows within ``radius`` of ``center``, deterministic in
+    ``seed``."""
 
     f: Callable
     xbar: np.ndarray
@@ -657,7 +662,7 @@ def as_two_variable(obj) -> TwoVariableFunction:
             ybar=pr.ybar,
             norm_x=pr.norm_x,
             norm_y=pr.norm_y,
-            sampler=partial(graph_sample, pr),
+            sampler=partial(sample_graph_arrays, pr),
             solution_distance=pr.solution_distance,
             name=f"induced[{pr.name}]",
         )
@@ -681,23 +686,16 @@ def single_variable_embedding(
         return float(f(float(x[0])))
 
     def sampler(center, radius, budget, seed):
-        if budget <= 0:
-            return []
         c = float(center.x[0])
-        params = [c]
-        for off in halving_offsets(radius, max(1e-9 * radius, 1e-11), 64):
-            params.extend([c + off, c - off])
-        fill = max(0, budget - len(params))
+        offs, keep = halving_ladder(radius, max(1e-9 * radius, 1e-11), 64)
+        stencil = np.stack([c + offs[keep], c - offs[keep]], axis=1).reshape(-1)
+        params = np.concatenate([[c], stencil])
+        fill = max(0, budget - params.size)
         if fill:
             u = halton_points(1, fill, mix_seed(seed, "embed"))[:, 0]
-            params.extend(c - radius + 2.0 * radius * u)
-        out = []
-        for t in params:
-            if abs(t - c) <= radius * (1.0 + 1e-12):
-                out.append(ProductPoint([t], [0.0]))
-            if len(out) >= budget:
-                break
-        return out
+            params = np.concatenate([params, c - radius + 2.0 * radius * u])
+        t = params[np.abs(params - c) <= radius * (1.0 + 1e-12)][: max(budget, 0)]
+        return t[:, None], np.zeros((t.size, 1))
 
     return TwoVariableFunction(
         f=value,
@@ -752,19 +750,20 @@ def f_rows(func_or_ef, calls: Sequence[tuple]) -> tuple:
     An :class:`ErrorFunction` takes its rows from :func:`graph_rows` and
     ``f = d(v, ybar)**q`` from :func:`q_powers`, with no membership test:
     graph rows lie on the graph by construction.  A generic function
-    stacks its sampler's points and keeps the rows where ``f`` is finite.
+    stacks its sampler's rows and keeps those where ``f`` is finite.
     """
     if isinstance(func_or_ef, ErrorFunction):
         ux, vy, dv, counts = graph_rows(func_or_ef.problem, calls)
         return ux, vy, q_powers(dv, func_or_ef.q), counts
     func = as_two_variable(func_or_ef)
-    rows = [[(p, func.value(p.x, p.y)) for p in func.sampler(*call)] for call in calls]
-    rows = [[(p, float(fv)) for p, fv in r if not is_inf(fv)] for r in rows]
-    kept = [pf for r in rows for pf in r]
-    ux = np.array([p.x for p, _ in kept], dtype=float).reshape(-1, func.xbar.size)
-    vy = np.array([p.y for p, _ in kept], dtype=float).reshape(-1, func.ybar.size)
-    counts = np.array([len(r) for r in rows], dtype=np.int64)
-    return ux, vy, np.array([fv for _, fv in kept], dtype=float), counts
+    drawn = [func.sampler(*call) for call in calls]
+    ux = np.concatenate([np.zeros((0, func.xbar.size))] + [x for x, _ in drawn])
+    vy = np.concatenate([np.zeros((0, func.ybar.size))] + [y for _, y in drawn])
+    fv = [func.value(x, y) for x, y in zip(ux, vy)]
+    finite = np.array([not is_inf(v) for v in fv], dtype=bool)
+    owner = np.repeat(np.arange(len(calls)), [len(x) for x, _ in drawn])
+    f = np.array([float(v) for v in fv if not is_inf(v)], dtype=float)
+    return ux[finite], vy[finite], f, np.bincount(owner[finite], minlength=len(calls))
 
 
 def anchor_f_rows(func_or_ef, radii: Sequence[float], budget: int, seeds: Sequence[int]) -> tuple:

@@ -3,24 +3,43 @@ tests' reference.
 
 Each map takes one parameter vector to one graph point ``(x, y)`` with
 Python floats; the batch maps of the catalog and of
-``piecewise_problem`` must equal them row by row, bitwise.
+``piecewise_problem`` must equal them row by row, bitwise
+(:func:`same_bits`).
 """
+
+import math
 
 import numpy as np
 
 from subreg.problems import MEMBERSHIP_TOL, _horner
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float bits entry by entry, except that a
+    NaN equals any NaN: ``-0.0`` and ``0.0`` differ."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    if a.shape != b.shape:
+        return False
+    return bool(np.all((np.isnan(a) & np.isnan(b)) | (a.view(np.int64) == b.view(np.int64))))
+
+
+def _max0(u):
+    # np.maximum(u, 0.0) on a Python float: NaN stays NaN and -0.0 gives
+    # +0.0, where Python's max(u, 0.0) keeps a -0.0 first argument
+    return u if u > 0.0 or math.isnan(u) else 0.0
+
+
 def _half_square(t):
     u = float(t[0])
-    m = max(u, 0.0)
+    m = _max0(u)
     # m * m, as the batch map's array ** 2 computes it; Python's m ** 2
     # calls pow() and can land one ulp away
     return np.array([u]), np.array([m * m])
 
 
 def _halfline(t):
-    u, s = float(t[0]), max(float(t[1]), 0.0)
+    u, s = float(t[0]), _max0(float(t[1]))
     return np.array([u]), np.array([u + s])
 
 

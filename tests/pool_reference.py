@@ -1,6 +1,6 @@
 """The per-level outer-pool build, kept as the tests' reference.
 
-Each rho level draws its own anchor-centred ``graph_sample`` and takes
+Each rho level draws its own anchor-centred ``sample_graph_arrays`` and takes
 scalar distances and one solution distance per point; level ``k``'s pool
 then holds every drawn point, of any level, inside window ``k``, one
 entry per copy.  The references of the constants that read the outer
@@ -9,8 +9,8 @@ pools scan these nested lists.
 
 from collections import namedtuple
 
-from subreg import graph_sample, is_inf, solution_set_distance
-from subreg.problems import EPS_MEM, mix_seed
+from subreg import is_inf, solution_set_distance
+from subreg.problems import EPS_MEM, mix_seed, sample_graph_arrays
 
 # one drawn outer point: its distances to xbar and ybar, and to F^{-1}(ybar)
 RefPoint = namedtuple("RefPoint", "x y dxa dya sol")
@@ -19,18 +19,19 @@ RefPoint = namedtuple("RefPoint", "x y dxa dya sol")
 def ref_outer_level(problem, radius, budget, seed, schedule, outer_restriction, anchor_zeros):
     """One level's draw: the points of its shell, in draw order."""
     out = []
-    for pt in graph_sample(problem, problem.anchor, radius, budget, seed):
-        dxa = problem.d_x(pt.x, problem.xbar)
-        dya = problem.d_y(pt.y, problem.ybar)
+    ux, vy = sample_graph_arrays(problem, problem.anchor, radius, budget, seed)
+    for x, y in zip(ux, vy):
+        dxa = problem.d_x(x, problem.xbar)
+        dya = problem.d_y(y, problem.ybar)
         if not (dxa < radius and 0.0 < dya < radius):
             continue
-        sd = problem.solution_dist_exact(pt.x)
+        sd = problem.solution_dist_exact(x)
         if sd is None:
-            sd_est = solution_set_distance(problem, pt.x, schedule, anchor_zeros).value
+            sd_est = solution_set_distance(problem, x, schedule, anchor_zeros).value
             sd = 1e30 if is_inf(sd_est) else float(sd_est)
         if outer_restriction and sd <= EPS_MEM:
             continue
-        out.append(RefPoint(pt.x, pt.y, dxa, dya, sd))
+        out.append(RefPoint(x, y, dxa, dya, sd))
     return out
 
 

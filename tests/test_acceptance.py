@@ -19,7 +19,6 @@ from subreg import (
     convexity_necessity_check,
     f_level_slopes,
     finite_graph_problem,
-    graph_sample,
     local_rho_slope,
     nonlocal_q_rho_slope,
     run_invariant_suite,
@@ -27,6 +26,7 @@ from subreg import (
     theorem_7T1_check,
 )
 from subreg.slopes_primal import gather_point_candidates
+from sampler_reference import graph_sample
 
 
 def rho_slope_profiles(problem, at, q, rhos, schedule):

@@ -36,13 +36,15 @@ from subreg.moduli import (
     Tables,
     _ambient_x_samples,
     _first_least,
+    _probe_points,
     _status,
     looks_divergent,
     rel_close,
 )
-from subreg.problems import EPS_MEM, halton_points, halving_offsets, mix_seed
+from subreg.problems import EPS_MEM, halton_points, mix_seed
 from subreg.slopes_primal import SlopeEstimate, as_two_variable
 from pool_reference import ref_pools
+from sampler_reference import halving_offsets, points, probe_points
 
 
 @pytest.fixture(scope="module")
@@ -388,7 +390,7 @@ def _ref_error_bound_modulus(func_or_ef, schedule):
     rows, flags = [], ()
     per_shell = max(64, schedule.sample_budget // 8)
     for k, shell in enumerate(schedule.rho_values()):
-        for p in func.sampler(anchor, shell, per_shell, mix_seed(schedule.seed, "er", k)):
+        for p in points(func.sampler(anchor, shell, per_shell, mix_seed(schedule.seed, "er", k))):
             fv = func.value(p.x, p.y)
             if is_inf(fv) or fv <= 0.0:
                 continue
@@ -497,11 +499,13 @@ def _ref_subregularity_modulus(problem, q, schedule):
 
 def _ref_p2(func_or_ef, schedule):
     func = as_two_variable(func_or_ef)
-    pts = func.sampler(
-        ProductPoint(func.xbar, func.ybar),
-        schedule.rho0,
-        schedule.sample_budget,
-        mix_seed(schedule.seed, "p2"),
+    pts = points(
+        func.sampler(
+            ProductPoint(func.xbar, func.ybar),
+            schedule.rho0,
+            schedule.sample_budget,
+            mix_seed(schedule.seed, "p2"),
+        )
     )
     ratios = []
     for p in pts:
@@ -649,6 +653,30 @@ def test_ambient_x_samples_match_the_per_point_copies(name, radius, count):
     want = _ref_ambient_x_samples(problem, radius, count, 11)
     assert got.shape == (len(want), problem.dim_x)
     assert [r.tobytes() for r in got] == [x.tobytes() for x in want]
+
+
+@pytest.mark.parametrize("name", ["half-square", "halfline-convex", "linear-A", "constant", "2max2-inline"])
+def test_probe_points_are_the_three_radius_draw(monkeypatch, name):
+    import subreg.moduli as moduli
+
+    problem = _ENGINE_CASES[name]()
+    batches = []
+    original = moduli.sample_graph_batch
+
+    def counted(pr, calls):
+        batches.append(len(calls))
+        return original(pr, calls)
+
+    monkeypatch.setattr(moduli, "sample_graph_batch", counted)
+    for seed, count in ((0, 24), (3, 24), (7, 5)):
+        s = Schedule(sample_budget=256, steps=5, seed=seed)
+        batches.clear()
+        got = _probe_points(problem, s, count)
+        assert batches == [3]  # one batched draw of the three radii
+        want = probe_points(problem, s, count)
+        assert [(p.x.tobytes(), p.y.tobytes()) for p in got] == [
+            (p.x.tobytes(), p.y.tobytes()) for p in want
+        ]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from subreg import (
     catalog_names,
     catalog_problem,
     finite_graph_problem,
-    graph_sample,
     is_inf,
     piecewise_problem,
     solution_set_distance,
@@ -24,7 +24,7 @@ from subreg.problems import (
     _sphere_directions,
     halton_points,
     halton_shift,
-    halving_offsets,
+    halving_ladder,
     mix_seed,
     outer_pools,
     radius_pad,
@@ -32,8 +32,9 @@ from subreg.problems import (
     sample_graph_batch,
     sample_outer_points,
 )
-from graph_reference import catalog_to_graph, piecewise_to_graph, scalar_graph_rows
+from graph_reference import catalog_to_graph, piecewise_to_graph, same_bits, scalar_graph_rows
 from pool_reference import ref_fresh, ref_pools
+from sampler_reference import graph_sample, halving_offsets
 
 
 @pytest.fixture(scope="module")
@@ -95,19 +96,27 @@ def test_sampled_solution_distance_lower_biased():
 
 
 def test_graph_sample_contracts():
+    # the sampler contract: (center, radius, budget, seed) -> (ux, vy), at
+    # most budget rows on the graph within radius, the same bits per seed
     p = catalog_problem("half-square")
     center = ProductPoint([0.5], [0.25])
-    assert graph_sample(p, center, 0.1, 0, 1) == []
-    pts = graph_sample(p, center, 0.1, 256, 1)
-    assert pts
-    for pt in pts:
-        assert p.graph_membership(pt.x, pt.y)
-        assert abs(float(pt.y[0]) - max(float(pt.x[0]), 0.0) ** 2) <= 1e-9
-        assert p.product_dist(pt, center) <= 0.1 * (1 + 1e-9)
-    again = graph_sample(p, center, 0.1, 256, 1)
-    assert len(pts) == len(again)
-    for a, b in zip(pts, again):
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+    ux, vy = sample_graph_arrays(p, center, 0.1, 0, 1)
+    assert ux.shape == (0, 1) and vy.shape == (0, 1)
+    ux, vy = sample_graph_arrays(p, center, 0.1, 256, 1)
+    assert 0 < ux.shape[0] == vy.shape[0] <= 256
+    for x, y in zip(ux, vy):
+        assert p.graph_membership(x, y)
+        assert abs(float(y[0]) - max(float(x[0]), 0.0) ** 2) <= 1e-9
+        assert p.product_dist(ProductPoint(x, y), center) <= 0.1 * (1 + 1e-9)
+    again = sample_graph_arrays(p, center, 0.1, 256, 1)
+    assert ux.tobytes() == again[0].tobytes() and vy.tobytes() == again[1].tobytes()
+
+
+def test_halving_ladder_is_repeated_halving():
+    for start, stop, cap in ((0.7, 1e-9, 64), (3.0, 2e-12, 64), (1e-3, 1e-11, 5), (0.5, 1.0, 64)):
+        offs, keep = halving_ladder(start, stop, cap)
+        assert offs[keep].tolist() == halving_offsets(start, stop, cap)
+        assert keep.tolist() == sorted(keep.tolist(), reverse=True)  # a prefix
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -193,14 +202,30 @@ def test_validate_p2_fails_for_squared_distance(schedule):
         ybar=ident.ybar,
         norm_x=ident.norm_x,
         norm_y=ident.norm_y,
-        sampler=lambda center, radius, budget, seed: graph_sample(
-            ident, center, radius, budget, seed
-        ),
+        sampler=partial(sample_graph_arrays, ident),
         solution_distance=ident.solution_distance,
     )
     rep = validate_P1_P2(func, schedule)
     assert rep.p1_status == "pass"
     assert rep.p2_status == "fail"
+
+
+def test_validate_p1_fails_for_a_function_vanishing_off_ybar(schedule):
+    # zero on the whole graph of the identity, so also where y != ybar
+    ident = catalog_problem("identity")
+    func = TwoVariableFunction(
+        f=lambda x, y: 0.0 if ident.graph_membership(x, y) else INF,
+        xbar=ident.xbar,
+        ybar=ident.ybar,
+        norm_x=ident.norm_x,
+        norm_y=ident.norm_y,
+        sampler=partial(sample_graph_arrays, ident),
+    )
+    rep = validate_P1_P2(func, schedule)
+    assert rep.p1_status == "fail"
+    assert not rep.passed
+    # no sampled row has f > 0, so the P2 ratio has no level to read
+    assert rep.p2_status == "inconclusive" and is_inf(rep.p2_infimum)
 
 
 def test_piecewise_problem_roundtrip():
@@ -332,9 +357,11 @@ def test_batch_graph_map_matches_scalar(problem):
     with np.errstate(invalid="ignore"):  # inf * 0 in linear-A's matrix product
         bx, by = problem.param_to_graph_batch(params)
         sx, sy = scalar_graph_rows(_scalar_map(problem), params)
-    # NaN parameters give NaN rows in the catalog maps; the inline map snaps them
-    assert np.array_equal(np.asarray(bx, dtype=float), sx, equal_nan=True)
-    assert np.array_equal(np.asarray(by, dtype=float), sy, equal_nan=True)
+    # NaN parameters give NaN rows in the catalog maps; the inline map snaps
+    # them. Signed zeros count apart: halfline-convex maps t = (-0.0, -0.0)
+    # to y = +0.0
+    assert same_bits(bx, sx)
+    assert same_bits(by, sy)
 
 
 def test_linear_batch_map_rows_do_not_depend_on_their_batch():
@@ -794,14 +821,14 @@ def _count_anchor_samples(monkeypatch, schedule):
 
     seed = mix_seed(schedule.seed, "soldist")
     radii = []
-    original = problems.graph_sample
+    original = problems.sample_graph_arrays
 
     def counted(problem, center, radius, budget, s):
         if s == seed:
             radii.append(radius)
         return original(problem, center, radius, budget, s)
 
-    monkeypatch.setattr(problems, "graph_sample", counted)
+    monkeypatch.setattr(problems, "sample_graph_arrays", counted)
     return radii
 
 

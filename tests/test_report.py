@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 import re
 import subprocess
@@ -691,6 +692,16 @@ class TestCLI:
             assert res.returncode == 2, res.stderr
             assert "invalid configuration: output path is a directory" in res.stderr
             assert "Traceback" not in res.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_report_write_failure_exits_2(self, tmp_path, cli_env):
+        # every write to /dev/full fails with ENOSPC
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "identity", "q": 1.0, "checks": ["moduli"]}))
+        res = self._run(["--config", str(cfg), "--out", "/dev/full"], tmp_path, cli_env)
+        assert res.returncode == 2, res.stderr
+        assert "error: cannot write report:" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_verify_run_passes(self, tmp_path, cli_env):
         cfg = tmp_path / "cfg.json"

@@ -14,7 +14,6 @@ from subreg import (
     Schedule,
     catalog_problem,
     f_level_subdiff_rho_slope,
-    graph_sample,
     is_inf,
     limiting_coderivative_min_norm,
     lm_constants,
@@ -35,6 +34,7 @@ from subreg.slopes_dual import (
 )
 from subreg.slopes_primal import SlopeEstimate, _finish
 from pool_reference import ref_pools
+from sampler_reference import graph_sample
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +162,7 @@ class TestCoderivativeOracleContracts:
     def test_positive_homogeneity(self, name):
         p = catalog_problem(name)
         rng = np.random.default_rng(3)
-        pts = __import__("subreg").graph_sample(p, p.anchor, 1.0, 16, 4)
+        pts = graph_sample(p, p.anchor, 1.0, 16, 4)
         for pt in pts[:6]:
             ystar = rng.normal(size=p.dim_y)
             base = p.coderivative(pt.x, pt.y, ystar)

@@ -37,6 +37,7 @@ from subreg.slopes_primal import (
     sweep_table,
 )
 from pool_reference import ref_pools
+from sampler_reference import embedding_sampler, graph_sample, points
 
 
 def rho_slope_profiles(problem, at, q, rhos, schedule):
@@ -232,9 +233,7 @@ class TestMonotonicityInRho:
         rhos = light_schedule.rho_values()
         pts = [
             pt
-            for pt in __import__("subreg").graph_sample(
-                p, p.anchor, 0.8, 40, 17
-            )
+            for pt in graph_sample(p, p.anchor, 0.8, 40, 17)
             if p.d_y(pt.y, p.ybar) > 1e-6
         ][:20]
         for pt in pts:
@@ -249,9 +248,7 @@ class TestPointwiseDomination:
         q = 0.5
         pts = [
             pt
-            for pt in __import__("subreg").graph_sample(
-                half_square, half_square.anchor, 0.9, 40, 23
-            )
+            for pt in graph_sample(half_square, half_square.anchor, 0.9, 40, 23)
             if float(pt.x[0]) > 1e-3
         ][:15]
         assert pts
@@ -272,7 +269,7 @@ class TestBridgeToErrorFunction:
         p = catalog_problem("identity")
         pts = [
             pt
-            for pt in __import__("subreg").graph_sample(p, p.anchor, 0.5, 30, 31)
+            for pt in graph_sample(p, p.anchor, 0.5, 30, 31)
             if p.d_y(pt.y, p.ybar) > 1e-3
         ][:10]
         for pt in pts:
@@ -291,6 +288,22 @@ class TestBridgeToErrorFunction:
         bridge = 0.5 * 0.25 ** (-0.5) * base
         assert f_local == pytest.approx(1.0, rel=0.02)
         assert f_local == pytest.approx(bridge, rel=1e-6)
+
+
+def test_embedding_sampler_matches_the_point_list():
+    func = single_variable_embedding(abs)
+    for c in (0.0, 1.0, -0.3, 1e-7):
+        center = ProductPoint([c], [0.0])
+        for radius in (1.0, 0.01, 3e-9, 1e-12):
+            # 61 rows: the centre and 30 stencil pairs at radii 1 and 0.01, no fill
+            for budget in (0, 1, 50, 61, 300):
+                for seed in (0, 5):
+                    ux, vy = func.sampler(center, radius, budget, seed)
+                    want = embedding_sampler(center, radius, budget, seed)
+                    assert ux.shape == vy.shape == (len(want), 1)
+                    assert [(x.tobytes(), y.tobytes()) for x, y in zip(ux, vy)] == [
+                        (p.x.tobytes(), p.y.tobytes()) for p in want
+                    ]
 
 
 class TestEmbedding:
@@ -601,7 +614,7 @@ def _ref_f_level_strict(func_or_ef, schedule):
     n = schedule.outer_samples_per_level()
     sampled = []
     for k, rho in enumerate(rhos):
-        for p in func.sampler(anchor, rho, n, mix_seed(schedule.seed, "fstrict", k)):
+        for p in points(func.sampler(anchor, rho, n, mix_seed(schedule.seed, "fstrict", k))):
             fv = func.value(p.x, p.y)
             if is_inf(fv) or fv <= 0.0:
                 continue
@@ -623,13 +636,17 @@ def _ref_f_level_strict(func_or_ef, schedule):
                 scale = _ref_f_scale(func, p)
                 r_loc = max(schedule.neighborhood_radii[-1] * scale, slopes_primal.LOCAL_RADIUS_FLOOR)
                 seed = (p.x.tobytes(), p.y.tobytes())
-                far = func.sampler(
-                    p, 10.0 * max(1.0, scale), max(64, schedule.sample_budget // 8),
-                    mix_seed(schedule.seed, "fnlc", *seed),
+                far = points(
+                    func.sampler(
+                        p, 10.0 * max(1.0, scale), max(64, schedule.sample_budget // 8),
+                        mix_seed(schedule.seed, "fnlc", *seed),
+                    )
                 )
-                near = func.sampler(
-                    p, r_loc, max(64, schedule.sample_budget // 16),
-                    mix_seed(schedule.seed, "flocc", *seed),
+                near = points(
+                    func.sampler(
+                        p, r_loc, max(64, schedule.sample_budget // 16),
+                        mix_seed(schedule.seed, "flocc", *seed),
+                    )
                 )
                 cands = _RefFCandidates(func, p, list(far) + list(near), True)
                 cands.local_mask = np.maximum(cands.dx, cands.dy) <= r_loc + radius_pad(p)
@@ -657,8 +674,10 @@ def _ref_f_point_slopes(func_or_ef, rho, at, schedule):
     scale = _ref_f_scale(func, at)
     trunc = schedule.truncation_radius or 10.0 * max(1.0, scale)
     seed = (at.x.tobytes(), at.y.tobytes())
-    pts = func.sampler(
-        at, trunc, max(64, schedule.sample_budget // 4), mix_seed(schedule.seed, "fnl", *seed)
+    pts = points(
+        func.sampler(
+            at, trunc, max(64, schedule.sample_budget // 4), mix_seed(schedule.seed, "fnl", *seed)
+        )
     )
     cands = _RefFCandidates(func, at, pts, True)
     val = cands.reduce("plus", rho)
@@ -666,8 +685,10 @@ def _ref_f_point_slopes(func_or_ef, rho, at, schedule):
     trace, used = [], 0
     for j, nr in enumerate(schedule.neighborhood_radii):
         r = max(nr * scale, slopes_primal.LOCAL_RADIUS_FLOOR)
-        pts = func.sampler(
-            at, r, max(64, schedule.sample_budget // 16), mix_seed(schedule.seed, "floc", j, *seed)
+        pts = points(
+            func.sampler(
+                at, r, max(64, schedule.sample_budget // 16), mix_seed(schedule.seed, "floc", j, *seed)
+            )
         )
         cands = _RefFCandidates(func, at, pts, False)
         used += cands.fvals.shape[0]
