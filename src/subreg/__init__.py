@@ -1,14 +1,15 @@
 """Numerical estimation of error-bound and Holder metric-subregularity
 moduli of set-valued mappings via primal and subdifferential slopes."""
 
-from .extended import INF, Infinity, is_inf
 from .geometry import (
+    INF,
     DualVectorSet,
     NormSpec,
     ProductPoint,
     dual_norm_rho,
     duality_map,
     euclidean,
+    is_inf,
     point_to_set_distance,
     prod_dist,
     q_duality_enlargement,

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .extended import INF, ExtReal
+# +inf, the value of an empty infimum, is the float inf throughout; 0 * INF is nan
+INF = math.inf
 
 DEFAULT_TOL = 1e-9
 
@@ -36,6 +37,10 @@ def _as_vector(v) -> np.ndarray:
     if arr.ndim != 1:
         raise GeometryError(f"expected a vector, got shape {arr.shape}")
     return arr
+
+
+def is_inf(value: float) -> bool:
+    return value == INF
 
 
 def dot_left(u: Sequence, v: Sequence) -> float:
@@ -201,7 +206,7 @@ class DualVectorSet:
     def is_empty(self) -> bool:
         return self.kind == "empty"
 
-    def min_norm(self, dual_norm: NormSpec) -> ExtReal:
+    def min_norm(self, dual_norm: NormSpec) -> float:
         """Smallest dual norm over the described set."""
         if self.kind == "empty":
             return INF
@@ -447,7 +452,7 @@ def xi_q(y, ybar, q: float, norm: Optional[NormSpec] = None) -> float:
     return d ** (1.0 - q) / q
 
 
-def point_to_set_distance(x, points: Sequence, norm: Optional[NormSpec] = None) -> ExtReal:
+def point_to_set_distance(x, points: Sequence, norm: Optional[NormSpec] = None) -> float:
     """Exact minimum distance from ``x`` to a finite point list; the
     distance to the empty set is ``INF``."""
     x = _as_vector(x)

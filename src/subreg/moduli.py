@@ -16,8 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .extended import INF, ExtReal, is_inf
-from .geometry import ProductPoint, distinct_rows, duality_map
+from .geometry import INF, ProductPoint, distinct_rows, duality_map, is_inf
 from .problems import (
     EPS_MEM,
     ErrorFunction,
@@ -75,14 +74,14 @@ def _require_positive(**values) -> None:
             raise ModuliError(f"{name} must be a positive finite number, got {value!r}")
 
 
-def rel_close(a: ExtReal, b: ExtReal, rel: float, abs_tol: float = 1e-9) -> bool:
+def rel_close(a: float, b: float, rel: float, abs_tol: float = 1e-9) -> bool:
     if is_inf(a) or is_inf(b):
         return is_inf(a) and is_inf(b)
     return abs(a - b) <= rel * max(abs(a), abs(b)) + abs_tol
 
 
-def leq_ok(lhs: ExtReal, rhs: ExtReal, slack: float) -> bool:
-    """lhs <= rhs + slack under the extended order."""
+def leq_ok(lhs: float, rhs: float, slack: float) -> bool:
+    """lhs <= rhs + slack, with ``INF`` kept out of the slack arithmetic."""
     if is_inf(rhs):
         return True
     if is_inf(lhs):
@@ -104,7 +103,7 @@ def looks_divergent(trace: Sequence) -> bool:
 @dataclass(frozen=True)
 class ModulusReport:
     kind: str
-    value: ExtReal
+    value: float
     trace: tuple
     witnesses: tuple
     forms: dict = field(default_factory=dict)
@@ -144,16 +143,10 @@ def _ambient_x_samples(problem: MappingProblem, radius: float, count: int, seed:
 
 def _first_least(values: np.ndarray, valid: np.ndarray) -> int:
     """The entry a scan over the ``valid`` entries keeps when it starts
-    from ``INF`` and takes each one ``<`` its best: the first least, or
-    the first valid entry when that is NaN or nothing beats it (-1 when
-    none is valid)."""
-    rows = np.flatnonzero(valid)
-    if not rows.size:
-        return -1
-    j = int(rows[0])
-    masked = np.where(valid & ~np.isnan(values), values, np.inf)
-    i = int(np.argmin(masked))
-    return j if np.isnan(values[j]) or masked[i] == np.inf else i
+    from ``INF`` and takes each one ``<`` its best: the first least, -1
+    when no valid entry is below ``INF``."""
+    rows = np.flatnonzero(valid & (values < INF))
+    return int(rows[np.argmin(values[rows])]) if rows.size else -1
 
 
 def _read_only(columns):
@@ -337,13 +330,9 @@ def error_bound_modulus(
     ratio = f / d
 
     def least(window) -> tuple:
-        # the first row holding the window's least ratio, as a scan with
-        # ``<`` finds it (-1 and INF for an empty window)
-        rows = np.flatnonzero(window)
-        if not rows.size:
-            return -1, INF
-        i = int(rows[np.argmin(ratio[rows])])
-        return i, float(ratio[i])
+        # the window's first least ratio (-1 and INF for an empty window)
+        i = _first_least(ratio, window)
+        return i, INF if i < 0 else float(ratio[i])
 
     trace = []
     for rho in schedule.rho_values():
@@ -679,8 +668,8 @@ def criteria_report(ctx: RunContext, gamma: float) -> CriteriaReport:
 @dataclass(frozen=True)
 class ConvexityCheckResult:
     status: str  # pass | fail | skipped
-    lhs: ExtReal
-    rhs: ExtReal
+    lhs: float
+    rhs: float
     infinite_lhs_guard: bool = False
 
 
@@ -764,8 +753,8 @@ def theorem_7T1_check(ctx: RunContext) -> Theorem7T1Result:
 class InvariantRow:
     name: str
     passed: bool
-    lhs: ExtReal
-    rhs: ExtReal
+    lhs: float
+    rhs: float
     slack: float
     note: str = ""
 

@@ -20,14 +20,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .extended import INF, ExtReal, is_inf
 from .geometry import (
+    INF,
     DualVectorSet,
     NormSpec,
     ProductPoint,
     distinct_rows,
     dot_left,
     euclidean,
+    is_inf,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -268,7 +269,7 @@ class MappingProblem:
     param_of: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     param_window: Optional[Callable[[np.ndarray, float], tuple]] = None
     solution_distance: Optional[Callable[[np.ndarray], float]] = None
-    fiber_distance: Optional[Callable[[np.ndarray], ExtReal]] = None
+    fiber_distance: Optional[Callable[[np.ndarray], float]] = None
     coderivative: Optional[Callable] = None
     graph_points: Optional[tuple] = None
     convex: bool = False
@@ -321,7 +322,7 @@ class ErrorFunction:
         if not 0.0 < self.q <= 1.0:
             raise ProblemError("q must lie in (0, 1]")
 
-    def value(self, x, y) -> ExtReal:
+    def value(self, x, y) -> float:
         x = np.asarray(x, dtype=float).reshape(-1)
         y = np.asarray(y, dtype=float).reshape(-1)
         if x.shape[0] != self.problem.dim_x or y.shape[0] != self.problem.dim_y:
@@ -333,7 +334,7 @@ class ErrorFunction:
 
 @dataclass(frozen=True)
 class DistanceEstimate:
-    value: ExtReal
+    value: float
     exact: bool
     truncated: bool = False
 
@@ -691,8 +692,7 @@ def sample_outer_points(
     for x in ux[first]:
         sd = problem.solution_dist_exact(x)
         if sd is None:
-            sd_est = solution_set_distance(problem, x, schedule, anchor_zeros).value
-            sd = 1e30 if is_inf(sd_est) else float(sd_est)
+            sd = solution_set_distance(problem, x, schedule, anchor_zeros).value
         sol.append(sd)
     outer = ~(outer_restriction & (np.array(sol, dtype=float)[inverse] <= EPS_MEM))
     level = np.where(outer, np.maximum(dxa, dya), np.inf)
@@ -726,7 +726,7 @@ def outer_pools(problem: MappingProblem, schedule: Schedule, outer_restriction: 
 class P1P2Report:
     p1_status: str
     p2_status: str
-    p2_infimum: ExtReal
+    p2_infimum: float
     trace: tuple
     notes: tuple = ()
 

@@ -11,6 +11,7 @@ report.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +27,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .extended import Infinity, is_inf
 from .moduli import (
     CONSTANT_NAMES,
     CriteriaReport,
@@ -141,11 +141,8 @@ def parse_config(data: dict) -> RunConfig:
         },
         "schedule",
     )
-    kwargs = dict(sched_data)
     try:
-        if "neighborhood_radii" in kwargs:
-            kwargs["neighborhood_radii"] = tuple(kwargs["neighborhood_radii"])
-        schedule = Schedule(**kwargs)
+        schedule = Schedule(**sched_data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid schedule: {exc}") from exc
 
@@ -322,9 +319,7 @@ def run_config(cfg: RunConfig) -> RunReport:
 
 
 def _emit(value, parts: list):
-    if isinstance(value, Infinity):
-        parts.append('"inf"')
-    elif value is None:
+    if value is None:
         parts.append("null")
     elif isinstance(value, (bool, np.bool_)):
         parts.append("true" if value else "false")
@@ -332,10 +327,7 @@ def _emit(value, parts: list):
         parts.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
         v = float(value)
-        if v != v:
-            parts.append('"nan"')
-        else:
-            parts.append(format(v, ".17g"))
+        parts.append(format(v, ".17g") if math.isfinite(v) else f'"{v}"')
     elif isinstance(value, str):
         parts.append(json.dumps(value))
     elif isinstance(value, dict):
@@ -421,9 +413,8 @@ def emit_report(report: RunReport, fmt: str = "json") -> str:
         lines.append("")
         lines.append(f"{'constant':42s} {'value':>24s} {'levels':>7s} flags")
         for name, est in report.constants.items():
-            val = "inf" if is_inf(est.value) else format(float(est.value), ".12g")
             flags = ",".join(est.flags) if est.flags else "-"
-            lines.append(f"{name:42s} {val:>24s} {len(est.trace):>7d} {flags}")
+            lines.append(f"{name:42s} {float(est.value):>24.12g} {len(est.trace):>7d} {flags}")
     if report.criteria is not None:
         c = report.criteria
         lines.append("")
@@ -439,10 +430,8 @@ def emit_report(report: RunReport, fmt: str = "json") -> str:
         lines.append("")
         lines.append(f"{'check':44s} {'status':>7s} {'lhs':>14s} {'rhs':>14s}")
         for r in report.invariant_results:
-            lhs = "inf" if is_inf(r.lhs) else format(float(r.lhs), ".6g")
-            rhs = "inf" if is_inf(r.rhs) else format(float(r.rhs), ".6g")
             status = "pass" if r.passed else "FAIL"
-            lines.append(f"{r.name:44s} {status:>7s} {lhs:>14s} {rhs:>14s}")
+            lines.append(f"{r.name:44s} {status:>7s} {float(r.lhs):>14.6g} {float(r.rhs):>14.6g}")
     lines.append("")
     lines.append(f"all checks passed: {report.all_passed}")
     return "\n".join(lines) + "\n"

@@ -20,7 +20,8 @@ level[, direction set or target]) group is reduced to its least image
 norm, keeping the first of ties as a scan in that order would
 (:func:`_first_min`), and then each level across the points the same
 way.  The pointwise slopes are one-point, one-rho reads of the same
-table.  ``INF`` is ``np.inf`` inside these arrays only.
+table.  An empty infimum is ``INF``, the float ``inf``, in these arrays
+and in the values read from them alike.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .extended import INF, ExtReal, is_inf
 from .geometry import (
+    INF,
     ProductPoint,
     _dual_ball_directions,
     duality_map,
     enlargement_perturbations,
     enlargement_rows,
+    is_inf,
     xi_q,
 )
 from .problems import MappingProblem, Schedule, mix_seed, outer_pools
@@ -61,10 +63,6 @@ class DualSlopeError(ValueError):
     """Invalid input to a dual slope estimator."""
 
 
-def _ext(v) -> ExtReal:
-    return INF if v == np.inf else float(v)
-
-
 def _chunks(problem: MappingProblem, schedule: Schedule):
     """The rows of the outer-point table in order, in chunks of
     :class:`~subreg.problems.OuterPool` rows."""
@@ -79,7 +77,7 @@ def _image_norms(
     """A table shaped like the mask ``where`` holding, at its true
     entries in C order, ``inf |x*|`` over x* in D*F(x,y)(row) at the
     point ``(x[owner], y[owner])`` for the successive rows and owners;
-    ``np.inf`` elsewhere and where the oracle has no description or the
+    ``INF`` elsewhere and where the oracle has no description or the
     image is empty.  The oracle is called once per distinct point and
     row."""
     dual_x = problem.norm_x.dual()
@@ -90,9 +88,8 @@ def _image_norms(
     for k in np.argsort(first):  # in scan order
         i = owner[first[k]]
         res = problem.coderivative(x[i], y[i], rows[first[k]])
-        v = INF if res is None else res.min_norm(dual_x)
-        norms[k] = np.inf if is_inf(v) else v
-    table = np.full(np.shape(where), np.inf)
+        norms[k] = INF if res is None else res.min_norm(dual_x)
+    table = np.full(np.shape(where), INF)
     table[where] = norms[inverse.reshape(-1)]
     return table
 
@@ -100,9 +97,9 @@ def _image_norms(
 def _first_min(table: np.ndarray) -> np.ndarray:
     """Along the last axis, the first entry equal to the least: what a
     scan keeping the first of ties returns, so -0.0 and 0.0 stay apart.
-    ``np.inf`` along an empty axis."""
+    ``INF`` along an empty axis."""
     if not table.shape[-1]:
-        return np.full(table.shape[:-1], np.inf)
+        return np.full(table.shape[:-1], INF)
     flat = table.reshape(-1, table.shape[-1])
     first = np.argmax(flat == flat.min(axis=1, keepdims=True), axis=1)
     return flat[np.arange(len(flat)), first].reshape(table.shape[:-1])
@@ -110,11 +107,11 @@ def _first_min(table: np.ndarray) -> np.ndarray:
 
 def _across_points(parts: list, shape: tuple) -> list:
     """The per-point arrays of ``shape``, stacked chunk by chunk
-    (``np.inf`` where a point does not reach a level), reduced over the
+    (``INF`` where a point does not reach a level), reduced over the
     points in pool order, so a tie keeps the first point; as rows of
-    extended reals, ``INF`` throughout without points."""
+    floats, ``INF`` throughout without points."""
     stack = np.concatenate(parts) if parts else np.empty((0,) + shape)
-    return [[_ext(v) for v in row] for row in _first_min(np.moveaxis(stack, 0, -1)).tolist()]
+    return _first_min(np.moveaxis(stack, 0, -1)).tolist()
 
 
 def _padded(faces: list, dim: int) -> tuple:
@@ -244,7 +241,7 @@ def _at_point(problem: MappingProblem, at, sets: list, pert: float, seed: int) -
     per direction set."""
     one = np.ones((1, 1), bool)
     table = _subdiff_table(problem, at.x[None], at.y[None], [sets], np.array([[pert]]), one, seed)
-    return [_ext(v) for v in table[0, 0].tolist()]
+    return table[0, 0].tolist()
 
 
 def subdiff_rho_slope(
@@ -288,7 +285,7 @@ def subdiff_rho_slope(
 
 def f_level_subdiff_rho_slope(
     ef, rho: float, at: ProductPoint, schedule: Optional[Schedule] = None
-) -> ExtReal:
+) -> float:
     """Subdifferential rho-slope of the induced error function,
     recovered as ``q d^{q-1}`` times the mapping-level slope at the
     rescaled perturbation radius ``xi_q(y) * rho``."""

@@ -30,8 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .extended import INF, ExtReal, is_inf
-from .geometry import NormSpec, ProductPoint, euclidean
+from .geometry import INF, NormSpec, ProductPoint, euclidean, is_inf
 from .problems import (
     ErrorFunction,
     MappingProblem,
@@ -73,7 +72,7 @@ class SlopeError(ValueError):
 class SlopeEstimate:
     """A slope value with its convergence trace along the schedule."""
 
-    value: ExtReal
+    value: float
     trace: tuple
     truncated: bool
     budget_used: int
@@ -540,7 +539,7 @@ def sweep_table(
     )
 
 
-def _infimum(values: np.ndarray) -> ExtReal:
+def _infimum(values: np.ndarray) -> float:
     """A level's infimum as a scan with ``<`` takes it: NaN never wins and
     an empty level is ``INF``."""
     values = values[~np.isnan(values)]
@@ -647,7 +646,7 @@ class TwoVariableFunction:
         object.__setattr__(self, "xbar", np.asarray(self.xbar, dtype=float).reshape(-1))
         object.__setattr__(self, "ybar", np.asarray(self.ybar, dtype=float).reshape(-1))
 
-    def value(self, x, y) -> ExtReal:
+    def value(self, x, y) -> float:
         return self.f(np.asarray(x, dtype=float).reshape(-1), np.asarray(y, dtype=float).reshape(-1))
 
 
@@ -759,11 +758,10 @@ def f_rows(func_or_ef, calls: Sequence[tuple]) -> tuple:
     drawn = [func.sampler(*call) for call in calls]
     ux = np.concatenate([np.zeros((0, func.xbar.size))] + [x for x, _ in drawn])
     vy = np.concatenate([np.zeros((0, func.ybar.size))] + [y for _, y in drawn])
-    fv = [func.value(x, y) for x, y in zip(ux, vy)]
-    finite = np.array([not is_inf(v) for v in fv], dtype=bool)
+    fv = np.array([float(func.value(x, y)) for x, y in zip(ux, vy)])
+    finite = fv != INF
     owner = np.repeat(np.arange(len(calls)), [len(x) for x, _ in drawn])
-    f = np.array([float(v) for v in fv if not is_inf(v)], dtype=float)
-    return ux[finite], vy[finite], f, np.bincount(owner[finite], minlength=len(calls))
+    return ux[finite], vy[finite], fv[finite], np.bincount(owner[finite], minlength=len(calls))
 
 
 def anchor_f_rows(func_or_ef, radii: Sequence[float], budget: int, seeds: Sequence[int]) -> tuple:

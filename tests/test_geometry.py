@@ -18,6 +18,7 @@ from subreg import (
     xi_q,
 )
 from subreg.geometry import GeometryError
+from subreg.report import _emit
 
 
 def test_prod_dist_identical_points_is_zero():
@@ -202,20 +203,18 @@ def test_point_to_set_distance():
     assert is_inf(point_to_set_distance([1.0], []))
 
 
-def test_infinity_sentinel_behavior():
-    assert INF > 1e300
-    assert not (INF < 1e300)
-    assert 5.0 < INF
-    assert INF == INF
-    assert INF + 3.0 == INF
-    assert 3.0 + INF == INF
-    assert min([INF, 2.0]) == 2.0
-    assert max([INF, 2.0]) == INF
-    assert INF * 2.5 == INF and 2.5 * INF == INF
-    assert INF * 0 == 0.0 and 0 * INF == 0.0
-    assert INF * 0.0 == 0.0 and type(INF * 0.0) is float
-    with pytest.raises(ValueError):
-        INF * -1
+def test_inf_is_the_float_inf():
+    assert INF == math.inf and type(INF) is float
+    assert 5.0 < INF and not (INF < 1e308) and INF > 1e308
+    assert INF + 3.0 == INF and 3.0 + INF == INF
+    assert min([INF, 2.0]) == 2.0 and max([INF, 2.0]) == INF
+    assert is_inf(np.float64("inf"))
+    assert not is_inf(-INF) and not is_inf(1e308)
+    parts = []
+    _emit(INF, parts)
+    assert parts == ['"inf"']
+    # no 0 * inf = 0 convention: a product with INF needs its own guard
+    assert math.isnan(INF * 0) and math.isnan(0 * INF)
 
 
 def test_dual_vector_set_ball_and_empty():

@@ -523,10 +523,8 @@ def _ref_p2(func_or_ef, schedule):
 
 
 def _bits(v):
-    """Exact identity of a report value: ``INF`` itself, a float's type and
-    hex form, and containers element by element."""
-    if v is INF:
-        return "INF"
+    """Exact identity of a report value: a float's type and hex form, and
+    containers element by element."""
     if isinstance(v, float):
         return ("float", v.hex())
     if isinstance(v, (list, tuple)):

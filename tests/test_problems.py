@@ -627,6 +627,11 @@ def test_halton_matches_reference_and_prefixes():
         catalog_problem("half-square"),
         catalog_problem("halfline-convex"),
         catalog_problem("linear-A"),
+        # three parameters: gaussian stencil directions, one set per call
+        pytest.param(
+            catalog_problem("linear-A", matrix=[[2, 1, 0], [0, 3, 1], [1, 0, 4]]),
+            id="linear-A-dim3",
+        ),
         piecewise_problem(_SPLIT_PIECES, xbar=0.0, ybar=0.0, name="inline-split"),
     ],
     ids=lambda p: p.name,

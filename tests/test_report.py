@@ -631,6 +631,7 @@ class TestCLI:
             ),
             # a check named twice would run once and be listed twice
             ("checks", ["moduli", "slopes", "moduli"], "duplicate checks: ['moduli']"),
+            ("neighborhood_radii", 5, "invalid schedule"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, cli_env, key, value, message):
@@ -645,6 +646,16 @@ class TestCLI:
         assert res.returncode == 2, res.stderr
         assert "invalid configuration" in res.stderr
         assert message in res.stderr
+
+    def test_neighborhood_radii_list_runs(self, tmp_path, cli_env):
+        # the JSON list reaches Schedule as it is: the schedule makes it a tuple
+        schedule = dict(REDUCED_SCHEDULE, neighborhood_radii=[0.25, 0.05, 0.01])
+        raw = {"problem": "identity", "q": 1.0, "schedule": schedule, "checks": ["moduli"]}
+        cfg = tmp_path / "radii.json"
+        cfg.write_text(json.dumps(raw))
+        res = self._run(["--config", str(cfg)], tmp_path, cli_env)
+        assert res.returncode == 0, res.stderr
+        assert parse_config(raw).schedule.neighborhood_radii == (0.25, 0.05, 0.01)
 
     def test_overflowing_rho0_exits_2(self, tmp_path, cli_env):
         for problem, q, schedule, checks in (

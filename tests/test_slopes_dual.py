@@ -432,9 +432,9 @@ def _lm_ref(problem, q, schedule):
 
 
 def _bits(v):
-    """A value's exact identity: the ``INF`` object itself, or the type
-    and the hex form of a float (which tells -0.0 from 0.0)."""
-    return "INF" if v is INF else (type(v).__name__, float(v).hex())
+    """A value's exact identity: the type and the hex form of a float
+    (which tells -0.0 from 0.0)."""
+    return (type(v).__name__, float(v).hex())
 
 
 def _assert_same(new: SlopeEstimate, ref: SlopeEstimate):

@@ -181,6 +181,51 @@ class TestExhaustiveEquivalence:
         assert out["nonlocal"].value == best
 
 
+def _scan_local(pts, at, rho, metric, radii):
+    """The local rho-slope trace of a finite graph with anchor (0, 0),
+    from its definition: at each relative radius, the largest
+    ``[d(y, ybar) - d(v, ybar)]_+ / d_rho`` over the graph points within
+    it (up to the centre's rounding pad), outside the exclusion band."""
+    x, y = at
+    pad = radius_pad(ProductPoint([x], [y]))
+    trace = []
+    for nr in radii:
+        r = max(nr * max(abs(x), abs(y), 1.0), 2.5e-12)
+        best = 0.0
+        for u, v in pts:
+            dx, dy = abs(u - x), abs(v - y)
+            if not 1e-12 < max(dx, dy) <= r + pad:
+                continue
+            den = max(dx, rho * dy) if metric == "max" else dx + rho * dy
+            best = max(best, max(abs(y) - abs(v), 0.0) / den)
+        trace.append((r, best))
+    return trace
+
+
+@pytest.mark.parametrize("g", range(5))
+def test_finite_graph_local_slope_is_the_scan(g):
+    # the coarsest radius covers the whole graph, the finer ones shrink into it
+    schedule = Schedule(neighborhood_radii=(4.0, 1.0, 0.5, 0.25, 0.1, 0.05))
+    rng = np.random.default_rng([17, g])
+    n = int(rng.integers(20, 60))
+    pts = [(0.0, 0.0)] + [(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))) for _ in range(n)]
+    problem = finite_graph_problem([([u], [v]) for u, v in pts], [0.0], [0.0])
+    at = pts[1 + int(rng.integers(0, n))]
+    point = ProductPoint([at[0]], [at[1]])
+    for rho in (0.4, 1.3):
+        for metric in ("max", "sum"):
+            est = local_rho_slope(problem, rho, point, schedule, metric)
+            want = _scan_local(pts, at, rho, metric, schedule.neighborhood_radii)
+            assert [(r.hex(), v.hex()) for r, v in est.trace] == [
+                (r.hex(), v.hex()) for r, v in want
+            ]  # bitwise
+            values = [v for _, v in est.trace]
+            assert all(b <= a for a, b in zip(values, values[1:]))
+            nonlocal_ = nonlocal_q_rho_slope(problem, 1.0, rho, point, schedule, metric).value
+            assert values[0] == nonlocal_ > 0.0
+            assert all(v <= nonlocal_ for v in values)
+
+
 class TestStrictSlopes:
     def test_half_square_all_near_one(self, half_square, schedule):
         plain, modified = strict_q_slopes(half_square, 0.5, schedule)
