@@ -338,6 +338,24 @@ def duality_map(y, norm: NormSpec, tol: float = DEFAULT_TOL) -> DualVectorSet:
     return out
 
 
+def duality_faces(rows, norm: NormSpec, tol: float = DEFAULT_TOL) -> list:
+    """``[duality_map(r, norm).members() for r in rows]``.  A euclidean
+    face is the singleton ``r / |r|``: every row's is formed and checked
+    against both defining identities at once, with the same sums as
+    :func:`duality_map`; other norms go row by row."""
+    rows = np.asarray(rows, dtype=float)
+    if norm.kind != "euclidean":
+        return [duality_map(r, norm, tol).members() for r in rows]
+    ny = norm.value_rows(rows)
+    if (ny <= 0.0).any():
+        raise GeometryError("duality mapping rejected at the origin")
+    faces = rows / ny[:, None]
+    pairing = reduce(np.add, (faces * rows).T)  # dot_left's order
+    if (np.abs(norm.value_rows(faces) - 1.0) > tol).any() or (np.abs(pairing - ny) > tol * ny).any():
+        raise GeometryError("duality mapping output failed its defining identities")
+    return [(face,) for face in faces]
+
+
 def q_duality_enlargement(
     y,
     q: float,

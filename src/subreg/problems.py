@@ -252,7 +252,12 @@ class MappingProblem:
     F^{-1}(ybar)), ``fiber_distance`` (distance from ybar to F(x)) and,
     where available, a ``coderivative`` oracle mapping (x, y, y*) to a
     finite description of D*F(x,y)(y*) (``None`` when unknown at that
-    point).
+    point).  A single-valued map that is strictly differentiable at x may
+    also carry ``coderivative_matrix``, mapping (x, y) to its Jacobian M,
+    shaped (dim_y, dim_x), with D*F(x,y)(y*) = {M^T y*}; it returns
+    ``None`` wherever the image is not of that form (a kink, a point off
+    the domain, a set-valued or empty image), and where it is set it
+    must agree with ``coderivative``.
     """
 
     name: str
@@ -271,6 +276,7 @@ class MappingProblem:
     solution_distance: Optional[Callable[[np.ndarray], float]] = None
     fiber_distance: Optional[Callable[[np.ndarray], float]] = None
     coderivative: Optional[Callable] = None
+    coderivative_matrix: Optional[Callable] = None
     graph_points: Optional[tuple] = None
     convex: bool = False
     graph_locally_closed: bool = True
@@ -789,6 +795,10 @@ def _half_square() -> MappingProblem:
             return DualVectorSet.singleton([2.0 * u * float(ystar[0])])
         return DualVectorSet.singleton([0.0])
 
+    def coderivative_matrix(x, y):
+        u = float(x[0])
+        return np.array([[2.0 * u if u >= 0.0 else 0.0]])
+
     return MappingProblem(
         name="half-square",
         dim_x=1,
@@ -804,6 +814,7 @@ def _half_square() -> MappingProblem:
         solution_distance=lambda x: max(float(x[0]), 0.0),
         fiber_distance=lambda x: max(float(x[0]), 0.0) ** 2,
         coderivative=coderivative,
+        coderivative_matrix=coderivative_matrix,
         convex=False,
         canonical_q=0.5,
     )
@@ -825,6 +836,7 @@ def _identity() -> MappingProblem:
         solution_distance=lambda x: abs(float(x[0])),
         fiber_distance=lambda x: abs(float(x[0])),
         coderivative=lambda x, y, ystar: DualVectorSet.singleton([float(ystar[0])]),
+        coderivative_matrix=lambda x, y: np.ones((1, 1)),
         convex=True,
         canonical_q=1.0,
     )
@@ -849,6 +861,7 @@ def _square() -> MappingProblem:
         coderivative=lambda x, y, ystar: DualVectorSet.singleton(
             [2.0 * float(x[0]) * float(ystar[0])]
         ),
+        coderivative_matrix=lambda x, y: np.array([[2.0 * float(x[0])]]),
         convex=False,
         canonical_q=1.0,
     )
@@ -901,6 +914,7 @@ def _linear(matrix=None) -> MappingProblem:
         solution_distance=solution_distance,
         fiber_distance=lambda x: norm_y.value(apply(a, x)),
         coderivative=coderivative,
+        coderivative_matrix=lambda x, y: a,
         convex=True,
         canonical_q=1.0,
     )
@@ -963,6 +977,7 @@ def _constant() -> MappingProblem:
         solution_distance=lambda x: 0.0,
         fiber_distance=lambda x: 0.0,
         coderivative=lambda x, y, ystar: DualVectorSet.singleton([0.0]),
+        coderivative_matrix=lambda x, y: np.zeros((1, 1)),
         convex=True,
         canonical_q=1.0,
     )
@@ -1024,14 +1039,24 @@ def piecewise_problem(
     for pc in pieces:
         try:
             a, b, coeffs = pc["domain"][0], pc["domain"][1], list(pc["coeffs"])
+            unknown = sorted(set(pc) - {"domain", "coeffs"})
         except (KeyError, TypeError, IndexError) as exc:
             raise ProblemError(f"malformed piece {pc!r}") from exc
+        if unknown:
+            raise ProblemError(f"unknown keys in piece: {unknown}")
         if not all(is_finite_real(v) for v in (a, b, *coeffs)):
             raise ProblemError(f"piece domain ends and coefficients must be finite numbers: {pc!r}")
         if b < a or not coeffs:
             raise ProblemError(f"malformed piece {pc!r}")
         parsed.append((float(a), float(b), np.array(coeffs, dtype=float)))
     parsed.sort(key=lambda t: t[0])
+    # membership and the graph map read the first piece holding a point,
+    # the coderivative every one: pieces may share an end, no more
+    reach = -INF
+    for a, b, _ in parsed:
+        if min(b, reach) > a:
+            raise ProblemError(f"piece domains overlap on [{a!r}, {min(b, reach)!r}]")
+        reach = max(reach, b)
     lo_all = parsed[0][0]
     hi_all = max(b for _, b, _ in parsed)
     # highest-degree-first coefficient tuples, the ones np.polyval and
@@ -1114,18 +1139,26 @@ def piecewise_problem(
             return INF
         return abs(v - ybar)
 
-    def coderivative(x, y, ystar):
-        u = float(x[0])
-        slopes = {
+    def slopes_at(u: float) -> set:
+        # the distinct slopes of the pieces holding u: none off the
+        # domain, more than one at a kink
+        return {
             round(_horner(dc, u), 12)
             for (a, b, _), dc in zip(parsed, derivs)
             if a - MEMBERSHIP_TOL <= u <= b + MEMBERSHIP_TOL
         }
+
+    def coderivative(x, y, ystar):
+        slopes = slopes_at(float(x[0]))
         if not slopes:
             return DualVectorSet.empty()
         if len(slopes) > 1:
             return None  # kink: no analytic description here
         return DualVectorSet.singleton([slopes.pop() * float(ystar[0])])
+
+    def coderivative_matrix(x, y):
+        slopes = slopes_at(float(x[0]))
+        return np.array([[slopes.pop()]]) if len(slopes) == 1 else None
 
     return MappingProblem(
         name=name,
@@ -1145,6 +1178,7 @@ def piecewise_problem(
         solution_distance=solution_distance,
         fiber_distance=fiber_distance,
         coderivative=coderivative,
+        coderivative_matrix=coderivative_matrix,
         convex=convex,
         graph_locally_closed=graph_locally_closed,
     )

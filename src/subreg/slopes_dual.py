@@ -11,11 +11,14 @@ shrinking shells.
 Every constant walks the rows of the outer-point table
 (:func:`~subreg.problems.outer_pools`), one per distinct outer point, in
 table order and in chunks of rows; a point's copies would repeat its
-values, so they only add to ``budget_used``.  A point's duality faces
-are taken once per direction, and the multipliers of all its levels are
-laid out as one table, a block of the chunk's arrays (:func:`_pert_rows`,
-:func:`~subreg.geometry.enlargement_rows`).  The oracle is called once
-per distinct point and multiplier (:func:`_image_norms`).  Each (point,
+values, so they only add to ``budget_used``.  The duality faces of a
+chunk's directions are taken as rows (:func:`~subreg.geometry.duality_faces`),
+and the multipliers of all its levels are laid out as one table, a block
+of the chunk's arrays (:func:`_pert_rows`,
+:func:`~subreg.geometry.enlargement_rows`).  Each point's coderivative
+matrix is read once, and the images M^T y* of all its multipliers are
+formed and normed as rows; a point without one calls the scalar oracle
+once per distinct multiplier (:func:`_image_norms`).  Each (point,
 level[, direction set or target]) group is reduced to its least image
 norm, keeping the first of ties as a scan in that order would
 (:func:`_first_min`), and then each level across the points the same
@@ -27,6 +30,7 @@ and in the values read from them alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +39,7 @@ from .geometry import (
     INF,
     ProductPoint,
     _dual_ball_directions,
-    duality_map,
+    duality_faces,
     enlargement_perturbations,
     enlargement_rows,
     is_inf,
@@ -48,10 +52,10 @@ from .slopes_primal import SlopeEstimate, _finish
 # minimum-norm estimate may overestimate when the cap binds (flagged).
 MULTIPLIER_CAP = 1e6
 # Distinct outer points whose multiplier tables are built together.  On
-# linear-A (2-D, 446 distinct points) a chunk's arrays peak near 8 MiB
-# (tracemalloc), below the primal layer's peak, so an all-checks run
-# keeps its 62 MiB peak RSS; one table for all points peaks near 37 MiB
-# and lifts the run to 77 MiB.
+# linear-A (2-D, 446 distinct points, default schedule) a chunk's arrays
+# peak near 7 MiB (tracemalloc), below the primal layer's peak, so an
+# all-checks run keeps its 62 MiB peak RSS; one table for all points
+# peaks near 31 MiB and lifts the run to 72 MiB.
 DUAL_CHUNK_POINTS = 64
 
 
@@ -78,19 +82,42 @@ def _image_norms(
     entries in C order, ``inf |x*|`` over x* in D*F(x,y)(row) at the
     point ``(x[owner], y[owner])`` for the successive rows and owners;
     ``INF`` elsewhere and where the oracle has no description or the
-    image is empty.  The oracle is called once per distinct point and
-    row."""
+    image is empty.  Each distinct owner's coderivative matrix M is read
+    once; the rows of the owners that have one become M^T y*, formed
+    column by column with each entry summed left to right (no BLAS
+    kernel picks its bits), and are normed together.  The scalar oracle
+    takes the other owners, once per distinct point and row."""
     dual_x = problem.norm_x.dual()
-    # a row's bit patterns key it, so -0.0 and 0.0 stay apart
-    keys = np.column_stack([owner, np.ascontiguousarray(rows).view(np.int64)])
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    norms = np.empty(len(first))
-    for k in np.argsort(first):  # in scan order
-        i = owner[first[k]]
-        res = problem.coderivative(x[i], y[i], rows[first[k]])
-        norms[k] = INF if res is None else res.min_norm(dual_x)
+    held = np.zeros(len(x), dtype=bool)
+    if problem.coderivative_matrix is not None:
+        mats = np.zeros((len(x), problem.dim_y, problem.dim_x))
+        # the distinct owners by a mask: a bare np.unique imports numpy.ma
+        held[owner] = True
+        for i in np.flatnonzero(held).tolist():
+            m = problem.coderivative_matrix(x[i], y[i])
+            if m is None:
+                held[i] = False
+            else:
+                mats[i] = m
+    norms = np.full(len(owner), INF)
+    on = held[owner]
+    if on.any():
+        own, ys = owner[on], rows[on]
+        images = reduce(np.add, (ys[:, k : k + 1] * mats[own, k] for k in range(problem.dim_y)))
+        norms[on] = dual_x.value_rows(images)
+    rest = np.flatnonzero(~on)
+    if rest.size:
+        # a row's bit patterns key it, so -0.0 and 0.0 stay apart
+        keys = np.column_stack([owner[rest], np.ascontiguousarray(rows[rest]).view(np.int64)])
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        values = np.empty(len(first))
+        for k in np.argsort(first):  # in scan order
+            j = rest[first[k]]
+            res = problem.coderivative(x[owner[j]], y[owner[j]], rows[j])
+            values[k] = INF if res is None else res.min_norm(dual_x)
+        norms[rest] = values[inverse.reshape(-1)]
     table = np.full(np.shape(where), INF)
-    table[where] = norms[inverse.reshape(-1)]
+    table[where] = norms
     return table
 
 
@@ -181,26 +208,18 @@ def _subdiff_table(
     """Per point (a row of ``x`` and ``y``), per radius of its row of
     ``perts`` where ``live`` and per direction set of the point: ``inf |x*|`` over x* in
     D*F(x,y)(J(v) + pert * B*) and over the set's nonzero directions v,
-    as a (points, radii, sets) array, ``np.inf`` off ``live``.  A point
-    takes each distinct direction's face once, and the value is 0 where
-    pert reaches the least dual norm over the set's faces: 0 then lies in
-    the perturbed multiplier set, and D*F(x,y)(0) owns 0."""
+    as a (points, radii, sets) array, ``np.inf`` off ``live``.  The value
+    is 0 where pert reaches the least dual norm over the set's faces: 0
+    then lies in the perturbed multiplier set, and D*F(x,y)(0) owns 0."""
     n_pts, n_rad = perts.shape
     n_sets = len(direction_sets[0])
     dim = problem.dim_y
-    flat = [v for sets in direction_sets for vs in sets for v in vs]
-    nonzero = iter((problem.norm_y.value_rows(np.array(flat)) > 0.0).tolist())
-    js = []
-    for sets in direction_sets:
-        faces: dict = {}
-        for vs in sets:
-            js.append([])
-            for v in vs:
-                if next(nonzero):
-                    key = v.tobytes()
-                    if key not in faces:
-                        faces[key] = duality_map(v, problem.norm_y).members()
-                    js[-1] += faces[key]
+    flat = np.array([v for sets in direction_sets for vs in sets for v in vs])
+    nonzero = problem.norm_y.value_rows(flat) > 0.0
+    found = iter(duality_faces(flat[nonzero], problem.norm_y))
+    faces = iter([next(found) if ok else () for ok in nonzero.tolist()])
+    # a set's members: the faces of its directions, in order
+    js = [[j for _ in vs for j in next(faces)] for sets in direction_sets for vs in sets]
     centres, real = _padded(js, dim)
     width = real.shape[1]
     size = np.where(real, problem.norm_y.dual().value_rows(centres).reshape(real.shape), np.inf)
@@ -384,7 +403,7 @@ def limiting_coderivative_min_norm(
     used = 0
     for chunk in _chunks(problem, schedule):
         n_pts = chunk.depth.size
-        faces = [duality_map(v, problem.norm_y).members() for v in chunk.y - problem.ybar]
+        faces = duality_faces(chunk.y - problem.ybar, problem.norm_y)
         members, real = _padded(faces, problem.dim_y)
         width = real.shape[1]
         scale = chunk.weight(q)
@@ -464,10 +483,9 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
         # norm d(y, ybar) > 0); a point off every window gets none
         reach = np.repeat(live.any(axis=1), n_tgt).tolist()
         weights = np.array([dy ** (q - 1.0) if dy > 0.0 else 1.0 for dy in dys])
-        faces = [
-            duality_map(t, problem.norm_y).members() if dy > 0.0 and ok else ()
-            for t, dy, ok in zip(targets, dys, reach)
-        ]
+        faced = [dy > 0.0 and ok for dy, ok in zip(dys, reach)]
+        found = iter(duality_faces(np.array(targets)[faced], problem.norm_y))
+        faces = [next(found) if ok else () for ok in faced]
         members, real = _padded(faces, dim)
         # min |x*| over D*F(x,y)(J^q_eps(target)), J^q_eps(target) the
         # normalized enlargement of q |target|^{q-1} J(target)

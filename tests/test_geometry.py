@@ -17,7 +17,7 @@ from subreg import (
     q_duality_enlargement,
     xi_q,
 )
-from subreg.geometry import GeometryError
+from subreg.geometry import GeometryError, duality_faces
 from subreg.report import _emit
 
 
@@ -145,6 +145,41 @@ class TestDualityMap:
     def test_rejects_origin(self):
         with pytest.raises(GeometryError):
             duality_map([0.0, 0.0], euclidean(2))
+
+
+class TestDualityFaces:
+    @pytest.mark.parametrize(
+        "norm",
+        [
+            euclidean(1),
+            euclidean(2),
+            euclidean(3),
+            NormSpec("p", 3, p=3.0),
+            NormSpec("p", 3, p=1.0),
+            NormSpec("p", 3, p=math.inf),
+            NormSpec("weighted-max", 3, weights=(1.0, 2.0, 0.5)),
+        ],
+    )
+    def test_equal_to_duality_map_row_by_row(self, norm):
+        rng = np.random.default_rng(12)
+        rows = rng.normal(size=(40, norm.dim)) * rng.choice([1e-9, 1.0, 1e9], size=(40, 1))
+        rows[::5, 0] = 0.0  # a free coordinate: l1 and linf faces with several vertices
+        rows[rows.any(axis=1) == 0] = 1.0
+        faces = duality_faces(rows, norm)
+        assert len(faces) == len(rows)
+        for face, row in zip(faces, rows):
+            ref = duality_map(row, norm).members()
+            assert [v.tobytes() for v in face] == [v.tobytes() for v in ref]
+
+    def test_no_rows_no_faces(self):
+        assert duality_faces(np.zeros((0, 2)), euclidean(2)) == []
+
+    @pytest.mark.parametrize("norm", [euclidean(1), euclidean(2), NormSpec("p", 2, p=1.0)])
+    def test_rejects_origin(self, norm):
+        rows = np.ones((3, norm.dim))
+        rows[1] = 0.0
+        with pytest.raises(GeometryError, match="origin"):
+            duality_faces(rows, norm)
 
 
 class TestQDualityEnlargement:

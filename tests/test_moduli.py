@@ -367,7 +367,9 @@ def test_coderivative_homogeneity_row_on_ball_images(radius_of, homogeneous):
         ys = float(ystar[0])
         return DualVectorSet.ball([2.0 * max(float(x[0]), 0.0) * ys], radius_of(ys))
 
-    problem = dataclasses.replace(catalog_problem("half-square"), coderivative=coderivative)
+    problem = dataclasses.replace(
+        catalog_problem("half-square"), coderivative=coderivative, coderivative_matrix=None
+    )
     ctx = compute_constants(problem, 0.5, Schedule(sample_budget=256, steps=5))
     rows = run_invariant_suite(ctx, gamma=0.5)
     (row,) = [r for r in rows if r.name == "coderivative_homogeneity"]

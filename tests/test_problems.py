@@ -255,6 +255,34 @@ def test_piecewise_kink_has_no_coderivative_description():
     assert p.coderivative(np.array([0.0]), np.array([0.0]), np.array([1.0])) is None
 
 
+@pytest.mark.parametrize(
+    "domains",
+    [
+        [[-1.0, 1.0], [0.0, 2.0]],
+        [[0.0, 2.0], [-1.0, 1.0]],  # unsorted
+        [[-1.0, 3.0], [0.0, 1.0]],  # one inside another
+        [[-1.0, 3.0], [0.0, 1.0], [2.0, 4.0]],  # past a piece the last one misses
+    ],
+)
+def test_piecewise_domains_overlapping_on_a_length_are_rejected(domains):
+    pieces = [{"domain": d, "coeffs": [0.0, float(k + 1)]} for k, d in enumerate(domains)]
+    with pytest.raises(ProblemError, match="piece domains overlap"):
+        piecewise_problem(pieces, xbar=0.0, ybar=0.0)
+
+
+def test_piecewise_domains_may_share_an_end():
+    domains = [[-1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 2.0]]
+    pieces = [{"domain": d, "coeffs": [0.0, 1.0]} for d in domains]
+    p = piecewise_problem(pieces, xbar=0.0, ybar=0.0)
+    np.testing.assert_array_equal(p.coderivative_matrix(np.array([1.0]), np.array([1.0])), [[1.0]])
+
+
+def test_piecewise_unknown_piece_key_is_rejected():
+    pieces = [{"domain": [-1.0, 1.0], "coeffs": [0.0, 1.0], "extra": 1}]
+    with pytest.raises(ProblemError, match=r"unknown keys in piece: \['extra'\]"):
+        piecewise_problem(pieces, xbar=0.0, ybar=0.0)
+
+
 def test_finite_graph_problem_sampling():
     pts = [([float(i)], [float(i % 3)]) for i in range(10)]
     p = finite_graph_problem(pts, xbar=[0.0], ybar=[0.0])

@@ -545,7 +545,8 @@ def test_config_hash_falls_back_to_hashlib(cli_env):
 def test_one_dimensional_runs_do_not_load_numpy_random_or_openssl(tmp_path, cli_env):
     # the Halton shift is computed without numpy.random and the config hash
     # without hashlib; 2-D and larger catalog entries may still load
-    # numpy.random (and through it OpenSSL) for their gaussian directions
+    # numpy.random (and through it OpenSSL) for their gaussian directions.
+    # numpy.ma, which a bare np.unique imports, costs about 17 ms a process
     configs = [
         {"problem": _inline_max_power(1.0, 2), "q": 0.5, "checks": ALL_CHECKS},
         {"problem": "half-square", "q": 0.5, "checks": ["moduli"]},
@@ -556,12 +557,12 @@ def test_one_dimensional_runs_do_not_load_numpy_random_or_openssl(tmp_path, cli_
         cfg.write_text(json.dumps(dict(raw, schedule=dict(REDUCED_SCHEDULE))))
         out = tmp_path / f"report-{i}.json"
         script.append(f"assert subreg.cli.main(['--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0")
-        script.append("print('numpy.random' in sys.modules, '_hashlib' in sys.modules)")
+        script.append("print(*(m in sys.modules for m in ('numpy.random', '_hashlib', 'numpy.ma')))")
     res = subprocess.run(
         [sys.executable, "-c", "\n".join(script)], capture_output=True, text=True, env=cli_env
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False"] * 4
+    assert res.stdout.split() == ["False"] * 6
 
 
 # an inline problem whose anchor the bad-value cases replace
@@ -632,6 +633,13 @@ class TestCLI:
             # a check named twice would run once and be listed twice
             ("checks", ["moduli", "slopes", "moduli"], "duplicate checks: ['moduli']"),
             ("neighborhood_radii", 5, "invalid schedule"),
+            # a key a piece does not have, and domains that overlap on a length
+            (
+                "problem",
+                {"pieces": [{"domain": [-1, 1], "coeffs": [0, 1], "extra": 1}]},
+                "unknown keys in piece: ['extra']",
+            ),
+            ("problem", _pieces([-1, 1], [0, 1], [0, 2], [0, 2]), "piece domains overlap on [0.0, 1.0]"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, cli_env, key, value, message):

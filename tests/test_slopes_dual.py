@@ -12,6 +12,7 @@ from subreg import (
     NormSpec,
     ProductPoint,
     Schedule,
+    catalog_names,
     catalog_problem,
     f_level_subdiff_rho_slope,
     is_inf,
@@ -171,6 +172,26 @@ class TestCoderivativeOracleContracts:
                 continue
             for u, v in zip(base.members(), scaled.members()):
                 np.testing.assert_allclose(3.0 * u, v, atol=1e-9)
+
+    @pytest.mark.parametrize("name", ["half-square", "identity", "square", "linear-A", "constant"])
+    def test_matrix_image_is_the_scalar_image(self, name):
+        p = catalog_problem(name)
+        rng = np.random.default_rng(5)
+        for pt in graph_sample(p, p.anchor, 1.0, 16, 4)[:6]:
+            ystar = rng.normal(size=p.dim_y)
+            m = p.coderivative_matrix(pt.x, pt.y)
+            assert m.shape == (p.dim_y, p.dim_x)
+            (image,) = p.coderivative(pt.x, pt.y, ystar).members()
+            np.testing.assert_allclose(m.T @ ystar, image, rtol=1e-14, atol=1e-15)
+
+    def test_matrix_is_unset_or_none_off_single_valued_images(self):
+        # halfline-convex has set-valued or empty images
+        assert catalog_problem("halfline-convex").coderivative_matrix is None
+        kink = _kink()
+        assert kink.coderivative_matrix(np.array([0.125]), np.array([0.125])) is None
+        assert kink.coderivative_matrix(np.array([3.0]), np.array([0.0])) is None
+        assert kink.coderivative(np.array([3.0]), np.array([0.0]), np.ones(1)).is_empty()
+        np.testing.assert_array_equal(kink.coderivative_matrix(np.array([1.0]), np.array([1.875])), [[2.0]])
 
     def test_halfline_empty_images(self):
         p = catalog_problem("halfline-convex")
@@ -469,7 +490,9 @@ def _ball_half_square():
         ys = float(ystar[0])
         return DualVectorSet.ball([2.0 * max(float(x[0]), 0.0) * ys], 0.1 * abs(ys))
 
-    return dataclasses.replace(catalog_problem("half-square"), coderivative=coderivative)
+    return dataclasses.replace(
+        catalog_problem("half-square"), coderivative=coderivative, coderivative_matrix=None
+    )
 
 
 class _SignedZeroImage:
@@ -488,7 +511,9 @@ def _signed_zero():
         sign = math.sin(1e4 * float(x[0]) + 1e3 * float(ystar[0]))
         return _SignedZeroImage(math.copysign(0.0, sign))
 
-    return dataclasses.replace(catalog_problem("half-square"), coderivative=coderivative)
+    return dataclasses.replace(
+        catalog_problem("half-square"), coderivative=coderivative, coderivative_matrix=None
+    )
 
 
 def _linear_l1():
@@ -567,6 +592,7 @@ class TestPerPointEngineParity:
 
     @pytest.mark.parametrize("case", ["half-square", "linear-A", "inline-kink", "ball"])
     def test_one_oracle_call_per_point_and_multiplier(self, case):
+        # the scalar fallback: without a matrix, every multiplier calls the oracle
         make, q = PARITY_CASES[case]
         base = make()
         calls = Counter()
@@ -575,9 +601,87 @@ class TestPerPointEngineParity:
             calls[(x.tobytes(), y.tobytes(), ystar.tobytes())] += 1
             return base.coderivative(x, y, ystar)
 
-        p = dataclasses.replace(base, coderivative=counted)
+        p = dataclasses.replace(base, coderivative=counted, coderivative_matrix=None)
         for constant in (strict_subdiff_q_slopes, limiting_coderivative_min_norm, lm_constants):
             calls.clear()
             constant(p, q, PARITY_SCHEDULE)
             assert calls, constant.__name__
             assert max(calls.values()) == 1, constant.__name__
+
+    @pytest.mark.parametrize("case", ["half-square", "linear-A", "inline-kink"])
+    def test_one_matrix_read_per_point(self, case):
+        # with a matrix, each point's is read once per constant, and the
+        # scalar oracle is called only where there is none: at the kinks
+        make, q = PARITY_CASES[case]
+        base = make()
+        reads, calls = Counter(), Counter()
+
+        def read(x, y):
+            reads[(x.tobytes(), y.tobytes())] += 1
+            return base.coderivative_matrix(x, y)
+
+        def counted(x, y, ystar):
+            calls[(x.tobytes(), y.tobytes(), ystar.tobytes())] += 1
+            return base.coderivative(x, y, ystar)
+
+        p = dataclasses.replace(base, coderivative=counted, coderivative_matrix=read)
+        for constant in (strict_subdiff_q_slopes, limiting_coderivative_min_norm, lm_constants):
+            reads.clear()
+            calls.clear()
+            constant(p, q, PARITY_SCHEDULE)
+            assert reads and max(reads.values()) == 1, constant.__name__
+            kinks = {
+                key for key in reads if base.coderivative_matrix(*map(np.frombuffer, key)) is None
+            }
+            assert {key[:2] for key in calls} == kinks, constant.__name__
+            assert bool(kinks) == (case == "inline-kink"), constant.__name__
+            if calls:
+                assert max(calls.values()) == 1, constant.__name__
+
+
+# the 2-D matrices of tests/test_robustness.py whose A^T y* mixes both
+# coordinates of y*
+_MATRICES = {"upper-triangular": [[2.0, 1.0], [0.0, 3.0]], "rotation": [[0.6, -0.8], [0.8, 0.6]]}
+MATRIX_CASES = {
+    **{name: (lambda name=name: catalog_problem(name), 1.0) for name in catalog_names()},
+    "half-square-q": (lambda: catalog_problem("half-square"), 0.5),
+    "inline-kink": (_kink, 1.0),
+    **{
+        f"linear-A-{label}": (lambda m=m: catalog_problem("linear-A", matrix=m), 1.0)
+        for label, m in _MATRICES.items()
+    },
+    "linear-A-l1": (_linear_l1, 1.0),
+}
+
+
+class TestMatrixPathParity:
+    """The matrix path against the scalar oracle it replaces, bitwise."""
+
+    @pytest.mark.parametrize("case", list(MATRIX_CASES))
+    def test_constants_match_scalar_path(self, case):
+        make, q = MATRIX_CASES[case]
+        p, s = make(), PARITY_SCHEDULE
+        scalar = dataclasses.replace(p, coderivative_matrix=None)
+        new, ref = strict_subdiff_q_slopes(p, q, s), strict_subdiff_q_slopes(scalar, q, s)
+        for field in ("plain", "approx", "modified", "modified_approx"):
+            _assert_same(getattr(new, field), getattr(ref, field))
+        _assert_same(
+            limiting_coderivative_min_norm(p, q, s), limiting_coderivative_min_norm(scalar, q, s)
+        )
+        for new_est, ref_est in zip(lm_constants(p, q, s), lm_constants(scalar, q, s)):
+            _assert_same(new_est, ref_est)
+
+    @pytest.mark.parametrize("case", ["linear-A-rotation", "linear-A-l1", "inline-kink"])
+    def test_pointwise_slopes_match_scalar_path(self, case, schedule):
+        make, _ = MATRIX_CASES[case]
+        p = make()
+        scalar = dataclasses.replace(p, coderivative_matrix=None)
+        pool = outer_pools(p, PARITY_SCHEDULE, True)
+        for x, y in zip(pool.x[:6], pool.y[:6]):
+            at = ProductPoint(x, y)
+            for rho in (0.0, 0.05, 0.4):
+                for variant in ("plain", "approximate"):
+                    _assert_same(
+                        subdiff_rho_slope(p, rho, at, variant, schedule),
+                        subdiff_rho_slope(scalar, rho, at, variant, schedule),
+                    )
