@@ -42,7 +42,6 @@ from .slopes_primal import (
     StrictSweepResult,
     _finish,
     _gather,
-    _infimum,
     anchor_f_rows,
     anchor_graph_rows,
     as_two_variable,
@@ -141,28 +140,31 @@ def _ambient_x_samples(problem: MappingProblem, radius: float, count: int, seed:
     return np.concatenate(blocks)
 
 
-def _first_least(values: np.ndarray, valid: np.ndarray) -> int:
-    """The entry a scan over the ``valid`` entries keeps when it starts
-    from ``INF`` and takes each one ``<`` its best: the first least, -1
-    when no valid entry is below ``INF``."""
+def _first_least(values: np.ndarray, valid=True) -> tuple:
+    """The entry a scan over the ``valid`` entries (all by default) keeps
+    when it starts from ``INF`` and takes each one ``<`` its best, and its
+    value: the first least, or -1 and ``INF`` when none is below ``INF``."""
     rows = np.flatnonzero(valid & (values < INF))
-    return int(rows[np.argmin(values[rows])]) if rows.size else -1
+    i = int(rows[np.argmin(values[rows])]) if rows.size else -1
+    return i, INF if i < 0 else float(values[i])
+
+
+def _suffix_minima(values: np.ndarray, starts: np.ndarray, also=INF) -> list:
+    """Each level's minimum of depth-ordered ``values`` and of ``also[k]``,
+    level ``k`` being ``values[starts[k]:]``, from one reversed running
+    minimum in which, as in :func:`_first_least`, neither NaN nor ``INF``
+    ever wins."""
+    running = np.fmin.accumulate(np.append(values, INF)[::-1])[::-1]
+    return [INF if v == INF else v for v in np.fmin(running[starts], also).tolist()]
 
 
 def _read_only(columns):
     """``columns``, a dataclass of arrays, with every array read-only."""
     for f in fields(columns):
-        getattr(columns, f.name).setflags(write=False)
+        value = getattr(columns, f.name)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     return columns
-
-
-def _solution_distances(soldist, ux: np.ndarray) -> np.ndarray:
-    """``soldist`` at every row of ``ux``, one call per distinct x (NaN
-    without an oracle)."""
-    if soldist is None:
-        return np.full(ux.shape[0], np.nan)
-    first, inverse, _ = distinct_rows(ux)
-    return np.array([float(soldist(x)) for x in ux[first]], dtype=float)[inverse]
 
 
 def _error_bound_draw(schedule: Schedule) -> tuple:
@@ -174,42 +176,64 @@ def _error_bound_draw(schedule: Schedule) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class SubregColumns:
-    """``sr_q``'s x rows: each level's pool x, then its in-ball ambient
-    samples, stacked with the level ``bounds``; the ``inverse`` of
-    :func:`~subreg.geometry.distinct_rows` on them; and per distinct x the
-    fiber and solution distances and whether the ratio is defined there
-    (solution distance above ``EPS_MEM``, finite fiber distance)."""
+    """``sr_q``'s x rows, each distinct x (by bytes) once, with its fiber
+    and solution distances (NaN where the ratio is undefined: solution
+    distance at most ``EPS_MEM``, infinite fiber distance), and the
+    ``ids`` of the x each level reads: the pool's, held in pool depth
+    order, then each level's in-ball ambient samples.  Level ``k`` reads
+    ``ids[pool_starts[k]:bounds[0]]``, then ``ids[bounds[k]:bounds[k + 1]]``."""
 
-    xs: np.ndarray
-    bounds: np.ndarray
-    inverse: np.ndarray
+    x: np.ndarray
     fiber: np.ndarray
     solution: np.ndarray
-    valid: np.ndarray
+    ids: np.ndarray
+    pool_starts: np.ndarray
+    bounds: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class AnchorColumns:
-    """The error bound's anchor graph rows with ``d(v, ybar) > 0``: x, y,
+    """The error bound's anchor graph rows with ``d(v, ybar) > 0`` and
+    solution distance above ``EPS_MEM`` in depth order, level ``k``
+    (``d(x, xbar) < rho_k``) being the rows from ``starts[k]`` on: x, y,
     ``d(x, xbar)``, ``d(y, ybar)`` and the solution distance of each
-    row's x (NaN without an oracle)."""
+    row's x; ``drawn`` counts the rows before the solution filter."""
 
     x: np.ndarray
     y: np.ndarray
     dxa: np.ndarray
     dya: np.ndarray
     solution: np.ndarray
+    starts: np.ndarray
+    drawn: int
+
+
+def _anchor_columns(ux, vy, dxa, dya, soldist, rhos) -> tuple:
+    """The :class:`AnchorColumns` of anchor rows, with ``soldist`` called
+    once per distinct x (NaN without an oracle), and the index of each
+    kept row."""
+    solution = np.full(ux.shape[0], np.nan)
+    if soldist is not None:
+        first, inverse, _ = distinct_rows(ux)
+        solution = np.array([float(soldist(x)) for x in ux[first]], dtype=float)[inverse]
+    depth = (dxa[:, None] < np.asarray(rhos, dtype=float)).sum(axis=1) - 1
+    keep = np.flatnonzero((solution > EPS_MEM) & (depth >= 0))
+    rows = keep[np.argsort(depth[keep], kind="stable")]
+    starts = np.searchsorted(depth[rows], np.arange(len(rhos)))
+    cols = AnchorColumns(ux[rows], vy[rows], dxa[rows], dya[rows], solution[rows], starts, dya.size)
+    return cols, rows
 
 
 class Tables:
     """Every order-free array the three moduli read for one problem and
     schedule, each built on first read and then read-only.
 
-    The order q enters ``sr_q``, the error bound and the anchor ratio
-    only as a power of a distance, which each takes per order from these
-    columns: the outer pool (:func:`~subreg.problems.outer_pools`), the
-    ``sr_q`` rows (:class:`SubregColumns`) and the error bound's anchor
-    rows (:class:`AnchorColumns`).  Runs of one problem and schedule at
+    The outer pool (:func:`~subreg.problems.outer_pools`), the ``sr_q``
+    rows (:class:`SubregColumns`) and the error bound's anchor rows
+    (:class:`AnchorColumns`) are held stably in depth order, a row's depth
+    being the finest rho level whose window holds it, so level ``k`` is a
+    suffix.  An order recomputes only its powers, its ratios and one
+    suffix minimum per modulus: runs of one problem and schedule at
     several orders can share one ``Tables``.
     """
 
@@ -219,39 +243,38 @@ class Tables:
 
     @cached_property
     def pool(self) -> OuterPool:
-        return _read_only(outer_pools(self.problem, self.schedule, True))
+        pool = outer_pools(self.problem, self.schedule, True)
+        return _read_only(pool.take(np.argsort(pool.depth, kind="stable")))
+
+    def pool_starts(self) -> np.ndarray:
+        return np.searchsorted(self.pool.depth, np.arange(self.schedule.steps))
 
     @cached_property
     def subreg(self) -> SubregColumns:
         problem, schedule, pool = self.problem, self.schedule, self.pool
-        levels = []
+        ambient = []
         for k, rho in enumerate(schedule.rho_values()):
-            ambient = _ambient_x_samples(problem, rho, 64, mix_seed(schedule.seed, "srx", k))
-            inside = problem.norm_x.value_rows(ambient - problem.xbar) < rho
-            levels.append(np.concatenate([pool.x[pool.depth >= k], ambient[inside]]))
-        xs = np.concatenate(levels)
-        first, inverse, _ = distinct_rows(xs)  # one oracle call per distinct x
-        n = first.size
-        fib, sol = np.full(n, np.nan), np.full(n, np.nan)
-        valid = np.zeros(n, dtype=bool)
-        if problem.fiber_distance is not None:
+            drawn = _ambient_x_samples(problem, rho, 64, mix_seed(schedule.seed, "srx", k))
+            ambient.append(drawn[problem.norm_x.value_rows(drawn - problem.xbar) < rho])
+        xs = np.concatenate([pool.x] + ambient)
+        first, inverse, _ = distinct_rows(xs)
+        fib, sol = np.full(first.size, np.nan), np.full(first.size, np.nan)
+        if problem.fiber_distance is not None:  # one oracle call per distinct x
             for j, x in enumerate(xs[first]):
                 sd = problem.solution_dist_exact(x)
                 if sd is None or sd <= EPS_MEM:
                     continue
                 fd = problem.fiber_distance(x)
-                if is_inf(fd):
-                    continue
-                fib[j], sol[j], valid[j] = float(fd), sd, True
-        bounds = np.cumsum([0] + [len(level) for level in levels])
-        return _read_only(SubregColumns(xs, bounds, inverse, fib, sol, valid))
+                if not is_inf(fd):
+                    fib[j], sol[j] = float(fd), sd
+        bounds = np.cumsum([len(pool.x)] + [len(rows) for rows in ambient])
+        return _read_only(SubregColumns(xs[first], fib, sol, inverse, self.pool_starts(), bounds))
 
     @cached_property
     def anchor(self) -> AnchorColumns:
-        problem = self.problem
-        ux, vy, dxa, dya = anchor_graph_rows(problem, *_error_bound_draw(self.schedule))
-        sol = _solution_distances(problem.solution_distance, ux)
-        return _read_only(AnchorColumns(ux, vy, dxa, dya, sol))
+        ux, vy, dxa, dya = anchor_graph_rows(self.problem, *_error_bound_draw(self.schedule))
+        columns = (ux, vy, dxa, dya, self.problem.solution_distance, self.schedule.rho_values())
+        return _read_only(_anchor_columns(*columns)[0])
 
 
 def _tables(problem: MappingProblem, schedule: Schedule, tables: Optional[Tables]) -> Tables:
@@ -269,29 +292,28 @@ def subregularity_modulus(
     over points outside the solution set; the value is the final-shell
     entry and the recorded witnesses reproduce their ratio exactly.
 
-    Each level scans its pool's distinct x, then the in-ball ambient
-    samples, and keeps its first least ratio; the oracles are called once
-    per distinct x of all levels, when ``tables`` (fresh ones if not
-    given) first builds its ``sr_q`` rows."""
+    Each level reads its pool's distinct x, then its in-ball ambient
+    samples, the finest level's witness being the first least in that
+    order; the oracles are called once per distinct x of all levels, when
+    ``tables`` (fresh ones if not given) first builds its ``sr_q`` rows."""
     if not 0.0 < q <= 1.0:
         raise ModuliError("q must lie in (0, 1]")
     cols = _tables(problem, schedule, tables).subreg
-    xs, inverse, valid = cols.xs, cols.inverse, cols.valid
-    fib, sol = cols.fiber[valid].tolist(), cols.solution[valid].tolist()
-    ratio = np.full(valid.size, np.nan)
-    ratio[valid] = [f**q / s for f, s in zip(fib, sol)]
+    ratio = q_powers(cols.fiber, q) / cols.solution  # NaN where undefined
+    rows, bounds = ratio[cols.ids], cols.bounds
+    ambient = np.fmin.reduceat(np.append(rows, INF), bounds[:-1])
+    ambient[bounds[1:] == bounds[:-1]] = INF  # reduceat reads an empty level's next entry
+    values = _suffix_minima(rows[: bounds[0]], cols.pool_starts, ambient)
+    trace = list(zip(schedule.rho_values(), values))
 
-    trace, bounds = [], cols.bounds.tolist()
-    for rho, start, end in zip(schedule.rho_values(), bounds, bounds[1:]):
-        ids = inverse[start:end]
-        i = _first_least(ratio[ids], valid[ids])
-        trace.append((rho, INF if i < 0 else float(ratio[ids[i]])))
     witnesses = []
+    ids = np.concatenate([cols.ids[cols.pool_starts[-1] : bounds[0]], cols.ids[bounds[-2] :]])
+    i, _ = _first_least(ratio[ids])
     if i >= 0:  # the finest shell's
         j = ids[i]
         witnesses.append(
             {
-                "x": [float(t) for t in xs[start + i]],
+                "x": [float(t) for t in cols.x[j]],
                 "fiber_distance": float(cols.fiber[j]),
                 "solution_distance": float(cols.solution[j]),
                 "ratio": float(ratio[j]),
@@ -299,11 +321,11 @@ def subregularity_modulus(
         )
 
     flags = ()
-    if all(is_inf(v) for _, v in trace):
+    if all(is_inf(v) for v in values):
         flags = ("inconclusive",)
-    elif any(is_inf(v) for _, v in trace):
+    elif any(is_inf(v) for v in values):
         flags = ("empty-levels",)
-    return ModulusReport("sr_q", trace[-1][1], tuple(trace), tuple(witnesses), flags=flags)
+    return ModulusReport("sr_q", values[-1], tuple(trace), tuple(witnesses), flags=flags)
 
 
 def error_bound_modulus(
@@ -315,44 +337,38 @@ def error_bound_modulus(
     from ``tables`` (fresh ones if not given) and takes ``f = d(v,
     ybar)**q`` per row."""
     func = as_two_variable(func_or_ef)
+    rhos = schedule.rho_values()
     if isinstance(func_or_ef, ErrorFunction):
         cols = _tables(func_or_ef.problem, schedule, tables).anchor
-        ux, vy, dxa, dya, d = cols.x, cols.y, cols.dxa, cols.dya, cols.solution
-        f = q_powers(dya, func_or_ef.q)
+        f = q_powers(cols.dya, func_or_ef.q)
     else:
         ux, vy, f, dxa, dya = anchor_f_rows(func, *_error_bound_draw(schedule))
-        d = _solution_distances(func.solution_distance, ux)
+        cols, rows = _anchor_columns(ux, vy, dxa, dya, func.solution_distance, rhos)
+        f = f[rows]
     flags = ()
-    if func.solution_distance is None and f.size:
+    if func.solution_distance is None and cols.drawn:
         flags = ("inconclusive", "no-solution-distance")
-    keep = np.flatnonzero(d > EPS_MEM)
-    ux, vy, f, dxa, dya, d = ux[keep], vy[keep], f[keep], dxa[keep], dya[keep], d[keep]
-    ratio = f / d
+    ratio = f / cols.solution
+    trace = list(zip(rhos, _suffix_minima(ratio, cols.starts)))
 
-    def least(window) -> tuple:
-        # the window's first least ratio (-1 and INF for an empty window)
-        i = _first_least(ratio, window)
-        return i, INF if i < 0 else float(ratio[i])
-
-    trace = []
-    for rho in schedule.rho_values():
-        shell = dxa < rho
-        i, value = least(shell)
-        trace.append((rho, value))
-    # the window forms and the witness at the finest shell
+    # the witness and the window forms at the finest shell, whose rows
+    # keep their draw order
+    fine, rho = cols.starts[-1], rhos[-1]
+    fine_ratio = ratio[fine:]
+    i, value = _first_least(fine_ratio)
     forms = {
         "x_only": value,
-        "x_and_y": least(shell & (dya < rho))[1],
-        "f_to_zero": least(shell & (f < rho))[1],
+        "x_and_y": _first_least(fine_ratio, cols.dya[fine:] < rho)[1],
+        "f_to_zero": _first_least(fine_ratio, f[fine:] < rho)[1],
     }
     witnesses = []
     if i >= 0:
         witnesses.append(
             {
-                "x": [float(t) for t in ux[i]],
-                "y": [float(t) for t in vy[i]],
-                "f": float(f[i]),
-                "solution_distance": float(d[i]),
+                "x": [float(t) for t in cols.x[fine + i]],
+                "y": [float(t) for t in cols.y[fine + i]],
+                "f": float(f[fine + i]),
+                "solution_distance": float(cols.solution[fine + i]),
                 "ratio": value,
             }
         )
@@ -367,9 +383,7 @@ def error_bound_modulus(
         forms_agree = all(
             rel_close(a, b, SAMPLED_REL) for a in conclusives for b in conclusives
         )
-    if not ratio.size and not flags:
-        flags = ("inconclusive",)
-    elif all(is_inf(v) for _, v in trace) and not flags:
+    if all(is_inf(v) for _, v in trace) and not flags:
         flags = ("inconclusive",)
     return ModulusReport(
         "error_bound_modulus",
@@ -484,11 +498,9 @@ class RunContext(Mapping):
     @cached_property
     def anchor_ratio(self) -> SlopeEstimate:
         """The ratio liminf from anchor distances; the budget counts pool copies read."""
-        pool = self.tables.pool
-        ratio = pool.ratio(self.q)
-        levels = [(rho, pool.depth >= k) for k, rho in enumerate(self.schedule.rho_values())]
-        trace = [(rho, _infimum(ratio[at])) for rho, at in levels]
-        used = sum(int(pool.copies[at].sum()) for _, at in levels)
+        pool, starts = self.tables.pool, self.tables.pool_starts()
+        trace = list(zip(self.schedule.rho_values(), _suffix_minima(pool.ratio(self.q), starts)))
+        used = int((pool.copies * (pool.depth + 1)).sum())  # each copy once per level it lies in
         return _finish("anchor_ratio_liminf", trace, False, used)
 
     @cached_property

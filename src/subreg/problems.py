@@ -631,6 +631,15 @@ def distinct_window_rows(rows: np.ndarray, level: np.ndarray, radii: Sequence[fl
     return index, depth, copies[order]
 
 
+def q_powers(values: np.ndarray, q: float) -> np.ndarray:
+    """``[v**q for v in values]``, bitwise, from one ``np.power`` over an
+    object array: every entry goes through ``float.__pow__``, with ``q``
+    made a Python float (a ``np.float64`` exponent takes numpy's pow)."""
+    # not float64 np.power: its SIMD pow rounds apart from the C pow on
+    # about 5% of entries
+    return np.power(np.asarray(values, dtype=float).astype(object), float(q)).astype(float)
+
+
 @dataclass(frozen=True, eq=False)
 class OuterPool:
     """The outer points of every rho level, one row per distinct ``(x,
@@ -655,12 +664,12 @@ class OuterPool:
 
     def ratio(self, q: float) -> np.ndarray:
         """``d(y, ybar)^q / d(x, xbar)`` per row in Python float powers, NaN at d(x, xbar) = 0."""
-        dxa, dya = self.dxa.tolist(), self.dya.tolist()
-        return np.array([dy**q / dx if dx > 0 else np.nan for dx, dy in zip(dxa, dya)], dtype=float)
+        out = np.full(self.dxa.shape, np.nan)
+        return np.divide(q_powers(self.dya, q), self.dxa, out=out, where=self.dxa > 0)
 
     def weight(self, q: float) -> np.ndarray:
         """``q d(y, ybar)^(q-1)`` per row in Python float powers."""
-        return np.array([q * dy ** (q - 1.0) for dy in self.dya.tolist()], dtype=float)
+        return q * q_powers(self.dya, q - 1.0)
 
 
 def sample_outer_points(
@@ -745,7 +754,7 @@ def validate_P1_P2(ef, schedule: Schedule, threshold: float = 1e-6) -> P1P2Repor
     """Check positivity off ybar (structural for induced error functions)
     and estimate ``liminf f/d(y, ybar)`` as ``f`` shrinks along the
     shells; pass when the final-shell infimum stays above ``threshold``."""
-    from .slopes_primal import anchor_f_rows, as_two_variable, f_rows
+    from .slopes_primal import _level_infima, anchor_f_rows, as_two_variable, f_rows
 
     notes = []
     if isinstance(ef, ErrorFunction):
@@ -761,12 +770,8 @@ def validate_P1_P2(ef, schedule: Schedule, threshold: float = 1e-6) -> P1P2Repor
     _, _, f, _, dy = anchor_f_rows(
         ef, [schedule.rho0], schedule.sample_budget, [mix_seed(schedule.seed, "p2")]
     )
-    f, dy = f[dy > 0.0], dy[dy > 0.0]
-    ratios = f / dy
-    trace = []
-    for rho in schedule.rho_values():
-        level = ratios[f < rho]
-        trace.append((rho, float(level.min()) if level.size else INF))
+    f, dy, rhos = f[dy > 0.0], dy[dy > 0.0], schedule.rho_values()
+    trace = list(zip(rhos, _level_infima(np.where(f[:, None] < rhos, (f / dy)[:, None], np.nan))))
     final = trace[-1][1]
     if is_inf(final):
         p2 = "inconclusive"

@@ -318,36 +318,40 @@ def run_config(cfg: RunConfig) -> RunReport:
 # --------------------------------------------------------------------------
 
 
-def _emit(value, parts: list):
+# what json.dumps returns for a str, without its dispatch
+_encode_str = json.encoder.encode_basestring_ascii
+# numpy scalars and subclasses of the builtins, as the builtin each stands for
+_AS_BUILTIN = (((bool, np.bool_), bool), ((int, np.integer), int), ((float, np.floating), float),
+               (str, str.__str__), (dict, lambda d: dict(d.items())), ((list, tuple), list))
+
+
+def _text(value) -> str:
+    """The JSON text of ``value``, dispatching on its exact type: floats
+    keep 17 significant digits, and non-finite ones are strings."""
+    kind = type(value)
+    if kind is float:
+        return "%.17g" % value if math.isfinite(value) else f'"{value}"'
+    if kind is str:
+        return _encode_str(value)
+    if kind is dict:
+        items = [_encode_str(str(k)) + ":" + _text(v) for k, v in value.items()]
+        return "{" + ",".join(items) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ",".join([_text(v) for v in value]) + "]"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return str(value)
     if value is None:
-        parts.append("null")
-    elif isinstance(value, (bool, np.bool_)):
-        parts.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        parts.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        v = float(value)
-        parts.append(format(v, ".17g") if math.isfinite(v) else f'"{v}"')
-    elif isinstance(value, str):
-        parts.append(json.dumps(value))
-    elif isinstance(value, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(k)))
-            parts.append(":")
-            _emit(v, parts)
-        parts.append("}")
-    elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(value):
-            if i:
-                parts.append(",")
-            _emit(v, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        return "null"
+    for types, builtin in _AS_BUILTIN:
+        if isinstance(value, types):
+            return _text(builtin(value))
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _emit(value, parts: list):
+    parts.append(_text(value))
 
 
 def _estimate_payload(est) -> dict:

@@ -41,6 +41,7 @@ from .problems import (
     halving_ladder,
     mix_seed,
     outer_pools,
+    q_powers,
     radius_pad,
     radius_pads,
     sample_graph_arrays,
@@ -539,11 +540,12 @@ def sweep_table(
     )
 
 
-def _infimum(values: np.ndarray) -> float:
-    """A level's infimum as a scan with ``<`` takes it: NaN never wins and
-    an empty level is ``INF``."""
-    values = values[~np.isnan(values)]
-    return float(values.min()) if values.size else INF
+def _level_infima(values: np.ndarray) -> list:
+    """Each column's infimum of a rows x levels array, as a scan with
+    ``<`` takes it: NaN never wins and an empty or all-NaN column is
+    ``INF``."""
+    least = np.fmin.reduce(values, axis=0, initial=np.nan).tolist()
+    return [INF if v != v else v for v in least]
 
 
 def strict_sweep(
@@ -569,26 +571,21 @@ def strict_sweep(
     if table is None:
         table = sweep_table(problem, q, schedule, outer_restriction)
     rows = table.rows
-    weight, ratio = rows.weight(q), rows.ratio(q)
-    has_ratio = ~np.isnan(ratio)
-
-    tr_uniform, tr_plain, tr_modified = [], [], []
-    used = 0
-    truncated_any = False
-    for k, rho in enumerate(schedule.rho_values()):
-        s = table.starts[k]
-        used += int((table.sizes[s:] * rows.copies[s:]).sum())
-        truncated_any = truncated_any or bool(table.truncated[metric][s:, k].any())
-        plain = weight[s:] * table.local_values[metric][s:, k]
-        modified = np.where(ratio[s:] > plain, ratio[s:], plain)
-        tr_uniform.append((rho, _infimum(table.nonlocal_values[metric][s:, k])))
-        tr_plain.append((rho, _infimum(plain)))
-        tr_modified.append((rho, _infimum(modified[has_ratio[s:]])))
+    weight, ratio = rows.weight(q)[:, None], rows.ratio(q)[:, None]
+    # a row's entries past its depth are NaN, so each level's infimum is
+    # its column's over all rows
+    plain = weight * table.local_values[metric]
+    modified = np.where(ratio > plain, ratio, plain)
+    modified[np.isnan(ratio[:, 0])] = np.nan
+    # each row is read once per level it lies in
+    used = int((table.sizes * rows.copies * (rows.depth + 1)).sum())
+    rhos, truncated = schedule.rho_values(), bool(table.truncated[metric].any())
+    trace = lambda values: list(zip(rhos, _level_infima(values)))
 
     return StrictSweepResult(
-        uniform=_finish("uniform_strict_q", tr_uniform, truncated_any, used),
-        plain=_finish("strict_q", tr_plain, False, used),
-        modified=_finish("modified_strict_q", tr_modified, False, used),
+        uniform=_finish("uniform_strict_q", trace(table.nonlocal_values[metric]), truncated, used),
+        plain=_finish("strict_q", trace(plain), False, used),
+        modified=_finish("modified_strict_q", trace(modified), False, used),
         table=table,
     )
 
@@ -711,12 +708,6 @@ def single_variable_embedding(
 # --------------------------------------------------------------------------
 # the f-level engine: rows of a two-variable function, reduced on arrays
 # --------------------------------------------------------------------------
-
-
-def q_powers(values: np.ndarray, q: float) -> np.ndarray:
-    """``v**q`` of every entry, as Python float powers (numpy's array
-    power rounds apart on some entries)."""
-    return np.array([v**q for v in values.tolist()], dtype=float)
 
 
 def graph_rows(problem: MappingProblem, calls: Sequence[tuple]) -> tuple:
@@ -924,7 +915,6 @@ def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
         ("plain", "f_strict_outer", plain),
         ("modified", "f_modified_strict_outer", modified),
     ):
-        vals = np.where(window, vals, np.nan)
-        trace = [(r, _infimum(vals[:, k])) for k, r in enumerate(rhos)]
+        trace = list(zip(rhos, _level_infima(np.where(window, vals, np.nan))))
         out[key] = _finish(kind, trace, False, used)
     return out

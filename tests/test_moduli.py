@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from subreg import (
     INF,
@@ -38,11 +40,13 @@ from subreg.moduli import (
     _first_least,
     _probe_points,
     _status,
+    _suffix_minima,
     looks_divergent,
     rel_close,
 )
 from subreg.problems import EPS_MEM, halton_points, mix_seed
 from subreg.slopes_primal import SlopeEstimate, as_two_variable
+from level_reference import level_scans
 from pool_reference import ref_pools
 from sampler_reference import halving_offsets, points, probe_points
 
@@ -696,4 +700,36 @@ def test_first_least_is_the_scan(values, valid):
     for i in np.flatnonzero(valid):
         if float(values[i]) < best:
             best, want = float(values[i]), int(i)
-    assert _first_least(values, valid) == want
+    assert _first_least(values, valid) == (want, INF if want < 0 else float(values[want]))
+
+
+# a level's entries: few distinct values, so ties are common, with NaN,
+# INF and zero; ratios are never -0.0, whose tie with 0.0 either may win
+_LEVEL_VALUES = st.one_of(
+    st.sampled_from([np.nan, INF, 0.0, 0.5, 1.0, 2.0]),
+    st.floats(min_value=0.0, allow_nan=False),
+)
+
+
+@seed(20141124)
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    levels=st.integers(1, 6),
+    rows=st.lists(st.tuples(st.integers(-1, 5), _LEVEL_VALUES), max_size=40),
+)
+def test_suffix_minima_are_the_per_level_scans(levels, rows):
+    # depths past the finest level stay in it; -1 is in no level
+    depth = np.array([min(d, levels - 1) for d, _ in rows], dtype=np.int64)
+    values = np.array([v for _, v in rows], dtype=float)
+    want = level_scans(values, depth, levels)
+    order = np.flatnonzero(depth >= 0)
+    order = order[np.argsort(depth[order], kind="stable")]
+    starts = np.searchsorted(depth[order], np.arange(levels))
+    got = _suffix_minima(values[order], starts)
+    # the value bits, with an empty level the INF object itself
+    assert [v if v is INF else v.hex() for v in got] == [
+        v if v is INF else v.hex() for _, v in want
+    ]
+    # the finest level keeps row order: its first least is the scan's row
+    i, _ = _first_least(values[order][starts[-1] :])
+    assert (int(order[starts[-1] + i]) if i >= 0 else -1) == want[-1][0]

@@ -19,6 +19,7 @@ from subreg import (
     validate_P1_P2,
 )
 from subreg.problems import (
+    OuterPool,
     ProblemError,
     UnknownProblemError,
     _sphere_directions,
@@ -27,6 +28,7 @@ from subreg.problems import (
     halving_ladder,
     mix_seed,
     outer_pools,
+    q_powers,
     radius_pad,
     sample_graph_arrays,
     sample_graph_batch,
@@ -883,3 +885,33 @@ def test_outer_pools_share_the_anchor_sample(monkeypatch, truncation_radius):
     assert [_point_bits(x, y) for x, y in zip(pool.x, pool.y)] == [
         _point_bits(pt.x, pt.y) for pt, _, _ in want
     ]
+
+
+@pytest.mark.parametrize("q", [0.25, 1 / 3, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("exponent", [float, np.float64])
+def test_q_powers_are_python_float_powers(q, exponent):
+    # zero, the least subnormal and others, one, a huge value, and a
+    # spread of ordinary ones (numpy's own pow rounds some of these apart)
+    rng = np.random.default_rng(5)
+    values = np.concatenate(
+        [[0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e300], rng.random(2000), rng.random(200) * 1e3]
+    )
+    want = np.array([v**q for v in values.tolist()])
+    got = q_powers(values, exponent(q))
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert q_powers(np.zeros(0), exponent(q)).shape == (0,)
+
+
+def test_outer_pool_ratio_and_weight_are_python_float_powers():
+    pool = outer_pools(catalog_problem("half-square"), Schedule(sample_budget=256, steps=5), True)
+    # and rows on x = xbar, whose ratio is NaN
+    dxa = pool.dxa.tolist() + [0.0, 0.0]
+    dya = pool.dya.tolist() + [0.5, 5e-324]
+    n = len(dxa)
+    pool = OuterPool(np.zeros((n, 1)), np.zeros((n, 1)), np.array(dxa), np.array(dya), np.zeros(n, int), np.ones(n, int))
+    for q in (0.25, 0.5, 1.0):
+        ratio = [dy**q / dx if dx > 0 else np.nan for dx, dy in zip(dxa, dya)]
+        weight = [q * dy ** (q - 1.0) for dy in dya]
+        assert pool.ratio(q).tobytes() == np.array(ratio).tobytes()
+        assert pool.weight(q).tobytes() == np.array(weight).tobytes()

@@ -1,13 +1,15 @@
 import ast
 import dataclasses
+import enum
 import hashlib
 import json
+import math
 import os
 import platform
 import re
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, OrderedDict, namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ import subreg.report as report_module
 import subreg.slopes_primal as slopes_primal
 from subreg import Schedule, catalog_problem, emit_report, parse_config, run_config
 from subreg.problems import outer_pools
-from subreg.report import ALL_CHECKS, ConfigError, build_problem, report_payload
+from subreg.report import ALL_CHECKS, ConfigError, _emit, build_problem, report_payload
 
 FULL_HS_CONFIG = {
     "problem": "half-square",
@@ -154,6 +156,100 @@ def test_infinite_values_serialized_as_literal_inf():
     data = json.loads(text)
     assert data["constants"]["uniform_strict_q_slope"]["value"] == "inf"
     assert data["constants"]["uniform_strict_q_slope"]["status"] == "inconclusive"
+
+
+def _ref_emit(value, parts: list):
+    # the isinstance chain the exact-type dispatch replaced
+    if value is None:
+        parts.append("null")
+    elif isinstance(value, (bool, np.bool_)):
+        parts.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        parts.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        v = float(value)
+        parts.append(format(v, ".17g") if math.isfinite(v) else f'"{v}"')
+    elif isinstance(value, str):
+        parts.append(json.dumps(value))
+    elif isinstance(value, dict):
+        parts.append("{")
+        for i, (k, v) in enumerate(value.items()):
+            if i:
+                parts.append(",")
+            parts.append(json.dumps(str(k)))
+            parts.append(":")
+            _ref_emit(v, parts)
+        parts.append("}")
+    elif isinstance(value, (list, tuple)):
+        parts.append("[")
+        for i, v in enumerate(value):
+            if i:
+                parts.append(",")
+            _ref_emit(v, parts)
+        parts.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _emitted(emit, value) -> str:
+    parts = []
+    emit(value, parts)
+    return "".join(parts)
+
+
+class _Level(enum.IntEnum):
+    FINE = 3
+
+
+class _Tag(str):
+    def __str__(self):
+        return "not the text"
+
+
+_Pair = namedtuple("_Pair", "rho value")
+
+
+_SERIALIZER_PAYLOADS = [
+    # numpy scalars, and the non-finite floats of both kinds
+    [np.float64(0.1), np.float32(0.1), np.int64(-7), np.int32(3), np.bool_(True), np.bool_(False)],
+    [math.inf, -math.inf, math.nan, np.float64("inf"), np.float64("-inf"), np.float64("nan")],
+    [0.0, -0.0, 5e-324, 1e300, -1.5, 1 / 3, 2**-1074, 123456789.0, 1e16, 1e-7],
+    # tuples, nesting, empty containers
+    {"trace": ((0.5, 1.0), (0.25, math.inf)), "empty": ((), [], {}), "none": None},
+    # quotes, control characters and non-ASCII text, as values and keys
+    {'a "quoted" \\ key': 'tab\t, newline\n, nul\x00, bell\x07 and \x7f', "é∞": "日本 \U0001f600"},
+    # non-string keys go through str
+    {7: "int", 2.5: "float", True: "bool", None: "none", (1, 2): "tuple", np.int64(4): "np"},
+    # subclasses of the builtins take the isinstance chain
+    [_Level.FINE, _Tag("text"), {_Tag("key"): 1}, OrderedDict(b=1, a=[2]), _Pair(0.5, 2.0)],
+    [True, False, 0, -1, 2**70, "", "plain"],
+]
+
+
+@pytest.mark.parametrize("payload", _SERIALIZER_PAYLOADS)
+def test_emit_matches_the_isinstance_chain(payload):
+    assert _emitted(_emit, payload) == _emitted(_ref_emit, payload)
+
+
+def test_emit_floats_match_the_isinstance_chain():
+    # 100k floats of every exponent, by their bits
+    bits = np.random.default_rng(11).integers(0, 2**63, 100_000, dtype=np.int64)
+    values = bits.view(np.float64).tolist()
+    assert _emitted(_emit, values) == _emitted(_ref_emit, values)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", object(), np.zeros(2), [1.0, {"a": 1j}]])
+def test_emit_refuses_what_it_cannot_serialize(value):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        _emitted(_emit, value)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        _emitted(_ref_emit, value)
+
+
+def test_emitted_reports_match_the_isinstance_chain():
+    for checks in (["moduli"], ALL_CHECKS):
+        payload = report_payload(run_config(_reduced_config(checks)))
+        assert _emitted(_emit, payload) == _emitted(_ref_emit, payload)
 
 
 def test_empty_checks_report_has_provenance_only():
@@ -335,8 +431,10 @@ class TestRunContext:
         run_config(_reduced_config(["moduli"]))
         (tables,) = report_module._last_tables.values()
         columns = (tables.pool, tables.subreg, tables.anchor)
-        arrays = [getattr(c, f.name) for c in columns for f in dataclasses.fields(c)]
-        assert len(arrays) == 17
+        values = [getattr(c, f.name) for c in columns for f in dataclasses.fields(c)]
+        arrays = [v for v in values if isinstance(v, np.ndarray)]
+        # every field is an array but the anchor rows' drawn count
+        assert len(arrays) == 18 and len(values) == 19
         for a in arrays:
             assert a.size
             with pytest.raises(ValueError, match="read-only"):

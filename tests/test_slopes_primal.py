@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from subreg import (
     INF,
@@ -36,6 +38,7 @@ from subreg.slopes_primal import (
     strict_sweep,
     sweep_table,
 )
+from level_reference import infimum
 from pool_reference import ref_pools
 from sampler_reference import embedding_sampler, graph_sample, points
 
@@ -531,6 +534,69 @@ def test_sweep_table_matches_per_point_reductions(monkeypatch, name, truncation_
         assert table.truncated["max"].any()
 
 
+def _ref_strict_sweep(table, q, schedule, metric):
+    # the per-level loop the column reductions replaced: each level's
+    # suffix of the depth-ordered table, its infimum a scan over it
+    rows = table.rows
+    weight, ratio = rows.weight(q), rows.ratio(q)
+    has_ratio = ~np.isnan(ratio)
+    traces = {"uniform": [], "plain": [], "modified": []}
+    used, truncated_any = 0, False
+    for k, rho in enumerate(schedule.rho_values()):
+        s = table.starts[k]
+        used += int((table.sizes[s:] * rows.copies[s:]).sum())
+        truncated_any = truncated_any or bool(table.truncated[metric][s:, k].any())
+        plain = weight[s:] * table.local_values[metric][s:, k]
+        modified = np.where(ratio[s:] > plain, ratio[s:], plain)
+        traces["uniform"].append((rho, infimum(table.nonlocal_values[metric][s:, k])))
+        traces["plain"].append((rho, infimum(plain)))
+        traces["modified"].append((rho, infimum(modified[has_ratio[s:]])))
+    return {
+        "uniform": slopes_primal._finish("uniform_strict_q", traces["uniform"], truncated_any, used),
+        "plain": slopes_primal._finish("strict_q", traces["plain"], False, used),
+        "modified": slopes_primal._finish("modified_strict_q", traces["modified"], False, used),
+    }
+
+
+@pytest.mark.parametrize("truncation_radius", [None, 0.05])
+@pytest.mark.parametrize("name", list(_PARITY_PROBLEMS))
+def test_strict_sweep_levels_match_the_per_level_scans(name, truncation_radius):
+    make, q = _PARITY_PROBLEMS[name]
+    problem = make()
+    s = Schedule(sample_budget=256, steps=5, truncation_radius=truncation_radius)
+    table = None
+    for metric in ("max", "sum"):
+        sweep = strict_sweep(problem, q, s, table, metric=metric)
+        table = sweep.table
+        ref = _ref_strict_sweep(table, q, s, metric)
+        for key in ref:
+            _assert_same_estimate(getattr(sweep, key), ref[key])
+
+
+@seed(20141124)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda levels: st.lists(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([np.nan, INF, 0.0, 1.0]),
+                    st.floats(min_value=0.0, allow_nan=False),
+                ),
+                min_size=levels,
+                max_size=levels,
+            ),
+            max_size=12,
+        ).map(lambda rows: np.array(rows, dtype=float).reshape(len(rows), levels))
+    )
+)
+def test_level_infima_are_the_column_scans(values):
+    # an empty table, all-NaN columns, INF entries and ties
+    got = slopes_primal._level_infima(values)
+    want = [infimum(values[:, k]) for k in range(values.shape[1])]
+    assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+
 def _reference_local_rho_slope(problem, rho, at, s, metric):
     # the per-radius loop the batched one replaced: one sampler call and
     # one reduction per radius
@@ -864,7 +930,7 @@ def _ref_f_level_strict_sorted_keys(func_or_ef, schedule):
         ("modified", "f_modified_strict_outer", modified),
     ):
         vals = np.where(window, vals, np.nan)
-        trace = [(r, slopes_primal._infimum(vals[:, k])) for k, r in enumerate(rhos)]
+        trace = [(r, infimum(vals[:, k])) for k, r in enumerate(rhos)]
         out[key] = slopes_primal._finish(kind, trace, False, used)
     return out
 
