@@ -48,6 +48,15 @@ def dot_left(u: Sequence, v: Sequence) -> float:
     return reduce(operator.add, map(operator.mul, u, v))
 
 
+def matvec_left(m: np.ndarray, t) -> np.ndarray:
+    """``m t`` for a vector ``t``, ``t m^T`` for rows of ``t``, and a
+    stack of matrices against their rows of ``t`` alike: each entry
+    summed left to right from the first product, so no BLAS kernel picks
+    its bits and a row's bits do not depend on the rows taken with it."""
+    t = np.asarray(t, dtype=float)
+    return reduce(np.add, (t[..., k : k + 1] * m[..., k] for k in range(m.shape[-1])))
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """A norm on a finite-dimensional space.
@@ -213,23 +222,6 @@ class DualVectorSet:
         if self.kind == "ball":
             return max(dual_norm.value(self.center) - self.radius, 0.0)
         return min(dual_norm.value(v) for v in self.vectors)
-
-    def contains(self, v, dual_norm: NormSpec, tol: float = DEFAULT_TOL) -> bool:
-        """Membership: exact for singleton/ball, convex-combination
-        feasibility (nonnegative least squares) for a vertex list."""
-        v = _as_vector(v)
-        if self.kind == "empty":
-            return False
-        if self.kind == "singleton":
-            return dual_norm.value(v - self.vectors[0]) <= tol
-        if self.kind == "ball":
-            return dual_norm.value(v - self.center) <= self.radius + tol
-        from scipy.optimize import nnls  # slow to import, and needed only here
-
-        mat = np.vstack([np.column_stack(self.vectors), np.ones(len(self.vectors))])
-        rhs = np.concatenate([v, [1.0]])
-        _, residual = nnls(mat, rhs)
-        return residual <= tol * (1.0 + euclidean(rhs.shape[0]).value(rhs))
 
 
 def prod_dist(

@@ -856,7 +856,7 @@ def run_invariant_suite(ctx: RunContext, gamma: Optional[float] = None) -> list:
     bias_m = SHARED_SLACK + BAND_BIAS_REL * (0.0 if is_inf(dma) else abs(dma))
     leq("modified_primal_ge_dual_modified_approx", dma, modified, bias_m)
 
-    if problem.norm_y.smooth_off_origin and problem.coderivative is not None:
+    if problem.norm_y.smooth_off_origin and problem.has_coderivative:
         close("primal_dual_equality_plain", plain, dp)
         close("primal_dual_equality_modified", modified, dm)
 
@@ -907,15 +907,15 @@ def run_invariant_suite(ctx: RunContext, gamma: Optional[float] = None) -> list:
 
     row("rho_monotonicity", worst_rho >= -1e-12, worst_rho, 0.0, 1e-12)
 
-    if problem.coderivative is not None:
+    if problem.has_coderivative:
         worst_h = 0.0
         for p in probes[:5]:
             d = problem.d_y(p.y, problem.ybar)
             if d <= 0:
                 continue
             for j in duality_map(p.y - problem.ybar, problem.norm_y).members():
-                base = problem.coderivative(p.x, p.y, j)
-                scaled = problem.coderivative(p.x, p.y, 2.5 * j)
+                base = problem.coderivative_image(p.x, p.y, j)
+                scaled = problem.coderivative_image(p.x, p.y, 2.5 * j)
                 if base is None or scaled is None or base.is_empty() or scaled.is_empty():
                     continue
                 if "ball" in (base.kind, scaled.kind):

@@ -15,7 +15,7 @@ import numbers
 import operator
 import zlib
 from dataclasses import dataclass, fields
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,9 +26,9 @@ from .geometry import (
     NormSpec,
     ProductPoint,
     distinct_rows,
-    dot_left,
     euclidean,
     is_inf,
+    matvec_left,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -250,14 +250,15 @@ class MappingProblem:
     without a batch map; no built-in problem sets it.  All catalog
     entries carry analytic ``solution_distance`` (distance to
     F^{-1}(ybar)), ``fiber_distance`` (distance from ybar to F(x)) and,
-    where available, a ``coderivative`` oracle mapping (x, y, y*) to a
-    finite description of D*F(x,y)(y*) (``None`` when unknown at that
-    point).  A single-valued map that is strictly differentiable at x may
-    also carry ``coderivative_matrix``, mapping (x, y) to its Jacobian M,
-    shaped (dim_y, dim_x), with D*F(x,y)(y*) = {M^T y*}; it returns
-    ``None`` wherever the image is not of that form (a kink, a point off
-    the domain, a set-valued or empty image), and where it is set it
-    must agree with ``coderivative``.
+    where available, one description of the coderivative D*F, never two.
+    A single-valued map, strictly differentiable wherever it is read,
+    carries ``coderivative_matrix``, mapping (x, y) to its Jacobian M,
+    shaped (dim_y, dim_x), with D*F(x,y)(y*) = {M^T y*}, or to ``None``
+    where it has no such description (a kink, a point off the domain).
+    Only an image no matrix gives takes the ``coderivative`` oracle,
+    mapping (x, y, y*) to a finite description of D*F(x,y)(y*) (``None``
+    when unknown at that point).  :meth:`coderivative_image` reads
+    either.
     """
 
     name: str
@@ -291,6 +292,23 @@ class MappingProblem:
             raise ProblemError("anchor dimensions do not match the problem")
         if not self.graph_membership(xbar, ybar):
             raise ProblemError("anchor point must lie on the graph")
+        if self.coderivative is not None and self.coderivative_matrix is not None:
+            raise ProblemError("give the coderivative as a matrix or as an oracle, not both")
+
+    @property
+    def has_coderivative(self) -> bool:
+        return self.coderivative is not None or self.coderivative_matrix is not None
+
+    def coderivative_image(self, x, y, ystar) -> Optional[DualVectorSet]:
+        """D*F(x,y)(y*): the oracle's set, or the singleton M^T y* summed
+        left to right (:func:`~subreg.geometry.matvec_left`); ``None``
+        where the problem has no description there."""
+        if self.coderivative is not None:
+            return self.coderivative(x, y, ystar)
+        m = None if self.coderivative_matrix is None else self.coderivative_matrix(x, y)
+        if m is None:
+            return None
+        return DualVectorSet.singleton(matvec_left(np.asarray(m, dtype=float).T, ystar))
 
     @property
     def anchor(self) -> ProductPoint:
@@ -794,12 +812,6 @@ def _half_square() -> MappingProblem:
     def membership(x, y):
         return abs(float(y[0]) - max(float(x[0]), 0.0) ** 2) <= MEMBERSHIP_TOL
 
-    def coderivative(x, y, ystar):
-        u = float(x[0])
-        if u >= 0.0:
-            return DualVectorSet.singleton([2.0 * u * float(ystar[0])])
-        return DualVectorSet.singleton([0.0])
-
     def coderivative_matrix(x, y):
         u = float(x[0])
         return np.array([[2.0 * u if u >= 0.0 else 0.0]])
@@ -818,7 +830,6 @@ def _half_square() -> MappingProblem:
         param_window=_interval_window,
         solution_distance=lambda x: max(float(x[0]), 0.0),
         fiber_distance=lambda x: max(float(x[0]), 0.0) ** 2,
-        coderivative=coderivative,
         coderivative_matrix=coderivative_matrix,
         convex=False,
         canonical_q=0.5,
@@ -840,7 +851,6 @@ def _identity() -> MappingProblem:
         param_window=_interval_window,
         solution_distance=lambda x: abs(float(x[0])),
         fiber_distance=lambda x: abs(float(x[0])),
-        coderivative=lambda x, y, ystar: DualVectorSet.singleton([float(ystar[0])]),
         coderivative_matrix=lambda x, y: np.ones((1, 1)),
         convex=True,
         canonical_q=1.0,
@@ -863,9 +873,6 @@ def _square() -> MappingProblem:
         param_window=_interval_window,
         solution_distance=lambda x: abs(float(x[0])),
         fiber_distance=lambda x: float(x[0]) ** 2,
-        coderivative=lambda x, y, ystar: DualVectorSet.singleton(
-            [2.0 * float(x[0]) * float(ystar[0])]
-        ),
         coderivative_matrix=lambda x, y: np.array([[2.0 * float(x[0])]]),
         convex=False,
         canonical_q=1.0,
@@ -882,25 +889,12 @@ def _linear(matrix=None) -> MappingProblem:
     # rank-deficient matrix has a basis (LAPACK's, as rows) to project on
     _, s, vt = np.linalg.svd(a)
     null_basis = vt[int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0))) :]
-    columns = a.T.tolist()
-
-    def apply(m, t):
-        # m t for a vector t, t m^T for rows of t: each entry summed left
-        # to right from the first product, so no BLAS kernel picks its bits
-        # and a row's bits do not depend on the rows taken with it
-        t = np.asarray(t, dtype=float)
-        return reduce(np.add, (t[..., k : k + 1] * m[:, k] for k in range(m.shape[1])))
 
     def solution_distance(x):
         d = np.asarray(x, dtype=float)
         if null_basis.shape[0]:
-            d = d - apply(null_basis.T, apply(null_basis, d))
+            d = d - matvec_left(null_basis.T, matvec_left(null_basis, d))
         return norm_x.value(d)
-
-    def coderivative(x, y, ystar):
-        # A^T y* on Python floats: one call per distinct multiplier
-        ystar = np.asarray(ystar, dtype=float).tolist()
-        return DualVectorSet.singleton([dot_left(c, ystar) for c in columns])
 
     return MappingProblem(
         name="linear-A",
@@ -910,15 +904,16 @@ def _linear(matrix=None) -> MappingProblem:
         norm_y=norm_y,
         xbar=np.zeros(dim_x),
         ybar=np.zeros(dim_y),
-        graph_membership=lambda x, y: norm_y.value(np.asarray(y, dtype=float) - apply(a, x))
+        graph_membership=lambda x, y: norm_y.value(
+            np.asarray(y, dtype=float) - matvec_left(a, x)
+        )
         <= MEMBERSHIP_TOL,
         param_dim=dim_x,
-        param_to_graph_batch=lambda t: (t, apply(a, t)),
+        param_to_graph_batch=lambda t: (t, matvec_left(a, t)),
         param_of=lambda x, y: np.asarray(x, dtype=float),
         param_window=_interval_window,
         solution_distance=solution_distance,
-        fiber_distance=lambda x: norm_y.value(apply(a, x)),
-        coderivative=coderivative,
+        fiber_distance=lambda x: norm_y.value(matvec_left(a, x)),
         coderivative_matrix=lambda x, y: a,
         convex=True,
         canonical_q=1.0,
@@ -981,7 +976,6 @@ def _constant() -> MappingProblem:
         param_window=_interval_window,
         solution_distance=lambda x: 0.0,
         fiber_distance=lambda x: 0.0,
-        coderivative=lambda x, y, ystar: DualVectorSet.singleton([0.0]),
         coderivative_matrix=lambda x, y: np.zeros((1, 1)),
         convex=True,
         canonical_q=1.0,
@@ -1056,7 +1050,7 @@ def piecewise_problem(
         parsed.append((float(a), float(b), np.array(coeffs, dtype=float)))
     parsed.sort(key=lambda t: t[0])
     # membership and the graph map read the first piece holding a point,
-    # the coderivative every one: pieces may share an end, no more
+    # the coderivative matrix every one: pieces may share an end, no more
     reach = -INF
     for a, b, _ in parsed:
         if min(b, reach) > a:
@@ -1144,25 +1138,15 @@ def piecewise_problem(
             return INF
         return abs(v - ybar)
 
-    def slopes_at(u: float) -> set:
-        # the distinct slopes of the pieces holding u: none off the
-        # domain, more than one at a kink
-        return {
+    def coderivative_matrix(x, y):
+        # the distinct slopes of the pieces holding x: none off the
+        # domain, more than one at a kink, and a matrix only for one
+        u = float(x[0])
+        slopes = {
             round(_horner(dc, u), 12)
             for (a, b, _), dc in zip(parsed, derivs)
             if a - MEMBERSHIP_TOL <= u <= b + MEMBERSHIP_TOL
         }
-
-    def coderivative(x, y, ystar):
-        slopes = slopes_at(float(x[0]))
-        if not slopes:
-            return DualVectorSet.empty()
-        if len(slopes) > 1:
-            return None  # kink: no analytic description here
-        return DualVectorSet.singleton([slopes.pop() * float(ystar[0])])
-
-    def coderivative_matrix(x, y):
-        slopes = slopes_at(float(x[0]))
         return np.array([[slopes.pop()]]) if len(slopes) == 1 else None
 
     return MappingProblem(
@@ -1182,7 +1166,6 @@ def piecewise_problem(
         ),
         solution_distance=solution_distance,
         fiber_distance=fiber_distance,
-        coderivative=coderivative,
         coderivative_matrix=coderivative_matrix,
         convex=convex,
         graph_locally_closed=graph_locally_closed,

@@ -1,12 +1,12 @@
 """Subdifferential and coderivative slope estimation.
 
-Everything here drives the problem's analytic coderivative oracle:
-subdifferential rho-slopes minimize ``|x*|`` over coderivative images of
-the duality mapping plus a perturbation ball (exact intervals in one
-dimension, sampled dual directions otherwise), the strict q-slopes take
-per-level infima over the shared outer pools, and the limiting
-coderivative minimum norm realizes the sequential outer limit along the
-shrinking shells.
+Everything here reads the problem's one description of D*F, a
+coderivative matrix or a set-valued oracle: subdifferential rho-slopes
+minimize ``|x*|`` over coderivative images of the duality mapping plus a
+perturbation ball (exact intervals in one dimension, sampled dual
+directions otherwise), the strict q-slopes take per-level infima over
+the shared outer pools, and the limiting coderivative minimum norm
+realizes the sequential outer limit along the shrinking shells.
 
 Every constant walks the rows of the outer-point table
 (:func:`~subreg.problems.outer_pools`), one per distinct outer point, in
@@ -17,8 +17,9 @@ and the multipliers of all its levels are laid out as one table, a block
 of the chunk's arrays (:func:`_pert_rows`,
 :func:`~subreg.geometry.enlargement_rows`).  Each point's coderivative
 matrix is read once, and the images M^T y* of all its multipliers are
-formed and normed as rows; a point without one calls the scalar oracle
-once per distinct multiplier (:func:`_image_norms`).  Each (point,
+formed and normed as rows; a point without one has no image.  A
+set-valued oracle is called once per distinct point and multiplier
+(:func:`_image_norms`).  Each (point,
 level[, direction set or target]) group is reduced to its least image
 norm, keeping the first of ties as a scan in that order would
 (:func:`_first_min`), and then each level across the points the same
@@ -30,7 +31,6 @@ and in the values read from them alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ from .geometry import (
     enlargement_perturbations,
     enlargement_rows,
     is_inf,
+    matvec_left,
     xi_q,
 )
 from .problems import MappingProblem, Schedule, mix_seed, outer_pools
@@ -60,7 +61,7 @@ DUAL_CHUNK_POINTS = 64
 
 
 class MissingOracleError(ValueError):
-    """The operation needs the analytic coderivative oracle."""
+    """The operation needs a description of the coderivative."""
 
 
 class DualSlopeError(ValueError):
@@ -81,41 +82,38 @@ def _image_norms(
     """A table shaped like the mask ``where`` holding, at its true
     entries in C order, ``inf |x*|`` over x* in D*F(x,y)(row) at the
     point ``(x[owner], y[owner])`` for the successive rows and owners;
-    ``INF`` elsewhere and where the oracle has no description or the
+    ``INF`` elsewhere and where the problem has no description or the
     image is empty.  Each distinct owner's coderivative matrix M is read
-    once; the rows of the owners that have one become M^T y*, formed
-    column by column with each entry summed left to right (no BLAS
-    kernel picks its bits), and are normed together.  The scalar oracle
-    takes the other owners, once per distinct point and row."""
+    once; the rows of the owners that have one become M^T y*, each entry
+    summed left to right (:func:`~subreg.geometry.matvec_left`), and are
+    normed together.  A problem without matrices calls its oracle once
+    per distinct point and row; one with neither describes nothing."""
     dual_x = problem.norm_x.dual()
-    held = np.zeros(len(x), dtype=bool)
+    norms = np.full(len(owner), INF)
     if problem.coderivative_matrix is not None:
-        mats = np.zeros((len(x), problem.dim_y, problem.dim_x))
         # the distinct owners by a mask: a bare np.unique imports numpy.ma
+        held = np.zeros(len(x), dtype=bool)
         held[owner] = True
+        mats = np.zeros((len(x), problem.dim_x, problem.dim_y))  # each M^T
         for i in np.flatnonzero(held).tolist():
             m = problem.coderivative_matrix(x[i], y[i])
             if m is None:
                 held[i] = False
             else:
-                mats[i] = m
-    norms = np.full(len(owner), INF)
-    on = held[owner]
-    if on.any():
-        own, ys = owner[on], rows[on]
-        images = reduce(np.add, (ys[:, k : k + 1] * mats[own, k] for k in range(problem.dim_y)))
-        norms[on] = dual_x.value_rows(images)
-    rest = np.flatnonzero(~on)
-    if rest.size:
+                mats[i] = np.transpose(m)
+        on = held[owner]
+        if on.any():
+            norms[on] = dual_x.value_rows(matvec_left(mats[owner[on]], rows[on]))
+    elif problem.coderivative is not None and len(owner):
         # a row's bit patterns key it, so -0.0 and 0.0 stay apart
-        keys = np.column_stack([owner[rest], np.ascontiguousarray(rows[rest]).view(np.int64)])
+        keys = np.column_stack([owner, np.ascontiguousarray(rows).view(np.int64)])
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         values = np.empty(len(first))
         for k in np.argsort(first):  # in scan order
-            j = rest[first[k]]
+            j = first[k]
             res = problem.coderivative(x[owner[j]], y[owner[j]], rows[j])
             values[k] = INF if res is None else res.min_norm(dual_x)
-        norms[rest] = values[inverse.reshape(-1)]
+        norms = values[inverse.reshape(-1)]
     table = np.full(np.shape(where), INF)
     table[where] = norms
     return table
@@ -283,8 +281,8 @@ def subdiff_rho_slope(
         raise DualSlopeError("rho must be nonnegative")
     if variant not in ("plain", "approximate"):
         raise DualSlopeError(f"unknown variant {variant!r}")
-    if problem.coderivative is None:
-        raise MissingOracleError(f"problem {problem.name!r} has no coderivative oracle")
+    if not problem.has_coderivative:
+        raise MissingOracleError(f"problem {problem.name!r} has no coderivative description")
     if not problem.graph_membership(at.x, at.y):
         raise DualSlopeError("evaluation point is not on the graph")
     d = problem.d_y(at.y, problem.ybar)
@@ -350,7 +348,7 @@ def strict_subdiff_q_slopes(
         raise DualSlopeError("q must lie in (0, 1]")
     rhos = schedule.rho_values()
     keys = ("plain", "approx", "modified", "modified_approx")
-    if problem.coderivative is None:
+    if not problem.has_coderivative:
         return DualStrictSlopes(*(_inconclusive(f"subdiff_strict_q_{t}", rhos) for t in keys))
 
     seed = mix_seed(schedule.seed, "dirs")
@@ -393,7 +391,7 @@ def limiting_coderivative_min_norm(
     if not 0.0 < q <= 1.0:
         raise DualSlopeError("q must lie in (0, 1]")
     rhos = schedule.rho_values()
-    if problem.coderivative is None:
+    if not problem.has_coderivative:
         return _inconclusive("limiting_coderivative_min_norm", rhos)
     dual = problem.norm_y.dual()
     seed = mix_seed(schedule.seed, "dirs")
@@ -455,7 +453,7 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
     if not 0.0 < q <= 1.0:
         raise DualSlopeError("q must lie in (0, 1]")
     rhos = schedule.rho_values()
-    if problem.coderivative is None:
+    if not problem.has_coderivative:
         return (_inconclusive("lm_alpha", rhos), _inconclusive("lm_beta", rhos))
     seed = mix_seed(schedule.seed, "dirs")
     dual, dim, n_rad, eps = problem.norm_y.dual(), problem.dim_y, len(rhos), np.array(rhos)

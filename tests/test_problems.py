@@ -34,6 +34,7 @@ from subreg.problems import (
     sample_graph_batch,
     sample_outer_points,
 )
+import coderivative_reference
 from graph_reference import catalog_to_graph, piecewise_to_graph, same_bits, scalar_graph_rows
 from pool_reference import ref_fresh, ref_pools
 from sampler_reference import graph_sample, halving_offsets
@@ -242,8 +243,11 @@ def test_piecewise_problem_roundtrip():
     # solution set is (-inf interval) [-1, 0] plus the root x = 0
     assert p.solution_distance([0.7]) == pytest.approx(0.7)
     assert p.solution_distance([-0.5]) == pytest.approx(0.0)
-    res = p.coderivative(np.array([0.5]), np.array([0.25]), np.array([2.0]))
-    np.testing.assert_allclose(res.members()[0], [2.0], atol=1e-12)
+    at = (np.array([0.5]), np.array([0.25]), np.array([2.0]))
+    (image,) = p.coderivative_image(*at).members()
+    np.testing.assert_allclose(image, [2.0], atol=1e-12)
+    (want,) = coderivative_reference.piecewise(pieces)(*at).members()
+    assert image.tobytes() == want.tobytes()
     pts = graph_sample(p, p.anchor, 0.5, 128, 1)
     assert all(p.graph_membership(pt.x, pt.y) for pt in pts)
 
@@ -254,7 +258,10 @@ def test_piecewise_kink_has_no_coderivative_description():
         {"domain": [0.0, 1.0], "coeffs": [0.0, 1.0]},
     ]
     p = piecewise_problem(pieces, xbar=0.0, ybar=0.0)
-    assert p.coderivative(np.array([0.0]), np.array([0.0]), np.array([1.0])) is None
+    at = (np.array([0.0]), np.array([0.0]))
+    assert p.coderivative_matrix(*at) is None
+    assert p.coderivative_image(*at, np.array([1.0])) is None
+    assert coderivative_reference.piecewise(pieces)(*at, np.array([1.0])) is None
 
 
 @pytest.mark.parametrize(
@@ -456,6 +463,7 @@ def test_linear_oracles_stay_within_4_ulp_of_the_blas_forms(label):
     a = np.abs(np.asarray(matrix))
     p = catalog_problem("linear-A", matrix=matrix)
     fiber, solution, coderivative = _blas_linear(matrix)
+    oracle = coderivative_reference.linear(matrix)
 
     def close(got, want, scale):
         # 4 ulp of the sum of absolute products, which bounds the rounding
@@ -465,8 +473,9 @@ def test_linear_oracles_stay_within_4_ulp_of_the_blas_forms(label):
     for x in _linear_params():
         assert close(p.fiber_distance(x), fiber(x), np.linalg.norm(a @ np.abs(x))), x
         assert close(p.solution_distance(x), solution(x), np.linalg.norm(x)), x
-        (got,) = p.coderivative(x, None, x).members()
+        (got,) = p.coderivative_image(x, None, x).members()
         assert close(got, coderivative(x), a.T @ np.abs(x)), x
+        assert got.tobytes() == oracle(x, None, x).members()[0].tobytes(), x
 
 
 def test_clip_keeps_scalar_ties():
