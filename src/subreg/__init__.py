@@ -18,8 +18,8 @@ from .geometry import (
 from .moduli import (
     CriteriaReport,
     ModulusReport,
+    RunContext,
     check_subregularity_inequality,
-    compute_constants,
     convexity_necessity_check,
     criteria_report,
     error_bound_modulus,
@@ -36,7 +36,6 @@ from .problems import (
     finite_graph_problem,
     piecewise_problem,
     solution_set_distance,
-    validate_P1_P2,
 )
 from .report import RunConfig, RunReport, emit_report, parse_config, run_config
 from .slopes_dual import (
@@ -53,8 +52,8 @@ from .slopes_primal import (
     local_rho_slope,
     nonlocal_q_rho_slope,
     single_variable_embedding,
-    strict_q_slopes,
     uniform_strict_q_slope,
+    validate_P1_P2,
 )
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ import numpy as np
 # +inf, the value of an empty infimum, is the float inf throughout; 0 * INF is nan
 INF = math.inf
 
+# tolerance of the duality mapping's two defining identities
 DEFAULT_TOL = 1e-9
 
 # Faces of l1/linf balls are enumerated explicitly; past this many free
@@ -271,7 +272,7 @@ def dual_norm_rho(
     return nx.value(xstar) + ny.value(ystar) / rho
 
 
-def duality_map(y, norm: NormSpec, tol: float = DEFAULT_TOL) -> DualVectorSet:
+def duality_map(y, norm: NormSpec) -> DualVectorSet:
     """The normalized duality mapping at ``y != 0``: unit dual vectors
     attaining the norm, ``<y*, y> = |y|``.
 
@@ -325,25 +326,27 @@ def duality_map(y, norm: NormSpec, tol: float = DEFAULT_TOL) -> DualVectorSet:
 
     dual, y = norm.dual(), y.tolist()
     for v in out.members():
-        if abs(dual.value(v) - 1.0) > tol or abs(dot_left(v.tolist(), y) - ny) > tol * ny:
+        pairing = dot_left(v.tolist(), y)
+        if abs(dual.value(v) - 1.0) > DEFAULT_TOL or abs(pairing - ny) > DEFAULT_TOL * ny:
             raise GeometryError("duality mapping output failed its defining identities")
     return out
 
 
-def duality_faces(rows, norm: NormSpec, tol: float = DEFAULT_TOL) -> list:
+def duality_faces(rows, norm: NormSpec) -> list:
     """``[duality_map(r, norm).members() for r in rows]``.  A euclidean
     face is the singleton ``r / |r|``: every row's is formed and checked
     against both defining identities at once, with the same sums as
     :func:`duality_map`; other norms go row by row."""
     rows = np.asarray(rows, dtype=float)
     if norm.kind != "euclidean":
-        return [duality_map(r, norm, tol).members() for r in rows]
+        return [duality_map(r, norm).members() for r in rows]
     ny = norm.value_rows(rows)
     if (ny <= 0.0).any():
         raise GeometryError("duality mapping rejected at the origin")
     faces = rows / ny[:, None]
     pairing = reduce(np.add, (faces * rows).T)  # dot_left's order
-    if (np.abs(norm.value_rows(faces) - 1.0) > tol).any() or (np.abs(pairing - ny) > tol * ny).any():
+    off_unit = np.abs(norm.value_rows(faces) - 1.0) > DEFAULT_TOL
+    if off_unit.any() or (np.abs(pairing - ny) > DEFAULT_TOL * ny).any():
         raise GeometryError("duality mapping output failed its defining identities")
     return [(face,) for face in faces]
 

@@ -29,7 +29,6 @@ from .problems import (
     mix_seed,
     outer_pools,
     sample_graph_batch,
-    validate_P1_P2,
 )
 from .slopes_dual import (
     DualStrictSlopes,
@@ -40,6 +39,7 @@ from .slopes_dual import (
 from .slopes_primal import (
     SlopeEstimate,
     StrictSweepResult,
+    SweepTable,
     _finish,
     _gather,
     anchor_f_rows,
@@ -48,6 +48,8 @@ from .slopes_primal import (
     f_level_strict,
     q_powers,
     strict_sweep,
+    sweep_table,
+    validate_P1_P2,
 )
 
 SHARED_SLACK = 1e-6  # sample-shared comparisons
@@ -234,7 +236,8 @@ class Tables:
     being the finest rho level whose window holds it, so level ``k`` is a
     suffix.  An order recomputes only its powers, its ratios and one
     suffix minimum per modulus: runs of one problem and schedule at
-    several orders can share one ``Tables``.
+    several orders can share one ``Tables``.  ``pool`` is a run's one
+    reader of :func:`~subreg.problems.outer_pools`.
     """
 
     def __init__(self, problem: MappingProblem, schedule: Schedule):
@@ -243,8 +246,7 @@ class Tables:
 
     @cached_property
     def pool(self) -> OuterPool:
-        pool = outer_pools(self.problem, self.schedule, True)
-        return _read_only(pool.take(np.argsort(pool.depth, kind="stable")))
+        return outer_pools(self.problem, self.schedule, True)
 
     def pool_starts(self) -> np.ndarray:
         return np.searchsorted(self.pool.depth, np.arange(self.schedule.steps))
@@ -468,16 +470,18 @@ class RunContext(Mapping):
     estimates, and reading an entry computes only what that entry
     needs.  It also holds the strict sweeps under the max- and sum-type
     product metrics, which read one :class:`SweepTable` (candidates do
-    not depend on the metric, so the outer pools are gathered once and
-    only per-point, per-level values are kept), the two modulus reports
-    and the theorem-7T1 result.  The anchor ratio needs no sweep.  The
-    moduli read the order-free :class:`Tables` given (fresh ones if not).
-    The checks take a context as their one run input.
+    not depend on the metric, so the outer pool is gathered once), the
+    two modulus reports and the theorem-7T1 result.  Everything reads
+    the outer pool of the :class:`Tables` given (fresh ones if not).
+    The checks and the four constants that walk the pool take a context
+    as their one run input, and it refuses an order outside (0, 1].
     """
 
     def __init__(
         self, problem: MappingProblem, q: float, schedule: Schedule, tables: Optional[Tables] = None
     ):
+        if not (is_finite_real(q) and 0.0 < q <= 1.0):
+            raise ModuliError(f"q must lie in (0, 1], got {q!r}")
         self.problem = problem
         self.q = q
         self.schedule = schedule
@@ -504,25 +508,29 @@ class RunContext(Mapping):
         return _finish("anchor_ratio_liminf", trace, False, used)
 
     @cached_property
+    def sweep_table(self) -> SweepTable:
+        return sweep_table(self.problem, self.q, self.schedule, self.tables.pool)
+
+    @cached_property
     def sweep(self) -> StrictSweepResult:
-        return strict_sweep(self.problem, self.q, self.schedule)
+        return strict_sweep(self)
 
     @cached_property
     def sum_sweep(self) -> StrictSweepResult:
-        return strict_sweep(self.problem, self.q, self.schedule, self.sweep.table, metric="sum")
+        return strict_sweep(self, "sum")
 
     @cached_property
     def dual_slopes(self) -> DualStrictSlopes:
-        return strict_subdiff_q_slopes(self.problem, self.q, self.schedule)
+        return strict_subdiff_q_slopes(self)
 
     @cached_property
     def limiting(self) -> SlopeEstimate:
-        return limiting_coderivative_min_norm(self.problem, self.q, self.schedule)
+        return limiting_coderivative_min_norm(self)
 
     @cached_property
     def lm(self) -> tuple:
         """(lm_alpha, lm_beta)."""
-        return lm_constants(self.problem, self.q, self.schedule)
+        return lm_constants(self)
 
     @cached_property
     def subregularity(self) -> ModulusReport:
@@ -535,14 +543,6 @@ class RunContext(Mapping):
     @cached_property
     def theorem_7T1(self) -> Theorem7T1Result:
         return theorem_7T1_check(self)
-
-
-def compute_constants(
-    problem: MappingProblem, q: float, schedule: Schedule
-) -> RunContext:
-    """Every reported constant on shared outer pools, keyed by the
-    report entry names and computed when first read."""
-    return RunContext(problem, q, schedule)
 
 
 @dataclass(frozen=True)

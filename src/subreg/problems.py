@@ -27,7 +27,6 @@ from .geometry import (
     ProductPoint,
     distinct_rows,
     euclidean,
-    is_inf,
     matvec_left,
 )
 
@@ -637,16 +636,16 @@ def solution_set_distance(
 
 def distinct_window_rows(rows: np.ndarray, level: np.ndarray, radii: Sequence[float]) -> tuple:
     """The distinct rows (by bytes, as seeds key points) whose ``level``
-    lies below ``radii[0]``, in first-draw order, as ``(index, depth,
-    copies)``: each one's first row, the finest ``k`` with ``level <
-    radii[k]`` on the decreasing ladder ``radii`` (window ``k`` holds the
-    rows of depth ``k`` or more) and its number of rows."""
+    lies below ``radii[0]``, as ``(index, depth, copies)``: each one's
+    first row, the finest ``k`` with ``level < radii[k]`` on the
+    decreasing ladder ``radii`` and its number of rows.  They come
+    stably in depth order, first-draw order within a depth, so window
+    ``k`` (the rows of depth ``k`` or more) is a suffix."""
     inside = np.flatnonzero(level < radii[0])
     first, _, copies = distinct_rows(rows[inside])
-    order = np.argsort(first)
-    index = inside[first[order]]
-    depth = (level[index, None] < np.asarray(radii, dtype=float)).sum(axis=1) - 1
-    return index, depth, copies[order]
+    depth = (level[inside[first], None] < np.asarray(radii, dtype=float)).sum(axis=1) - 1
+    order = np.lexsort((first, depth))  # by depth, then by first draw
+    return inside[first[order]], depth[order], copies[order]
 
 
 def q_powers(values: np.ndarray, q: float) -> np.ndarray:
@@ -661,10 +660,11 @@ def q_powers(values: np.ndarray, q: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class OuterPool:
     """The outer points of every rho level, one row per distinct ``(x,
-    y)`` in first-draw order: its distances ``dxa = d(x, xbar)`` and
-    ``dya = d(y, ybar)``, its ``depth`` (level ``k`` is the rows of depth
-    ``k`` or more) and its ``copies`` drawn, the halving stencils of
-    different levels coinciding bitwise.  ``len`` counts the copies."""
+    y)``: its distances ``dxa = d(x, xbar)`` and ``dya = d(y, ybar)``,
+    its ``depth`` (level ``k`` is the rows of depth ``k`` or more) and
+    its ``copies`` drawn, the halving stencils of different levels
+    coinciding bitwise.  Every array is read-only.  ``len`` counts the
+    copies."""
 
     x: np.ndarray
     y: np.ndarray
@@ -672,6 +672,10 @@ class OuterPool:
     dya: np.ndarray
     depth: np.ndarray
     copies: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
 
     def __len__(self) -> int:
         return int(self.copies.sum())
@@ -701,16 +705,17 @@ def sample_outer_points(
     """The graph points in the open shells ``d(x,xbar) < radii[k]``,
     ``0 < d(y,ybar) < radii[k]`` of the decreasing ladder ``radii`` with
     ``x`` outside F^{-1}(ybar) (solution distance above ``EPS_MEM``; drop
-    with ``outer_restriction=False``), as an :class:`OuterPool`.
+    with ``outer_restriction=False``), as an :class:`OuterPool` in the
+    depth order of :func:`distinct_window_rows`.
 
     Level ``k`` draws what an anchor-centred :func:`sample_graph_arrays`
     of radius ``radii[k]``, ``budget`` points and seed ``seeds[k]`` draws;
     one :func:`sample_graph_batch` call draws every level, bitwise as one
     call per level would.  A row's depth is the finest level whose shell
     holds it, whichever level drew it.  The solution distance is taken
-    once per distinct x (by bytes).  Without an oracle it comes from
-    :func:`solution_set_distance`, which then draws one anchor sample per
-    radius for the whole call."""
+    once per distinct x (by bytes) from :func:`solution_set_distance`,
+    which without an oracle draws one anchor sample per radius for the
+    whole call."""
     anchor = problem.anchor
     calls = [(anchor, radius, budget, seed) for radius, seed in zip(radii, seeds)]
     ux, vy, counts = sample_graph_batch(problem, calls)
@@ -721,12 +726,7 @@ def sample_outer_points(
     ux, vy, dxa, dya = ux[shell], vy[shell], dxa[shell], dya[shell]
     first, inverse, _ = distinct_rows(ux)
     anchor_zeros: dict = {}  # one anchor sample per radius for the whole call
-    sol = []
-    for x in ux[first]:
-        sd = problem.solution_dist_exact(x)
-        if sd is None:
-            sd = solution_set_distance(problem, x, schedule, anchor_zeros).value
-        sol.append(sd)
+    sol = [solution_set_distance(problem, x, schedule, anchor_zeros).value for x in ux[first]]
     outer = ~(outer_restriction & (np.array(sol, dtype=float)[inverse] <= EPS_MEM))
     level = np.where(outer, np.maximum(dxa, dya), np.inf)
     index, depth, copies = distinct_window_rows(np.hstack([ux, vy]), level, radii)
@@ -736,16 +736,13 @@ def sample_outer_points(
 @lru_cache(maxsize=1)
 def outer_pools(problem: MappingProblem, schedule: Schedule, outer_restriction: bool) -> OuterPool:
     """The outer points of every rho level of ``schedule``, from one
-    :func:`sample_outer_points` call.
+    :func:`sample_outer_points` call, in depth order.
 
     A row's depth places it in every coarser window too, so per-level
     infima are monotone along the shrinking-window ladder by
-    construction.  The cache keeps the last key only: a run asks for one
-    ``(problem, schedule, True)``.  :func:`~subreg.report.run_config`
-    keeps the last run's problem in one slot keyed by its canonical
-    problem spec and schedule, so the runs of one problem and schedule at
-    several orders share one pool; a run of another problem or schedule
-    replaces it.
+    construction.  A run's :class:`~subreg.moduli.Tables` reads it once
+    and holds it, so the cache gets no hit in a run.  It stays only
+    because ``perfbench/worker.py`` counts pool builds by its misses.
     """
     rhos = schedule.rho_values()
     n = schedule.outer_samples_per_level()
@@ -753,50 +750,6 @@ def outer_pools(problem: MappingProblem, schedule: Schedule, outer_restriction: 
         n *= 2  # direction coverage needs more shell points
     seeds = [mix_seed(schedule.seed, "outer", k) for k in range(len(rhos))]
     return sample_outer_points(problem, rhos, n, seeds, schedule, outer_restriction)
-
-
-@dataclass(frozen=True)
-class P1P2Report:
-    p1_status: str
-    p2_status: str
-    p2_infimum: float
-    trace: tuple
-    notes: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.p1_status == "pass" and self.p2_status == "pass"
-
-
-def validate_P1_P2(ef, schedule: Schedule, threshold: float = 1e-6) -> P1P2Report:
-    """Check positivity off ybar (structural for induced error functions)
-    and estimate ``liminf f/d(y, ybar)`` as ``f`` shrinks along the
-    shells; pass when the final-shell infimum stays above ``threshold``."""
-    from .slopes_primal import _level_infima, anchor_f_rows, as_two_variable, f_rows
-
-    notes = []
-    if isinstance(ef, ErrorFunction):
-        p1 = "pass"
-        notes.append("positivity off ybar holds structurally for induced error functions")
-    else:
-        func = as_two_variable(ef)
-        call = (ProductPoint(func.xbar, func.ybar), 1.0, 512, mix_seed(schedule.seed, "p1"))
-        _, vy, f, _ = f_rows(func, [call])
-        off_ybar = func.norm_y.value_rows(vy - func.ybar) > MEMBERSHIP_TOL
-        p1 = "fail" if np.any(off_ybar & (f <= 0.0)) else "pass"
-
-    _, _, f, _, dy = anchor_f_rows(
-        ef, [schedule.rho0], schedule.sample_budget, [mix_seed(schedule.seed, "p2")]
-    )
-    f, dy, rhos = f[dy > 0.0], dy[dy > 0.0], schedule.rho_values()
-    trace = list(zip(rhos, _level_infima(np.where(f[:, None] < rhos, (f / dy)[:, None], np.nan))))
-    final = trace[-1][1]
-    if is_inf(final):
-        p2 = "inconclusive"
-        notes.append("no sampled points with small function values")
-    else:
-        p2 = "pass" if final > threshold else "fail"
-    return P1P2Report(p1, p2, final, tuple(trace), tuple(notes))
 
 
 # --------------------------------------------------------------------------

@@ -8,9 +8,9 @@ directions otherwise), the strict q-slopes take per-level infima over
 the shared outer pools, and the limiting coderivative minimum norm
 realizes the sequential outer limit along the shrinking shells.
 
-Every constant walks the rows of the outer-point table
-(:func:`~subreg.problems.outer_pools`), one per distinct outer point, in
-table order and in chunks of rows; a point's copies would repeat its
+Every strict constant takes the run context and walks the rows of its
+outer-point table (``ctx.tables.pool``), one per distinct outer point,
+in depth order and in chunks of rows; a point's copies would repeat its
 values, so they only add to ``budget_used``.  The duality faces of a
 chunk's directions are taken as rows (:func:`~subreg.geometry.duality_faces`),
 and the multipliers of all its levels are laid out as one table, a block
@@ -31,7 +31,7 @@ and in the values read from them alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -46,8 +46,11 @@ from .geometry import (
     matvec_left,
     xi_q,
 )
-from .problems import MappingProblem, Schedule, mix_seed, outer_pools
+from .problems import MappingProblem, OuterPool, Schedule, mix_seed
 from .slopes_primal import SlopeEstimate, _finish
+
+if TYPE_CHECKING:
+    from .moduli import RunContext
 
 # Duality-mapping multipliers above this are not explored; the limiting
 # minimum-norm estimate may overestimate when the cap binds (flagged).
@@ -68,10 +71,9 @@ class DualSlopeError(ValueError):
     """Invalid input to a dual slope estimator."""
 
 
-def _chunks(problem: MappingProblem, schedule: Schedule):
-    """The rows of the outer-point table in order, in chunks of
+def _chunks(pool: OuterPool):
+    """The rows of the outer-point table ``pool`` in order, in chunks of
     :class:`~subreg.problems.OuterPool` rows."""
-    pool = outer_pools(problem, schedule, True)
     for i in range(0, pool.depth.size, DUAL_CHUNK_POINTS):
         yield pool.take(slice(i, i + DUAL_CHUNK_POINTS))
 
@@ -335,17 +337,15 @@ def _inconclusive(kind: str, rhos: Sequence[float]) -> SlopeEstimate:
     return SlopeEstimate(INF, trace, False, 0, kind, ("inconclusive", "missing-oracle"))
 
 
-def strict_subdiff_q_slopes(
-    problem: MappingProblem, q: float, schedule: Schedule
-) -> DualStrictSlopes:
+def strict_subdiff_q_slopes(ctx: RunContext) -> DualStrictSlopes:
     """The four strict subdifferential q-slopes (plain / approximate /
-    modified / modified-approximate) on shared per-level outer pools.
+    modified / modified-approximate) of the run ``ctx`` on shared
+    per-level outer pools.
 
     The perturbation radius at a point is ``xi_q(y) * rho_k`` (plain
     ``rho_k`` when q = 1, where the rescaling factor is identically 1).
     """
-    if not 0.0 < q <= 1.0:
-        raise DualSlopeError("q must lie in (0, 1]")
+    problem, q, schedule = ctx.problem, ctx.q, ctx.schedule
     rhos = schedule.rho_values()
     keys = ("plain", "approx", "modified", "modified_approx")
     if not problem.has_coderivative:
@@ -356,7 +356,7 @@ def strict_subdiff_q_slopes(
     dirs = _near_directions(problem, seed)
     parts = []
     used = 0
-    for chunk in _chunks(problem, schedule):
+    for chunk in _chunks(ctx.tables.pool):
         d = chunk.dya.tolist()
         diffs = chunk.y - problem.ybar
         sets = [[[v], _approx_directions(v, v_frac * dy, dirs)] for v, dy in zip(diffs, d)]
@@ -377,19 +377,17 @@ def strict_subdiff_q_slopes(
     )
 
 
-def limiting_coderivative_min_norm(
-    problem: MappingProblem, q: float, schedule: Schedule
-) -> SlopeEstimate:
+def limiting_coderivative_min_norm(ctx: RunContext) -> SlopeEstimate:
     """Minimum ``|x*|`` over the limiting outer q-coderivative image of
-    the dual unit sphere, via its sequential characterization: outer
-    points marching to the anchor while the multiplier tracks the
-    q-weighted duality mapping within a shrinking tolerance.
+    the dual unit sphere for the run ``ctx``, via its sequential
+    characterization: outer points marching to the anchor while the
+    multiplier tracks the q-weighted duality mapping within a shrinking
+    tolerance.
 
     Multipliers beyond ``MULTIPLIER_CAP`` are not explored (flagged);
     the estimate may overestimate in that regime.
     """
-    if not 0.0 < q <= 1.0:
-        raise DualSlopeError("q must lie in (0, 1]")
+    problem, q, schedule = ctx.problem, ctx.q, ctx.schedule
     rhos = schedule.rho_values()
     if not problem.has_coderivative:
         return _inconclusive("limiting_coderivative_min_norm", rhos)
@@ -399,7 +397,7 @@ def limiting_coderivative_min_norm(
     parts = []
     capped = False
     used = 0
-    for chunk in _chunks(problem, schedule):
+    for chunk in _chunks(ctx.tables.pool):
         n_pts = chunk.depth.size
         faces = duality_faces(chunk.y - problem.ybar, problem.norm_y)
         members, real = _padded(faces, problem.dim_y)
@@ -436,8 +434,8 @@ def limiting_coderivative_min_norm(
 # --------------------------------------------------------------------------
 
 
-def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple:
-    """The two enlargement-based constants (alpha, beta).
+def lm_constants(ctx: RunContext) -> tuple:
+    """The two enlargement-based constants (alpha, beta) of the run ``ctx``.
 
     beta takes per-epsilon infima of ``q |x*| d(y,ybar)^{q-1}`` over
     outer points in the window ``|y-ybar| < min(eps, |x-xbar|^{1/2})``
@@ -450,8 +448,7 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
     every epsilon level is one block of
     :func:`~subreg.geometry.enlargement_rows`.
     """
-    if not 0.0 < q <= 1.0:
-        raise DualSlopeError("q must lie in (0, 1]")
+    problem, q, schedule = ctx.problem, ctx.q, ctx.schedule
     rhos = schedule.rho_values()
     if not problem.has_coderivative:
         return (_inconclusive("lm_alpha", rhos), _inconclusive("lm_beta", rhos))
@@ -462,7 +459,7 @@ def lm_constants(problem: MappingProblem, q: float, schedule: Schedule) -> tuple
     perturbations = enlargement_perturbations(dim, dual, 4, seed)
     parts = []
     used = 0
-    for chunk in _chunks(problem, schedule):
+    for chunk in _chunks(ctx.tables.pool):
         n_pts, dxa = chunk.depth.size, chunk.dxa.tolist()
         # the window d(x, xbar) < eps, d(y, ybar) < min(eps, d(x, xbar)^{1/2})
         root = np.array([dx**0.5 for dx in dxa])[:, None]

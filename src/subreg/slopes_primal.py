@@ -24,14 +24,15 @@ sampling bias cannot explain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from .geometry import INF, NormSpec, ProductPoint, euclidean, is_inf
 from .problems import (
+    MEMBERSHIP_TOL,
     ErrorFunction,
     MappingProblem,
     OuterPool,
@@ -47,6 +48,9 @@ from .problems import (
     sample_graph_arrays,
     sample_graph_batch,
 )
+
+if TYPE_CHECKING:
+    from .moduli import RunContext
 
 # Candidates closer than this (plain product metric, so the mask does
 # not depend on rho) are treated as the center itself: the defining
@@ -438,12 +442,11 @@ def local_rho_slope(
 class StrictSweepResult:
     """Per-level infima of the uniform, plain and modified strict
     q-slopes computed on shared outer pools, so the family orderings
-    hold sample-wise, and the table they were read from."""
+    hold sample-wise."""
 
     uniform: SlopeEstimate
     plain: SlopeEstimate
     modified: SlopeEstimate
-    table: "SweepTable" = field(default=None, compare=False, repr=False)
 
 
 def _finish(kind: str, trace: list, truncated: bool, used: int) -> SlopeEstimate:
@@ -469,12 +472,12 @@ class SweepTable:
     """Per-point, per-level scalars of the strict sweep on one set of
     outer pools, for both product metrics.
 
-    ``rows`` holds the rows of the :func:`~subreg.problems.outer_pools`
-    table ordered by depth, stably, so level ``k`` is ``rows[starts[k]:]``.
-    Entry ``[i, k]`` of ``nonlocal_values``, ``truncated`` and
-    ``local_values`` is the nonlocal (q, rho_k)-slope, its truncation
-    flag and the local rho_k-slope at row ``i``, and is read only for
-    ``i >= starts[k]``.  ``sizes`` counts each row's candidates.
+    ``rows`` is the outer pool it was built on, in depth order, so level
+    ``k`` is ``rows[starts[k]:]``.  Entry ``[i, k]`` of
+    ``nonlocal_values``, ``truncated`` and ``local_values`` is the
+    nonlocal (q, rho_k)-slope, its truncation flag and the local
+    rho_k-slope at row ``i``, and is read only for ``i >= starts[k]``.
+    ``sizes`` counts each row's candidates.
     """
 
     rows: OuterPool
@@ -486,19 +489,15 @@ class SweepTable:
 
 
 def sweep_table(
-    problem: MappingProblem,
-    q: float,
-    schedule: Schedule,
-    outer_restriction: bool = True,
+    problem: MappingProblem, q: float, schedule: Schedule, rows: OuterPool
 ) -> SweepTable:
-    """Gather the rows of the outer pools chunk by chunk into candidate
-    tables and reduce every rho level under both product metrics: the
-    values of :meth:`PointCandidates.nonlocal_value` and
+    """Gather the rows of the outer pool ``rows`` (of ``problem`` and
+    ``schedule``, in depth order) chunk by chunk into candidate tables
+    and reduce every rho level under both product metrics: the values of
+    :meth:`PointCandidates.nonlocal_value` and
     :meth:`PointCandidates.local_value`, bitwise, with each row's
     candidates gathered once and dropped with its chunk.  A row's copies
     would gather the same candidates, so they are only counted."""
-    pool = outer_pools(problem, schedule, outer_restriction)
-    rows = pool.take(np.argsort(pool.depth, kind="stable"))
     depths = rows.depth
     rhos = schedule.rho_values()
     shape = (depths.size, len(rhos))
@@ -548,28 +547,15 @@ def _level_infima(values: np.ndarray) -> list:
     return [INF if v != v else v for v in least]
 
 
-def strict_sweep(
-    problem: MappingProblem,
-    q: float,
-    schedule: Schedule,
-    table: Optional[SweepTable] = None,
-    metric: str = "max",
-    outer_restriction: bool = True,
-) -> StrictSweepResult:
-    """Shared-pool evaluation of the uniform strict q-slope and the plain
-    and modified strict q-slopes.
+def strict_sweep(ctx: RunContext, metric: str = "max") -> StrictSweepResult:
+    """The uniform, plain and modified strict q-slopes of the run ``ctx``
+    under the product metric ``metric``, read from its one
+    :class:`SweepTable`, ``ctx.sweep_table``."""
+    return _read_sweep(ctx.sweep_table, ctx.q, ctx.schedule, metric)
 
-    Reads the per-point, per-level values from ``table``, a
-    :func:`sweep_table` of the same problem, order, schedule and
-    restriction, built here when not given and returned with the
-    result: pass it to the sweep under the other product metric to
-    gather once.  ``budget_used`` counts every copy of a table row.
-    Empty pools contribute ``INF`` levels (infimum of the empty set).
-    """
-    if not 0.0 < q <= 1.0:
-        raise SlopeError("q must lie in (0, 1]")
-    if table is None:
-        table = sweep_table(problem, q, schedule, outer_restriction)
+
+def _read_sweep(table: SweepTable, q: float, schedule: Schedule, metric: str) -> StrictSweepResult:
+    # budget_used counts every copy of a row; an empty level is INF
     rows = table.rows
     weight, ratio = rows.weight(q)[:, None], rows.ratio(q)[:, None]
     # a row's entries past its depth are NaN, so each level's infimum is
@@ -586,7 +572,6 @@ def strict_sweep(
         uniform=_finish("uniform_strict_q", trace(table.nonlocal_values[metric]), truncated, used),
         plain=_finish("strict_q", trace(plain), False, used),
         modified=_finish("modified_strict_q", trace(modified), False, used),
-        table=table,
     )
 
 
@@ -600,19 +585,12 @@ def uniform_strict_q_slope(
     """Limit proxy of per-level infima of the nonlocal (q,rho)-slope
     over outer points in the shrinking shells; the unrestricted variant
     (``outer_restriction=False``) keeps points inside F^{-1}(ybar) and
-    yields a stronger sufficient condition."""
-    return strict_sweep(
-        problem, q, schedule, metric=metric, outer_restriction=outer_restriction
-    ).uniform
-
-
-def strict_q_slopes(
-    problem: MappingProblem, q: float, schedule: Schedule
-) -> tuple:
-    """(plain, modified) strict q-slopes on one shared sample set per
-    level, so modified >= plain holds sample-wise."""
-    sweep = strict_sweep(problem, q, schedule)
-    return sweep.plain, sweep.modified
+    yields a stronger sufficient condition.  No run holds the
+    unrestricted pool, so this reads its own."""
+    if not 0.0 < q <= 1.0:
+        raise SlopeError("q must lie in (0, 1]")
+    table = sweep_table(problem, q, schedule, outer_pools(problem, schedule, outer_restriction))
+    return _read_sweep(table, q, schedule, metric).uniform
 
 
 # --------------------------------------------------------------------------
@@ -864,7 +842,7 @@ def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
 
     On an :class:`ErrorFunction` every row is a graph row and ``f`` is
     ``d(v, ybar)**q`` with no membership test (see :func:`f_rows`).  Each
-    distinct window point (by its bytes, in first-draw order: see
+    distinct window point (by its bytes, in depth order: see
     :func:`~subreg.problems.distinct_window_rows`, on ``max(f, d(x,
     xbar))``) gathers its candidates once and is reduced at every level;
     ``budget_used`` still counts a point once per copy in each level's
@@ -918,3 +896,54 @@ def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
         trace = list(zip(rhos, _level_infima(np.where(window, vals, np.nan))))
         out[key] = _finish(kind, trace, False, used)
     return out
+
+
+# --------------------------------------------------------------------------
+# properties P1 and P2 of an error function
+# --------------------------------------------------------------------------
+
+# P2 passes when the final-shell infimum of f / d(y, ybar) stays above this
+P2_THRESHOLD = 1e-6
+
+
+@dataclass(frozen=True)
+class P1P2Report:
+    p1_status: str
+    p2_status: str
+    p2_infimum: float
+    trace: tuple
+    notes: tuple = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.p1_status == "pass" and self.p2_status == "pass"
+
+
+def validate_P1_P2(ef, schedule: Schedule) -> P1P2Report:
+    """Check positivity off ybar (structural for induced error functions)
+    and estimate ``liminf f/d(y, ybar)`` as ``f`` shrinks along the
+    shells; pass when the final-shell infimum stays above
+    ``P2_THRESHOLD``."""
+    notes = []
+    if isinstance(ef, ErrorFunction):
+        p1 = "pass"
+        notes.append("positivity off ybar holds structurally for induced error functions")
+    else:
+        func = as_two_variable(ef)
+        call = (ProductPoint(func.xbar, func.ybar), 1.0, 512, mix_seed(schedule.seed, "p1"))
+        _, vy, f, _ = f_rows(func, [call])
+        off_ybar = func.norm_y.value_rows(vy - func.ybar) > MEMBERSHIP_TOL
+        p1 = "fail" if np.any(off_ybar & (f <= 0.0)) else "pass"
+
+    _, _, f, _, dy = anchor_f_rows(
+        ef, [schedule.rho0], schedule.sample_budget, [mix_seed(schedule.seed, "p2")]
+    )
+    f, dy, rhos = f[dy > 0.0], dy[dy > 0.0], schedule.rho_values()
+    trace = list(zip(rhos, _level_infima(np.where(f[:, None] < rhos, (f / dy)[:, None], np.nan))))
+    final = trace[-1][1]
+    if is_inf(final):
+        p2 = "inconclusive"
+        notes.append("no sampled points with small function values")
+    else:
+        p2 = "pass" if final > P2_THRESHOLD else "fail"
+    return P1P2Report(p1, p2, final, tuple(trace), tuple(notes))

@@ -12,9 +12,9 @@ import pytest
 from subreg import (
     ErrorFunction,
     ProductPoint,
+    RunContext,
     Schedule,
     catalog_problem,
-    compute_constants,
     criteria_report,
     convexity_necessity_check,
     f_level_slopes,
@@ -75,7 +75,7 @@ def problems():
 @pytest.fixture(scope="session")
 def constants(problems, schedule):
     return {
-        name: compute_constants(p, CANONICAL_Q[name], schedule)
+        name: RunContext(p, CANONICAL_Q[name], schedule)
         for name, p in problems.items()
     }
 
@@ -89,7 +89,7 @@ def test_criterion_1_half_square_reproduction(schedule):
     # fresh problem object so no cached pools mask the runtime cost
     problem = catalog_problem("half-square")
     start = time.monotonic()
-    consts = compute_constants(problem, 0.5, schedule)
+    consts = RunContext(problem, 0.5, schedule)
     values = {"sr_q": consts["sr_q"].value}
     for name in STRICT_NAMES:
         values[name] = consts[name].value
@@ -322,8 +322,8 @@ def test_criterion_7_limiting_coderivative_agreement(constants):
 
 
 def test_criterion_8_convexity_necessity(problems, schedule):
-    res_q1 = convexity_necessity_check(compute_constants(problems["halfline-convex"], 1.0, schedule))
-    res_qh = convexity_necessity_check(compute_constants(problems["halfline-convex"], 0.5, schedule))
+    res_q1 = convexity_necessity_check(RunContext(problems["halfline-convex"], 1.0, schedule))
+    res_qh = convexity_necessity_check(RunContext(problems["halfline-convex"], 0.5, schedule))
     ok = (
         res_q1.status == "pass"
         and not res_q1.infinite_lhs_guard

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from subreg import (
     ErrorFunction,
     ModulusReport,
     ProductPoint,
+    RunContext,
     Schedule,
     catalog_problem,
     check_subregularity_inequality,
-    compute_constants,
     convexity_necessity_check,
     criteria_report,
     error_bound_modulus,
@@ -34,7 +35,6 @@ from subreg.moduli import (
     SAMPLED_REL,
     SHARED_SLACK,
     ModuliError,
-    RunContext,
     Tables,
     _ambient_x_samples,
     _first_least,
@@ -58,7 +58,7 @@ def schedule():
 
 @pytest.fixture(scope="module")
 def hs_constants(schedule):
-    return compute_constants(catalog_problem("half-square"), 0.5, schedule)
+    return RunContext(catalog_problem("half-square"), 0.5, schedule)
 
 
 class TestErrorBoundModulus:
@@ -177,7 +177,7 @@ class TestCriteria:
         assert rep.implication_violations == ()
 
     def test_constant_mapping_flagged_holds(self, schedule):
-        rep = criteria_report(compute_constants(catalog_problem("constant"), 1.0, schedule), 0.5)
+        rep = criteria_report(RunContext(catalog_problem("constant"), 1.0, schedule), 0.5)
         assert rep.conditions["b"] == "inconclusive" or rep.conditions["b"] == "holds"
         assert rep.implication_violations == ()
 
@@ -317,17 +317,17 @@ def test_arrow_evaluator_breaks_each_arrow_as_the_closures_did():
 
 class TestConvexityNecessity:
     def test_halfline_passes_at_q_one(self, schedule):
-        res = convexity_necessity_check(compute_constants(catalog_problem("halfline-convex"), 1.0, schedule))
+        res = convexity_necessity_check(RunContext(catalog_problem("halfline-convex"), 1.0, schedule))
         assert res.status == "pass"
         assert not res.infinite_lhs_guard
 
     def test_half_square_skipped(self, schedule):
-        res = convexity_necessity_check(compute_constants(catalog_problem("half-square"), 0.5, schedule))
+        res = convexity_necessity_check(RunContext(catalog_problem("half-square"), 0.5, schedule))
         assert res.status == "skipped"
 
     def test_halfline_flagged_at_q_half(self, schedule):
         # the order-1/2 modulus diverges; the check must flag, not fail
-        res = convexity_necessity_check(compute_constants(catalog_problem("halfline-convex"), 0.5, schedule))
+        res = convexity_necessity_check(RunContext(catalog_problem("halfline-convex"), 0.5, schedule))
         assert res.status == "pass"
         assert res.infinite_lhs_guard
 
@@ -338,7 +338,7 @@ class TestTheoremCheck:
         [("half-square", 0.5), ("identity", 1.0), ("square", 1.0), ("halfline-convex", 1.0)],
     )
     def test_equality_cases(self, schedule, name, q):
-        res = theorem_7T1_check(compute_constants(catalog_problem(name), q, schedule))
+        res = theorem_7T1_check(RunContext(catalog_problem(name), q, schedule))
         assert res.inequality_ok
         assert res.equality_checked and res.equality_ok
         assert res.metric_invariant
@@ -348,7 +348,7 @@ class TestTheoremCheck:
 
         for name in subreg.catalog_names():
             p = catalog_problem(name)
-            res = theorem_7T1_check(compute_constants(p, p.canonical_q, schedule))
+            res = theorem_7T1_check(RunContext(p, p.canonical_q, schedule))
             assert res.inequality_ok, name
             assert res.metric_invariant, name
 
@@ -374,7 +374,7 @@ def test_coderivative_homogeneity_row_on_ball_images(radius_of, homogeneous):
     problem = dataclasses.replace(
         catalog_problem("half-square"), coderivative=coderivative, coderivative_matrix=None
     )
-    ctx = compute_constants(problem, 0.5, Schedule(sample_budget=256, steps=5))
+    ctx = RunContext(problem, 0.5, Schedule(sample_budget=256, steps=5))
     rows = run_invariant_suite(ctx, gamma=0.5)
     (row,) = [r for r in rows if r.name == "coderivative_homogeneity"]
     assert row.passed is homogeneous
@@ -611,6 +611,13 @@ def test_subregularity_modulus_matches_per_copy_reference(name, q, seed):
     for new in news:
         for f in dataclasses.fields(ModulusReport):
             assert _bits(getattr(new, f.name)) == _bits(getattr(ref, f.name)), f.name
+
+
+@pytest.mark.parametrize("q", [0.0, 1.5, math.nan, True])
+def test_run_context_refuses_an_order_outside_the_unit_interval(q):
+    # the one check of q for every constant a run computes
+    with pytest.raises(ModuliError, match=r"q must lie in \(0, 1\]"):
+        RunContext(catalog_problem("half-square"), q, Schedule(sample_budget=256, steps=5))
 
 
 def test_tables_of_another_problem_or_schedule_are_refused():

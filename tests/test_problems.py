@@ -164,6 +164,7 @@ def test_outer_pools_nested(schedule):
     pool = outer_pools(p, schedule, True)
     rhos = schedule.rho_values()
     assert 0 <= pool.depth.min() and pool.depth.max() < len(rhos)
+    assert np.all(np.diff(pool.depth) >= 0)  # in depth order: level k is a suffix
     level = np.maximum(pool.dxa, pool.dya)
     for k, rho in enumerate(rhos):
         # level k is the rows of depth k or more: exactly those inside window k
@@ -823,7 +824,7 @@ _POOL_CASES = {
 def _ref_table(fresh, radii):
     # the reference draw deduped by bytes in first-draw order: each
     # point's first copy, its number of copies and the finest window
-    # holding it, scanned level by level
+    # holding it, scanned level by level; then sorted stably by depth
     rows = {}
     for pt in fresh:
         key = (pt.x.tobytes(), pt.y.tobytes())
@@ -831,7 +832,7 @@ def _ref_table(fresh, radii):
             depth = max(k for k, rho in enumerate(radii) if pt.dxa < rho and pt.dya < rho)
             rows[key] = [pt, depth, 0]
         rows[key][2] += 1
-    return list(rows.values())
+    return sorted(rows.values(), key=lambda row: row[1])  # sorted() is stable
 
 
 @pytest.mark.parametrize("outer_restriction", [True, False])

@@ -285,7 +285,7 @@ class TestRunContext:
         def refuse(*args, **kwargs):
             raise AssertionError("a moduli-only run must not gather candidates")
 
-        monkeypatch.setattr(slopes_primal, "sweep_table", refuse)
+        monkeypatch.setattr(moduli, "sweep_table", refuse)  # the name RunContext calls
         for problem in ("half-square", _inline_max_power(1.0, 2)):
             report = run_config(_reduced_config(["moduli"], problem=problem))
             ratio = report.constants["anchor_ratio_liminf"]
@@ -347,6 +347,25 @@ class TestRunContext:
         assert outer_pools.cache_info().misses == 2
         assert outer_pools.cache_info().currsize == 1
 
+    def test_all_checks_read_the_outer_pools_once(self, monkeypatch):
+        # the run's Tables is the one reader of the outer-point table: one
+        # call under every name a subreg module holds it by, and no cache hit
+        calls = Counter()
+
+        def counted(*args):
+            calls["outer_pools"] += 1
+            return outer_pools(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("subreg") and getattr(module, "outer_pools", None) is outer_pools:
+                monkeypatch.setattr(module, "outer_pools", counted)
+        outer_pools.cache_clear()
+        report_module._last_tables.clear()
+        run_config(_reduced_config(ALL_CHECKS))
+        assert calls == {"outer_pools": 1}
+        info = outer_pools.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+
     def test_sweeps_share_candidates_then_drop_them(self, monkeypatch):
         gathers = Counter()
         original = slopes_primal.sample_graph_batch
@@ -366,8 +385,8 @@ class TestRunContext:
         assert gathers["calls"] == gathered  # the sum sweep gathers nothing new
         # and once both are done no per-candidate array is left: the
         # context keeps one row of scalars per pool point
-        table = ctx.sweep.table
-        assert ctx.sum_sweep.table is table
+        table = ctx.sweep_table
+        assert table.rows is ctx.tables.pool
         assert int(table.sizes.sum()) > 2 * table.rows.depth.size > 0
 
         def arrays(obj):

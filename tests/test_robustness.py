@@ -3,12 +3,12 @@
 
 import pytest
 
-from subreg import Schedule, catalog_problem, compute_constants, run_invariant_suite
+from subreg import RunContext, Schedule, catalog_problem, run_invariant_suite
 
 
 def _suite_failures(problem, q, seed):
     schedule = Schedule(sample_budget=1024, steps=8, seed=seed)
-    rows = run_invariant_suite(compute_constants(problem, q, schedule))
+    rows = run_invariant_suite(RunContext(problem, q, schedule))
     return [(r.name, r.lhs, r.rhs) for r in rows if not r.passed]
 
 
@@ -50,7 +50,7 @@ def test_rotation_modulus_is_one():
     # an isometry is subregular with modulus exactly one
     problem = catalog_problem("linear-A", matrix=[[0.6, -0.8], [0.8, 0.6]])
     schedule = Schedule(sample_budget=1024, steps=8)
-    constants = compute_constants(problem, 1.0, schedule)
+    constants = RunContext(problem, 1.0, schedule)
     assert constants["sr_q"].value == pytest.approx(1.0, rel=1e-6)
     assert constants["uniform_strict_q_slope"].value == pytest.approx(1.0, rel=1e-3)
 
@@ -58,6 +58,6 @@ def test_rotation_modulus_is_one():
 def test_anisotropic_modulus_matches_smallest_gain():
     problem = catalog_problem("linear-A", matrix=[[5.0, 0.0], [0.0, 0.2]])
     schedule = Schedule(sample_budget=1024, steps=8)
-    constants = compute_constants(problem, 1.0, schedule)
+    constants = RunContext(problem, 1.0, schedule)
     assert constants["sr_q"].value == pytest.approx(0.2, rel=1e-3)
     assert constants["subdiff_strict_q_slope_plain"].value == pytest.approx(0.2, rel=0.05)

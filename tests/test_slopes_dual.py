@@ -8,6 +8,7 @@ import pytest
 from subreg import (
     INF,
     DualVectorSet,
+    RunContext,
     ErrorFunction,
     NormSpec,
     ProductPoint,
@@ -19,7 +20,6 @@ from subreg import (
     limiting_coderivative_min_norm,
     lm_constants,
     piecewise_problem,
-    strict_q_slopes,
     strict_subdiff_q_slopes,
     subdiff_rho_slope,
     xi_q,
@@ -89,27 +89,27 @@ class TestSubdiffRhoSlope:
 
 class TestStrictSubdiffSlopes:
     def test_half_square_all_four_near_one(self, half_square, schedule):
-        d = strict_subdiff_q_slopes(half_square, 0.5, schedule)
+        d = strict_subdiff_q_slopes(RunContext(half_square, 0.5, schedule))
         for est in (d.plain, d.approx, d.modified, d.modified_approx):
             assert est.value == pytest.approx(1.0, abs=0.02)
 
     def test_orderings_on_shared_samples(self, light_schedule):
         for name in ("half-square", "identity", "square", "halfline-convex"):
             p = catalog_problem(name)
-            d = strict_subdiff_q_slopes(p, p.canonical_q, light_schedule)
+            d = strict_subdiff_q_slopes(RunContext(p, p.canonical_q, light_schedule))
             assert d.approx.value <= d.plain.value + 1e-6
             assert d.plain.value <= d.modified.value + 1e-6
             assert d.approx.value <= d.modified_approx.value + 1e-6
             assert d.modified_approx.value <= d.modified.value + 1e-6
 
     def test_square_plain_vanishes(self, light_schedule):
-        d = strict_subdiff_q_slopes(catalog_problem("square"), 1.0, light_schedule)
+        d = strict_subdiff_q_slopes(RunContext(catalog_problem("square"), 1.0, light_schedule))
         assert d.plain.value <= 0.02
 
     def test_convex_dual_matches_primal(self, light_schedule):
         p = catalog_problem("halfline-convex")
-        dual = strict_subdiff_q_slopes(p, 1.0, light_schedule)
-        plain_primal, _ = strict_q_slopes(p, 1.0, light_schedule)
+        ctx = RunContext(p, 1.0, light_schedule)
+        dual, plain_primal = strict_subdiff_q_slopes(ctx), ctx.sweep.plain
         assert dual.plain.value == pytest.approx(plain_primal.value, rel=0.05)
 
     def test_missing_oracle_goes_inconclusive(self, light_schedule):
@@ -117,11 +117,11 @@ class TestStrictSubdiffSlopes:
 
         p = replace(catalog_problem("identity"), coderivative_matrix=None)
         assert not p.has_coderivative
-        d = strict_subdiff_q_slopes(p, 1.0, light_schedule)
-        lim = limiting_coderivative_min_norm(p, 1.0, light_schedule)
+        ctx = RunContext(p, 1.0, light_schedule)
+        d, lim = strict_subdiff_q_slopes(ctx), limiting_coderivative_min_norm(ctx)
         for est in (d.plain, d.approx, d.modified, d.modified_approx, lim):
             assert est.inconclusive and is_inf(est.value), est.kind
-        for est in lm_constants(p, 1.0, light_schedule):
+        for est in lm_constants(ctx):
             assert est.inconclusive and is_inf(est.value), est.kind
 
     def test_a_replaced_matrix_moves_every_dual_constant(self, light_schedule):
@@ -135,10 +135,9 @@ class TestStrictSubdiffSlopes:
         p = dataclasses.replace(base, coderivative_matrix=tripled)
 
         def constants(problem):
-            d = strict_subdiff_q_slopes(problem, 0.5, light_schedule)
-            lim = limiting_coderivative_min_norm(problem, 0.5, light_schedule)
-            lm = lm_constants(problem, 0.5, light_schedule)
-            return (d.plain, d.approx, d.modified, d.modified_approx, lim, *lm)
+            ctx = RunContext(problem, 0.5, light_schedule)
+            d, lim = strict_subdiff_q_slopes(ctx), limiting_coderivative_min_norm(ctx)
+            return (d.plain, d.approx, d.modified, d.modified_approx, lim, *lm_constants(ctx))
 
         for old, new in zip(constants(base), constants(p)):
             assert new.value != old.value, new.kind
@@ -146,40 +145,44 @@ class TestStrictSubdiffSlopes:
 
 class TestLimitingCoderivative:
     def test_half_square(self, half_square, schedule):
-        est = limiting_coderivative_min_norm(half_square, 0.5, schedule)
+        est = limiting_coderivative_min_norm(RunContext(half_square, 0.5, schedule))
         assert est.value == pytest.approx(1.0, abs=0.02)
 
     def test_identity(self, light_schedule):
-        est = limiting_coderivative_min_norm(catalog_problem("identity"), 1.0, light_schedule)
+        ctx = RunContext(catalog_problem("identity"), 1.0, light_schedule)
+        est = limiting_coderivative_min_norm(ctx)
         assert est.value == pytest.approx(1.0, abs=0.02)
 
     def test_square_vanishes(self, light_schedule):
-        est = limiting_coderivative_min_norm(catalog_problem("square"), 1.0, light_schedule)
+        ctx = RunContext(catalog_problem("square"), 1.0, light_schedule)
+        est = limiting_coderivative_min_norm(ctx)
         assert est.value <= 0.02
 
     def test_agrees_with_strict_dual_slopes(self, schedule, half_square):
-        lim = limiting_coderivative_min_norm(half_square, 0.5, schedule)
-        d = strict_subdiff_q_slopes(half_square, 0.5, schedule)
+        ctx = RunContext(half_square, 0.5, schedule)
+        lim, d = limiting_coderivative_min_norm(ctx), strict_subdiff_q_slopes(ctx)
         assert lim.value == pytest.approx(d.plain.value, rel=0.05)
         assert lim.value == pytest.approx(d.approx.value, rel=0.05)
 
 
 class TestLMConstants:
     def test_half_square_beta_is_one(self, half_square, schedule):
-        alpha, beta = lm_constants(half_square, 0.5, schedule)
+        ctx = RunContext(half_square, 0.5, schedule)
+        alpha, beta = lm_constants(ctx)
         assert beta.value == pytest.approx(1.0, abs=0.02)
-        d = strict_subdiff_q_slopes(half_square, 0.5, schedule)
+        d = strict_subdiff_q_slopes(ctx)
         # sandwich between the plain and modified strict dual slopes
         assert d.plain.value <= beta.value + 1e-6
         assert beta.value <= d.modified.value + 1e-6
         assert alpha.value <= d.modified_approx.value + 1e-6
 
     def test_square_beta_vanishes(self, light_schedule):
-        _, beta = lm_constants(catalog_problem("square"), 1.0, light_schedule)
+        _, beta = lm_constants(RunContext(catalog_problem("square"), 1.0, light_schedule))
         assert beta.value <= 0.02
 
     def test_constant_mapping_inconclusive(self, light_schedule):
-        alpha, beta = lm_constants(catalog_problem("constant"), 1.0, light_schedule)
+        ctx = RunContext(catalog_problem("constant"), 1.0, light_schedule)
+        alpha, beta = lm_constants(ctx)
         assert is_inf(alpha.value) and is_inf(beta.value)
 
 
@@ -600,16 +603,17 @@ class TestPerPointEngineParity:
         make, q, oracle = PARITY_CASES[case]
         p, s = make(), PARITY_SCHEDULE
         r = _reference(p, oracle)
-        new, old = strict_subdiff_q_slopes(p, q, s), _strict_ref(r, q, s)
+        ctx = RunContext(p, q, s)
+        new, old = strict_subdiff_q_slopes(ctx), _strict_ref(r, q, s)
         for field in ("plain", "approx", "modified", "modified_approx"):
             _assert_same(getattr(new, field), getattr(old, field))
-        _assert_same(limiting_coderivative_min_norm(p, q, s), _limiting_ref(r, q, s))
-        for new_est, ref_est in zip(lm_constants(p, q, s), _lm_ref(r, q, s)):
+        _assert_same(limiting_coderivative_min_norm(ctx), _limiting_ref(r, q, s))
+        for new_est, ref_est in zip(lm_constants(ctx), _lm_ref(r, q, s)):
             _assert_same(new_est, ref_est)
 
     def test_cases_reach_their_paths(self):
         s = PARITY_SCHEDULE
-        cap = limiting_coderivative_min_norm(catalog_problem("half-square"), 0.25, s)
+        cap = limiting_coderivative_min_norm(RunContext(catalog_problem("half-square"), 0.25, s))
         assert "multiplier-cap" in cap.flags
         kink = _kink()
         pool = outer_pools(kink, s, True)
@@ -661,7 +665,7 @@ class TestPerPointEngineParity:
         p = dataclasses.replace(base, coderivative=counted)
         for constant in (strict_subdiff_q_slopes, limiting_coderivative_min_norm, lm_constants):
             calls.clear()
-            constant(p, q, PARITY_SCHEDULE)
+            constant(RunContext(p, q, PARITY_SCHEDULE))
             assert calls, constant.__name__
             assert max(calls.values()) == 1, constant.__name__
 
@@ -680,7 +684,7 @@ class TestPerPointEngineParity:
         p = dataclasses.replace(base, coderivative_matrix=read)
         for constant in (strict_subdiff_q_slopes, limiting_coderivative_min_norm, lm_constants):
             reads.clear()
-            constant(p, q, PARITY_SCHEDULE)
+            constant(RunContext(p, q, PARITY_SCHEDULE))
             assert reads and max(reads.values()) == 1, constant.__name__
             kinks = [
                 key for key in reads if base.coderivative_matrix(*map(np.frombuffer, key)) is None
@@ -723,13 +727,12 @@ class TestMatrixPathParity:
             assert p.coderivative_matrix is None and p.coderivative is not None
             return
         scalar = oracles.scalar_twin(p, oracle)
-        new, old = strict_subdiff_q_slopes(p, q, s), strict_subdiff_q_slopes(scalar, q, s)
+        ctx, ref = RunContext(p, q, s), RunContext(scalar, q, s)
+        new, old = strict_subdiff_q_slopes(ctx), strict_subdiff_q_slopes(ref)
         for field in ("plain", "approx", "modified", "modified_approx"):
             _assert_same(getattr(new, field), getattr(old, field))
-        _assert_same(
-            limiting_coderivative_min_norm(p, q, s), limiting_coderivative_min_norm(scalar, q, s)
-        )
-        for new_est, ref_est in zip(lm_constants(p, q, s), lm_constants(scalar, q, s)):
+        _assert_same(limiting_coderivative_min_norm(ctx), limiting_coderivative_min_norm(ref))
+        for new_est, ref_est in zip(lm_constants(ctx), lm_constants(ref)):
             _assert_same(new_est, ref_est)
 
     @pytest.mark.parametrize("case", ["linear-A-rotation", "linear-A-l1", "inline-kink"])

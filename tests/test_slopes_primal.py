@@ -15,7 +15,6 @@ from subreg import (
     local_rho_slope,
     nonlocal_q_rho_slope,
     single_variable_embedding,
-    strict_q_slopes,
     uniform_strict_q_slope,
     validate_P1_P2,
 )
@@ -36,7 +35,6 @@ from subreg.slopes_primal import (
     f_level_strict,
     gather_point_candidates,
     strict_sweep,
-    sweep_table,
 )
 from level_reference import infimum
 from pool_reference import ref_pools
@@ -48,6 +46,12 @@ def rho_slope_profiles(problem, at, q, rhos, schedule):
     # family, to check monotonicity along the decreasing-rho ladder
     profiles = gather_point_candidates(problem, at, schedule).rho_profiles(q, rhos)
     return {family: table[0].tolist() for family, table in profiles.items()}
+
+
+def plain_and_modified(problem, q, schedule):
+    # the plain and modified strict q-slopes of one run's sweep
+    sweep = RunContext(problem, q, schedule).sweep
+    return sweep.plain, sweep.modified
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +235,7 @@ def test_finite_graph_local_slope_is_the_scan(g):
 
 class TestStrictSlopes:
     def test_half_square_all_near_one(self, half_square, schedule):
-        plain, modified = strict_q_slopes(half_square, 0.5, schedule)
+        plain, modified = plain_and_modified(half_square, 0.5, schedule)
         assert plain.value == pytest.approx(1.0, abs=0.02)
         assert modified.value == pytest.approx(1.0, abs=0.02)
         uniform = uniform_strict_q_slope(half_square, 0.5, schedule)
@@ -255,14 +259,14 @@ class TestStrictSlopes:
 
     def test_square_strict_slopes_vanish(self, light_schedule):
         p = catalog_problem("square")
-        plain, modified = strict_q_slopes(p, 1.0, light_schedule)
+        plain, modified = plain_and_modified(p, 1.0, light_schedule)
         assert plain.value <= 0.02
         assert modified.value <= 0.02
         assert uniform_strict_q_slope(p, 1.0, light_schedule).value <= 0.02
 
     def test_constant_mapping_empty_infimum(self, light_schedule):
         p = catalog_problem("constant")
-        plain, modified = strict_q_slopes(p, 1.0, light_schedule)
+        plain, modified = plain_and_modified(p, 1.0, light_schedule)
         assert is_inf(plain.value) and is_inf(modified.value)
         assert "empty-levels" in plain.flags
 
@@ -381,7 +385,7 @@ def test_metric_variant_sum_never_exceeds_max(half_square, light_schedule):
 
 
 def test_strict_sweep_shares_pools_across_families(half_square, light_schedule):
-    sweep = strict_sweep(half_square, 0.5, light_schedule)
+    sweep = strict_sweep(RunContext(half_square, 0.5, light_schedule))
     # sample-wise orderings of the shared sweep
     for (r1, u), (r2, m), (r3, p) in zip(
         sweep.uniform.trace, sweep.modified.trace, sweep.plain.trace
@@ -500,7 +504,7 @@ def test_sweep_table_matches_per_point_reductions(monkeypatch, name, truncation_
     make, q = _PARITY_PROBLEMS[name]
     problem = make()
     s = Schedule(sample_budget=256, steps=5, truncation_radius=truncation_radius)
-    table = sweep_table(problem, q, s)
+    table = RunContext(problem, q, s).sweep_table
     pools = ref_pools(problem, s)
     rows = table.rows
     points = [ProductPoint(x, y) for x, y in zip(rows.x, rows.y)]
@@ -564,11 +568,10 @@ def test_strict_sweep_levels_match_the_per_level_scans(name, truncation_radius):
     make, q = _PARITY_PROBLEMS[name]
     problem = make()
     s = Schedule(sample_budget=256, steps=5, truncation_radius=truncation_radius)
-    table = None
+    ctx = RunContext(problem, q, s)
     for metric in ("max", "sum"):
-        sweep = strict_sweep(problem, q, s, table, metric=metric)
-        table = sweep.table
-        ref = _ref_strict_sweep(table, q, s, metric)
+        sweep = strict_sweep(ctx, metric)
+        ref = _ref_strict_sweep(ctx.sweep_table, q, s, metric)
         for key in ref:
             _assert_same_estimate(getattr(sweep, key), ref[key])
 
@@ -639,8 +642,8 @@ def test_local_rho_slope_matches_per_radius_reference(name):
 def test_constant_sweep_is_inconclusive_from_its_empty_table():
     p = catalog_problem("constant")
     s = Schedule(sample_budget=256, steps=5)
-    sweep = strict_sweep(p, 1.0, s)
-    ratio = RunContext(p, 1.0, s)["anchor_ratio_liminf"]
+    ctx = RunContext(p, 1.0, s)
+    sweep, ratio = ctx.sweep, ctx["anchor_ratio_liminf"]
     for est in (sweep.uniform, sweep.plain, sweep.modified, ratio):
         assert is_inf(est.value) and est.budget_used == 0
         assert "inconclusive" in est.flags
