@@ -9,6 +9,7 @@ q-weighted duality mapping with its normalized enlargement.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -29,6 +30,20 @@ _MAX_FACE_FREE_COORDS = 12
 
 class GeometryError(ValueError):
     """Invalid input to a geometric operation."""
+
+
+def is_finite_real(value) -> bool:
+    """A finite real number; a bool is not taken for one."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def is_order(q) -> bool:
+    """An order of Hölder subregularity: a finite real in (0, 1], not a bool."""
+    return is_finite_real(q) and 0.0 < q <= 1.0
 
 
 def _as_vector(v) -> np.ndarray:
@@ -370,7 +385,7 @@ def q_duality_enlargement(
     ``budget`` dual-sphere directions drawn from the seed.
     """
     y = _as_vector(y)
-    if not 0.0 < q <= 1.0:
+    if not is_order(q):
         raise GeometryError("q must lie in (0, 1]")
     if eps < 0:
         raise GeometryError("eps must be nonnegative")
@@ -456,7 +471,7 @@ def xi_q(y, ybar, q: float, norm: Optional[NormSpec] = None) -> float:
     """The radius rescaling factor ``|y - ybar|^{1-q} / q`` (y != ybar)."""
     y = _as_vector(y)
     ybar = _as_vector(ybar)
-    if not 0.0 < q <= 1.0:
+    if not is_order(q):
         raise GeometryError("q must lie in (0, 1]")
     norm = norm or euclidean(y.shape[0])
     d = norm.value(y - ybar)

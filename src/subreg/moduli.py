@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import INF, ProductPoint, distinct_rows, duality_map, is_inf
+from .geometry import INF, ProductPoint, distinct_rows, duality_map, is_finite_real, is_inf, is_order
 from .problems import (
     EPS_MEM,
     ErrorFunction,
@@ -25,9 +25,9 @@ from .problems import (
     Schedule,
     halton_points,
     halving_ladder,
-    is_finite_real,
     mix_seed,
     outer_pools,
+    q_powers,
     sample_graph_batch,
 )
 from .slopes_dual import (
@@ -44,9 +44,7 @@ from .slopes_primal import (
     _gather,
     anchor_f_rows,
     anchor_graph_rows,
-    as_two_variable,
     f_level_strict,
-    q_powers,
     strict_sweep,
     sweep_table,
     validate_P1_P2,
@@ -298,7 +296,7 @@ def subregularity_modulus(
     samples, the finest level's witness being the first least in that
     order; the oracles are called once per distinct x of all levels, when
     ``tables`` (fresh ones if not given) first builds its ``sr_q`` rows."""
-    if not 0.0 < q <= 1.0:
+    if not is_order(q):
         raise ModuliError("q must lie in (0, 1]")
     cols = _tables(problem, schedule, tables).subreg
     ratio = q_powers(cols.fiber, q) / cols.solution  # NaN where undefined
@@ -330,19 +328,16 @@ def subregularity_modulus(
     return ModulusReport("sr_q", values[-1], tuple(trace), tuple(witnesses), flags=flags)
 
 
-def error_bound_modulus(
-    func_or_ef, schedule: Schedule, tables: Optional[Tables] = None
-) -> ModulusReport:
+def error_bound_modulus(func, schedule: Schedule, tables: Optional[Tables] = None) -> ModulusReport:
     """Liminf of ``f / d(x, S(f))`` along the shells, with the two
     companion window forms (x and y shrinking; function value shrinking)
     reported and compared.  An :class:`ErrorFunction` reads its rows
     from ``tables`` (fresh ones if not given) and takes ``f = d(v,
     ybar)**q`` per row."""
-    func = as_two_variable(func_or_ef)
     rhos = schedule.rho_values()
-    if isinstance(func_or_ef, ErrorFunction):
-        cols = _tables(func_or_ef.problem, schedule, tables).anchor
-        f = q_powers(cols.dya, func_or_ef.q)
+    if isinstance(func, ErrorFunction):
+        cols = _tables(func.problem, schedule, tables).anchor
+        f = q_powers(cols.dya, func.q)
     else:
         ux, vy, f, dxa, dya = anchor_f_rows(func, *_error_bound_draw(schedule))
         cols, rows = _anchor_columns(ux, vy, dxa, dya, func.solution_distance, rhos)
@@ -480,7 +475,7 @@ class RunContext(Mapping):
     def __init__(
         self, problem: MappingProblem, q: float, schedule: Schedule, tables: Optional[Tables] = None
     ):
-        if not (is_finite_real(q) and 0.0 < q <= 1.0):
+        if not is_order(q):
             raise ModuliError(f"q must lie in (0, 1], got {q!r}")
         self.problem = problem
         self.q = q

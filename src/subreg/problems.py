@@ -10,7 +10,6 @@ limit-type suprema see candidates arbitrarily close to their center.
 
 from __future__ import annotations
 
-import math
 import numbers
 import operator
 import zlib
@@ -27,6 +26,8 @@ from .geometry import (
     ProductPoint,
     distinct_rows,
     euclidean,
+    is_finite_real,
+    is_order,
     matvec_left,
 )
 
@@ -44,15 +45,6 @@ class ProblemError(ValueError):
 
 class UnknownProblemError(KeyError):
     """Requested catalog entry does not exist."""
-
-
-def is_finite_real(value) -> bool:
-    """A finite real number; a bool is not taken for one."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
 
 
 def is_integer(value) -> bool:
@@ -333,16 +325,23 @@ class ErrorFunction:
     """The induced two-variable error function of a mapping problem:
     ``d(y, ybar)**q`` on the graph and ``INF`` off it.
 
-    :meth:`value` tests membership.  The f-level engine
-    (:func:`~subreg.slopes_primal.f_rows`) evaluates it only on rows its
-    graph sampler drew, and there takes ``f = d(v, ybar)**q`` with no
-    membership test."""
+    It reads its anchor, norms and solution distance from the problem
+    and is taken wherever a
+    :class:`~subreg.slopes_primal.TwoVariableFunction` is.  :meth:`value`
+    tests membership; :meth:`rows` evaluates ``f`` only on the graph rows
+    it draws, with no membership test."""
 
     problem: MappingProblem
     q: float
 
+    xbar = property(lambda self: self.problem.xbar)
+    ybar = property(lambda self: self.problem.ybar)
+    norm_x = property(lambda self: self.problem.norm_x)
+    norm_y = property(lambda self: self.problem.norm_y)
+    solution_distance = property(lambda self: self.problem.solution_distance)
+
     def __post_init__(self):
-        if not 0.0 < self.q <= 1.0:
+        if not is_order(self.q):
             raise ProblemError("q must lie in (0, 1]")
 
     def value(self, x, y) -> float:
@@ -353,6 +352,13 @@ class ErrorFunction:
         if not self.problem.graph_membership(x, y):
             return INF
         return float(self.problem.d_y(y, self.problem.ybar) ** self.q)
+
+    def rows(self, calls: Sequence[tuple]) -> tuple:
+        """The graph rows of many ``(center, radius, budget, seed)`` calls,
+        from one :func:`sample_graph_batch` pass, and ``f = d(v,
+        ybar)**q`` per row: ``(ux, vy, f, counts)``."""
+        ux, vy, counts = sample_graph_batch(self.problem, calls)
+        return ux, vy, q_powers(self.norm_y.value_rows(vy - self.ybar), self.q), counts
 
 
 @dataclass(frozen=True)

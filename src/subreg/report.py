@@ -27,8 +27,11 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+from .geometry import is_finite_real, is_order
 from .moduli import (
     CONSTANT_NAMES,
+    MODULUS_REL,
+    SHARED_SLACK,
     CriteriaReport,
     InvariantRow,
     RunContext,
@@ -36,13 +39,7 @@ from .moduli import (
     criteria_report,
     run_invariant_suite,
 )
-from .problems import (
-    MappingProblem,
-    Schedule,
-    catalog_problem,
-    is_finite_real,
-    piecewise_problem,
-)
+from .problems import MappingProblem, Schedule, catalog_problem, piecewise_problem
 
 ALL_CHECKS = ("slopes", "moduli", "criteria", "invariants", "theorem-7T1", "lm-constants")
 DEFAULT_GAMMA = 0.5
@@ -121,7 +118,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("configuration requires 'problem' and 'q'")
 
     q = data["q"]
-    if not is_finite_real(q) or not 0.0 < float(q) <= 1.0:
+    if not is_order(q):
         raise ConfigError(f"q must lie in (0, 1], got {q!r}")
     gamma = data.get("gamma")
     if gamma is not None and (not is_finite_real(gamma) or gamma <= 0):
@@ -278,7 +275,7 @@ def run_config(cfg: RunConfig) -> RunReport:
                 thm.inequality_ok,
                 thm.sr.value,
                 thm.uniform_max.value,
-                1e-6,
+                SHARED_SLACK,
             )
         )
         if thm.equality_checked:
@@ -288,7 +285,7 @@ def run_config(cfg: RunConfig) -> RunReport:
                     bool(thm.equality_ok),
                     thm.sr.value,
                     thm.uniform_max.value,
-                    0.10,
+                    MODULUS_REL,
                 )
             )
         rows.append(
@@ -297,7 +294,7 @@ def run_config(cfg: RunConfig) -> RunReport:
                 thm.metric_invariant,
                 thm.uniform_max.value,
                 thm.uniform_sum.value,
-                0.10,
+                MODULUS_REL,
             )
         )
 

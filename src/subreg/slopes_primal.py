@@ -25,12 +25,12 @@ sampling bias cannot explain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import INF, NormSpec, ProductPoint, euclidean, is_inf
+from .geometry import INF, NormSpec, ProductPoint, euclidean, is_inf, is_order
 from .problems import (
     MEMBERSHIP_TOL,
     ErrorFunction,
@@ -42,10 +42,8 @@ from .problems import (
     halving_ladder,
     mix_seed,
     outer_pools,
-    q_powers,
     radius_pad,
     radius_pads,
-    sample_graph_arrays,
     sample_graph_batch,
 )
 
@@ -360,7 +358,7 @@ def nonlocal_q_rho_slope(
     """
     if rho <= 0:
         raise SlopeError("rho must be positive")
-    if not 0.0 < q <= 1.0:
+    if not is_order(q):
         raise SlopeError("q must lie in (0, 1]")
     _require_on_graph(problem, at)
     if problem.d_y(at.y, problem.ybar) <= 0.0:
@@ -587,7 +585,7 @@ def uniform_strict_q_slope(
     (``outer_restriction=False``) keeps points inside F^{-1}(ybar) and
     yields a stronger sufficient condition.  No run holds the
     unrestricted pool, so this reads its own."""
-    if not 0.0 < q <= 1.0:
+    if not is_order(q):
         raise SlopeError("q must lie in (0, 1]")
     table = sweep_table(problem, q, schedule, outer_pools(problem, schedule, outer_restriction))
     return _read_sweep(table, q, schedule, metric).uniform
@@ -606,7 +604,9 @@ class TwoVariableFunction:
     The sampler has the graph samplers' contract: ``sampler(center,
     radius, budget, seed)`` returns ``(ux, vy)``, at most ``budget`` x
     and y rows within ``radius`` of ``center``, deterministic in
-    ``seed``."""
+    ``seed``.  The f-level engine reads only ``xbar``, ``ybar``, the
+    norms, ``solution_distance``, :meth:`value` and :meth:`rows`, which
+    an :class:`ErrorFunction` has too."""
 
     f: Callable
     xbar: np.ndarray
@@ -624,23 +624,17 @@ class TwoVariableFunction:
     def value(self, x, y) -> float:
         return self.f(np.asarray(x, dtype=float).reshape(-1), np.asarray(y, dtype=float).reshape(-1))
 
-
-def as_two_variable(obj) -> TwoVariableFunction:
-    if isinstance(obj, TwoVariableFunction):
-        return obj
-    if isinstance(obj, ErrorFunction):
-        pr = obj.problem
-        return TwoVariableFunction(
-            f=obj.value,
-            xbar=pr.xbar,
-            ybar=pr.ybar,
-            norm_x=pr.norm_x,
-            norm_y=pr.norm_y,
-            sampler=partial(sample_graph_arrays, pr),
-            solution_distance=pr.solution_distance,
-            name=f"induced[{pr.name}]",
-        )
-    raise SlopeError(f"cannot interpret {type(obj).__name__} as a two-variable function")
+    def rows(self, calls: Sequence[tuple]) -> tuple:
+        """Sampled rows for many ``(center, radius, budget, seed)`` calls,
+        one sampler call each: ``(ux, vy, f, counts)``, the rows where
+        ``f`` is finite in call order and how many each call kept."""
+        drawn = [self.sampler(*call) for call in calls]
+        ux = np.concatenate([np.zeros((0, self.xbar.size))] + [x for x, _ in drawn])
+        vy = np.concatenate([np.zeros((0, self.ybar.size))] + [y for _, y in drawn])
+        fv = np.array([float(self.value(x, y)) for x, y in zip(ux, vy)])
+        finite = fv != INF
+        owner = np.repeat(np.arange(len(calls)), [len(x) for x, _ in drawn])
+        return ux[finite], vy[finite], fv[finite], np.bincount(owner[finite], minlength=len(calls))
 
 
 def single_variable_embedding(
@@ -688,65 +682,28 @@ def single_variable_embedding(
 # --------------------------------------------------------------------------
 
 
-def graph_rows(problem: MappingProblem, calls: Sequence[tuple]) -> tuple:
-    """The order-free part of an :class:`ErrorFunction`'s rows: one
-    :func:`sample_graph_batch` pass over many ``(center, radius, budget,
-    seed)`` calls and ``d(v, ybar)`` per row, as ``(ux, vy, dv,
-    counts)``."""
-    ux, vy, counts = sample_graph_batch(problem, calls)
-    return ux, vy, problem.norm_y.value_rows(vy - problem.ybar), counts
-
-
 def anchor_graph_rows(
     problem: MappingProblem, radii: Sequence[float], budget: int, seeds: Sequence[int]
 ) -> tuple:
     """The graph rows with ``d(v, ybar) > 0`` of one anchor-centred
-    sample per radius, from one :func:`graph_rows` pass, and their
-    distances to the anchor: ``(ux, vy, dxa, dya)``."""
+    sample per radius, from one :func:`sample_graph_batch` pass, and
+    their distances to the anchor: ``(ux, vy, dxa, dya)``."""
     anchor = problem.anchor
-    ux, vy, dya, _ = graph_rows(problem, [(anchor, r, budget, s) for r, s in zip(radii, seeds)])
+    ux, vy, _ = sample_graph_batch(problem, [(anchor, r, budget, s) for r, s in zip(radii, seeds)])
+    dya = problem.norm_y.value_rows(vy - problem.ybar)
     keep = dya > 0.0
     ux, vy, dya = ux[keep], vy[keep], dya[keep]
     return ux, vy, problem.norm_x.value_rows(ux - problem.xbar), dya
 
 
-def f_rows(func_or_ef, calls: Sequence[tuple]) -> tuple:
-    """Sampled rows of a two-variable function for many ``(center,
-    radius, budget, seed)`` calls: ``(ux, vy, f, counts)``, the rows in
-    call order and how many each call kept.
-
-    An :class:`ErrorFunction` takes its rows from :func:`graph_rows` and
-    ``f = d(v, ybar)**q`` from :func:`q_powers`, with no membership test:
-    graph rows lie on the graph by construction.  A generic function
-    stacks its sampler's rows and keeps those where ``f`` is finite.
-    """
-    if isinstance(func_or_ef, ErrorFunction):
-        ux, vy, dv, counts = graph_rows(func_or_ef.problem, calls)
-        return ux, vy, q_powers(dv, func_or_ef.q), counts
-    func = as_two_variable(func_or_ef)
-    drawn = [func.sampler(*call) for call in calls]
-    ux = np.concatenate([np.zeros((0, func.xbar.size))] + [x for x, _ in drawn])
-    vy = np.concatenate([np.zeros((0, func.ybar.size))] + [y for _, y in drawn])
-    fv = np.array([float(func.value(x, y)) for x, y in zip(ux, vy)])
-    finite = fv != INF
-    owner = np.repeat(np.arange(len(calls)), [len(x) for x, _ in drawn])
-    return ux[finite], vy[finite], fv[finite], np.bincount(owner[finite], minlength=len(calls))
-
-
-def anchor_f_rows(func_or_ef, radii: Sequence[float], budget: int, seeds: Sequence[int]) -> tuple:
+def anchor_f_rows(func, radii: Sequence[float], budget: int, seeds: Sequence[int]) -> tuple:
     """The rows with ``f > 0`` of one anchor-centred sample per radius,
-    from one :func:`f_rows` pass, and their distances to the anchor:
-    ``(ux, vy, f, dxa, dya)``.
-
-    An :class:`ErrorFunction` keeps the rows of :func:`anchor_graph_rows`:
-    for ``d > 0`` and q in (0, 1], ``d**q >= min(d, 1) > 0``, so ``d(v,
-    ybar) > 0`` keeps the rows ``f > 0`` keeps."""
-    if isinstance(func_or_ef, ErrorFunction):
-        ux, vy, dxa, dya = anchor_graph_rows(func_or_ef.problem, radii, budget, seeds)
-        return ux, vy, q_powers(dya, func_or_ef.q), dxa, dya
-    func = as_two_variable(func_or_ef)
+    from one ``func.rows`` pass, and their distances to the anchor:
+    ``(ux, vy, f, dxa, dya)``.  On an :class:`ErrorFunction` these are
+    the rows with ``d(v, ybar) > 0``: for q in (0, 1], ``d**q > 0`` if
+    and only if ``d > 0``."""
     anchor = ProductPoint(func.xbar, func.ybar)
-    ux, vy, f, _ = f_rows(func_or_ef, [(anchor, r, budget, s) for r, s in zip(radii, seeds)])
+    ux, vy, f, _ = func.rows([(anchor, r, budget, s) for r, s in zip(radii, seeds)])
     keep = f > 0.0
     ux, vy, f = ux[keep], vy[keep], f[keep]
     dxa = func.norm_x.value_rows(ux - func.xbar)
@@ -754,15 +711,14 @@ def anchor_f_rows(func_or_ef, radii: Sequence[float], budget: int, seeds: Sequen
 
 
 def _f_table(
-    func_or_ef, centres: Sequence, f_at, calls: Sequence[tuple], local_radius, trunc, anchor: bool
+    func, centres: Sequence, f_at, calls: Sequence[tuple], local_radius, trunc, anchor: bool
 ) -> PointCandidates:
     """The candidate table of a two-variable function around several
     centres, ``len(calls) // len(centres)`` consecutive calls each, plus
     the anchor row after each centre's rows when ``anchor`` is set (and
     ``f`` is finite there): rows valued ``f``, centres valued ``f_at``
     and the plain exclusion band."""
-    func = as_two_variable(func_or_ef)
-    ux, vy, f, per_call = f_rows(func_or_ef, calls)
+    ux, vy, f, per_call = func.rows(calls)
     counts = per_call.reshape(len(centres), -1).sum(axis=1)
     f_anchor = func.value(func.xbar, func.ybar) if anchor else INF
     if not is_inf(f_anchor):
@@ -777,20 +733,19 @@ def _f_table(
 
 
 def f_level_slopes(
-    func_or_ef,
+    func,
     rho: float,
     at: ProductPoint,
     schedule: Schedule,
     variants: Sequence[str] = ("nonlocal", "local"),
 ) -> dict:
-    """Slopes of a generic two-variable function.
+    """Slopes of a two-variable function.
 
     Point variants (``nonlocal``, ``local``) use ``rho`` and ``at``;
     anchor variants (``uniform-strict``, ``strict-outer``,
     ``modified-strict-outer``) sweep the schedule windows
     ``0 < f < rho_k`` and ignore ``rho``/``at``.
     """
-    func = as_two_variable(func_or_ef)
     out = {}
     point_variants = {"nonlocal", "local"} & set(variants)
     if point_variants:
@@ -807,7 +762,7 @@ def f_level_slopes(
             if "nonlocal" in point_variants:
                 budget = max(64, schedule.sample_budget // 4)
                 call = (at, trunc, budget, _point_seed(schedule, "fnl", at))
-                cands = _f_table(func_or_ef, [at], f_at, [call], np.inf, trunc, True)
+                cands = _f_table(func, [at], f_at, [call], np.inf, trunc, True)
                 val = cands.nonlocal_value(1.0, rho)[0]
                 out["nonlocal"] = SlopeEstimate(val, ((rho, val),), False, cands.size, "f_nonlocal")
             if "local" in point_variants:
@@ -819,7 +774,7 @@ def f_level_slopes(
                     for j, r in enumerate(radii)
                 ]
                 # one segment per radius
-                cands = _f_table(func_or_ef, [at] * len(calls), f_at, calls, np.inf, radii, False)
+                cands = _f_table(func, [at] * len(calls), f_at, calls, np.inf, radii, False)
                 trace = tuple(zip(radii, cands.local_table([rho])[:, 0].tolist()))
                 out["local"] = SlopeEstimate(trace[-1][1], trace, False, cands.size, "f_local")
 
@@ -830,18 +785,17 @@ def f_level_slopes(
     }
     anchor_variants = [v for v in strict_keys if v in variants]
     if anchor_variants:
-        strict = f_level_strict(func_or_ef, schedule)
+        strict = f_level_strict(func, schedule)
         out.update((v, strict[strict_keys[v]]) for v in anchor_variants)
     return out
 
 
-def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
+def f_level_strict(func, schedule: Schedule) -> dict:
     """Uniform / plain / modified strict outer slopes of a two-variable
     function over the windows ``d(x,xbar) < rho_k``, ``0 < f < rho_k``,
     with one shared sample pool per level.
 
-    On an :class:`ErrorFunction` every row is a graph row and ``f`` is
-    ``d(v, ybar)**q`` with no membership test (see :func:`f_rows`).  Each
+    The rows come from ``func.rows`` (see :func:`anchor_f_rows`).  Each
     distinct window point (by its bytes, in depth order: see
     :func:`~subreg.problems.distinct_window_rows`, on ``max(f, d(x,
     xbar))``) gathers its candidates once and is reduced at every level;
@@ -850,9 +804,7 @@ def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
     """
     rhos = schedule.rho_values()
     seeds = [mix_seed(schedule.seed, "fstrict", k) for k in range(len(rhos))]
-    ux, vy, f, dxa, dya = anchor_f_rows(
-        func_or_ef, rhos, schedule.outer_samples_per_level(), seeds
-    )
+    ux, vy, f, dxa, dya = anchor_f_rows(func, rhos, schedule.outer_samples_per_level(), seeds)
     level = np.where(np.maximum(dxa, dya) > UNRESOLVABLE_FLOOR, np.maximum(f, dxa), np.inf)
     pts, depth, mult = distinct_window_rows(np.hstack([ux, vy]), level, rhos)
     window = depth[:, None] >= np.arange(len(rhos))
@@ -875,7 +827,7 @@ def f_level_strict(func_or_ef, schedule: Schedule) -> dict:
             calls.append((p, r, near, _point_seed(schedule, "flocc", p)))
         # one shared superset with a local mask, so the nonlocal supremum
         # dominates the local one sample-wise
-        cands = _f_table(func_or_ef, centres, f[sel], calls, r_loc, trunc, True)
+        cands = _f_table(func, centres, f[sel], calls, r_loc, trunc, True)
         chunk = slice(c0, c0 + sel.size)
         uniform[chunk] = cands.nonlocal_table(1.0, rhos)[0]
         plain[chunk] = cands.local_table(rhos)
@@ -919,24 +871,23 @@ class P1P2Report:
         return self.p1_status == "pass" and self.p2_status == "pass"
 
 
-def validate_P1_P2(ef, schedule: Schedule) -> P1P2Report:
+def validate_P1_P2(func, schedule: Schedule) -> P1P2Report:
     """Check positivity off ybar (structural for induced error functions)
     and estimate ``liminf f/d(y, ybar)`` as ``f`` shrinks along the
     shells; pass when the final-shell infimum stays above
     ``P2_THRESHOLD``."""
     notes = []
-    if isinstance(ef, ErrorFunction):
+    if isinstance(func, ErrorFunction):
         p1 = "pass"
         notes.append("positivity off ybar holds structurally for induced error functions")
     else:
-        func = as_two_variable(ef)
         call = (ProductPoint(func.xbar, func.ybar), 1.0, 512, mix_seed(schedule.seed, "p1"))
-        _, vy, f, _ = f_rows(func, [call])
+        _, vy, f, _ = func.rows([call])
         off_ybar = func.norm_y.value_rows(vy - func.ybar) > MEMBERSHIP_TOL
         p1 = "fail" if np.any(off_ybar & (f <= 0.0)) else "pass"
 
     _, _, f, _, dy = anchor_f_rows(
-        ef, [schedule.rho0], schedule.sample_budget, [mix_seed(schedule.seed, "p2")]
+        func, [schedule.rho0], schedule.sample_budget, [mix_seed(schedule.seed, "p2")]
     )
     f, dy, rhos = f[dy > 0.0], dy[dy > 0.0], schedule.rho_values()
     trace = list(zip(rhos, _level_infima(np.where(f[:, None] < rhos, (f / dy)[:, None], np.nan))))

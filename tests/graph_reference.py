@@ -1,17 +1,22 @@
-"""The scalar graph maps the built-in problems once carried, kept as the
-tests' reference.
+"""The scalar graph maps the built-in problems once carried, and the
+induced function of a mapping as a generic two-variable function, kept
+as the tests' reference.
 
 Each map takes one parameter vector to one graph point ``(x, y)`` with
 Python floats; the batch maps of the catalog and of
 ``piecewise_problem`` must equal them row by row, bitwise
-(:func:`same_bits`).
+(:func:`same_bits`).  :func:`induced` draws an error function's rows one
+sampler call at a time and values them through the membership-tested
+``ErrorFunction.value``; ``ErrorFunction.rows`` must equal it bitwise.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
-from subreg.problems import MEMBERSHIP_TOL, _horner
+from subreg.problems import MEMBERSHIP_TOL, ErrorFunction, _horner, sample_graph_arrays
+from subreg.slopes_primal import TwoVariableFunction
 
 
 def same_bits(a, b) -> bool:
@@ -111,3 +116,23 @@ def scalar_graph_rows(to_graph, params):
         xs.append(np.asarray(x, dtype=float).reshape(-1))
         ys.append(np.asarray(y, dtype=float).reshape(-1))
     return np.array(xs), np.array(ys)
+
+
+def induced(func):
+    """An :class:`ErrorFunction` as a :class:`TwoVariableFunction` that
+    samples through ``sample_graph_arrays`` and values each row with the
+    membership-tested ``ErrorFunction.value``; any other function is
+    returned as it is."""
+    if not isinstance(func, ErrorFunction):
+        return func
+    pr = func.problem
+    return TwoVariableFunction(
+        f=func.value,
+        xbar=pr.xbar,
+        ybar=pr.ybar,
+        norm_x=pr.norm_x,
+        norm_y=pr.norm_y,
+        sampler=partial(sample_graph_arrays, pr),
+        solution_distance=pr.solution_distance,
+        name=f"induced[{pr.name}]",
+    )

@@ -45,7 +45,8 @@ from subreg.moduli import (
     rel_close,
 )
 from subreg.problems import EPS_MEM, halton_points, mix_seed
-from subreg.slopes_primal import SlopeEstimate, as_two_variable
+from subreg.slopes_primal import SlopeEstimate
+from graph_reference import induced
 from level_reference import level_scans
 from pool_reference import ref_pools
 from sampler_reference import halving_offsets, points, probe_points
@@ -390,7 +391,7 @@ def test_coderivative_homogeneity_row_on_ball_images(radius_of, homogeneous):
 def _ref_error_bound_modulus(func_or_ef, schedule):
     # the scan the engine replaced: one scalar value, membership test and
     # oracle call per sampled point, windows taken with ``<``
-    func = as_two_variable(func_or_ef)
+    func = induced(func_or_ef)
     anchor = ProductPoint(func.xbar, func.ybar)
     soldist = func.solution_distance
     rows, flags = [], ()
@@ -504,7 +505,7 @@ def _ref_subregularity_modulus(problem, q, schedule):
 
 
 def _ref_p2(func_or_ef, schedule):
-    func = as_two_variable(func_or_ef)
+    func = induced(func_or_ef)
     pts = points(
         func.sampler(
             ProductPoint(func.xbar, func.ybar),

@@ -35,7 +35,13 @@ from subreg.problems import (
     sample_outer_points,
 )
 import coderivative_reference
-from graph_reference import catalog_to_graph, piecewise_to_graph, same_bits, scalar_graph_rows
+from graph_reference import (
+    catalog_to_graph,
+    induced,
+    piecewise_to_graph,
+    same_bits,
+    scalar_graph_rows,
+)
 from pool_reference import ref_fresh, ref_pools
 from sampler_reference import graph_sample, halving_offsets
 
@@ -729,6 +735,30 @@ def test_batched_sampler_on_a_finite_graph():
     ux, _, counts = sample_graph_batch(p, calls)
     assert counts.tolist() == [3, 5, 0]
     assert ux[:, 0].tolist() == [-0.5, 0.0, 0.25, -1.0, -0.5, 0.0, 0.25, 2.0]
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0])
+@pytest.mark.parametrize(
+    "problem",
+    [catalog_problem(n) for n in catalog_names()]
+    + [piecewise_problem(_SPLIT_PIECES, xbar=0.0, ybar=0.0, name="inline-split")],
+    ids=lambda p: p.name,
+)
+def test_error_function_rows_match_the_induced_reference(problem, q):
+    # one batched draw valued d(v, ybar)**q without a membership test,
+    # against one sampler call at a time valued by the membership-tested
+    # ErrorFunction.value: the same rows, values and counts, bitwise
+    ef = ErrorFunction(problem, q)
+    gx, gy = problem.param_to_graph_batch(np.full((1, problem.param_dim), 0.3))
+    calls = []
+    for center in (problem.anchor, ProductPoint(gx[0], gy[0])):
+        for radius, budget in ((10.0, 64), (0.7, 1024), (1e-3, 200), (3e-8, 96), (0.5, 0)):
+            calls.append((center, radius, budget, 100 + len(calls)))
+    ux, vy, f, counts = ef.rows(calls)
+    rx, ry, rf, rcounts = induced(ef).rows(calls)
+    assert counts.sum() > 0
+    assert counts.tolist() == rcounts.tolist()
+    assert same_bits(ux, rx) and same_bits(vy, ry) and same_bits(f, rf)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,29 @@
 """Invariant suite across seeds, non-canonical orders and matrix shapes
-(directions off the axes, rank deficiency, strong anisotropy)."""
+(directions off the axes, rank deficiency, strong anisotropy), and every
+entry point's refusal of an order outside (0, 1]."""
+
+import math
 
 import pytest
 
-from subreg import RunContext, Schedule, catalog_problem, run_invariant_suite
+from subreg import (
+    ErrorFunction,
+    RunContext,
+    Schedule,
+    catalog_problem,
+    nonlocal_q_rho_slope,
+    parse_config,
+    q_duality_enlargement,
+    run_invariant_suite,
+    subregularity_modulus,
+    uniform_strict_q_slope,
+    xi_q,
+)
+from subreg.geometry import GeometryError
+from subreg.moduli import ModuliError
+from subreg.problems import ProblemError
+from subreg.report import ConfigError
+from subreg.slopes_primal import SlopeError
 
 
 def _suite_failures(problem, q, seed):
@@ -61,3 +81,36 @@ def test_anisotropic_modulus_matches_smallest_gain():
     constants = RunContext(problem, 1.0, schedule)
     assert constants["sr_q"].value == pytest.approx(0.2, rel=1e-3)
     assert constants["subdiff_strict_q_slope_plain"].value == pytest.approx(0.2, rel=0.05)
+
+
+_HALF_SQUARE = catalog_problem("half-square")
+_SCHEDULE = Schedule(sample_budget=64, steps=3)
+
+# each entry point that takes an order q, called with q, and its error class
+ORDER_ENTRY_POINTS = {
+    "ErrorFunction": (lambda q: ErrorFunction(_HALF_SQUARE, q), ProblemError),
+    "subregularity_modulus": (
+        lambda q: subregularity_modulus(_HALF_SQUARE, q, _SCHEDULE),
+        ModuliError,
+    ),
+    "nonlocal_q_rho_slope": (
+        lambda q: nonlocal_q_rho_slope(_HALF_SQUARE, q, 0.5, _HALF_SQUARE.anchor, _SCHEDULE),
+        SlopeError,
+    ),
+    "uniform_strict_q_slope": (
+        lambda q: uniform_strict_q_slope(_HALF_SQUARE, q, _SCHEDULE),
+        SlopeError,
+    ),
+    "xi_q": (lambda q: xi_q([1.0], [0.0], q), GeometryError),
+    "q_duality_enlargement": (lambda q: q_duality_enlargement([1.0], q, 0.0, 0, 0), GeometryError),
+    "RunContext": (lambda q: RunContext(_HALF_SQUARE, q, _SCHEDULE), ModuliError),
+    "parse_config": (lambda q: parse_config({"problem": "half-square", "q": q}), ConfigError),
+}
+
+
+@pytest.mark.parametrize("q", [True, math.nan, 0, 1.5], ids=repr)
+@pytest.mark.parametrize("entry", list(ORDER_ENTRY_POINTS))
+def test_every_entry_point_refuses_an_order_outside_the_unit_interval(entry, q):
+    call, error = ORDER_ENTRY_POINTS[entry]
+    with pytest.raises(error, match=r"q must lie in \(0, 1\]"):
+        call(q)

@@ -20,6 +20,7 @@ from subreg import (
 )
 from subreg.geometry import distinct_rows
 from subreg.moduli import RunContext, error_bound_modulus
+import subreg.problems as problems
 import subreg.slopes_primal as slopes_primal
 from subreg import piecewise_problem
 from subreg.problems import (
@@ -36,6 +37,7 @@ from subreg.slopes_primal import (
     gather_point_candidates,
     strict_sweep,
 )
+from graph_reference import induced
 from level_reference import infimum
 from pool_reference import ref_pools
 from sampler_reference import embedding_sampler, graph_sample, points
@@ -722,7 +724,7 @@ def _ref_f_scale(func, at):
 
 
 def _ref_f_level_strict(func_or_ef, schedule):
-    func = slopes_primal.as_two_variable(func_or_ef)
+    func = induced(func_or_ef)
     anchor = ProductPoint(func.xbar, func.ybar)
     rhos = schedule.rho_values()
     n = schedule.outer_samples_per_level()
@@ -782,7 +784,7 @@ def _ref_f_level_strict(func_or_ef, schedule):
 
 
 def _ref_f_point_slopes(func_or_ef, rho, at, schedule):
-    func = slopes_primal.as_two_variable(func_or_ef)
+    func = induced(func_or_ef)
     if is_inf(func.value(at.x, at.y)):
         return {v: SlopeEstimate(INF, ((rho, INF),), False, 0, f"f_{v}") for v in ("nonlocal", "local")}
     scale = _ref_f_scale(func, at)
@@ -876,9 +878,8 @@ def test_f_level_strict_matches_scalar_reference(name, q, seed_index):
     for key in ref:
         _assert_same_estimate(new[key], ref[key])
     # the anchor variants of f_level_slopes, in their fixed order
-    func = slopes_primal.as_two_variable(subject)
     variants = ("modified-strict-outer", "uniform-strict", "strict-outer")
-    via = f_level_slopes(subject, 0.5, ProductPoint(func.xbar, func.ybar), s, variants)
+    via = f_level_slopes(subject, 0.5, ProductPoint(subject.xbar, subject.ybar), s, variants)
     assert list(via) == ["uniform-strict", "strict-outer", "modified-strict-outer"]
     for key, family in zip(via, ("uniform", "plain", "modified")):
         _assert_same_estimate(via[key], ref[family])
@@ -955,12 +956,11 @@ def test_f_level_strict_matches_the_sorted_key_windows(name, seed_index):
 def test_f_level_point_slopes_match_scalar_reference(name, q):
     s = F_ENGINE_SCHEDULES[1]
     subject = _f_engine_subject(name, q)
-    func = slopes_primal.as_two_variable(subject)
     ux, vy, f, _, _ = slopes_primal.anchor_f_rows(subject, [0.3], 8, [5])
     points = [ProductPoint(x, y) for x, y in zip(ux[:3], vy[:3])]
-    points.append(ProductPoint(func.xbar, func.ybar))
+    points.append(ProductPoint(subject.xbar, subject.ybar))
     if name != "embedding":
-        points.append(ProductPoint(func.xbar, func.ybar + 1.0))  # off the graph
+        points.append(ProductPoint(subject.xbar, subject.ybar + 1.0))  # off the graph
     for at in points:
         for rho in (0.1, 2.0):
             new = f_level_slopes(subject, rho, at, s, ("nonlocal", "local"))
@@ -971,7 +971,9 @@ def test_f_level_point_slopes_match_scalar_reference(name, q):
 
 @pytest.mark.parametrize("name", [n for n in F_ENGINE_CASES if n != "embedding"])
 def test_f_engine_rows_lie_on_the_graph(monkeypatch, name):
-    # the engine takes f = d(v, ybar)**q without a membership test
+    # the engine takes f = d(v, ybar)**q without a membership test, on
+    # rows that ErrorFunction.rows (in problems) and anchor_graph_rows
+    # (in slopes_primal) draw
     problem = F_ENGINE_CASES[name]()
     drawn = []
 
@@ -981,6 +983,7 @@ def test_f_engine_rows_lie_on_the_graph(monkeypatch, name):
         return ux, vy, counts
 
     monkeypatch.setattr(slopes_primal, "sample_graph_batch", recording)
+    monkeypatch.setattr(problems, "sample_graph_batch", recording)
     for q in (0.25, 0.5, 1.0):
         ef = ErrorFunction(problem, q)
         for s in F_ENGINE_SCHEDULES:
