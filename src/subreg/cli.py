@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 clean run with all checks passing, 1 clean run with check
-failures, 2 invalid configuration (a numeric overflow during evaluation
-included) or a report that cannot be written, 3 internal error during
-evaluation.
+failures, 2 invalid configuration (a numeric overflow or memory
+exhaustion during evaluation included) or a report that cannot be
+written, 3 internal error during evaluation.
 """
 
 from __future__ import annotations
@@ -75,10 +75,16 @@ def main(argv=None) -> int:
         with np.errstate(over="raise"):
             report = run_config(cfg)
             text = emit_report(report, cfg.output_format)
-    except (ConfigError, OverflowError, FloatingPointError) as exc:
-        # no one bound on rho0 or the truncation radius fits every mapping,
-        # so an oracle's overflow is what tells a too large one
-        if not isinstance(exc, ConfigError):
+    except (ConfigError, OverflowError, FloatingPointError, MemoryError) as exc:
+        # no one bound on rho0, the truncation radius or the sample budget
+        # fits every mapping and machine, so an oracle's overflow or a
+        # failed allocation is what tells a too large one
+        if isinstance(exc, MemoryError):
+            exc = (
+                f"out of memory during evaluation: {exc}; "
+                "try a smaller schedule sample_budget"
+            )
+        elif not isinstance(exc, ConfigError):
             exc = (
                 f"numeric overflow during evaluation: {exc}; "
                 "try a smaller schedule rho0 or truncation_radius"

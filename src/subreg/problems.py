@@ -767,74 +767,84 @@ def _interval_window(t0, radius):
     return t0 - radius, t0 + radius
 
 
-def _half_square() -> MappingProblem:
-    def membership(x, y):
-        return abs(float(y[0]) - max(float(x[0]), 0.0) ** 2) <= MEMBERSHIP_TOL
+def _line_problem(
+    name: str,
+    value: Callable[[float], Optional[float]],
+    batch: Callable[[np.ndarray], tuple],
+    matrix: Callable,
+    solution_distance: Callable[[np.ndarray], float],
+    xbar: float = 0.0,
+    ybar: float = 0.0,
+    window: Callable[[np.ndarray, float], tuple] = _interval_window,
+    **flags,
+) -> MappingProblem:
+    """The single-valued map ``y = value(x)`` of the real line, ``value``
+    taking a Python float to one, or to ``None`` off the domain.  The
+    parameter is x itself, and ``batch`` maps a column of them onto graph
+    rows ``(x, y)``.  Membership is ``|y - value(x)| <= MEMBERSHIP_TOL``,
+    the fiber distance ``|value(x) - ybar|`` (``INF`` off the domain)."""
+    ybar = float(ybar)
 
-    def coderivative_matrix(x, y):
-        u = float(x[0])
-        return np.array([[2.0 * u if u >= 0.0 else 0.0]])
+    def membership(x, y):
+        v = value(float(x[0]))
+        return v is not None and abs(float(y[0]) - v) <= MEMBERSHIP_TOL
+
+    def fiber_distance(x):
+        v = value(float(x[0]))
+        return INF if v is None else abs(v - ybar)
 
     return MappingProblem(
-        name="half-square",
+        name=name,
         dim_x=1,
         dim_y=1,
         norm_x=euclidean(1),
         norm_y=euclidean(1),
-        xbar=[0.0],
-        ybar=[0.0],
+        xbar=[float(xbar)],
+        ybar=[ybar],
         graph_membership=membership,
-        param_to_graph_batch=lambda t: (t[:, :1], np.maximum(t[:, :1], 0.0) ** 2),
+        param_to_graph_batch=lambda t: batch(t[:, :1]),
         param_of=lambda x, y: np.array([float(x[0])]),
-        param_window=_interval_window,
+        param_window=window,
+        solution_distance=solution_distance,
+        fiber_distance=fiber_distance,
+        coderivative_matrix=matrix,
+        **flags,
+    )
+
+
+def _half_square() -> MappingProblem:
+    def coderivative_matrix(x, y):
+        u = float(x[0])
+        return np.array([[2.0 * u if u >= 0.0 else 0.0]])
+
+    return _line_problem(
+        "half-square",
+        value=lambda u: max(u, 0.0) ** 2,
+        batch=lambda u: (u, np.maximum(u, 0.0) ** 2),
+        matrix=coderivative_matrix,
         solution_distance=lambda x: max(float(x[0]), 0.0),
-        fiber_distance=lambda x: max(float(x[0]), 0.0) ** 2,
-        coderivative_matrix=coderivative_matrix,
-        convex=False,
         canonical_q=0.5,
     )
 
 
 def _identity() -> MappingProblem:
-    return MappingProblem(
-        name="identity",
-        dim_x=1,
-        dim_y=1,
-        norm_x=euclidean(1),
-        norm_y=euclidean(1),
-        xbar=[0.0],
-        ybar=[0.0],
-        graph_membership=lambda x, y: abs(float(y[0]) - float(x[0])) <= MEMBERSHIP_TOL,
-        param_to_graph_batch=lambda t: (t[:, :1], t[:, :1].copy()),
-        param_of=lambda x, y: np.array([float(x[0])]),
-        param_window=_interval_window,
+    return _line_problem(
+        "identity",
+        value=lambda u: u,
+        batch=lambda u: (u, u.copy()),
+        matrix=lambda x, y: np.ones((1, 1)),
         solution_distance=lambda x: abs(float(x[0])),
-        fiber_distance=lambda x: abs(float(x[0])),
-        coderivative_matrix=lambda x, y: np.ones((1, 1)),
         convex=True,
-        canonical_q=1.0,
     )
 
 
 def _square() -> MappingProblem:
-    return MappingProblem(
-        name="square",
-        dim_x=1,
-        dim_y=1,
-        norm_x=euclidean(1),
-        norm_y=euclidean(1),
-        xbar=[0.0],
-        ybar=[0.0],
-        graph_membership=lambda x, y: abs(float(y[0]) - float(x[0]) ** 2)
-        <= MEMBERSHIP_TOL,
-        param_to_graph_batch=lambda t: (t[:, :1], t[:, :1] ** 2),
-        param_of=lambda x, y: np.array([float(x[0])]),
-        param_window=_interval_window,
+    return _line_problem(
+        "square",
+        value=lambda u: u**2,
+        batch=lambda u: (u, u**2),
+        matrix=lambda x, y: np.array([[2.0 * float(x[0])]]),
         solution_distance=lambda x: abs(float(x[0])),
-        fiber_distance=lambda x: float(x[0]) ** 2,
-        coderivative_matrix=lambda x, y: np.array([[2.0 * float(x[0])]]),
-        convex=False,
-        canonical_q=1.0,
     )
 
 
@@ -921,23 +931,13 @@ def _halfline() -> MappingProblem:
 
 
 def _constant() -> MappingProblem:
-    return MappingProblem(
-        name="constant",
-        dim_x=1,
-        dim_y=1,
-        norm_x=euclidean(1),
-        norm_y=euclidean(1),
-        xbar=[0.0],
-        ybar=[0.0],
-        graph_membership=lambda x, y: abs(float(y[0])) <= MEMBERSHIP_TOL,
-        param_to_graph_batch=lambda t: (t[:, :1], np.zeros_like(t[:, :1])),
-        param_of=lambda x, y: np.array([float(x[0])]),
-        param_window=_interval_window,
+    return _line_problem(
+        "constant",
+        value=lambda u: 0.0,
+        batch=lambda u: (u, np.zeros_like(u)),
+        matrix=lambda x, y: np.zeros((1, 1)),
         solution_distance=lambda x: 0.0,
-        fiber_distance=lambda x: 0.0,
-        coderivative_matrix=lambda x, y: np.zeros((1, 1)),
         convex=True,
-        canonical_q=1.0,
     )
 
 
@@ -1029,10 +1029,6 @@ def piecewise_problem(
                 return _horner(c, u)
         return None
 
-    def membership(x, y):
-        v = poly_at(float(x[0]))
-        return v is not None and abs(float(y[0]) - v) <= MEMBERSHIP_TOL
-
     def piece_index(u: np.ndarray) -> np.ndarray:
         # the first piece in sorted order holding u, -1 in a gap
         idx = np.full(u.shape, -1)
@@ -1091,12 +1087,6 @@ def piecewise_problem(
                 best = d if best is None else min(best, d)
         return best if best is not None else 1e30
 
-    def fiber_distance(x):
-        v = poly_at(float(x[0]))
-        if v is None:
-            return INF
-        return abs(v - ybar)
-
     def coderivative_matrix(x, y):
         # the distinct slopes of the pieces holding x: none off the
         # domain, more than one at a kink, and a matrix only for one
@@ -1108,24 +1098,15 @@ def piecewise_problem(
         }
         return np.array([[slopes.pop()]]) if len(slopes) == 1 else None
 
-    return MappingProblem(
-        name=name,
-        dim_x=1,
-        dim_y=1,
-        norm_x=euclidean(1),
-        norm_y=euclidean(1),
-        xbar=[float(xbar)],
-        ybar=[float(ybar)],
-        graph_membership=membership,
-        param_to_graph_batch=to_graph_batch,
-        param_of=lambda x, y: np.array([float(x[0])]),
-        param_window=lambda t0, r: (
-            np.maximum(t0 - r, lo_all),
-            np.minimum(t0 + r, hi_all),
-        ),
+    return _line_problem(
+        name,
+        value=poly_at,
+        batch=to_graph_batch,
+        matrix=coderivative_matrix,
         solution_distance=solution_distance,
-        fiber_distance=fiber_distance,
-        coderivative_matrix=coderivative_matrix,
+        xbar=xbar,
+        ybar=ybar,
+        window=lambda t0, r: (np.maximum(t0 - r, lo_all), np.minimum(t0 + r, hi_all)),
         convex=convex,
         graph_locally_closed=graph_locally_closed,
     )

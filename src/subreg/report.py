@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -83,15 +83,7 @@ class RunConfig:
             "problem": spec,
             "q": self.q,
             "gamma": self.gamma,
-            "schedule": {
-                "rho0": self.schedule.rho0,
-                "factor": self.schedule.factor,
-                "steps": self.schedule.steps,
-                "neighborhood_radii": list(self.schedule.neighborhood_radii),
-                "sample_budget": self.schedule.sample_budget,
-                "truncation_radius": self.schedule.truncation_radius,
-                "seed": self.schedule.seed,
-            },
+            "schedule": asdict(self.schedule),
             "checks": list(self.checks),
             "format": self.output_format,
         }
@@ -125,19 +117,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"gamma must be a positive finite number, got {gamma!r}")
 
     sched_data = data.get("schedule", {})
-    _require_keys(
-        sched_data,
-        {
-            "rho0",
-            "factor",
-            "steps",
-            "neighborhood_radii",
-            "sample_budget",
-            "truncation_radius",
-            "seed",
-        },
-        "schedule",
-    )
+    _require_keys(sched_data, {f.name for f in fields(Schedule)}, "schedule")
     try:
         schedule = Schedule(**sched_data)
     except (TypeError, ValueError) as exc:

@@ -360,6 +360,24 @@ def test_invariant_suite_all_pass_on_half_square(hs_constants):
     assert not failed, [(r.name, r.lhs, r.rhs) for r in failed]
 
 
+def test_witness_reproducibility_row_fails_past_its_slack(schedule, hs_constants):
+    # the row re-reads the fiber and solution oracles at the sr_q witness:
+    # a ratio 2e-9 off fails it, and only it; 0.5e-9 off stays in its slack
+    ctx = RunContext(hs_constants.problem, 0.5, schedule, hs_constants.tables)
+    report = ctx.subregularity
+    (witness,) = report.witnesses
+    ratio = witness["ratio"]
+    for shift, passed in ((2e-9, False), (0.5e-9, True)):
+        shifted = dict(witness, ratio=ratio + shift)
+        ctx.__dict__["subregularity"] = dataclasses.replace(report, witnesses=(shifted,))
+        rows = run_invariant_suite(ctx)
+        (row,) = [r for r in rows if r.name == "witness_reproducibility"]
+        assert row.passed is passed
+        assert row.lhs == abs(ratio - (ratio + shift))
+        assert row.slack == 1e-9
+        assert [r.name for r in rows if not r.passed] == ([] if passed else [row.name])
+
+
 @pytest.mark.parametrize(
     "radius_of,homogeneous",
     [(lambda ys: 0.1 * abs(ys), True), (lambda ys: 0.1, False)],

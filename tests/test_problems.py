@@ -34,6 +34,7 @@ from subreg.problems import (
     sample_graph_batch,
     sample_outer_points,
 )
+import catalog_reference
 import coderivative_reference
 from graph_reference import (
     catalog_to_graph,
@@ -406,6 +407,47 @@ def test_batch_graph_map_matches_scalar(problem):
     # to y = +0.0
     assert same_bits(bx, sx)
     assert same_bits(by, sy)
+
+
+# signed zeros, the least subnormals, and points near, inside and off the anchor
+_LINE_GRID = (-3.0, -0.5, -1e-8, -5e-324, -0.0, 0.0, 5e-324, 1e-8, 0.5, 3.0)
+
+
+@pytest.mark.parametrize("name", sorted(catalog_reference.CATALOG))
+def test_line_catalog_entries_match_their_field_by_field_constructors(name):
+    new, ref = catalog_problem(name), catalog_reference.CATALOG[name]()
+    for f in dataclasses.fields(ref):
+        want, got = getattr(ref, f.name), getattr(new, f.name)
+        if isinstance(want, np.ndarray):
+            assert same_bits(got, want), f.name
+        elif not callable(want):
+            assert got == want, f.name
+        else:  # an oracle of each, never the same function object
+            assert callable(got) and got is not want, f.name
+
+    def bits(value):
+        return np.float64(value).tobytes()
+
+    params = np.array(_LINE_GRID)[:, None]
+    (rx, ry), (nx, ny) = ref.param_to_graph_batch(params), new.param_to_graph_batch(params)
+    assert same_bits(nx, rx) and same_bits(ny, ry)
+    assert np.shares_memory(nx, ny) == np.shares_memory(rx, ry)
+    on, off = 0, 0
+    for u, v in zip(_LINE_GRID, ry[:, 0]):
+        x, gy = np.array([u]), np.array([v])
+        assert bits(new.fiber_distance(x)) == bits(ref.fiber_distance(x)), u
+        assert bits(new.solution_distance(x)) == bits(ref.solution_distance(x)), u
+        assert same_bits(new.param_of(x, gy), ref.param_of(x, gy)), u
+        assert same_bits(new.coderivative_matrix(x, gy), ref.coderivative_matrix(x, gy)), u
+        for radius in (1e-8, 0.5):
+            t0 = ref.param_of(x, gy)
+            (nlo, nhi), (rlo, rhi) = new.param_window(t0, radius), ref.param_window(t0, radius)
+            assert same_bits(nlo, rlo) and same_bits(nhi, rhi), (u, radius)
+        for y in (v, v + 0.5e-9, v - 0.5e-9, v + 2e-9, v - 2e-9, -v) + _LINE_GRID:
+            inside = ref.graph_membership(x, np.array([y]))
+            assert new.graph_membership(x, np.array([y])) is inside, (u, y)
+            on, off = on + inside, off + (not inside)
+    assert on and off
 
 
 def test_linear_batch_map_rows_do_not_depend_on_their_batch():

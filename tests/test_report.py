@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import subreg.cli
 import subreg.moduli as moduli
 import subreg.report as report_module
 import subreg.slopes_primal as slopes_primal
@@ -643,6 +644,29 @@ def test_config_hash_is_sha256_of_canonical_json(raw):
     assert cfg.config_hash() == _canonical_sha256(cfg)
 
 
+# a changed value of each schedule field, valid on its own
+_OTHER_SCHEDULE_VALUES = {
+    "rho0": 0.25,
+    "factor": 0.25,
+    "steps": 11,
+    "neighborhood_radii": (0.25, 0.05),
+    "sample_budget": 4095,
+    "truncation_radius": 1.0,
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Schedule)])
+def test_config_hash_reads_every_schedule_field(name):
+    # the parser accepts every field, and the hash changes with each one
+    base = parse_config({"problem": "half-square", "q": 0.5})
+    other = parse_config(
+        {"problem": "half-square", "q": 0.5, "schedule": {name: _OTHER_SCHEDULE_VALUES[name]}}
+    )
+    assert getattr(other.schedule, name) != getattr(base.schedule, name)
+    assert other.config_hash() != base.config_hash()
+
+
 def test_config_hash_falls_back_to_hashlib(cli_env):
     # a build without the builtin sha256 modules still imports and hashes alike
     script = "\n".join(
@@ -803,6 +827,23 @@ class TestCLI:
             assert res.returncode == 2, (problem, schedule, res.stderr)
             assert "invalid configuration: numeric overflow" in res.stderr
             assert "smaller schedule rho0 or truncation_radius" in res.stderr
+
+    def test_memory_exhaustion_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a huge sample budget fails numpy's allocation inside the run: no
+        # traceback, and the message names the budget (nothing is allocated)
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 286. MiB for an array")
+
+        monkeypatch.setattr(subreg.cli, "run_config", exhausted)
+        cfg = tmp_path / "huge.json"
+        raw = {"problem": "half-square", "q": 0.5, "checks": ["moduli"]}
+        cfg.write_text(json.dumps(dict(raw, schedule={"sample_budget": 100000000, "steps": 3})))
+        assert subreg.cli.main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: out of memory during evaluation" in err
+        assert "Unable to allocate 286. MiB" in err
+        assert "smaller schedule sample_budget" in err
+        assert "Traceback" not in err
 
     def test_missing_config_exits_2(self, tmp_path, cli_env):
         res = self._run(
