@@ -43,7 +43,6 @@ from .slopes_primal import (
     _finish,
     _gather,
     anchor_f_rows,
-    anchor_graph_rows,
     f_level_strict,
     strict_sweep,
     sweep_table,
@@ -272,7 +271,9 @@ class Tables:
 
     @cached_property
     def anchor(self) -> AnchorColumns:
-        ux, vy, dxa, dya = anchor_graph_rows(self.problem, *_error_bound_draw(self.schedule))
+        # graph rows with d(v, ybar) > 0: the rows where d(v, ybar)**1 > 0
+        func = ErrorFunction(self.problem, 1.0)
+        ux, vy, _, dxa, dya = anchor_f_rows(func, *_error_bound_draw(self.schedule))
         columns = (ux, vy, dxa, dya, self.problem.solution_distance, self.schedule.rho_values())
         return _read_only(_anchor_columns(*columns)[0])
 

@@ -657,7 +657,10 @@ def distinct_window_rows(rows: np.ndarray, level: np.ndarray, radii: Sequence[fl
 def q_powers(values: np.ndarray, q: float) -> np.ndarray:
     """``[v**q for v in values]``, bitwise, from one ``np.power`` over an
     object array: every entry goes through ``float.__pow__``, with ``q``
-    made a Python float (a ``np.float64`` exponent takes numpy's pow)."""
+    made a Python float (a ``np.float64`` exponent takes numpy's pow).
+    At ``q = 1`` it is a fresh copy: ``v**1.0`` is ``v`` for every double."""
+    if q == 1.0:
+        return np.array(values, dtype=float)
     # not float64 np.power: its SIMD pow rounds apart from the C pow on
     # about 5% of entries
     return np.power(np.asarray(values, dtype=float).astype(object), float(q)).astype(float)

@@ -8,14 +8,19 @@ decreasing rho ladder, reporting the final (tightest) level.
 
 Every slope here, of the mapping and of a two-variable function alike,
 is the supremum of ``[num]_+ / d_rho`` over candidate rows: a mapping's
-slopes are those of the induced f = d(y, ybar)**q on its graph.  One
-table, :class:`PointCandidates`, holds the candidates of many segments
-(the points of an outer-pool chunk, the invariant suite's probes, or
-the radii of one point's ladder), each row with its distances to its
-segment's centre and a value: d(v, ybar) on a mapping's graph, f for a
-two-variable function.  It builds the numerators from the centre and
-row values and reduces every segment at many rho at once through one
-segmented reducer, :func:`_segment_sup`.
+slopes are those of the induced f = d(y, ybar)**q on its graph, and a
+mapping draws its rows through its order-1 error function,
+``ErrorFunction(problem, 1.0)``, whose rows are the graph rows valued
+d(v, ybar).  One builder, :func:`_f_table`, makes every candidate table,
+:class:`PointCandidates`, of many segments (the points of an outer-pool
+chunk, the invariant suite's probes, or the radii of one point's
+ladder), each row with its distances to its segment's centre and its
+value.  It builds the numerators from the centre and row values and
+reduces every segment at many rho at once through one segmented
+reducer, :func:`_segment_sup`.  One strict sweep, :func:`_sweep`, walks
+a mapping's outer pool and a function's windows alike, and one reader,
+:func:`_read_sweep`, turns it into the uniform, plain and modified
+strict slopes.
 
 All suprema are lower-biased (sampled subsets) and all infima are
 upper-biased; comparisons downstream add slack in the direction that
@@ -44,7 +49,6 @@ from .problems import (
     outer_pools,
     radius_pad,
     radius_pads,
-    sample_graph_batch,
 )
 
 if TYPE_CHECKING:
@@ -249,57 +253,35 @@ def _with_anchor(counts: np.ndarray, *columns) -> tuple:
     return [np.insert(rows, ends, a, axis=0) for rows, a in columns], counts + 1
 
 
-def _graph_table(problem: MappingProblem, centres, ux, vy, counts, *segments) -> PointCandidates:
-    # graph rows valued d(v, ybar); the segments' centre values, bands,
-    # local and truncation radii follow
-    norms = (problem.norm_x, problem.norm_y)
-    dv = problem.norm_y.value_rows(vy - problem.ybar)
-    return PointCandidates.around(norms, centres, (ux, vy, dv), counts, *segments)
-
-
 def _gather(problem: MappingProblem, points: Sequence, schedule: Schedule) -> PointCandidates:
     """The candidate table of several points: each point's multi-scale
-    superset of :func:`gather_point_candidates`, from one batched sampler
-    pass and one norm pass."""
-    anchor = problem.anchor
+    superset of :func:`gather_point_candidates`, drawn through the
+    order-1 error function in one ``rows`` pass, so its rows are graph
+    rows valued d(v, ybar), and scored outside each point's noise band.
+    An explicit finite graph gives each point its whole list of graph
+    points, in order, and no anchor row."""
     finite = _finite(problem)
     n = max(32, schedule.sample_budget // 4)
-    calls, per_point = [], []
-    d_at, trunc, r_loc, min_dist = [], [], [], []
+    calls, d_at, trunc, r_loc, band = [], [], [], [], []
     for at in points:
-        d_anchor = problem.product_dist(at, anchor)
+        d_anchor = problem.product_dist(at, problem.anchor)
         tr = schedule.truncation_radius or 10.0 * max(1.0, d_anchor)
         scale = max(d_anchor, 0.0)
         d_at.append(problem.d_y(at.y, problem.ybar))
         trunc.append(tr)
         r_loc.append(_local_radius(schedule, scale))
-        min_dist.append(
-            EXCLUSION_BAND if finite else max(EXCLUSION_BAND, NOISE_FLOOR_REL * scale)
-        )
-        if finite:
+        band.append(EXCLUSION_BAND if finite else max(EXCLUSION_BAND, NOISE_FLOOR_REL * scale))
+        if finite:  # an INF radius and the list's length keep it whole
+            calls.append([(at, INF, len(problem.graph_points), 0)])
             continue
-        calls.append((at, tr, n // 2, _point_seed(schedule, "far", at)))
+        # far, mid and local rows; the anchor row follows them
+        mine = [(at, tr, n // 2, _point_seed(schedule, "far", at))]
         if d_anchor > 0:
-            mid = min(tr, 2.0 * d_anchor)
-            calls.append((at, mid, n // 4, _point_seed(schedule, "mid", at)))
-        calls.append(
-            (at, r_loc[-1], _local_budget(problem, schedule), _point_seed(schedule, "loc", at))
-        )
-        per_point.append(3 if d_anchor > 0 else 2)
-    px = np.array([at.x for at in points], dtype=float)
-    py = np.array([at.y for at in points], dtype=float)
-
-    if finite:
-        gx = np.array([p.x for p in problem.graph_points], dtype=float)
-        gy = np.array([p.y for p in problem.graph_points], dtype=float)
-        counts = np.full(len(points), gx.shape[0])
-        ux, vy = np.tile(gx, (len(points), 1)), np.tile(gy, (len(points), 1))
-    else:
-        # far, mid and local rows, then the anchor itself, point by point
-        sx, sy, per_call = sample_graph_batch(problem, calls)
-        counts = np.add.reduceat(per_call, np.cumsum(per_point) - per_point)
-        (ux, vy), counts = _with_anchor(counts, (sx, anchor.x), (sy, anchor.y))
-    return _graph_table(problem, (px, py), ux, vy, counts, d_at, min_dist, r_loc, trunc)
+            mine.append((at, min(tr, 2.0 * d_anchor), n // 4, _point_seed(schedule, "mid", at)))
+        loc = (at, r_loc[-1], _local_budget(problem, schedule), _point_seed(schedule, "loc", at))
+        calls.append(mine + [loc])
+    func = ErrorFunction(problem, 1.0)
+    return _f_table(func, points, d_at, calls, r_loc, trunc, not finite, band)
 
 
 def gather_point_candidates(
@@ -383,8 +365,8 @@ def local_rho_slope(
     """Shrinking-neighborhood limsup of ``[d(y,ybar) - d(v,ybar)]_+ /
     d_rho`` realized as the supremum at the smallest relative radius;
     the trace over the whole radius ladder makes non-stabilization
-    visible.  A sampled graph draws every radius in one
-    :func:`sample_graph_batch` pass and reduces the radii as segments; an
+    visible.  A sampled graph draws every radius in one ``rows`` pass of
+    the order-1 error function and reduces the radii as segments; an
     explicit finite graph is scanned scalar by scalar."""
     if rho <= 0:
         raise SlopeError("rho must be positive")
@@ -419,13 +401,11 @@ def local_rho_slope(
     radii = [max(nr * scale, LOCAL_RADIUS_FLOOR) for nr in schedule.neighborhood_radii]
     n_loc = _local_budget(problem, schedule)
     seed = _point_seed(schedule, "ls", at)
-    ux, vy, counts = sample_graph_batch(
-        problem, [(at, r, n_loc, mix_seed(seed, j)) for j, r in enumerate(radii)]
-    )
+    calls = [[(at, r, n_loc, mix_seed(seed, j))] for j, r in enumerate(radii)]
     # one segment per radius, each scored whole outside the noise band
-    centres = (np.tile(at.x, (len(radii), 1)), np.tile(at.y, (len(radii), 1)))
     band = max(EXCLUSION_BAND, NOISE_FLOOR_REL * scale)
-    cands = _graph_table(problem, centres, ux, vy, counts, d_at, band, np.inf, radii)
+    func = ErrorFunction(problem, 1.0)
+    cands = _f_table(func, [at] * len(radii), d_at, calls, np.inf, radii, False, band)
     trace = tuple(zip(radii, cands.local_table([rho], metric)[:, 0].tolist()))
     used = int(cands._scoring[True][1].sum())
     return SlopeEstimate(trace[-1][1], trace, False, used, "local_rho")
@@ -468,7 +448,7 @@ SWEEP_METRICS = ("max", "sum")
 @dataclass(frozen=True, eq=False)
 class SweepTable:
     """Per-point, per-level scalars of the strict sweep on one set of
-    outer pools, for both product metrics.
+    outer pools, for each product metric it was built for.
 
     ``rows`` is the outer pool it was built on, in depth order, so level
     ``k`` is ``rows[starts[k]:]``.  Entry ``[i, k]`` of
@@ -486,55 +466,55 @@ class SweepTable:
     local_values: dict
 
 
+def _sweep(rows: OuterPool, rhos, q: float, metrics, step: int, gather) -> SweepTable:
+    """Gather the rows of the outer pool ``rows`` (in depth order),
+    ``step`` at a time, into candidate tables, ``gather(points, chunk)``
+    building the table of the points of the slice ``chunk``, and reduce
+    every rho level under each product metric of ``metrics``: the values
+    of :meth:`PointCandidates.nonlocal_value` (at the order ``q``) and
+    :meth:`PointCandidates.local_value`, bitwise, with each row's
+    candidates gathered once and dropped with its chunk."""
+    depths = rows.depth
+    shape = (depths.size, len(rhos))
+    nl = {m: np.full(shape, np.nan) for m in metrics}
+    trunc = {m: np.zeros(shape, dtype=bool) for m in metrics}
+    loc = {m: np.full(shape, np.nan) for m in metrics}
+    sizes = np.zeros(depths.size, dtype=np.int64)
+    for c0 in range(0, depths.size, step):
+        chunk = slice(c0, c0 + step)
+        cands = gather([ProductPoint(x, y) for x, y in zip(rows.x[chunk], rows.y[chunk])], chunk)
+        sizes[chunk] = cands.counts
+        # one column per level down to the chunk's deepest; rows sorted
+        # by depth keep a chunk's depths close, so few columns go unread
+        levels = int(depths[chunk].max()) + 1
+        block = (chunk, slice(0, levels))
+        for metric in metrics:
+            nl[metric][block], trunc[metric][block] = cands.nonlocal_table(q, rhos[:levels], metric)
+            loc[metric][block] = cands.local_table(rhos[:levels], metric)
+
+    outside = depths[:, None] < np.arange(len(rhos))  # levels past a row's depth
+    for metric in metrics:
+        nl[metric][outside] = loc[metric][outside] = np.nan
+        trunc[metric][outside] = False
+    starts = tuple(int(np.searchsorted(depths, k)) for k in range(len(rhos)))
+    return SweepTable(rows, starts, sizes, nl, trunc, loc)
+
+
 def sweep_table(
     problem: MappingProblem, q: float, schedule: Schedule, rows: OuterPool
 ) -> SweepTable:
-    """Gather the rows of the outer pool ``rows`` (of ``problem`` and
-    ``schedule``, in depth order) chunk by chunk into candidate tables
-    and reduce every rho level under both product metrics: the values of
-    :meth:`PointCandidates.nonlocal_value` and
-    :meth:`PointCandidates.local_value`, bitwise, with each row's
-    candidates gathered once and dropped with its chunk.  A row's copies
-    would gather the same candidates, so they are only counted."""
-    depths = rows.depth
-    rhos = schedule.rho_values()
-    shape = (depths.size, len(rhos))
-    nl = {m: np.full(shape, np.nan) for m in SWEEP_METRICS}
-    trunc = {m: np.zeros(shape, dtype=bool) for m in SWEEP_METRICS}
-    loc = {m: np.full(shape, np.nan) for m in SWEEP_METRICS}
-    sizes = np.zeros(depths.size, dtype=np.int64)
-
+    """The strict sweep of the outer pool ``rows`` of ``problem`` and
+    ``schedule`` under both product metrics, each chunk's points gathered
+    by :func:`_gather`.  A row's copies would gather the same candidates,
+    so they are only counted."""
     if _finite(problem):
         rows_per_point = len(problem.graph_points)
     else:
         n = max(32, schedule.sample_budget // 4)
         rows_per_point = n // 2 + n // 4 + _local_budget(problem, schedule) + 1
     step = max(1, SWEEP_CHUNK_ROWS // rows_per_point)
-    for c0 in range(0, depths.size, step):
-        chunk = slice(c0, c0 + step)
-        points = [ProductPoint(x, y) for x, y in zip(rows.x[chunk], rows.y[chunk])]
-        cands = _gather(problem, points, schedule)
-        sizes[chunk] = cands.counts
-        # one column per level down to the chunk's deepest; rows sorted
-        # by depth keep a chunk's depths close, so few columns go unread
-        levels = int(depths[chunk].max()) + 1
-        block = (chunk, slice(0, levels))
-        for metric in SWEEP_METRICS:
-            nl[metric][block], trunc[metric][block] = cands.nonlocal_table(q, rhos[:levels], metric)
-            loc[metric][block] = cands.local_table(rhos[:levels], metric)
-
-    outside = depths[:, None] < np.arange(len(rhos))  # levels past a row's depth
-    for metric in SWEEP_METRICS:
-        nl[metric][outside] = loc[metric][outside] = np.nan
-        trunc[metric][outside] = False
-    return SweepTable(
-        rows=rows,
-        starts=tuple(int(np.searchsorted(depths, k)) for k in range(len(rhos))),
-        sizes=sizes,
-        nonlocal_values=nl,
-        truncated=trunc,
-        local_values=loc,
-    )
+    gather = lambda points, _: _gather(problem, points, schedule)
+    return _sweep(rows, schedule.rho_values(), q, SWEEP_METRICS, step, gather)
 
 
 def _level_infima(values: np.ndarray) -> list:
@@ -545,32 +525,40 @@ def _level_infima(values: np.ndarray) -> list:
     return [INF if v != v else v for v in least]
 
 
+def _read_sweep(table: SweepTable, rhos, metric: str, weight, ratio, kinds, truncated) -> list:
+    """The uniform, plain and modified strict estimates, of the kinds
+    ``kinds``, of ``table`` under ``metric``: per level, the infima of
+    the nonlocal slopes, of ``weight`` times the local slopes, and of the
+    larger of those and the per-row ``ratio``, rows of NaN ratio left
+    out.  An empty level is ``INF``; ``budget_used`` counts every copy of
+    a row once per level it lies in."""
+    rows = table.rows
+    # a row's entries past its depth are NaN, so each level's infimum is
+    # its column's over all rows
+    plain = weight * table.local_values[metric]
+    modified = np.where(ratio[:, None] > plain, ratio[:, None], plain)
+    modified[np.isnan(ratio)] = np.nan
+    used = int((table.sizes * rows.copies * (rows.depth + 1)).sum())
+    values = (table.nonlocal_values[metric], plain, modified)
+    return [
+        _finish(kind, list(zip(rhos, _level_infima(v))), t, used)
+        for kind, v, t in zip(kinds, values, (truncated, False, False))
+    ]
+
+
+def _strict_q(table: SweepTable, q: float, schedule: Schedule, metric: str) -> StrictSweepResult:
+    # the mapping's weight q d(y, ybar)^(q-1) and ratio d(y, ybar)^q / d(x, xbar)
+    rows, truncated = table.rows, bool(table.truncated[metric].any())
+    kinds = ("uniform_strict_q", "strict_q", "modified_strict_q")
+    weight, ratio, rhos = rows.weight(q)[:, None], rows.ratio(q), schedule.rho_values()
+    return StrictSweepResult(*_read_sweep(table, rhos, metric, weight, ratio, kinds, truncated))
+
+
 def strict_sweep(ctx: RunContext, metric: str = "max") -> StrictSweepResult:
     """The uniform, plain and modified strict q-slopes of the run ``ctx``
     under the product metric ``metric``, read from its one
     :class:`SweepTable`, ``ctx.sweep_table``."""
-    return _read_sweep(ctx.sweep_table, ctx.q, ctx.schedule, metric)
-
-
-def _read_sweep(table: SweepTable, q: float, schedule: Schedule, metric: str) -> StrictSweepResult:
-    # budget_used counts every copy of a row; an empty level is INF
-    rows = table.rows
-    weight, ratio = rows.weight(q)[:, None], rows.ratio(q)[:, None]
-    # a row's entries past its depth are NaN, so each level's infimum is
-    # its column's over all rows
-    plain = weight * table.local_values[metric]
-    modified = np.where(ratio > plain, ratio, plain)
-    modified[np.isnan(ratio[:, 0])] = np.nan
-    # each row is read once per level it lies in
-    used = int((table.sizes * rows.copies * (rows.depth + 1)).sum())
-    rhos, truncated = schedule.rho_values(), bool(table.truncated[metric].any())
-    trace = lambda values: list(zip(rhos, _level_infima(values)))
-
-    return StrictSweepResult(
-        uniform=_finish("uniform_strict_q", trace(table.nonlocal_values[metric]), truncated, used),
-        plain=_finish("strict_q", trace(plain), False, used),
-        modified=_finish("modified_strict_q", trace(modified), False, used),
-    )
+    return _strict_q(ctx.sweep_table, ctx.q, ctx.schedule, metric)
 
 
 def uniform_strict_q_slope(
@@ -588,7 +576,7 @@ def uniform_strict_q_slope(
     if not is_order(q):
         raise SlopeError("q must lie in (0, 1]")
     table = sweep_table(problem, q, schedule, outer_pools(problem, schedule, outer_restriction))
-    return _read_sweep(table, q, schedule, metric).uniform
+    return _strict_q(table, q, schedule, metric).uniform
 
 
 # --------------------------------------------------------------------------
@@ -682,20 +670,6 @@ def single_variable_embedding(
 # --------------------------------------------------------------------------
 
 
-def anchor_graph_rows(
-    problem: MappingProblem, radii: Sequence[float], budget: int, seeds: Sequence[int]
-) -> tuple:
-    """The graph rows with ``d(v, ybar) > 0`` of one anchor-centred
-    sample per radius, from one :func:`sample_graph_batch` pass, and
-    their distances to the anchor: ``(ux, vy, dxa, dya)``."""
-    anchor = problem.anchor
-    ux, vy, _ = sample_graph_batch(problem, [(anchor, r, budget, s) for r, s in zip(radii, seeds)])
-    dya = problem.norm_y.value_rows(vy - problem.ybar)
-    keep = dya > 0.0
-    ux, vy, dya = ux[keep], vy[keep], dya[keep]
-    return ux, vy, problem.norm_x.value_rows(ux - problem.xbar), dya
-
-
 def anchor_f_rows(func, radii: Sequence[float], budget: int, seeds: Sequence[int]) -> tuple:
     """The rows with ``f > 0`` of one anchor-centred sample per radius,
     from one ``func.rows`` pass, and their distances to the anchor:
@@ -711,15 +685,17 @@ def anchor_f_rows(func, radii: Sequence[float], budget: int, seeds: Sequence[int
 
 
 def _f_table(
-    func, centres: Sequence, f_at, calls: Sequence[tuple], local_radius, trunc, anchor: bool
+    func, centres: Sequence, f_at, calls: Sequence, local_radius, trunc, anchor: bool,
+    band=EXCLUSION_BAND,
 ) -> PointCandidates:
     """The candidate table of a two-variable function around several
-    centres, ``len(calls) // len(centres)`` consecutive calls each, plus
-    the anchor row after each centre's rows when ``anchor`` is set (and
-    ``f`` is finite there): rows valued ``f``, centres valued ``f_at``
-    and the plain exclusion band."""
-    ux, vy, f, per_call = func.rows(calls)
-    counts = per_call.reshape(len(centres), -1).sum(axis=1)
+    centres, from the calls ``calls[i]`` (at least one) of ``centres[i]``,
+    plus the anchor row after each centre's rows when ``anchor`` is set
+    (and ``f`` is finite there): rows valued ``f``, centres valued
+    ``f_at`` and the exclusion distance ``band``."""
+    ux, vy, f, per_call = func.rows([call for mine in calls for call in mine])
+    n_calls = np.array([len(mine) for mine in calls])
+    counts = np.add.reduceat(per_call, np.cumsum(n_calls) - n_calls)
     f_anchor = func.value(func.xbar, func.ybar) if anchor else INF
     if not is_inf(f_anchor):
         columns = (ux, func.xbar), (vy, func.ybar), (f, float(f_anchor))
@@ -728,7 +704,7 @@ def _f_table(
     cy = np.array([c.y for c in centres], dtype=float)
     norms = (func.norm_x, func.norm_y)
     return PointCandidates.around(
-        norms, (cx, cy), (ux, vy, f), counts, f_at, EXCLUSION_BAND, local_radius, trunc
+        norms, (cx, cy), (ux, vy, f), counts, f_at, band, local_radius, trunc
     )
 
 
@@ -762,7 +738,7 @@ def f_level_slopes(
             if "nonlocal" in point_variants:
                 budget = max(64, schedule.sample_budget // 4)
                 call = (at, trunc, budget, _point_seed(schedule, "fnl", at))
-                cands = _f_table(func, [at], f_at, [call], np.inf, trunc, True)
+                cands = _f_table(func, [at], f_at, [[call]], np.inf, trunc, True)
                 val = cands.nonlocal_value(1.0, rho)[0]
                 out["nonlocal"] = SlopeEstimate(val, ((rho, val),), False, cands.size, "f_nonlocal")
             if "local" in point_variants:
@@ -770,7 +746,7 @@ def f_level_slopes(
                 budget = max(64, schedule.sample_budget // 16)
                 key = (at.x.tobytes(), at.y.tobytes())
                 calls = [
-                    (at, r, budget, mix_seed(schedule.seed, "floc", j, *key))
+                    [(at, r, budget, mix_seed(schedule.seed, "floc", j, *key))]
                     for j, r in enumerate(radii)
                 ]
                 # one segment per radius
@@ -793,7 +769,8 @@ def f_level_slopes(
 def f_level_strict(func, schedule: Schedule) -> dict:
     """Uniform / plain / modified strict outer slopes of a two-variable
     function over the windows ``d(x,xbar) < rho_k``, ``0 < f < rho_k``,
-    with one shared sample pool per level.
+    with one shared sample pool per level: the strict sweep of the
+    mappings, at order 1 under the max metric, on a window pool.
 
     The rows come from ``func.rows`` (see :func:`anchor_f_rows`).  Each
     distinct window point (by its bytes, in depth order: see
@@ -806,48 +783,31 @@ def f_level_strict(func, schedule: Schedule) -> dict:
     seeds = [mix_seed(schedule.seed, "fstrict", k) for k in range(len(rhos))]
     ux, vy, f, dxa, dya = anchor_f_rows(func, rhos, schedule.outer_samples_per_level(), seeds)
     level = np.where(np.maximum(dxa, dya) > UNRESOLVABLE_FLOOR, np.maximum(f, dxa), np.inf)
-    pts, depth, mult = distinct_window_rows(np.hstack([ux, vy]), level, rhos)
-    window = depth[:, None] >= np.arange(len(rhos))
-
-    uniform = np.empty(window.shape)
-    plain = np.empty(window.shape)
-    sizes = np.empty(pts.size, dtype=np.int64)
+    pts, depth, copies = distinct_window_rows(np.hstack([ux, vy]), level, rhos)
+    window, f = OuterPool(ux[pts], vy[pts], dxa[pts], dya[pts], depth, copies), f[pts]
     far = max(64, schedule.sample_budget // 8)
     near = max(64, schedule.sample_budget // 16)
-    step = max(1, SWEEP_CHUNK_ROWS // (far + near + 1))
-    for c0 in range(0, pts.size, step):
-        sel = pts[c0 : c0 + step]
-        centres = [ProductPoint(ux[i], vy[i]) for i in sel]
-        scale = np.maximum(dxa[sel], dya[sel])
+
+    def gather(centres, chunk):
+        scale = np.maximum(window.dxa[chunk], window.dya[chunk])
         r_loc = np.maximum(schedule.neighborhood_radii[-1] * scale, LOCAL_RADIUS_FLOOR)
         trunc = 10.0 * np.maximum(1.0, scale)
-        calls = []
-        for p, t, r in zip(centres, trunc.tolist(), r_loc.tolist()):
-            calls.append((p, t, far, _point_seed(schedule, "fnlc", p)))
-            calls.append((p, r, near, _point_seed(schedule, "flocc", p)))
+        calls = [
+            [(p, t, far, _point_seed(schedule, "fnlc", p)),
+             (p, r, near, _point_seed(schedule, "flocc", p))]
+            for p, t, r in zip(centres, trunc.tolist(), r_loc.tolist())
+        ]
         # one shared superset with a local mask, so the nonlocal supremum
         # dominates the local one sample-wise
-        cands = _f_table(func, centres, f[sel], calls, r_loc, trunc, True)
-        chunk = slice(c0, c0 + sel.size)
-        uniform[chunk] = cands.nonlocal_table(1.0, rhos)[0]
-        plain[chunk] = cands.local_table(rhos)
-        sizes[chunk] = cands.counts
+        return _f_table(func, centres, f[chunk], calls, r_loc, trunc, True)
 
-    with np.errstate(divide="ignore"):
-        ratio = (f[pts] / dxa[pts])[:, None]
-    modified = np.where(ratio > plain, ratio, plain)
-    # a point on x = xbar scores INF, which never wins a level: as NaN
-    modified[dxa[pts] <= 0.0] = np.nan
-    used = int((window * (mult * sizes)[:, None]).sum())
-    out = {}
-    for key, kind, vals in (
-        ("uniform", "f_uniform_strict", uniform),
-        ("plain", "f_strict_outer", plain),
-        ("modified", "f_modified_strict_outer", modified),
-    ):
-        trace = list(zip(rhos, _level_infima(np.where(window, vals, np.nan))))
-        out[key] = _finish(kind, trace, False, used)
-    return out
+    step = max(1, SWEEP_CHUNK_ROWS // (far + near + 1))
+    table = _sweep(window, rhos, 1.0, ("max",), step, gather)
+    # a point on x = xbar has no ratio, and its modified slope never wins a level
+    ratio = np.divide(f, window.dxa, out=np.full(f.shape, np.nan), where=window.dxa > 0)
+    kinds = ("f_uniform_strict", "f_strict_outer", "f_modified_strict_outer")
+    estimates = _read_sweep(table, rhos, "max", 1.0, ratio, kinds, False)
+    return dict(zip(("uniform", "plain", "modified"), estimates))
 
 
 # --------------------------------------------------------------------------

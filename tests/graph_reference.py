@@ -8,15 +8,45 @@ Python floats; the batch maps of the catalog and of
 (:func:`same_bits`).  :func:`induced` draws an error function's rows one
 sampler call at a time and values them through the membership-tested
 ``ErrorFunction.value``; ``ErrorFunction.rows`` must equal it bitwise.
+
+:func:`_graph_table` and :func:`anchor_graph_rows` are the mapping-only
+table builder and anchor draw that the primal layer once kept beside
+the function engine, before it drew a mapping's rows through its
+order-1 error function; :func:`gather`, :func:`local_table` and
+:func:`anchor_columns` build the candidate tables of ``_gather`` and
+``local_rho_slope`` and the ``Tables.anchor`` columns through them.
 """
 
 import math
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 
-from subreg.problems import MEMBERSHIP_TOL, ErrorFunction, _horner, sample_graph_arrays
-from subreg.slopes_primal import TwoVariableFunction
+from subreg.geometry import ProductPoint
+from subreg.moduli import _anchor_columns, _error_bound_draw
+from subreg.problems import (
+    MEMBERSHIP_TOL,
+    ErrorFunction,
+    MappingProblem,
+    Schedule,
+    _horner,
+    mix_seed,
+    sample_graph_arrays,
+    sample_graph_batch,
+)
+from subreg.slopes_primal import (
+    EXCLUSION_BAND,
+    LOCAL_RADIUS_FLOOR,
+    NOISE_FLOOR_REL,
+    PointCandidates,
+    TwoVariableFunction,
+    _finite,
+    _local_budget,
+    _local_radius,
+    _point_seed,
+    _with_anchor,
+)
 
 
 def same_bits(a, b) -> bool:
@@ -136,3 +166,94 @@ def induced(func):
         solution_distance=pr.solution_distance,
         name=f"induced[{pr.name}]",
     )
+
+
+def _graph_table(problem: MappingProblem, centres, ux, vy, counts, *segments) -> PointCandidates:
+    # graph rows valued d(v, ybar); the segments' centre values, bands,
+    # local and truncation radii follow
+    norms = (problem.norm_x, problem.norm_y)
+    dv = problem.norm_y.value_rows(vy - problem.ybar)
+    return PointCandidates.around(norms, centres, (ux, vy, dv), counts, *segments)
+
+
+def anchor_graph_rows(
+    problem: MappingProblem, radii: Sequence[float], budget: int, seeds: Sequence[int]
+) -> tuple:
+    """The graph rows with ``d(v, ybar) > 0`` of one anchor-centred
+    sample per radius, from one :func:`sample_graph_batch` pass, and
+    their distances to the anchor: ``(ux, vy, dxa, dya)``."""
+    anchor = problem.anchor
+    ux, vy, _ = sample_graph_batch(problem, [(anchor, r, budget, s) for r, s in zip(radii, seeds)])
+    dya = problem.norm_y.value_rows(vy - problem.ybar)
+    keep = dya > 0.0
+    ux, vy, dya = ux[keep], vy[keep], dya[keep]
+    return ux, vy, problem.norm_x.value_rows(ux - problem.xbar), dya
+
+
+def gather(problem: MappingProblem, points: Sequence, schedule: Schedule) -> PointCandidates:
+    """The candidate table of several points: each point's multi-scale
+    superset of :func:`gather_point_candidates`, from one batched sampler
+    pass and one norm pass."""
+    anchor = problem.anchor
+    finite = _finite(problem)
+    n = max(32, schedule.sample_budget // 4)
+    calls, per_point = [], []
+    d_at, trunc, r_loc, min_dist = [], [], [], []
+    for at in points:
+        d_anchor = problem.product_dist(at, anchor)
+        tr = schedule.truncation_radius or 10.0 * max(1.0, d_anchor)
+        scale = max(d_anchor, 0.0)
+        d_at.append(problem.d_y(at.y, problem.ybar))
+        trunc.append(tr)
+        r_loc.append(_local_radius(schedule, scale))
+        min_dist.append(
+            EXCLUSION_BAND if finite else max(EXCLUSION_BAND, NOISE_FLOOR_REL * scale)
+        )
+        if finite:
+            continue
+        calls.append((at, tr, n // 2, _point_seed(schedule, "far", at)))
+        if d_anchor > 0:
+            mid = min(tr, 2.0 * d_anchor)
+            calls.append((at, mid, n // 4, _point_seed(schedule, "mid", at)))
+        calls.append(
+            (at, r_loc[-1], _local_budget(problem, schedule), _point_seed(schedule, "loc", at))
+        )
+        per_point.append(3 if d_anchor > 0 else 2)
+    px = np.array([at.x for at in points], dtype=float)
+    py = np.array([at.y for at in points], dtype=float)
+
+    if finite:
+        gx = np.array([p.x for p in problem.graph_points], dtype=float)
+        gy = np.array([p.y for p in problem.graph_points], dtype=float)
+        counts = np.full(len(points), gx.shape[0])
+        ux, vy = np.tile(gx, (len(points), 1)), np.tile(gy, (len(points), 1))
+    else:
+        # far, mid and local rows, then the anchor itself, point by point
+        sx, sy, per_call = sample_graph_batch(problem, calls)
+        counts = np.add.reduceat(per_call, np.cumsum(per_point) - per_point)
+        (ux, vy), counts = _with_anchor(counts, (sx, anchor.x), (sy, anchor.y))
+    return _graph_table(problem, (px, py), ux, vy, counts, d_at, min_dist, r_loc, trunc)
+
+
+def local_table(problem: MappingProblem, at: ProductPoint, schedule: Schedule) -> PointCandidates:
+    """The one-segment-per-radius table of ``local_rho_slope`` on a
+    sampled graph."""
+    d_at = problem.d_y(at.y, problem.ybar)
+    scale = max(problem.product_dist(at, problem.anchor), 0.0)
+    radii = [max(nr * scale, LOCAL_RADIUS_FLOOR) for nr in schedule.neighborhood_radii]
+    n_loc = _local_budget(problem, schedule)
+    seed = _point_seed(schedule, "ls", at)
+    ux, vy, counts = sample_graph_batch(
+        problem, [(at, r, n_loc, mix_seed(seed, j)) for j, r in enumerate(radii)]
+    )
+    # one segment per radius, each scored whole outside the noise band
+    centres = (np.tile(at.x, (len(radii), 1)), np.tile(at.y, (len(radii), 1)))
+    band = max(EXCLUSION_BAND, NOISE_FLOOR_REL * scale)
+    return _graph_table(problem, centres, ux, vy, counts, d_at, band, np.inf, radii)
+
+
+def anchor_columns(problem: MappingProblem, schedule: Schedule):
+    """The ``AnchorColumns`` of the error bound, from :func:`anchor_graph_rows`."""
+    ux, vy, dxa, dya = anchor_graph_rows(problem, *_error_bound_draw(schedule))
+    columns = (ux, vy, dxa, dya, problem.solution_distance, schedule.rho_values())
+    return _anchor_columns(*columns)[0]

@@ -44,8 +44,9 @@ from subreg.moduli import (
     looks_divergent,
     rel_close,
 )
+import subreg.moduli as moduli
 from subreg.problems import EPS_MEM, halton_points, mix_seed
-from subreg.slopes_primal import SlopeEstimate
+from subreg.slopes_primal import SlopeEstimate, f_level_strict
 from graph_reference import induced
 from level_reference import level_scans
 from pool_reference import ref_pools
@@ -376,6 +377,34 @@ def test_witness_reproducibility_row_fails_past_its_slack(schedule, hs_constants
         assert row.lhs == abs(ratio - (ratio + shift))
         assert row.slack == 1e-9
         assert [r.name for r in rows if not r.passed] == ([] if passed else [row.name])
+
+
+@pytest.mark.parametrize(
+    "name", ["error_bound_le_f_uniform_slope", "f_uniform_ge_f_modified", "f_modified_ge_f_plain"]
+)
+def test_f_level_strict_rows_fail_past_their_slack(monkeypatch, schedule, hs_constants, name):
+    # the three rows that read f_level_strict: the left side 1.01 slacks
+    # above the right fails the row, and only it; 0.99 slacks above passes
+    ctx = RunContext(hs_constants.problem, 0.5, schedule, hs_constants.tables)
+    strict = f_level_strict(ErrorFunction(ctx.problem, 0.5), schedule)
+    f_uni, f_mod = strict["uniform"].value, strict["modified"].value
+    assert not is_inf(f_uni) and not is_inf(f_mod)
+    for factor, passed in ((1.01, False), (0.99, True)):
+        shifted = dict(strict)
+        if name == "error_bound_le_f_uniform_slope":
+            rhs, slack = f_uni, SHARED_SLACK + SAMPLED_REL * abs(f_uni)
+            lhs = rhs + factor * slack
+            ctx.__dict__["error_bound"] = dataclasses.replace(hs_constants.error_bound, value=lhs)
+        else:
+            key, rhs = ("modified", f_uni) if name == "f_uniform_ge_f_modified" else ("plain", f_mod)
+            slack = SHARED_SLACK
+            lhs = rhs + factor * slack
+            shifted[key] = dataclasses.replace(strict[key], value=lhs)
+        monkeypatch.setattr(moduli, "f_level_strict", lambda func, s, out=shifted: out)
+        rows = run_invariant_suite(ctx)
+        (row,) = [r for r in rows if r.name == name]
+        assert (row.passed, row.lhs, row.rhs, row.slack) == (passed, lhs, rhs, slack)
+        assert [r.name for r in rows if not r.passed] == ([] if passed else [name])
 
 
 @pytest.mark.parametrize(

@@ -985,6 +985,28 @@ def test_q_powers_are_python_float_powers(q, exponent):
     assert q_powers(np.zeros(0), exponent(q)).shape == (0,)
 
 
+@pytest.mark.parametrize("exponent", [float, np.float64, int])
+def test_q_powers_at_one_are_a_fresh_copy_of_the_python_powers(exponent):
+    # signed zeros, the least subnormal, the least normal's neighbourhood,
+    # one, the huge, the infinite and NaN keep every bit under v ** 1.0
+    mags = [0.0, 5e-324, 1e-308, 1.0, 1e308, np.inf]
+    values = np.array(mags + [-v for v in mags] + [np.nan])
+    kept = values.tobytes()
+    want = np.array([float(v) ** 1.0 for v in values.tolist()])
+    got = q_powers(values, exponent(1.0))
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    got[:] = 7.0  # writable, and writing into it leaves the input alone
+    assert values.tobytes() == kept
+    # a read-only OuterPool column too
+    n = values.size
+    pool = OuterPool(np.zeros((n, 1)), np.zeros((n, 1)), np.ones(n), values, np.zeros(n, int), np.ones(n, int))
+    assert not pool.dya.flags.writeable
+    got = q_powers(pool.dya, exponent(1.0))
+    assert got.tobytes() == want.tobytes()
+    got[:] = 7.0
+    assert pool.dya.tobytes() == kept
+
+
 def test_outer_pool_ratio_and_weight_are_python_float_powers():
     pool = outer_pools(catalog_problem("half-square"), Schedule(sample_budget=256, steps=5), True)
     # and rows on x = xbar, whose ratio is NaN

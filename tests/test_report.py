@@ -17,8 +17,8 @@ import pytest
 
 import subreg.cli
 import subreg.moduli as moduli
+import subreg.problems as problems
 import subreg.report as report_module
-import subreg.slopes_primal as slopes_primal
 from subreg import Schedule, catalog_problem, emit_report, parse_config, run_config
 from subreg.problems import outer_pools
 from subreg.report import ALL_CHECKS, ConfigError, _emit, build_problem, report_payload
@@ -369,13 +369,13 @@ class TestRunContext:
 
     def test_sweeps_share_candidates_then_drop_them(self, monkeypatch):
         gathers = Counter()
-        original = slopes_primal.sample_graph_batch
+        original = problems.sample_graph_batch
 
         def counted(problem, calls):
             gathers["calls"] += len(calls)
             return original(problem, calls)
 
-        monkeypatch.setattr(slopes_primal, "sample_graph_batch", counted)
+        monkeypatch.setattr(problems, "sample_graph_batch", counted)
         ctx = moduli.RunContext(
             catalog_problem("half-square"), 0.5, Schedule(**REDUCED_SCHEDULE)
         )

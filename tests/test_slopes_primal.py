@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -19,7 +21,7 @@ from subreg import (
     validate_P1_P2,
 )
 from subreg.geometry import distinct_rows
-from subreg.moduli import RunContext, error_bound_modulus
+from subreg.moduli import RunContext, Tables, _probe_points, error_bound_modulus
 import subreg.problems as problems
 import subreg.slopes_primal as slopes_primal
 from subreg import piecewise_problem
@@ -37,7 +39,8 @@ from subreg.slopes_primal import (
     gather_point_candidates,
     strict_sweep,
 )
-from graph_reference import induced
+import graph_reference
+from graph_reference import induced, same_bits
 from level_reference import infimum
 from pool_reference import ref_pools
 from sampler_reference import embedding_sampler, graph_sample, points
@@ -913,10 +916,12 @@ def _ref_f_level_strict_sorted_keys(func_or_ef, schedule):
         scale = np.maximum(dxa[sel], dya[sel])
         r_loc = np.maximum(schedule.neighborhood_radii[-1] * scale, floor_loc)
         trunc = 10.0 * np.maximum(1.0, scale)
-        calls = []
+        calls = []  # each centre's far and near calls
         for p, t, r in zip(centres, trunc.tolist(), r_loc.tolist()):
-            calls.append((p, t, far, slopes_primal._point_seed(schedule, "fnlc", p)))
-            calls.append((p, r, near, slopes_primal._point_seed(schedule, "flocc", p)))
+            calls.append([
+                (p, t, far, slopes_primal._point_seed(schedule, "fnlc", p)),
+                (p, r, near, slopes_primal._point_seed(schedule, "flocc", p)),
+            ])
         cands = slopes_primal._f_table(func_or_ef, centres, f[sel], calls, r_loc, trunc, True)
         chunk = slice(c0, c0 + sel.size)
         uniform[chunk] = cands.nonlocal_table(1.0, rhos)[0]
@@ -972,8 +977,7 @@ def test_f_level_point_slopes_match_scalar_reference(name, q):
 @pytest.mark.parametrize("name", [n for n in F_ENGINE_CASES if n != "embedding"])
 def test_f_engine_rows_lie_on_the_graph(monkeypatch, name):
     # the engine takes f = d(v, ybar)**q without a membership test, on
-    # rows that ErrorFunction.rows (in problems) and anchor_graph_rows
-    # (in slopes_primal) draw
+    # rows that ErrorFunction.rows (in problems) draws
     problem = F_ENGINE_CASES[name]()
     drawn = []
 
@@ -982,7 +986,6 @@ def test_f_engine_rows_lie_on_the_graph(monkeypatch, name):
         drawn.append((ux, vy))
         return ux, vy, counts
 
-    monkeypatch.setattr(slopes_primal, "sample_graph_batch", recording)
     monkeypatch.setattr(problems, "sample_graph_batch", recording)
     for q in (0.25, 0.5, 1.0):
         ef = ErrorFunction(problem, q)
@@ -996,4 +999,58 @@ def test_f_engine_rows_lie_on_the_graph(monkeypatch, name):
     for ux, vy in drawn:
         for x, y in zip(ux, vy):
             assert problem.graph_membership(x, y), (x, y)
+
+
+_TABLE_ARRAYS = (
+    "counts", "centre_value", "trunc_radius", "min_dist",
+    "dx", "dy", "row_value", "dist", "local_mask",
+)
+
+
+def _assert_same_arrays(got, want, names):
+    assert got is not want
+    for name in names:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and same_bits(g, w), name
+
+
+@pytest.mark.parametrize("truncation_radius", [None, 0.05])
+@pytest.mark.parametrize("name", [n for n in F_ENGINE_CASES if n != "embedding"])
+def test_mapping_tables_match_the_graph_only_builder(monkeypatch, name, truncation_radius):
+    # drawn through the order-1 error function, a mapping's candidate
+    # tables and error-bound anchor rows are those of the mapping-only
+    # builder and anchor draw, bit for bit
+    problem = F_ENGINE_CASES[name]()
+    s = Schedule(sample_budget=256, steps=5, truncation_radius=truncation_radius)
+    pool = outer_pools(problem, s, True)
+    near = sample_graph_arrays(problem, problem.anchor, 0.5, 4, 11)  # y on ybar for constant
+    points = [problem.anchor] + [ProductPoint(x, y) for x, y in zip(pool.x[:6], pool.y[:6])]
+    points += [ProductPoint(x, y) for x, y in zip(*near)] + _probe_points(problem, s, 4)
+    assert len(points) >= 5
+    for at in points:
+        got = gather_point_candidates(problem, at, s)
+        _assert_same_arrays(got, graph_reference.gather(problem, [at], s), _TABLE_ARRAYS)
+    got = slopes_primal._gather(problem, points, s)
+    _assert_same_arrays(got, graph_reference.gather(problem, points, s), _TABLE_ARRAYS)
+
+    built, original = [], slopes_primal._f_table
+
+    def recording(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(slopes_primal, "_f_table", recording)
+    for at in points:
+        local_rho_slope(problem, 0.5, at, s)
+    if problem.graph_points is not None:
+        assert not built  # an explicit finite graph is scanned scalar by scalar
+    else:
+        assert len(built) == len(points)
+        for at, got in zip(points, built):
+            _assert_same_arrays(got, graph_reference.local_table(problem, at, s), _TABLE_ARRAYS)
+
+    got, want = Tables(problem, s).anchor, graph_reference.anchor_columns(problem, s)
+    _assert_same_arrays(got, want, [f.name for f in dataclasses.fields(got) if f.name != "drawn"])
+    assert type(got.drawn) is type(want.drawn) and got.drawn == want.drawn
+    assert got.x.shape[0] > 0 or name == "constant"
 
