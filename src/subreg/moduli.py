@@ -209,12 +209,12 @@ class AnchorColumns:
 
 def _anchor_columns(ux, vy, dxa, dya, soldist, rhos) -> tuple:
     """The :class:`AnchorColumns` of anchor rows, with ``soldist`` called
-    once per distinct x (NaN without an oracle), and the index of each
-    kept row."""
+    once on the distinct x rows (NaN without an oracle), and the index of
+    each kept row."""
     solution = np.full(ux.shape[0], np.nan)
     if soldist is not None:
         first, inverse, _ = distinct_rows(ux)
-        solution = np.array([float(soldist(x)) for x in ux[first]], dtype=float)[inverse]
+        solution = np.asarray(soldist(ux[first]), dtype=float)[inverse]
     depth = (dxa[:, None] < np.asarray(rhos, dtype=float)).sum(axis=1) - 1
     keep = np.flatnonzero((solution > EPS_MEM) & (depth >= 0))
     rows = keep[np.argsort(depth[keep], kind="stable")]
@@ -258,14 +258,11 @@ class Tables:
         xs = np.concatenate([pool.x] + ambient)
         first, inverse, _ = distinct_rows(xs)
         fib, sol = np.full(first.size, np.nan), np.full(first.size, np.nan)
-        if problem.fiber_distance is not None:  # one oracle call per distinct x
-            for j, x in enumerate(xs[first]):
-                sd = problem.solution_dist_exact(x)
-                if sd is None or sd <= EPS_MEM:
-                    continue
-                fd = problem.fiber_distance(x)
-                if not is_inf(fd):
-                    fib[j], sol[j] = float(fd), sd
+        if problem.fiber_distance is not None and problem.solution_distance is not None:
+            # one call of each oracle on the distinct x
+            sd, fd = problem.solution_distance(xs[first]), problem.fiber_distance(xs[first])
+            keep = (sd > EPS_MEM) & (fd < INF)
+            fib[keep], sol[keep] = fd[keep], sd[keep]
         bounds = np.cumsum([len(pool.x)] + [len(rows) for rows in ambient])
         return _read_only(SubregColumns(xs[first], fib, sol, inverse, self.pool_starts(), bounds))
 
@@ -295,8 +292,9 @@ def subregularity_modulus(
 
     Each level reads its pool's distinct x, then its in-ball ambient
     samples, the finest level's witness being the first least in that
-    order; the oracles are called once per distinct x of all levels, when
-    ``tables`` (fresh ones if not given) first builds its ``sr_q`` rows."""
+    order; each oracle is called once, on the distinct x of all levels,
+    when ``tables`` (fresh ones if not given) first builds its ``sr_q``
+    rows."""
     if not is_order(q):
         raise ModuliError("q must lie in (0, 1]")
     cols = _tables(problem, schedule, tables).subreg
@@ -415,25 +413,16 @@ def check_subregularity_inequality(
     if problem.fiber_distance is None or problem.solution_distance is None:
         raise ModuliError("inequality check needs fiber and solution oracles")
     xs = _ambient_x_samples(problem, u_radius, grid_budget, seed)
-    dist = problem.norm_x.value_rows(xs - problem.xbar)
-    for x, d in zip(xs, dist):
-        if d > u_radius:
-            continue
-        fib = problem.fiber_distance(x)
-        if is_inf(fib):
-            continue
-        lhs = tau * problem.solution_distance(x)
-        rhs = float(fib) ** q
-        if lhs > rhs + 1e-12:
-            return InequalityCheck(
-                False,
-                {
-                    "x": [float(t) for t in np.asarray(x).reshape(-1)],
-                    "lhs": lhs,
-                    "rhs": rhs,
-                },
-            )
-    return InequalityCheck(True)
+    xs = xs[problem.norm_x.value_rows(xs - problem.xbar) <= u_radius]
+    lhs = tau * problem.solution_distance(xs)
+    rhs = q_powers(problem.fiber_distance(xs), q)  # INF, never exceeded, where F(x) is empty
+    bad = np.flatnonzero(lhs > rhs + 1e-12)
+    if not bad.size:
+        return InequalityCheck(True)
+    i = bad[0]
+    return InequalityCheck(
+        False, {"x": [float(t) for t in xs[i]], "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+    )
 
 
 # --------------------------------------------------------------------------
@@ -930,11 +919,10 @@ def run_invariant_suite(ctx: RunContext, gamma: Optional[float] = None) -> list:
     sr_rep = ctx.subregularity
     wit_err = 0.0
     for w in sr_rep.witnesses:
-        x = np.asarray(w["x"], dtype=float)
-        fib = problem.fiber_distance(x)
-        sol = problem.solution_distance(x)
+        x = np.asarray(w["x"], dtype=float)[None]
+        fib, sol = float(problem.fiber_distance(x)[0]), float(problem.solution_distance(x)[0])
         if not is_inf(fib) and sol > 0:
-            wit_err = max(wit_err, abs(float(fib) ** q / sol - w["ratio"]))
+            wit_err = max(wit_err, abs(fib**q / sol - w["ratio"]))
     row("witness_reproducibility", wit_err <= 1e-9, wit_err, 0.0, 1e-9)
 
     gammas = [gamma] if gamma is not None else [0.1, 0.5, 0.9, 1.1, 2.0]

@@ -238,10 +238,15 @@ class MappingProblem:
     graph points, returning the x and y rows; every built-in problem
     sets it.  ``param_to_graph``, one parameter vector onto one graph
     point, is the fallback the samplers map row by row for a problem
-    without a batch map; no built-in problem sets it.  All catalog
-    entries carry analytic ``solution_distance`` (distance to
-    F^{-1}(ybar)), ``fiber_distance`` (distance from ybar to F(x)) and,
-    where available, one description of the coderivative D*F, never two.
+    without a batch map; no built-in problem sets it.  The sampler and
+    distance oracles take rows too: ``param_of(X, Y)`` gives the (n,
+    param_dim) parameters of graph rows, ``param_window(T, R)`` the
+    windows ``(lo, hi)`` around them for a column R of radii, and
+    ``solution_distance(X)`` and ``fiber_distance(X)`` the (n,) distances
+    to F^{-1}(ybar) (``1e30`` where it is empty) and from ybar to F(x)
+    (``INF`` where F(x) is empty).  Every catalog entry carries both
+    distances and, where available, one description of the coderivative
+    D*F, never two.
     A single-valued map, strictly differentiable wherever it is read,
     carries ``coderivative_matrix``, mapping (x, y) to its Jacobian M,
     shaped (dim_y, dim_x), with D*F(x,y)(y*) = {M^T y*}, or to ``None``
@@ -264,9 +269,9 @@ class MappingProblem:
     param_to_graph: Optional[Callable[[np.ndarray], tuple]] = None
     param_to_graph_batch: Optional[Callable[[np.ndarray], tuple]] = None
     param_of: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    param_window: Optional[Callable[[np.ndarray, float], tuple]] = None
-    solution_distance: Optional[Callable[[np.ndarray], float]] = None
-    fiber_distance: Optional[Callable[[np.ndarray], float]] = None
+    param_window: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
+    solution_distance: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    fiber_distance: Optional[Callable[[np.ndarray], np.ndarray]] = None
     coderivative: Optional[Callable] = None
     coderivative_matrix: Optional[Callable] = None
     graph_points: Optional[tuple] = None
@@ -314,19 +319,14 @@ class MappingProblem:
     def product_dist(self, p: ProductPoint, q: ProductPoint) -> float:
         return max(self.d_x(p.x, q.x), self.d_y(p.y, q.y))
 
-    def solution_dist_exact(self, x) -> Optional[float]:
-        if self.solution_distance is None:
-            return None
-        return float(self.solution_distance(np.asarray(x, dtype=float).reshape(-1)))
-
 
 @dataclass(frozen=True, eq=False)
 class ErrorFunction:
     """The induced two-variable error function of a mapping problem:
     ``d(y, ybar)**q`` on the graph and ``INF`` off it.
 
-    It reads its anchor, norms and solution distance from the problem
-    and is taken wherever a
+    It reads its anchor, norms and row solution-distance oracle from the
+    problem and is taken wherever a
     :class:`~subreg.slopes_primal.TwoVariableFunction` is.  :meth:`value`
     tests membership; :meth:`rows` evaluates ``f`` only on the graph rows
     it draws, with no membership test."""
@@ -513,7 +513,8 @@ def sample_graph_batch(problem: MappingProblem, calls: Sequence[tuple]) -> tuple
     Halton fill in a second pass, and only if they did not.
     """
     n = len(calls)
-    if any(radius <= 0 for _, radius, _, _ in calls):
+    radii = np.array([radius for _, radius, _, _ in calls], dtype=float)
+    if np.any(radii <= 0):
         raise ProblemError("radius must be positive")
     budgets = np.array([budget for _, _, budget, _ in calls], dtype=np.int64)
     live = np.flatnonzero(budgets > 0)
@@ -522,7 +523,7 @@ def sample_graph_batch(problem: MappingProblem, calls: Sequence[tuple]) -> tuple
         return empty + (np.zeros(n, dtype=np.int64),)
     cx = np.array([np.asarray(c.x, dtype=float).reshape(-1) for c, _, _, _ in calls])
     cy = np.array([np.asarray(c.y, dtype=float).reshape(-1) for c, _, _, _ in calls])
-    cutoff = np.array([radius * (1.0 + 1e-12) for _, radius, _, _ in calls]) + radius_pads(cx, cy)
+    cutoff = radii * (1.0 + 1e-12) + radius_pads(cx, cy)
 
     def stage(owner, ux, vy):
         dx = problem.norm_x.value_rows(ux - cx[owner])
@@ -535,15 +536,8 @@ def sample_graph_batch(problem: MappingProblem, calls: Sequence[tuple]) -> tuple
         owner = np.repeat(live, gx.shape[0])
         stages = [stage(owner, np.tile(gx, (live.size, 1)), np.tile(gy, (live.size, 1)))]
     else:
-        t0, lo, hi = [], [], []
-        for i in live:
-            center, radius = calls[i][0], calls[i][1]
-            t = np.asarray(problem.param_of(center.x, center.y), dtype=float).reshape(-1)
-            window = problem.param_window(t, radius)
-            t0.append(t)
-            lo.append(np.asarray(window[0], dtype=float))
-            hi.append(np.asarray(window[1], dtype=float))
-        t0, lo, hi = np.array(t0), np.array(lo), np.array(hi)
+        t0 = problem.param_of(cx[live], cy[live])
+        lo, hi = problem.param_window(t0, radii[live, None])
         seeds = [calls[i][3] for i in live]
         head, head_ok = _head_params(t0, lo, hi, seeds)
         head_rows = head_ok.sum(axis=1)
@@ -622,9 +616,8 @@ def solution_set_distance(
     ``anchor_zeros`` to several calls to draw it once per radius.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    exact = problem.solution_dist_exact(x)
-    if exact is not None:
-        return DistanceEstimate(exact, exact=True)
+    if problem.solution_distance is not None:
+        return DistanceEstimate(float(problem.solution_distance(x[None])[0]), exact=True)
     radius = schedule.truncation_radius or 10.0 * max(1.0, problem.d_x(x, problem.xbar))
     if anchor_zeros is None:
         anchor_zeros = {}
@@ -722,9 +715,9 @@ def sample_outer_points(
     one :func:`sample_graph_batch` call draws every level, bitwise as one
     call per level would.  A row's depth is the finest level whose shell
     holds it, whichever level drew it.  The solution distance is taken
-    once per distinct x (by bytes) from :func:`solution_set_distance`,
-    which without an oracle draws one anchor sample per radius for the
-    whole call."""
+    from one oracle call on the distinct x rows (by bytes); without an
+    oracle, :func:`solution_set_distance` estimates it per distinct x
+    from one anchor sample per radius for the whole call."""
     anchor = problem.anchor
     calls = [(anchor, radius, budget, seed) for radius, seed in zip(radii, seeds)]
     ux, vy, counts = sample_graph_batch(problem, calls)
@@ -734,9 +727,12 @@ def sample_outer_points(
     shell = np.flatnonzero((dxa < rho) & (0.0 < dya) & (dya < rho))
     ux, vy, dxa, dya = ux[shell], vy[shell], dxa[shell], dya[shell]
     first, inverse, _ = distinct_rows(ux)
-    anchor_zeros: dict = {}  # one anchor sample per radius for the whole call
-    sol = [solution_set_distance(problem, x, schedule, anchor_zeros).value for x in ux[first]]
-    outer = ~(outer_restriction & (np.array(sol, dtype=float)[inverse] <= EPS_MEM))
+    if problem.solution_distance is not None:
+        sol = problem.solution_distance(ux[first])
+    else:
+        anchor_zeros: dict = {}  # one anchor sample per radius for the whole call
+        sol = [solution_set_distance(problem, x, schedule, anchor_zeros).value for x in ux[first]]
+    outer = ~(outer_restriction & (np.asarray(sol, dtype=float)[inverse] <= EPS_MEM))
     level = np.where(outer, np.maximum(dxa, dya), np.inf)
     index, depth, copies = distinct_window_rows(np.hstack([ux, vy]), level, radii)
     return OuterPool(ux[index], vy[index], dxa[index], dya[index], depth, copies)
@@ -770,31 +766,39 @@ def _interval_window(t0, radius):
     return t0 - radius, t0 + radius
 
 
+def _positive_part(v: np.ndarray) -> np.ndarray:
+    """``max(v, 0.0)`` per entry, Python's ``max`` bitwise: -0.0 stays
+    -0.0, where ``np.maximum`` would give 0.0."""
+    return np.where(0.0 > v, 0.0, v)
+
+
 def _line_problem(
     name: str,
     value: Callable[[float], Optional[float]],
     batch: Callable[[np.ndarray], tuple],
     matrix: Callable,
-    solution_distance: Callable[[np.ndarray], float],
+    solution_distance: Callable[[np.ndarray], np.ndarray],
     xbar: float = 0.0,
     ybar: float = 0.0,
-    window: Callable[[np.ndarray, float], tuple] = _interval_window,
+    window: Callable[[np.ndarray, np.ndarray], tuple] = _interval_window,
     **flags,
 ) -> MappingProblem:
     """The single-valued map ``y = value(x)`` of the real line, ``value``
     taking a Python float to one, or to ``None`` off the domain.  The
-    parameter is x itself, and ``batch`` maps a column of them onto graph
-    rows ``(x, y)``.  Membership is ``|y - value(x)| <= MEMBERSHIP_TOL``,
-    the fiber distance ``|value(x) - ybar|`` (``INF`` off the domain)."""
+    sampler's parameter is x itself, the x column of the graph rows, and
+    ``batch`` maps a column of them onto graph rows ``(x, y)``.
+    Membership is ``|y - value(x)| <= MEMBERSHIP_TOL``; the fiber
+    distance of x rows is ``|value(x) - ybar|`` per row (``INF`` off the
+    domain), ``value`` taking each entry of the column."""
     ybar = float(ybar)
 
     def membership(x, y):
         v = value(float(x[0]))
         return v is not None and abs(float(y[0]) - v) <= MEMBERSHIP_TOL
 
-    def fiber_distance(x):
-        v = value(float(x[0]))
-        return INF if v is None else abs(v - ybar)
+    def fiber_distance(xs):
+        fibers = map(value, xs[:, 0].tolist())
+        return np.array([INF if v is None else abs(v - ybar) for v in fibers])
 
     return MappingProblem(
         name=name,
@@ -806,7 +810,7 @@ def _line_problem(
         ybar=[ybar],
         graph_membership=membership,
         param_to_graph_batch=lambda t: batch(t[:, :1]),
-        param_of=lambda x, y: np.array([float(x[0])]),
+        param_of=lambda xs, ys: xs[:, :1],
         param_window=window,
         solution_distance=solution_distance,
         fiber_distance=fiber_distance,
@@ -825,7 +829,7 @@ def _half_square() -> MappingProblem:
         value=lambda u: max(u, 0.0) ** 2,
         batch=lambda u: (u, np.maximum(u, 0.0) ** 2),
         matrix=coderivative_matrix,
-        solution_distance=lambda x: max(float(x[0]), 0.0),
+        solution_distance=lambda xs: _positive_part(xs[:, 0]),
         canonical_q=0.5,
     )
 
@@ -836,7 +840,7 @@ def _identity() -> MappingProblem:
         value=lambda u: u,
         batch=lambda u: (u, u.copy()),
         matrix=lambda x, y: np.ones((1, 1)),
-        solution_distance=lambda x: abs(float(x[0])),
+        solution_distance=lambda xs: np.abs(xs[:, 0]),
         convex=True,
     )
 
@@ -847,7 +851,7 @@ def _square() -> MappingProblem:
         value=lambda u: u**2,
         batch=lambda u: (u, u**2),
         matrix=lambda x, y: np.array([[2.0 * float(x[0])]]),
-        solution_distance=lambda x: abs(float(x[0])),
+        solution_distance=lambda xs: np.abs(xs[:, 0]),
     )
 
 
@@ -862,11 +866,10 @@ def _linear(matrix=None) -> MappingProblem:
     _, s, vt = np.linalg.svd(a)
     null_basis = vt[int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0))) :]
 
-    def solution_distance(x):
-        d = np.asarray(x, dtype=float)
+    def solution_distance(xs):
         if null_basis.shape[0]:
-            d = d - matvec_left(null_basis.T, matvec_left(null_basis, d))
-        return norm_x.value(d)
+            xs = xs - matvec_left(null_basis.T, matvec_left(null_basis, xs))
+        return norm_x.value_rows(xs)
 
     return MappingProblem(
         name="linear-A",
@@ -882,10 +885,10 @@ def _linear(matrix=None) -> MappingProblem:
         <= MEMBERSHIP_TOL,
         param_dim=dim_x,
         param_to_graph_batch=lambda t: (t, matvec_left(a, t)),
-        param_of=lambda x, y: np.asarray(x, dtype=float),
+        param_of=lambda xs, ys: xs,
         param_window=_interval_window,
         solution_distance=solution_distance,
-        fiber_distance=lambda x: norm_y.value(matvec_left(a, x)),
+        fiber_distance=lambda xs: norm_y.value_rows(matvec_left(a, xs)),
         coderivative_matrix=lambda x, y: a,
         convex=True,
         canonical_q=1.0,
@@ -894,8 +897,8 @@ def _linear(matrix=None) -> MappingProblem:
 
 def _halfline() -> MappingProblem:
     def window(t0, r):
-        lo = np.array([t0[0] - r, max(t0[1] - 2.0 * r, 0.0)])
-        hi = np.array([t0[0] + r, max(t0[1] + 2.0 * r, 0.0)])
+        lo = np.hstack([t0[:, :1] - r, _positive_part(t0[:, 1:] - 2.0 * r)])
+        hi = np.hstack([t0[:, :1] + r, _positive_part(t0[:, 1:] + 2.0 * r)])
         return lo, hi
 
     def coderivative(x, y, ystar):
@@ -923,10 +926,10 @@ def _halfline() -> MappingProblem:
             t[:, :1],
             t[:, :1] + np.maximum(t[:, 1:2], 0.0),
         ),
-        param_of=lambda x, y: np.array([float(x[0]), max(float(y[0]) - float(x[0]), 0.0)]),
+        param_of=lambda xs, ys: np.hstack([xs[:, :1], _positive_part(ys[:, :1] - xs[:, :1])]),
         param_window=window,
-        solution_distance=lambda x: max(float(x[0]), 0.0),
-        fiber_distance=lambda x: max(float(x[0]), 0.0),
+        solution_distance=lambda xs: _positive_part(xs[:, 0]),
+        fiber_distance=lambda xs: _positive_part(xs[:, 0]),
         coderivative=coderivative,
         convex=True,
         canonical_q=1.0,
@@ -939,7 +942,7 @@ def _constant() -> MappingProblem:
         value=lambda u: 0.0,
         batch=lambda u: (u, np.zeros_like(u)),
         matrix=lambda x, y: np.zeros((1, 1)),
-        solution_distance=lambda x: 0.0,
+        solution_distance=lambda xs: np.zeros(xs.shape[0]),
         convex=True,
     )
 
@@ -1077,18 +1080,19 @@ def piecewise_problem(
         real = [float(r.real) for r in roots if not abs(r.imag) > 1e-9]
         zero_sets.append((a, b, [r for r in real if a - 1e-9 <= r <= b + 1e-9]))
 
-    def solution_distance(x):
-        u = float(x[0])
+    def solution_distance(xs):
+        # Python's min(best, d) per row: d replaces best only below it
+        u = xs[:, 0]
         best = None
         for a, b, roots in zero_sets:
             if roots is None:
-                d = 0.0 if a <= u <= b else min(abs(u - a), abs(u - b))
-                best = d if best is None else min(best, d)
-                continue
-            for rr in roots:
-                d = abs(u - rr)
-                best = d if best is None else min(best, d)
-        return best if best is not None else 1e30
+                d_a, d_b = np.abs(u - a), np.abs(u - b)
+                ds = [np.where((a <= u) & (u <= b), 0.0, np.where(d_b < d_a, d_b, d_a))]
+            else:
+                ds = [np.abs(u - rr) for rr in roots]
+            for d in ds:
+                best = d if best is None else np.where(d < best, d, best)
+        return np.full(u.shape, 1e30) if best is None else best
 
     def coderivative_matrix(x, y):
         # the distinct slopes of the pieces holding x: none off the
@@ -1144,18 +1148,15 @@ def finite_graph_problem(
 
     solset = [p.x for p in pts if ny.value(p.y - ybar_arr) <= MEMBERSHIP_TOL]
 
-    def solution_distance(x):
-        x = np.asarray(x, dtype=float).reshape(-1)
+    def solution_distance(xs):
         if not solset:
-            return 1e30
-        return min(nx.value(x - s) for s in solset)
+            return np.full(len(xs), 1e30)
+        return np.array([min(nx.value(x - s) for s in solset) for x in xs], dtype=float)
 
-    def fiber_distance(x):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        fibers = [p.y for p in pts if nx.value(x - p.x) <= MEMBERSHIP_TOL]
-        if not fibers:
-            return INF
-        return min(ny.value(f - ybar_arr) for f in fibers)
+    def fiber_distance(xs):
+        fibers = [[p.y for p in pts if nx.value(x - p.x) <= MEMBERSHIP_TOL] for x in xs]
+        dists = [min((ny.value(f - ybar_arr) for f in row), default=INF) for row in fibers]
+        return np.array(dists, dtype=float)
 
     return MappingProblem(
         name=name,

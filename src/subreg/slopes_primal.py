@@ -593,8 +593,9 @@ class TwoVariableFunction:
     radius, budget, seed)`` returns ``(ux, vy)``, at most ``budget`` x
     and y rows within ``radius`` of ``center``, deterministic in
     ``seed``.  The f-level engine reads only ``xbar``, ``ybar``, the
-    norms, ``solution_distance``, :meth:`value` and :meth:`rows`, which
-    an :class:`ErrorFunction` has too."""
+    norms, ``solution_distance`` (x rows to their distances to the zero
+    set), :meth:`value` and :meth:`rows`, which an
+    :class:`ErrorFunction` has too."""
 
     f: Callable
     xbar: np.ndarray
@@ -632,7 +633,7 @@ def single_variable_embedding(
     name: str = "embedded",
 ) -> TwoVariableFunction:
     """Embed a one-variable function: finite on the slice ``y == ybar``
-    and infinite elsewhere."""
+    and infinite elsewhere; ``solution_distance`` takes x rows."""
     xbar_arr = np.array([float(xbar)])
     ybar_arr = np.array([0.0])
 

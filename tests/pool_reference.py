@@ -11,6 +11,7 @@ from collections import namedtuple
 
 from subreg import is_inf, solution_set_distance
 from subreg.problems import EPS_MEM, mix_seed, sample_graph_arrays
+from oracle_reference import solution_dist_exact
 
 # one drawn outer point: its distances to xbar and ybar, and to F^{-1}(ybar)
 RefPoint = namedtuple("RefPoint", "x y dxa dya sol")
@@ -25,7 +26,7 @@ def ref_outer_level(problem, radius, budget, seed, schedule, outer_restriction, 
         dya = problem.d_y(y, problem.ybar)
         if not (dxa < radius and 0.0 < dya < radius):
             continue
-        sd = problem.solution_dist_exact(x)
+        sd = solution_dist_exact(problem, x)
         if sd is None:
             sd_est = solution_set_distance(problem, x, schedule, anchor_zeros).value
             sd = 1e30 if is_inf(sd_est) else float(sd_est)

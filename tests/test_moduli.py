@@ -49,6 +49,7 @@ from subreg.problems import EPS_MEM, halton_points, mix_seed
 from subreg.slopes_primal import SlopeEstimate, f_level_strict
 from graph_reference import induced
 from level_reference import level_scans
+from oracle_reference import solution_dist_exact
 from pool_reference import ref_pools
 from sampler_reference import halving_offsets, points, probe_points
 
@@ -65,14 +66,14 @@ def hs_constants(schedule):
 
 class TestErrorBoundModulus:
     def test_absolute_value_embedding(self, schedule):
-        func = single_variable_embedding(abs, solution_distance=lambda x: abs(float(x[0])))
+        func = single_variable_embedding(abs, solution_distance=lambda xs: np.abs(xs[:, 0]))
         rep = error_bound_modulus(func, schedule)
         assert rep.value == pytest.approx(1.0, abs=1e-9)
         assert rep.forms_agree
 
     def test_square_embedding_vanishes(self, schedule):
         func = single_variable_embedding(
-            lambda t: t * t, solution_distance=lambda x: abs(float(x[0]))
+            lambda t: t * t, solution_distance=lambda xs: np.abs(xs[:, 0])
         )
         rep = error_bound_modulus(func, schedule)
         assert rep.value <= 0.02
@@ -120,7 +121,7 @@ class TestSubregularityModulus:
         assert rep.witnesses
         for w in rep.witnesses:
             x = np.array(w["x"])
-            ratio = float(p.fiber_distance(x)) ** 0.5 / p.solution_distance(x)
+            ratio = float(p.fiber_distance(x[None])[0]) ** 0.5 / p.solution_distance(x[None])[0]
             assert abs(ratio - w["ratio"]) <= 1e-9
 
 
@@ -451,7 +452,7 @@ def _ref_error_bound_modulus(func_or_ef, schedule):
             if soldist is None:
                 flags = ("inconclusive", "no-solution-distance")
                 break
-            d = float(soldist(p.x))
+            d = float(soldist(p.x[None])[0])
             if d <= EPS_MEM:
                 continue
             dxa = func.norm_x.value(p.x - func.xbar)
@@ -525,10 +526,10 @@ def _ref_subregularity_modulus(problem, q, schedule):
         ]
         best, best_rec = INF, None
         for x in xs:
-            sol = problem.solution_dist_exact(x)
+            sol = solution_dist_exact(problem, x)
             if sol is None or sol <= EPS_MEM or problem.fiber_distance is None:
                 continue
-            fib = problem.fiber_distance(x)
+            fib = problem.fiber_distance(np.asarray(x, dtype=float)[None])[0]
             if is_inf(fib):
                 continue
             val = float(fib) ** q / sol
@@ -606,7 +607,7 @@ _ENGINE_CASES = {
     "half-square-inline": lambda: _inline(1.0, 2),
     "2max2-inline": lambda: _inline(2.0, 2),
     "3max1-inline": lambda: _inline(3.0, 1),
-    "embedding": lambda: single_variable_embedding(abs, solution_distance=lambda x: abs(float(x[0]))),
+    "embedding": lambda: single_variable_embedding(abs, solution_distance=lambda xs: np.abs(xs[:, 0])),
     "embedding-no-oracle": lambda: single_variable_embedding(abs),
 }
 

@@ -73,7 +73,7 @@ def test_half_square_flags_and_anchor():
     assert not p.convex
     assert p.graph_membership(p.xbar, p.ybar)
     assert float(p.xbar[0]) == 0.0 and float(p.ybar[0]) == 0.0
-    assert p.solution_distance(p.xbar) == 0.0
+    assert p.solution_distance(p.xbar[None])[0] == 0.0
 
 
 def test_error_function_values():
@@ -153,8 +153,8 @@ def test_half_square_ratio_grid():
     # on-graph ratio d(y, ybar)^q / d(x, solution set) is exactly one
     p = catalog_problem("half-square")
     for x in np.linspace(1e-4, 1.0, 37):
-        fiber = p.fiber_distance(np.array([x]))
-        sol = p.solution_distance(np.array([x]))
+        fiber = p.fiber_distance(np.array([[x]]))[0]
+        sol = p.solution_distance(np.array([[x]]))[0]
         assert fiber**0.5 / sol == pytest.approx(1.0, rel=1e-12)
 
 
@@ -247,10 +247,10 @@ def test_piecewise_problem_roundtrip():
     p = piecewise_problem(pieces, xbar=0.0, ybar=0.0)
     assert p.graph_membership([0.5], [0.25])
     assert not p.graph_membership([0.5], [0.3])
-    assert p.fiber_distance([0.5]) == pytest.approx(0.25)
+    assert p.fiber_distance(np.array([[0.5]]))[0] == pytest.approx(0.25)
     # solution set is (-inf interval) [-1, 0] plus the root x = 0
-    assert p.solution_distance([0.7]) == pytest.approx(0.7)
-    assert p.solution_distance([-0.5]) == pytest.approx(0.0)
+    assert p.solution_distance(np.array([[0.7]]))[0] == pytest.approx(0.7)
+    assert p.solution_distance(np.array([[-0.5]]))[0] == pytest.approx(0.0)
     at = (np.array([0.5]), np.array([0.25]), np.array([2.0]))
     (image,) = p.coderivative_image(*at).members()
     np.testing.assert_allclose(image, [2.0], atol=1e-12)
@@ -306,7 +306,7 @@ def test_finite_graph_problem_sampling():
     got = graph_sample(p, p.anchor, 100.0, 100, 0)
     assert len(got) == 10
     assert graph_sample(p, p.anchor, 1.5, 100, 0)
-    assert p.solution_distance([2.0]) == pytest.approx(1.0)
+    assert p.solution_distance(np.array([[2.0]]))[0] == pytest.approx(1.0)
 
 
 def test_schedule_validation():
@@ -435,14 +435,15 @@ def test_line_catalog_entries_match_their_field_by_field_constructors(name):
     on, off = 0, 0
     for u, v in zip(_LINE_GRID, ry[:, 0]):
         x, gy = np.array([u]), np.array([v])
-        assert bits(new.fiber_distance(x)) == bits(ref.fiber_distance(x)), u
-        assert bits(new.solution_distance(x)) == bits(ref.solution_distance(x)), u
-        assert same_bits(new.param_of(x, gy), ref.param_of(x, gy)), u
+        assert bits(new.fiber_distance(x[None])[0]) == bits(ref.fiber_distance(x)), u
+        assert bits(new.solution_distance(x[None])[0]) == bits(ref.solution_distance(x)), u
+        assert same_bits(new.param_of(x[None], gy[None])[0], ref.param_of(x, gy)), u
         assert same_bits(new.coderivative_matrix(x, gy), ref.coderivative_matrix(x, gy)), u
         for radius in (1e-8, 0.5):
             t0 = ref.param_of(x, gy)
-            (nlo, nhi), (rlo, rhi) = new.param_window(t0, radius), ref.param_window(t0, radius)
-            assert same_bits(nlo, rlo) and same_bits(nhi, rhi), (u, radius)
+            (nlo, nhi) = new.param_window(t0[None], np.array([[radius]]))
+            (rlo, rhi) = ref.param_window(t0, radius)
+            assert same_bits(nlo[0], rlo) and same_bits(nhi[0], rhi), (u, radius)
         for y in (v, v + 0.5e-9, v - 0.5e-9, v + 2e-9, v - 2e-9, -v) + _LINE_GRID:
             inside = ref.graph_membership(x, np.array([y]))
             assert new.graph_membership(x, np.array([y])) is inside, (u, y)
@@ -520,8 +521,8 @@ def test_linear_oracles_stay_within_4_ulp_of_the_blas_forms(label):
         return np.all(np.abs(np.asarray(got) - want) <= 4 * np.spacing(scale))
 
     for x in _linear_params():
-        assert close(p.fiber_distance(x), fiber(x), np.linalg.norm(a @ np.abs(x))), x
-        assert close(p.solution_distance(x), solution(x), np.linalg.norm(x)), x
+        assert close(p.fiber_distance(x[None])[0], fiber(x), np.linalg.norm(a @ np.abs(x))), x
+        assert close(p.solution_distance(x[None])[0], solution(x), np.linalg.norm(x)), x
         (got,) = p.coderivative_image(x, None, x).members()
         assert close(got, coderivative(x), a.T @ np.abs(x)), x
         assert got.tobytes() == oracle(x, None, x).members()[0].tobytes(), x
@@ -566,10 +567,9 @@ def _reference_halton(dim, count, seed):
 def _reference_sample(problem, center, radius, budget, seed):
     # the list-based parameter builder the block builder replaced, mapped
     # row by row through the scalar graph map
-    t0 = np.asarray(problem.param_of(center.x, center.y), dtype=float).reshape(-1)
-    lo, hi = problem.param_window(t0, radius)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    cx, cy = (np.asarray(v, dtype=float).reshape(1, -1) for v in (center.x, center.y))
+    t0 = problem.param_of(cx, cy)[0]
+    lo, hi = (w[0] for w in problem.param_window(t0[None], np.array([[radius]])))
     dim = t0.shape[0]
     params = [t0]
     h_vec = np.maximum(hi - t0, t0 - lo)
@@ -866,9 +866,9 @@ def _reference_piecewise_solution_distance(pieces, ybar):
 def test_piecewise_solution_distance_matches_per_call_roots(pieces, xbar, ybar):
     got = piecewise_problem(pieces, xbar=xbar, ybar=ybar).solution_distance
     want = _reference_piecewise_solution_distance(pieces, ybar)
-    assert (got([0.7]) == 1e30) == (pieces[0]["coeffs"][0] == 1e-10)
+    assert (got(np.array([[0.7]]))[0] == 1e30) == (pieces[0]["coeffs"][0] == 1e-10)
     for u in np.linspace(-3.0, 4.0, 141).tolist() + [1.25, 0.0, -0.0, 1e-12]:
-        assert got(np.array([u])) == want([u])
+        assert got(np.array([[u]]))[0] == want([u])
 
 
 def _point_bits(x, y, *dist):

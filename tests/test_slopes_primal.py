@@ -365,14 +365,14 @@ def test_embedding_sampler_matches_the_point_list():
 
 class TestEmbedding:
     def test_absolute_value_local_slope(self, schedule):
-        func = single_variable_embedding(abs, solution_distance=lambda x: abs(float(x[0])))
+        func = single_variable_embedding(abs, solution_distance=lambda xs: np.abs(xs[:, 0]))
         at = ProductPoint([1.0], [0.0])
         out = f_level_slopes(func, 0.5, at, schedule, ("nonlocal", "local"))
         assert out["local"].value == pytest.approx(1.0, abs=1e-6)
         assert out["nonlocal"].value == pytest.approx(1.0, abs=1e-6)
 
     def test_strict_outer_slopes_of_embedding(self, light_schedule):
-        func = single_variable_embedding(abs, solution_distance=lambda x: abs(float(x[0])))
+        func = single_variable_embedding(abs, solution_distance=lambda xs: np.abs(xs[:, 0]))
         strict = f_level_strict(func, light_schedule)
         assert strict["uniform"].value == pytest.approx(1.0, abs=0.02)
         assert strict["plain"].value == pytest.approx(1.0, abs=0.02)
@@ -841,7 +841,7 @@ def _inline(coef, power):
 
 
 def _embedding():
-    return single_variable_embedding(abs, solution_distance=lambda x: abs(float(x[0])))
+    return single_variable_embedding(abs, solution_distance=lambda xs: np.abs(xs[:, 0]))
 
 
 # every catalog entry but constant's empty windows has a positive f somewhere;
